@@ -10,7 +10,10 @@ Conventions:
   ``VERC3_BENCH_SMALL=0`` skips the minute-scale MSI-small rows,
   ``VERC3_BENCH_LARGE=1`` enables the MSI-large rows (tens of minutes),
   ``VERC3_BENCH_CACHES`` overrides the cache count (default 2; the paper's
-  testbed used more but CPython pays ~5x per extra cache).
+  testbed used more but CPython pays ~5x per extra cache);
+* results land in the tracked ``BENCH_*.json`` and ``table1_output.txt``
+  only when ``VERC3_BENCH_RECORD=1``, so a plain test run never rewrites
+  the repository.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ def large_enabled() -> bool:
     return env_flag("VERC3_BENCH_LARGE", False)
 
 
+def record_enabled() -> bool:
+    return env_flag("VERC3_BENCH_RECORD", False)
+
+
 def attach_report(benchmark, report: SynthesisReport, configuration: str) -> None:
     """Record the Table I columns on the benchmark JSON."""
     benchmark.extra_info.update(
@@ -82,8 +89,9 @@ def table1_rows():
     """Session-collected Table I rows, printed at the end of the run.
 
     The print bypasses pytest's capture (the fixture finalises before the
-    terminal summary) and the table is also persisted next to the repo so
-    EXPERIMENTS.md can reference a concrete artefact.
+    terminal summary); with ``VERC3_BENCH_RECORD=1`` the table is also
+    persisted next to the repo so EXPERIMENTS.md can reference a concrete
+    artefact.
     """
     rows = []
     yield rows
@@ -95,14 +103,16 @@ def table1_rows():
         text = "=== Table I (reproduced) ===\n" + format_table(rows) + "\n"
         sys.__stdout__.write("\n\n" + text)
         sys.__stdout__.flush()
-        with open("table1_output.txt", "w") as handle:
-            handle.write(text)
+        if record_enabled():
+            with open("table1_output.txt", "w") as handle:
+                handle.write(text)
 
 
 @pytest.fixture(scope="session")
 def dist_bench_rows():
-    """Session-collected backend-comparison rows, persisted as
-    ``BENCH_dist.json`` so future PRs can track the perf trajectory.
+    """Session-collected backend-comparison rows, persisted (with
+    ``VERC3_BENCH_RECORD=1``) as ``BENCH_dist.json`` so the perf
+    trajectory can be tracked.
 
     Each row: skeleton, backend, workers, cpu_count, seconds, evaluated,
     solutions.  Rows tagged ``section="memo_warm"`` (the verdict-store
@@ -115,7 +125,7 @@ def dist_bench_rows():
     """
     rows = []
     yield rows
-    if not rows:
+    if not rows or not record_enabled():
         return
     import json
     import sys

@@ -15,21 +15,23 @@ Two single-threaded comparisons (no cpu_count gating needed, unlike
   candidates-checked and wall-time reductions, and asserts the solution
   sets are identical before trusting either number.
 
-Each test merges its section into ``BENCH_mc.json`` so partial runs don't
-clobber the other section.  A fingerprint-determinism sanity check rides
-along for the tuple-walk ``fingerprint_state`` rewrite.
+With ``VERC3_BENCH_RECORD=1`` each test merges its section into
+``BENCH_mc.json`` so partial runs don't clobber the other section; without
+it the numbers are only printed.  A fingerprint-determinism sanity check
+rides along for the tuple-walk ``fingerprint_state`` rewrite.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 
 import pytest
 
-from benchmarks.conftest import run_once, small_enabled
+from benchmarks.conftest import record_enabled, run_once, small_enabled
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.mc.bfs import BfsExplorer
 from repro.mc.context import FixedResolver
@@ -44,10 +46,17 @@ REPLICAS = 3
 #: candidate checks per configuration; >1 exercises the cross-run cache
 #: reuse every synthesis pass gets for free
 REPEATS = 4
+#: fresh-system samples behind the packed cold-start median
+COLD_TRIALS = 5
 
 
 def update_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_mc.json, preserving the others."""
+    """Merge one section into BENCH_mc.json, preserving the others.
+
+    A no-op unless ``VERC3_BENCH_RECORD=1``.
+    """
+    if not record_enabled():
+        return
     data = {}
     if os.path.exists("BENCH_mc.json"):
         try:
@@ -153,7 +162,7 @@ def test_orbit_cache_single_candidate_speedup(benchmark):
     }
     update_bench_json("single_candidate", payload)
     sys.__stdout__.write(
-        f"\nBENCH_mc.json updated: orbit cache speedup {speedup:.2f}x "
+        f"\nBENCH_mc: orbit cache speedup {speedup:.2f}x "
         f"({off_seconds:.3f}s -> {on_seconds:.3f}s over {REPEATS} checks)\n"
     )
     sys.__stdout__.flush()
@@ -337,7 +346,7 @@ def test_por_reduction(benchmark):
     update_bench_json("por", payload)
     by_name = {row["protocol"]: row["states_reduction"] for row in verify_rows}
     sys.__stdout__.write(
-        "\nBENCH_mc.json updated: POR states reduction "
+        "\nBENCH_mc: POR states reduction "
         + ", ".join(f"{k} {v:.1%}" for k, v in by_name.items())
         + "\n"
     )
@@ -370,25 +379,21 @@ def test_packed_kernel_speedup(benchmark):
     every synthesis pass — replay them as dictionary hits.  The
     acceptance gate (>= 5x, target >= 10x) is on the steady state.
 
+    The cold comparison needs a fresh system per sample, so it runs
+    ``COLD_TRIALS`` times, alternating object and packed, and its floor is
+    asserted on the median ratio of this session rather than on one noisy
+    sample.
+
     Correctness gates the measurement: identical verdicts and identical
     states per check, and the packed run must actually engage the packed
     runtime (no silent object-path fallback).
     """
     from repro.mc.kernel import make_explorer
 
-    _, (skel, object_system) = make_systems()
-    object_seconds, object_results = check_candidates(skel, object_system)
-    for result, _ in object_results:
-        assert result.verdict is Verdict.SUCCESS
-
-    packed_skel = msi_small(REPLICAS)
-    packed_system = packed_skel.system
-    resolver = make_resolver(packed_skel)
-
-    def packed_checks(repeats=REPEATS):
+    def packed_checks(packed_system, resolver):
         results = []
         start = time.perf_counter()
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             explorer = make_explorer(
                 "bfs", packed_system, resolver=resolver, packed=True
             )
@@ -396,10 +401,25 @@ def test_packed_kernel_speedup(benchmark):
             results.append(explorer.run())
         return time.perf_counter() - start, results
 
-    cold_seconds, cold_results = packed_checks()
+    object_samples, cold_samples, cold_ratios = [], [], []
+    for _ in range(COLD_TRIALS):
+        _, (skel, object_system) = make_systems()
+        seconds, object_results = check_candidates(skel, object_system)
+        for result, _ in object_results:
+            assert result.verdict is Verdict.SUCCESS
+        object_samples.append(seconds)
+        packed_skel = msi_small(REPLICAS)
+        packed_system = packed_skel.system
+        resolver = make_resolver(packed_skel)
+        cold_seconds, cold_results = packed_checks(packed_system, resolver)
+        cold_samples.append(cold_seconds)
+        cold_ratios.append(seconds / cold_seconds if cold_seconds else float("inf"))
+    object_seconds = statistics.median(object_samples)
+    cold_seconds = statistics.median(cold_samples)
+    cold_speedup = statistics.median(cold_ratios)
 
     def steady_run():
-        return packed_checks()
+        return packed_checks(packed_system, resolver)
 
     steady_seconds, steady_results = run_once(benchmark, steady_run)
 
@@ -410,7 +430,6 @@ def test_packed_kernel_speedup(benchmark):
 
     object_per_check = object_seconds / REPEATS
     steady_per_check = steady_seconds / REPEATS
-    cold_speedup = object_seconds / cold_seconds if cold_seconds else float("inf")
     steady_speedup = (
         object_per_check / steady_per_check if steady_per_check else float("inf")
     )
@@ -435,12 +454,13 @@ def test_packed_kernel_speedup(benchmark):
                 "states_per_check": steady_results[0].stats.states_visited,
             },
         ],
+        "cold_trials": COLD_TRIALS,
         "speedup_packed_cold": round(cold_speedup, 3),
         "speedup_packed_steady": round(steady_speedup, 3),
     }
     update_bench_json("packed", payload)
     sys.__stdout__.write(
-        f"\nBENCH_mc.json updated: packed kernel speedup "
+        f"\nBENCH_mc: packed kernel speedup "
         f"{steady_speedup:.2f}x steady ({object_per_check * 1000:.2f}ms -> "
         f"{steady_per_check * 1000:.2f}ms/check), {cold_speedup:.2f}x "
         f"incl. cold start\n"
@@ -451,8 +471,9 @@ def test_packed_kernel_speedup(benchmark):
     # The acceptance gate.  Measured ~16x steady-state on the dev
     # container; assert the >= 5x floor so a loaded CI box has headroom.
     assert steady_speedup >= 5.0
-    # The cold first check must still not be a loss overall.
-    assert cold_speedup > 1.0
+    # The cold first check must still not be a loss overall (median of
+    # this session's trials).
+    assert cold_speedup >= 1.0, cold_ratios
 
 
 def test_telemetry_overhead(benchmark, tmp_path):
@@ -537,7 +558,7 @@ def test_telemetry_overhead(benchmark, tmp_path):
     }
     update_bench_json("telemetry", payload)
     sys.__stdout__.write(
-        f"\nBENCH_mc.json updated: telemetry overhead {overhead:+.1%} "
+        f"\nBENCH_mc: telemetry overhead {overhead:+.1%} "
         f"({off_seconds:.3f}s off -> {on_seconds:.3f}s on over "
         f"{REPEATS} checks)\n"
     )
@@ -619,7 +640,7 @@ def test_family_scheduler_workload(benchmark):
     payload = {"rows": rows}
     update_bench_json("family", payload)
     sys.__stdout__.write(
-        "\nBENCH_mc.json updated: family scheduler "
+        "\nBENCH_mc: family scheduler "
         + ", ".join(
             f"{row['skeleton']} {row['evaluated_without']} -> "
             f"{row['evaluated_with']} checks "
@@ -700,7 +721,7 @@ def test_generalised_pruning_synthesis_speedup(benchmark):
     }
     update_bench_json("synthesis", payload)
     sys.__stdout__.write(
-        f"\nBENCH_mc.json updated: generalised synthesis "
+        f"\nBENCH_mc: generalised synthesis "
         f"{baseline.evaluated} -> {generalised.evaluated} candidates "
         f"({candidates_reduction:.1%} fewer), "
         f"{baseline.elapsed_seconds:.1f}s -> "

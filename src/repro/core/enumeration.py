@@ -21,8 +21,8 @@ index subrange, which is how parallel workers split the space):
   constrained position is the end of the shortest failure-forcing prefix —
   cut subtrees at the shallowest sound depth, once per matching assignment
   of their (possibly sparse) constrained positions.
-* :class:`NaiveEnumerator` — visits every index and performs a flat
-  per-candidate table match: the paper-faithful behaviour, used for the
+* :class:`NaiveEnumerator` — visits every index and performs one
+  per-candidate table lookup: the paper-faithful behaviour, used for the
   small problem sizes and for differential testing of the subtree walker.
 
 Both yield the digit tuples of candidates that survived pruning and expose
@@ -189,20 +189,13 @@ class NaiveEnumerator:
         self.counters.skipped[tag] += 1
 
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        from repro.core.candidate import CandidateVector
-
         if self.start >= self.end:
             return
         self.counters.covered += self.end - self.start
         for index in range(self.start, self.end):
             digits = mixed_radix_decode(index, self.radices)
             self._digits = digits
-            vector = CandidateVector.from_digits(digits)
-            matched: Optional[str] = None
-            for tag, table in self.tables:
-                if table.matches(vector) is not None:
-                    matched = tag
-                    break
+            matched = self.matched_tag()
             if matched is not None:
                 self.counters.skipped[matched] += 1
                 continue

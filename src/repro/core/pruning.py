@@ -10,9 +10,12 @@ to fail without model checking.
 
 Two matching engines are provided:
 
-* :meth:`PruningTable.matches` — flat per-candidate matching, the behaviour
-  of the paper's C++ lookup table.  Fine for millions of candidates in C++;
-  too slow in CPython for the billion-candidate MSI-large space.
+* :meth:`PruningTable.matches` — per-candidate matching, the behaviour of
+  the paper's C++ lookup table.  It answers with one subset query over an
+  inverted constraint index (the same query rejects subsumed patterns in
+  :meth:`PruningTable.add`), not a scan of the table; still, one query
+  per candidate is too slow in CPython for the billion-candidate
+  MSI-large space.
 * :class:`DfsMatcher` — an incremental matcher driven by the subtree-
   skipping enumerator (:mod:`repro.core.enumeration`).  Digits are pushed
   and popped in position order; the instant every constraint of a pattern is
@@ -111,6 +114,16 @@ class PruningTable:
     ``version`` increases with every accepted pattern; matchers track the
     version up to which they have integrated patterns and fetch the delta
     with :meth:`patterns_since`.
+
+    Subsumption and :meth:`matches` are both one subset query: which
+    stored patterns have every constraint inside a given constraint set?
+    An inverted index maps each ``(position, action)`` constraint to a
+    bitmask of the ids (insertion indices) of the patterns containing it.
+    A pattern is a subset of ``Q`` exactly when it has no constraint
+    outside ``Q``, so the answer is every id minus the postings of the
+    constraints not in ``Q``; the first stored such pattern is the lowest
+    set bit.  The cost is one big-int OR per distinct constraint, instead
+    of a pass over every stored pattern.
     """
 
     def __init__(self, subsumption: bool = True) -> None:
@@ -118,6 +131,22 @@ class PruningTable:
         self._patterns: List[PruningPattern] = []
         self._seen: set = set()
         self._subsumption = subsumption
+        self._postings: Dict[Tuple[int, int], int] = {}
+
+    def _first_subset(self, query) -> Optional[PruningPattern]:
+        """Lowest-id stored pattern whose constraints all lie in ``query``.
+
+        ``query`` is a set of ``(position, action)`` pairs; call with the
+        lock held.
+        """
+        excluded = 0
+        for constraint, ids in self._postings.items():
+            if constraint not in query:
+                excluded |= ids
+        found = ((1 << len(self._patterns)) - 1) & ~excluded
+        if not found:
+            return None
+        return self._patterns[(found & -found).bit_length() - 1]
 
     def add(self, pattern: PruningPattern) -> bool:
         """Insert a pattern; returns False if it was redundant.
@@ -128,15 +157,18 @@ class PruningTable:
         matcher snapshots; the duplicate work is only a slightly larger
         table).
         """
+        constraints = pattern.constraints
         with self._lock:
-            if pattern.constraints in self._seen:
+            if constraints in self._seen:
                 return False
-            if self._subsumption:
-                for existing in self._patterns:
-                    if existing.subsumes(pattern):
-                        return False
+            if self._subsumption and self._first_subset(set(constraints)) is not None:
+                return False
+            bit = 1 << len(self._patterns)
+            postings = self._postings
+            for constraint in constraints:
+                postings[constraint] = postings.get(constraint, 0) | bit
             self._patterns.append(pattern)
-            self._seen.add(pattern.constraints)
+            self._seen.add(constraints)
             return True
 
     def __len__(self) -> int:
@@ -170,13 +202,14 @@ class PruningTable:
             return list(self._patterns)
 
     def matches(self, vector: CandidateVector) -> Optional[PruningPattern]:
-        """Flat scan: first stored pattern matching ``vector``, if any."""
+        """First stored pattern matching ``vector``, if any.
+
+        A pattern matches exactly when its constraints are a subset of the
+        vector's non-wildcard ``(position, action)`` pairs.
+        """
+        query = set(vector.constraints())
         with self._lock:
-            snapshot = list(self._patterns)
-        for pattern in snapshot:
-            if pattern.matches(vector):
-                return pattern
-        return None
+            return self._first_subset(query)
 
 
 class DfsMatcher:

@@ -1,5 +1,9 @@
 """Tests for pruning patterns, the table, and the incremental DFS matcher."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +90,133 @@ class TestPruningTable:
         delta = table.patterns_since(version)
         assert len(delta) == 2
         assert table.patterns_since(table.version) == []
+
+
+def random_pattern(rng, positions, actions, max_width):
+    """A pattern over ``positions * actions`` distinct constraints."""
+    width = rng.randint(1, max_width)
+    chosen = rng.sample(range(positions), width)
+    return PruningPattern((p, rng.randrange(actions)) for p in chosen)
+
+
+class ScanTable:
+    """Reference table: the linear subsumption scan and flat matching the
+    index replaced."""
+
+    def __init__(self, subsumption=True):
+        self.patterns = []
+        self.seen = set()
+        self.subsumption = subsumption
+
+    def add(self, pattern):
+        if pattern.constraints in self.seen:
+            return False
+        if self.subsumption and any(e.subsumes(pattern) for e in self.patterns):
+            return False
+        self.patterns.append(pattern)
+        self.seen.add(pattern.constraints)
+        return True
+
+    def matches(self, vector):
+        return next((p for p in self.patterns if p.matches(vector)), None)
+
+
+constraint_set_strategy = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 2)),
+    max_size=4,
+    unique_by=lambda c: c[0],
+)
+table_op_strategy = st.one_of(
+    st.tuples(st.just("add"), constraint_set_strategy),
+    st.tuples(st.just("readd"), st.integers(0, 1000)),
+    st.tuples(
+        st.just("match"),
+        st.lists(st.one_of(st.just(WILDCARD), st.integers(0, 2)), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(table_op_strategy, max_size=40))
+def test_indexed_table_equals_scan(subsumption, ops):
+    """The indexed table decides, orders and matches exactly like a scan."""
+    table = PruningTable(subsumption=subsumption)
+    reference = ScanTable(subsumption=subsumption)
+    offered = []
+    for op, arg in ops:
+        if op == "match":
+            vector = CandidateVector(arg)
+            assert table.matches(vector) is reference.matches(vector)
+            continue
+        if op == "add":
+            pattern = PruningPattern(arg)
+        elif offered:
+            pattern = PruningPattern(offered[arg % len(offered)].constraints)
+        else:
+            continue
+        offered.append(pattern)
+        assert table.add(pattern) == reference.add(pattern)
+        assert len(table) == table.version == len(reference.patterns)
+    assert table.all_patterns() == reference.patterns
+    for version in range(len(reference.patterns) + 1):
+        assert table.constraints_since(version) == tuple(
+            p.constraints for p in reference.patterns[version:]
+        )
+
+
+def test_table_never_falls_back_to_scanning(monkeypatch):
+    """Subsumption and matching go through the index alone: a fallback to
+    a per-pattern check raises."""
+
+    def refuse(*_args):
+        raise AssertionError("PruningTable scanned its patterns")
+
+    monkeypatch.setattr(PruningPattern, "subsumes", refuse)
+    monkeypatch.setattr(PruningPattern, "matches", refuse)
+    rng = random.Random(12)
+    table = PruningTable()
+    # 10 positions x 4 actions = 40 distinct constraints.
+    accepted = sum(table.add(random_pattern(rng, 10, 4, 8)) for _ in range(3000))
+    assert accepted == len(table) > 0
+    for _ in range(200):
+        table.matches(CandidateVector([rng.randrange(4) for _ in range(10)]))
+
+
+def test_concurrent_adds_keep_the_table_irredundant():
+    """Four threads adding at once: every offered pattern ends up stored or
+    implied by a stored one, and none is implied by an earlier one."""
+    table = PruningTable()
+    offered = [
+        [random_pattern(random.Random(seed * 1000 + i), 10, 4, 4) for i in range(300)]
+        for seed in range(4)
+    ]
+    accepted = [0] * 4
+    barrier = threading.Barrier(4)
+
+    def worker(slot):
+        barrier.wait()
+        for pattern in offered[slot]:
+            accepted[slot] += table.add(pattern)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    stored = table.all_patterns()
+    assert sum(accepted) == len(stored)
+    for patterns in offered:
+        for pattern in patterns:
+            assert any(s.subsumes(pattern) for s in stored), pattern
+    for index, pattern in enumerate(stored):
+        assert not any(earlier.subsumes(pattern) for earlier in stored[:index])
 
 
 class TestDfsMatcher:

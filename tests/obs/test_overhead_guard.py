@@ -137,13 +137,16 @@ class TestRecordedPackedFloor:
             f"over {section['repeats']} checks)"
         )
 
-    def test_packed_cold_start_is_not_a_loss(self):
+    def test_packed_cold_row_measures_the_same_workload(self):
+        # The cold-start ratio is a fresh-system timing, too noisy for one
+        # recorded sample; its ">= 1.0" floor is asserted by the bench on a
+        # median of the same session
+        # (benchmarks/test_bench_mc.py::test_packed_kernel_speedup).
         section = self._load()
         cold = self._row(section, "packed-on (incl. cold first check)")
         assert cold["states_per_check"] == self._row(
             section, "packed-off (orbit cache on)"
         )["states_per_check"]
-        assert section["speedup_packed_cold"] >= 1.0
 
 
 class TestRecordedFamilyFloor:
