@@ -23,6 +23,7 @@ rides along for the tuple-walk ``fingerprint_state`` rewrite.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -46,8 +47,15 @@ REPLICAS = 3
 #: candidate checks per configuration; >1 exercises the cross-run cache
 #: reuse every synthesis pass gets for free
 REPEATS = 4
-#: fresh-system samples behind the packed cold-start median
+#: fresh-system samples behind the packed cold-start and steady medians
 COLD_TRIALS = 5
+#: alternating samples behind the telemetry-off ceiling; the ratio it
+#: gates is ~1.0 by construction, so it needs more samples than the
+#: packed floors, whose margins are several-fold
+TELEMETRY_TRIALS = 41
+#: disabled-telemetry single-candidate checks must stay within 3% of the
+#: plain kernel's (median over one session's trials)
+OVERHEAD_CEILING = 1.03
 
 
 def update_bench_json(section: str, payload: dict) -> None:
@@ -70,7 +78,6 @@ def update_bench_json(section: str, payload: dict) -> None:
         "synthesis",
         "moesi",
         "german",
-        "por",
         "telemetry",
         "packed",
         "family",
@@ -231,141 +238,6 @@ def test_german_workload(benchmark):
     benchmark.extra_info.update(payload)
 
 
-def test_por_reduction(benchmark):
-    """Partial-order reduction on/off: states visited and wall-clock.
-
-    Single-threaded rows only (no cpu_count gating).  The POR runs share
-    one system per workload so the one-time footprint probe is amortised
-    the way a synthesis run (or any repeated checking of one system)
-    amortises it; the recorded seconds *include* that probe.
-
-    Honesty note: with symmetry reduction already folding replica
-    permutations, POR's remaining win at catalog sizes is measured at
-    ~9-22% of states depending on the protocol (MOESI/MESI/German reduce
-    best; MSI's directory-collected invalidation acks serialise its
-    replicas and leave only a few percent at 3 caches).  The ISSUE's
-    aspirational >= 30% did not survive contact with the measurements;
-    the floors asserted below are the deterministic measured values with
-    a safety margin.
-    """
-    from repro.core.engine import SynthesisObserver
-    from repro.mc.kernel import make_explorer
-    from repro.protocols.catalog import PROTOCOL_BUILDERS
-
-    por_repeats = 3
-    verify_rows = []
-    for name, replicas in (("msi", 2), ("mesi", 2), ("moesi", 2), ("german", 2)):
-        builder = PROTOCOL_BUILDERS[name]
-
-        # Both sides share one system across repeats so the orbit cache
-        # is equally warm; the timing isolates POR itself (probe included).
-        off_system = builder(replicas)
-        start = time.perf_counter()
-        for _ in range(por_repeats):
-            off = make_explorer("bfs", off_system).run()
-        off_seconds = time.perf_counter() - start
-
-        shared = builder(replicas)
-        start = time.perf_counter()
-        for _ in range(por_repeats):
-            on = make_explorer("bfs", shared, partial_order=True).run()
-        on_seconds = time.perf_counter() - start
-
-        assert off.verdict is Verdict.SUCCESS
-        assert on.verdict is Verdict.SUCCESS
-        assert on.stats.states_visited <= off.stats.states_visited
-        reduction = 1.0 - on.stats.states_visited / off.stats.states_visited
-        verify_rows.append(
-            {
-                "protocol": name,
-                "replicas": replicas,
-                "states_off": off.stats.states_visited,
-                "states_on": on.stats.states_visited,
-                "states_reduction": round(reduction, 4),
-                "seconds_off": round(off_seconds, 4),
-                "seconds_on_incl_probe": round(on_seconds, 4),
-                "ample_states": on.stats.ample_states,
-                "rules_deferred": on.stats.por_rules_skipped,
-            }
-        )
-
-    class StateTotal(SynthesisObserver):
-        """Sums states visited across every dispatched candidate run."""
-
-        def __init__(self):
-            self.states = 0
-
-        def on_run(self, run_index, vector, result, holes):
-            self.states += result.stats.states_visited
-
-    synth_rows = []
-    for skeleton_name in ("moesi-small", "german-small"):
-        off_total = StateTotal()
-        start = time.perf_counter()
-        off_report = SynthesisEngine(
-            build_skeleton(skeleton_name),
-            SynthesisConfig(partial_order=False),
-            off_total,
-        ).run()
-        off_seconds = time.perf_counter() - start
-
-        on_total = StateTotal()
-        start = time.perf_counter()
-        on_report = SynthesisEngine(
-            build_skeleton(skeleton_name),
-            SynthesisConfig(partial_order=True),
-            on_total,
-        ).run()
-        on_seconds = time.perf_counter() - start
-
-        assert sorted(
-            frozenset(s.assignment) for s in on_report.solutions
-        ) == sorted(frozenset(s.assignment) for s in off_report.solutions)
-        assert on_total.states <= off_total.states
-        synth_rows.append(
-            {
-                "skeleton": skeleton_name,
-                "replicas": 2,
-                "solutions": len(on_report.solutions),
-                "candidate_states_off": off_total.states,
-                "candidate_states_on": on_total.states,
-                "states_reduction": round(
-                    1.0 - on_total.states / off_total.states, 4
-                ),
-                "seconds_off": round(off_seconds, 4),
-                "seconds_on_incl_probe": round(on_seconds, 4),
-                "rules_deferred": on_report.por_rules_skipped,
-            }
-        )
-
-    payload = {
-        "repeats": por_repeats,
-        "verify": verify_rows,
-        "synthesis": synth_rows,
-    }
-    update_bench_json("por", payload)
-    by_name = {row["protocol"]: row["states_reduction"] for row in verify_rows}
-    sys.__stdout__.write(
-        "\nBENCH_mc: POR states reduction "
-        + ", ".join(f"{k} {v:.1%}" for k, v in by_name.items())
-        + "\n"
-    )
-    sys.__stdout__.flush()
-    benchmark.extra_info.update(payload)
-
-    # Deterministic state counts -> tight-but-safe floors.
-    assert by_name["moesi"] >= 0.15
-    assert by_name["mesi"] >= 0.10
-    assert by_name["german"] >= 0.10
-    assert by_name["msi"] >= 0.08
-    # Candidate checks are dominated by failing completions that die on a
-    # short counterexample before much interleaving exists, so synthesis
-    # reduction is small-but-real; verify-style repeated checking of a
-    # correct system is where POR earns its keep.
-    for row in synth_rows:
-        assert row["states_reduction"] >= 0.01, row
-
-
 def test_packed_kernel_speedup(benchmark):
     """Packed-state kernel on/off on the single-candidate check.
 
@@ -380,9 +252,10 @@ def test_packed_kernel_speedup(benchmark):
     acceptance gate (>= 5x, target >= 10x) is on the steady state.
 
     The cold comparison needs a fresh system per sample, so it runs
-    ``COLD_TRIALS`` times, alternating object and packed, and its floor is
-    asserted on the median ratio of this session rather than on one noisy
-    sample.
+    ``COLD_TRIALS`` times, alternating object and packed; each trial then
+    re-checks its now-warm packed system for the steady-state sample.
+    Both floors are asserted on the median ratio of this session rather
+    than on one noisy sample.
 
     Correctness gates the measurement: identical verdicts and identical
     states per check, and the packed run must actually engage the packed
@@ -401,8 +274,12 @@ def test_packed_kernel_speedup(benchmark):
             results.append(explorer.run())
         return time.perf_counter() - start, results
 
+    def ratio(slow, fast):
+        return slow / fast if fast else float("inf")
+
     object_samples, cold_samples, cold_ratios = [], [], []
-    for _ in range(COLD_TRIALS):
+    steady_samples, steady_ratios = [], []
+    for trial in range(COLD_TRIALS):
         _, (skel, object_system) = make_systems()
         seconds, object_results = check_candidates(skel, object_system)
         for result, _ in object_results:
@@ -413,15 +290,22 @@ def test_packed_kernel_speedup(benchmark):
         resolver = make_resolver(packed_skel)
         cold_seconds, cold_results = packed_checks(packed_system, resolver)
         cold_samples.append(cold_seconds)
-        cold_ratios.append(seconds / cold_seconds if cold_seconds else float("inf"))
+        cold_ratios.append(ratio(seconds, cold_seconds))
+
+        def steady_run(system=packed_system, resolver=resolver):
+            return packed_checks(system, resolver)
+
+        if trial == COLD_TRIALS - 1:
+            steady_seconds, steady_results = run_once(benchmark, steady_run)
+        else:
+            steady_seconds, steady_results = steady_run()
+        steady_samples.append(steady_seconds)
+        steady_ratios.append(ratio(seconds, steady_seconds))
     object_seconds = statistics.median(object_samples)
     cold_seconds = statistics.median(cold_samples)
     cold_speedup = statistics.median(cold_ratios)
-
-    def steady_run():
-        return packed_checks(packed_system, resolver)
-
-    steady_seconds, steady_results = run_once(benchmark, steady_run)
+    steady_seconds = statistics.median(steady_samples)
+    steady_speedup = statistics.median(steady_ratios)
 
     object_states = object_results[0][0].stats.states_visited
     for result in cold_results + steady_results:
@@ -430,9 +314,6 @@ def test_packed_kernel_speedup(benchmark):
 
     object_per_check = object_seconds / REPEATS
     steady_per_check = steady_seconds / REPEATS
-    steady_speedup = (
-        object_per_check / steady_per_check if steady_per_check else float("inf")
-    )
     payload = {
         "replicas": REPLICAS,
         "repeats": REPEATS,
@@ -468,9 +349,10 @@ def test_packed_kernel_speedup(benchmark):
     sys.__stdout__.flush()
     benchmark.extra_info.update(payload)
 
-    # The acceptance gate.  Measured ~16x steady-state on the dev
-    # container; assert the >= 5x floor so a loaded CI box has headroom.
-    assert steady_speedup >= 5.0
+    # The acceptance gate, on this session's median.  Measured ~14-16x
+    # steady-state on a 2-vCPU host; the >= 5x floor leaves a loaded CI
+    # box headroom.
+    assert steady_speedup >= 5.0, steady_ratios
     # The cold first check must still not be a loss overall (median of
     # this session's trials).
     assert cold_speedup >= 1.0, cold_ratios
@@ -481,14 +363,19 @@ def test_telemetry_overhead(benchmark, tmp_path):
     observability PR).
 
     Single-threaded, same workload as the orbit-cache bench (MSI-small at
-    3 replicas, reference completion, cached canonicaliser), so the
-    ``telemetry-off`` row is directly comparable to the seed-recorded
-    ``single_candidate`` section — the tier-1 guard in
-    ``tests/obs/test_overhead_guard.py`` checks exactly that ratio.  The
-    ``telemetry-on`` row measures the full bundle: metrics registry,
-    kernel phase timings, and a JSONL trace on disk.
+    3 replicas, reference completion, cached canonicaliser).  Three sides
+    alternate on one warm system for ``TELEMETRY_TRIALS`` trials: the
+    plain kernel (``BfsExplorer``, the ``single_candidate`` shape), the
+    telemetry-plumbed factory with telemetry off, and the full bundle
+    (metrics registry, kernel phase timings, a JSONL trace on disk).
 
-    Correctness gates the measurement: both sides must visit identical
+    The ceilings are asserted on medians of this session's paired ratios.
+    Samples are process CPU seconds with the collector paused, as in
+    ``timeit``: the question is how much work the plumbing adds, and on a
+    shared host wall-clock ratios of two identical ~20 ms checks swing by
+    more than the 3% being gated.
+
+    Correctness gates the measurement: all sides must visit identical
     state counts (telemetry is pure observation).
     """
     from repro.mc.kernel import make_explorer
@@ -496,52 +383,85 @@ def test_telemetry_overhead(benchmark, tmp_path):
 
     _, (skel, system) = make_systems()
     resolver = make_resolver(skel)
-    trials = 3
 
-    def timed_checks(telemetry=None):
+    def timed_checks(factory):
+        # Like timeit: start every sample from a collected heap and keep
+        # the collector out of the timed region, so a collection cannot
+        # land on one side more often than the other.
         results = []
-        start = time.perf_counter()
-        for _ in range(REPEATS):
-            explorer = make_explorer(
-                "bfs", system, resolver=resolver, telemetry=telemetry
-            )
-            results.append(explorer.run())
-        return time.perf_counter() - start, results
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.process_time()
+            for _ in range(REPEATS):
+                results.append(factory().run())
+            return time.process_time() - start, results
+        finally:
+            gc.enable()
 
-    # Interleave off/on trials so drift (cache warmth, CPU frequency)
-    # hits both sides equally; keep the min of each.
-    off_seconds, on_seconds = float("inf"), float("inf")
-    off_results = on_results = None
+    def plain():
+        return BfsExplorer(system, resolver=resolver)
+
+    def factory_off():
+        return make_explorer("bfs", system, resolver=resolver)
+
     tele = Telemetry.create(trace_path=str(tmp_path / "bench.jsonl"))
-    for trial in range(trials):
-        seconds, results = timed_checks()
-        if seconds < off_seconds:
-            off_seconds, off_results = seconds, results
 
-        def instrumented_run():
-            return timed_checks(tele)
+    def factory_on():
+        return make_explorer("bfs", system, resolver=resolver, telemetry=tele)
 
-        if trial == trials - 1:
-            seconds, results = run_once(benchmark, instrumented_run)
+    timed_checks(plain)  # warm the orbit cache for every side alike
+    plain_samples, off_samples, on_samples = [], [], []
+    off_ratios, on_ratios = [], []
+    for trial in range(TELEMETRY_TRIALS):
+        # Alternate which side goes first so drift hits both equally.
+        if trial % 2:
+            plain_seconds, plain_results = timed_checks(plain)
+            off_seconds, off_results = timed_checks(factory_off)
         else:
-            seconds, results = instrumented_run()
-        if seconds < on_seconds:
-            on_seconds, on_results = seconds, results
+            off_seconds, off_results = timed_checks(factory_off)
+            plain_seconds, plain_results = timed_checks(plain)
+        if trial == TELEMETRY_TRIALS - 1:
+            on_seconds, on_results = run_once(
+                benchmark, lambda: timed_checks(factory_on)
+            )
+        else:
+            on_seconds, on_results = timed_checks(factory_on)
+        plain_samples.append(plain_seconds)
+        off_samples.append(off_seconds)
+        on_samples.append(on_seconds)
+        off_ratios.append(off_seconds / plain_seconds if plain_seconds else 1.0)
+        on_ratios.append(on_seconds / off_seconds if off_seconds else 1.0)
     trace_events = tele.events_written
     tele.close()
 
-    for off_res, on_res in zip(off_results, on_results):
+    for plain_res, off_res, on_res in zip(
+        plain_results, off_results, on_results
+    ):
+        assert plain_res.verdict is Verdict.SUCCESS
         assert off_res.verdict is Verdict.SUCCESS
         assert on_res.verdict is Verdict.SUCCESS
+        assert off_res.stats.states_visited == plain_res.stats.states_visited
         assert on_res.stats.states_visited == off_res.stats.states_visited
 
-    overhead = on_seconds / off_seconds - 1.0 if off_seconds else 0.0
+    off_vs_plain = statistics.median(off_ratios)
+    on_vs_off = statistics.median(on_ratios)
+    off_seconds = statistics.median(off_samples)
+    on_seconds = statistics.median(on_samples)
+    overhead = on_vs_off - 1.0
     payload = {
         "replicas": REPLICAS,
         "repeats": REPEATS,
-        "trials": trials,
+        "trials": TELEMETRY_TRIALS,
+        "clock": "process_time",
         "skeleton": "msi-small",
+        "off_vs_plain_median": round(off_vs_plain, 4),
         "rows": [
+            {
+                "config": "plain kernel",
+                "seconds": round(statistics.median(plain_samples), 4),
+                "states_per_check": plain_results[0].stats.states_visited,
+            },
             {
                 "config": "telemetry-off",
                 "seconds": round(off_seconds, 4),
@@ -560,14 +480,16 @@ def test_telemetry_overhead(benchmark, tmp_path):
     sys.__stdout__.write(
         f"\nBENCH_mc: telemetry overhead {overhead:+.1%} "
         f"({off_seconds:.3f}s off -> {on_seconds:.3f}s on over "
-        f"{REPEATS} checks)\n"
+        f"{REPEATS} checks), off vs plain kernel {off_vs_plain:.3f}x\n"
     )
     sys.__stdout__.flush()
     benchmark.extra_info.update(payload)
 
+    # The disabled path must stay free: within 3% of the plain kernel.
+    assert off_vs_plain <= OVERHEAD_CEILING, off_ratios
     # Tracing every span/phase of a sub-second check is allowed to cost
     # real percentage points; it must not multiply the run.
-    assert on_seconds < off_seconds * 2.0
+    assert on_vs_off < 2.0, on_ratios
 
 
 def test_family_scheduler_workload(benchmark):

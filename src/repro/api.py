@@ -57,7 +57,6 @@ def verify(
     evictions: bool = False,
     symmetry: bool = True,
     explorer: str = "bfs",
-    partial_order: bool = False,
     packed: bool = True,
     max_states: Optional[int] = None,
 ) -> VerificationResult:
@@ -74,7 +73,6 @@ def verify(
             builds only).
         explorer: frontier strategy, ``"bfs"`` (minimal traces) or
             ``"dfs"``.
-        partial_order: footprint-based partial-order reduction.
         packed: run on the packed-state kernel where the protocol
             provides a codec (exact; falls back silently otherwise).
         max_states: optional exploration cap.
@@ -101,7 +99,6 @@ def verify(
         explorer,
         system,
         limits=ExplorationLimits(max_states=max_states),
-        partial_order=partial_order,
         packed=packed,
     ).run()
 

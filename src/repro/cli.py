@@ -77,7 +77,6 @@ SKELETONS: Dict[str, Callable] = SKELETON_BUILDERS
 #: table
 _ACCELERATION_FLAGS: Dict[str, tuple] = {
     "family": ("--family", "falling back to the 1-by-1 enumeration"),
-    "partial_order": ("--por", "candidate checks run without reduction"),
     "store": ("--store", "verdicts will be neither recorded nor replayed"),
 }
 
@@ -182,16 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--dfs", action="store_true",
                         help="shorthand for --explorer dfs")
-    por_group = verify.add_mutually_exclusive_group()
-    por_group.add_argument(
-        "--por", action="store_true",
-        help="enable footprint-based partial-order reduction (fewer "
-             "states visited; the footprint probe costs a few seconds)",
-    )
-    por_group.add_argument(
-        "--no-por", action="store_true",
-        help="explicitly disable partial-order reduction (the default)",
-    )
     packed_group = verify.add_mutually_exclusive_group()
     packed_group.add_argument(
         "--packed", action="store_true",
@@ -235,17 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-prefix-reuse", action="store_true",
         help="re-explore every candidate from the initial states instead "
              "of resuming from cached shared-prefix explorations",
-    )
-    synth_por = synth.add_mutually_exclusive_group()
-    synth_por.add_argument(
-        "--por", action="store_true",
-        help="enable footprint-based partial-order reduction in candidate "
-             "model checking (fewer states per check; the one-time "
-             "footprint probe costs a few seconds)",
-    )
-    synth_por.add_argument(
-        "--no-por", action="store_true",
-        help="explicitly disable partial-order reduction (the default)",
     )
     synth_packed = synth.add_mutually_exclusive_group()
     synth_packed.add_argument(
@@ -318,28 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--fresh", action="store_true",
         help="discard an existing journal and re-run every cell",
     )
-    matrix_por = matrix.add_mutually_exclusive_group()
-    matrix_por.add_argument(
-        "--por", action="store_true",
-        help="run every cell with partial-order reduction enabled "
-             "(overrides the spec; use --fresh or a separate --out so "
-             "journaled cells from the other mode are not reused)",
-    )
-    matrix_por.add_argument(
-        "--no-por", action="store_true",
-        help="run every cell with partial-order reduction disabled "
-             "(overrides the spec; same journal caveat as --por)",
-    )
     matrix_packed = matrix.add_mutually_exclusive_group()
     matrix_packed.add_argument(
         "--packed", action="store_true",
         help="run every cell on the packed-state kernel (overrides the "
-             "spec; same journal caveat as --por)",
+             "spec; use --fresh or a separate --out so journaled cells "
+             "from the other mode are not reused)",
     )
     matrix_packed.add_argument(
         "--no-packed", action="store_true",
         help="run every cell on the object-path kernel (overrides the "
-             "spec; same journal caveat as --por)",
+             "spec; same journal caveat as --packed)",
     )
     matrix.add_argument(
         "--list-presets", action="store_true",
@@ -427,8 +394,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limits = ExplorationLimits(max_states=args.max_states)
     tele = _build_telemetry(args)
     explorer = make_explorer(
-        strategy, system, limits=limits, partial_order=args.por,
-        packed=not args.no_packed,
+        strategy, system, limits=limits, packed=not args.no_packed,
         telemetry=tele,
     )
     if tele is not None:
@@ -495,7 +461,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         max_evaluations=args.max_evaluations,
         compute_fingerprints=args.groups,
         explorer=args.explorer,
-        partial_order=args.por,
         packed=not args.no_packed,
         family=args.family,
         store_path=args.store,
@@ -509,7 +474,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # single stand-down table); a user who *typed the flag* gets told.
     explicit = {
         "family": args.family,
-        "partial_order": args.por,
         "store": args.store is not None,
     }
     for status in config.resolved_accelerations():
@@ -583,7 +547,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             print("matrix: one of --preset or --spec is required "
                   "(or --list-presets)", file=sys.stderr)
             return 2
-        force_por = True if args.por else (False if args.no_por else None)
         force_packed = (
             True if args.packed else (False if args.no_packed else None)
         )
@@ -594,7 +557,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             os.makedirs(out_dir, exist_ok=True)
         tele = _build_telemetry(args, default_trace=f"{out_dir}/trace.jsonl")
         runner = MatrixRunner(
-            spec, out_dir, fresh=args.fresh, log=print, force_por=force_por,
+            spec, out_dir, fresh=args.fresh, log=print,
             force_packed=force_packed, telemetry=tele,
         )
         try:

@@ -157,19 +157,6 @@ class SynthesisConfig:
             (``"bfs"``, the default and the paper's choice because minimal
             traces prune best, or ``"dfs"``).  Shared verbatim with the
             thread and process backends.
-        partial_order: enable footprint-based partial-order reduction in
-            candidate model checking (:mod:`repro.mc.footprint`).  The
-            reduction is candidate-independent (ample decisions depend
-            only on the state, because guards cannot resolve holes), so
-            it composes with prefix reuse: checkpoints record their
-            reduction mode and the kernel refuses a cross-mode resume.
-            Like the other sound accelerations it deactivates itself
-            under exploration ``limits`` (see :attr:`partial_order_active`).
-            Off by default: the footprint probe costs seconds per system,
-            which one-shot catalog-size runs never amortise — POR's win
-            at these scales is states visited (memory and the large-model
-            trajectory), not wall-clock; opt in with ``--por`` and ablate
-            back with ``--no-por``.
         packed: run candidate model checking on the packed-state kernel
             (:mod:`repro.mc.packed`) when the system carries a codec
             spec: states are encoded into fixed-layout vectors, interned
@@ -190,7 +177,7 @@ class SynthesisConfig:
             families yield every member as a solution from the single
             run, and ambiguous families split on the hole that cut the
             quotient shallowest.  Composes with symmetry, packed states,
-            POR, and prefix reuse (children resume their parent family's
+            and prefix reuse (children resume their parent family's
             checkpoint).  Requires pruning-mode semantics and, like
             prefix reuse, auto-inactivates under exploration ``limits``
             (see :attr:`family_active`).  Off by default.
@@ -234,7 +221,6 @@ class SynthesisConfig:
     compute_fingerprints: bool = False
     record_traces: bool = True
     explorer: str = "bfs"
-    partial_order: bool = False
     packed: bool = True
     family: bool = False
     telemetry: bool = False
@@ -248,10 +234,6 @@ class SynthesisConfig:
             raise SynthesisError(
                 f"unknown explorer {self.explorer!r}; available: "
                 f"{', '.join(sorted(EXPLORER_STRATEGIES))}"
-            )
-        if not isinstance(self.partial_order, bool):
-            raise SynthesisError(
-                f"partial_order must be a bool, got {self.partial_order!r}"
             )
         if not isinstance(self.packed, bool):
             raise SynthesisError(
@@ -328,16 +310,6 @@ class SynthesisConfig:
         return self.pruning and self.prefix_reuse and self._limits_unset
 
     @property
-    def partial_order_active(self) -> bool:
-        """Whether candidate evaluations may use partial-order reduction.
-
-        Exploration limits disable it: a truncated exploration's verdict
-        depends on visit order and coverage, which a reduced expansion
-        changes — POR is only verdict-exact on complete explorations.
-        """
-        return self.partial_order and self._limits_unset
-
-    @property
     def generalise_active(self) -> bool:
         """Whether failure patterns may be conflict-generalised.
 
@@ -390,8 +362,6 @@ class SynthesisConfig:
         ``prefix_reuse``          pruning is off (no wildcard semantics), or
                                   exploration limits are set (truncated
                                   verdicts depend on visit order)
-        ``partial_order``         exploration limits are set (POR is only
-                                  verdict-exact on complete explorations)
         ``family``                pruning is off (a quotient run *is* a
                                   wildcard run), or exploration limits are
                                   set (a truncated quotient cannot speak for
@@ -426,12 +396,6 @@ class SynthesisConfig:
             self.prefix_reuse,
             self.prefix_reuse_active,
             limits_reason if limited else "pruning is off",
-        )
-        add(
-            "partial_order",
-            self.partial_order,
-            self.partial_order_active,
-            limits_reason,
         )
         add(
             "family",
@@ -663,11 +627,6 @@ class SynthesisCore:
         #: coordinator folds worker deltas in here; finalize_report adds
         #: this core's own cache counters on top)
         self.merged_prefix_counters = [0, 0, 0]  # hits, builds, states_reused
-        #: partial-order reduction counters summed over this core's
-        #: dispatched candidate runs (plus, on the coordinator, merged
-        #: worker deltas): enabled firings deferred / reduced expansions
-        self.por_rules_skipped = 0
-        self.ample_states = 0
         #: largest visited-state count of any single candidate run (the
         #: high-water mark the matrix journal and report surface)
         self.peak_states = 0
@@ -742,7 +701,6 @@ class SynthesisCore:
             track_hole_paths=self.config.refined_patterns,
             resume_from=resume,
             collect_checkpoint=collect,
-            partial_order=self.config.partial_order_active,
             packed=self.config.packed,
             # In family mode every kernel run of this core — including the
             # initial empty-candidate run — is family-tagged, so the root
@@ -944,7 +902,6 @@ class SynthesisCore:
                 track_hole_paths=self.config.refined_patterns,
                 resume_from=resume,
                 collect_checkpoint=True,
-                partial_order=self.config.partial_order_active,
                 packed=self.config.packed,
                 family=self.config.family_active,
                 telemetry=tele if tele.enabled else None,
@@ -1050,7 +1007,6 @@ class SynthesisCore:
             track_hole_paths=self.config.refined_patterns,
             resume_from=resume,
             collect_checkpoint=collect,
-            partial_order=self.config.partial_order_active,
             packed=self.config.packed,
             family=True,
             telemetry=self.telemetry if self.telemetry.enabled else None,
@@ -1120,8 +1076,6 @@ class SynthesisCore:
     ) -> Tuple[Tuple[HoleFamily, Optional[ExplorationCheckpoint], int], ...]:
         """Classify one checked family; must run under the engine guard."""
         self.verdict_counts[result.verdict.value] += 1
-        self.por_rules_skipped += result.stats.por_rules_skipped
-        self.ample_states += result.stats.ample_states
         if result.stats.states_visited > self.peak_states:
             self.peak_states = result.stats.states_visited
         handles = self._metric_handles
@@ -1312,15 +1266,12 @@ class SynthesisCore:
         report.prefix_cache_hits = hits
         report.prefix_cache_builds = builds
         report.prefix_states_reused = reused
-        report.partial_order = self.config.partial_order_active
         report.packed = self.config.packed
         report.family = self.config.family_active
         report.family_checked = self.family_checked
         report.family_splits = self.family_splits
         report.family_max_split_depth = self.family_max_split_depth
         report.family_candidates_avoided = self.family_candidates_avoided
-        report.por_rules_skipped = self.por_rules_skipped
-        report.ample_states = self.ample_states
         report.peak_states = self.peak_states
         report.store_enabled = self.store_attached
         report.store_path = self.config.store_path
@@ -1354,8 +1305,6 @@ class SynthesisCore:
     ) -> None:
         """Record patterns/solutions for one dispatched candidate."""
         self.verdict_counts[result.verdict.value] += 1
-        self.por_rules_skipped += result.stats.por_rules_skipped
-        self.ample_states += result.stats.ample_states
         if result.stats.states_visited > self.peak_states:
             self.peak_states = result.stats.states_visited
         handles = self._metric_handles

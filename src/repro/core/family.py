@@ -22,8 +22,8 @@ This is the `SynthesizerAR` abstraction-refinement shape from PAYNT,
 transplanted onto the paper's wildcard kernel: the wildcard-cut states a
 prefix checkpoint records are exactly the split frontier, so family
 checks compose with prefix reuse (a child resumes its parent's
-checkpoint), packed states, symmetry, and POR rather than replacing any
-of them.
+checkpoint), packed states, and symmetry rather than replacing any of
+them.
 
 Everything here is pure data + arithmetic; the scheduler that drives
 worklists of families lives in :mod:`repro.core.engine` and the

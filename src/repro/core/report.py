@@ -83,11 +83,6 @@ class SynthesisReport:
     prefix_cache_hits: int = 0
     prefix_cache_builds: int = 0
     prefix_states_reused: int = 0
-    #: partial-order reduction (see repro.mc.footprint): whether candidate
-    #: runs used it, enabled firings deferred, reduced expansions
-    partial_order: bool = False
-    por_rules_skipped: int = 0
-    ample_states: int = 0
     #: packed-state kernel (see repro.mc.packed): whether candidate runs
     #: were asked to use the fixed-layout encoding (systems without a
     #: codec spec fall back to the object path silently)
@@ -203,12 +198,6 @@ class SynthesisReport:
             f"solutions:         {len(self.solutions)}",
             f"elapsed:           {self.elapsed_seconds:.3f}s",
         ]
-        if self.partial_order:
-            lines.insert(
-                -1,
-                f"partial order:     {self.por_rules_skipped:,} firings "
-                f"deferred at {self.ample_states:,} reduced states",
-            )
         if self.packed:
             lines.insert(-1, "packed kernel:     on")
         if self.family:

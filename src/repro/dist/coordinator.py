@@ -402,7 +402,6 @@ class DistributedSynthesisEngine:
             fail_patterns=core.fail_table.constraints_since(),
             success_patterns=core.success_table.constraints_since(),
             explorer=config.explorer,
-            partial_order=config.partial_order_active,
             packed=config.packed,
             family=family_mode,
             family_shards=tuple(shard.to_wire() for shard in shards),
@@ -569,8 +568,6 @@ class DistributedSynthesisEngine:
         core.merged_prefix_counters[0] += result.prefix_cache_hits
         core.merged_prefix_counters[1] += result.prefix_cache_builds
         core.merged_prefix_counters[2] += result.prefix_states_reused
-        core.por_rules_skipped += result.por_rules_skipped
-        core.ample_states += result.ample_states
         if result.peak_states > core.peak_states:
             core.peak_states = result.peak_states
         core.store_hits += result.store_hits

@@ -127,12 +127,6 @@ class PassStart:
     fail_patterns: Tuple[Constraints, ...]
     success_patterns: Tuple[Constraints, ...]
     explorer: str = "bfs"
-    #: whether the coordinator model checks with partial-order reduction;
-    #: like ``explorer`` this is a cross-process consistency tripwire —
-    #: POR changes rule firing order and therefore hole discovery order,
-    #: so a worker running the other mode would corrupt position
-    #: correlation
-    partial_order: bool = False
     #: whether the coordinator model checks on the packed-state kernel.
     #: Packed mode is verdict- and order-exact, but solution fingerprints
     #: and prefix checkpoints are mode-specific, so workers refuse to run
@@ -216,9 +210,6 @@ class BatchResult:
     prefix_cache_hits: int = 0
     prefix_cache_builds: int = 0
     prefix_states_reused: int = 0
-    #: partial-order reduction deltas: firings deferred / reduced states
-    por_rules_skipped: int = 0
-    ample_states: int = 0
     #: largest single-run visited-state count seen by this worker so far
     #: (merged by max on the coordinator — a high-water mark, not a delta)
     peak_states: int = 0

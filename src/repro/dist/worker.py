@@ -173,13 +173,6 @@ class BatchRunner:
                 f"coordinator runs the {msg.explorer!r} explorer but this "
                 f"worker was configured with {self._config.explorer!r}"
             )
-        if msg.partial_order != self._config.partial_order_active:
-            raise SynthesisError(
-                f"coordinator model checks with partial_order="
-                f"{msg.partial_order} but this worker resolves it to "
-                f"{self._config.partial_order_active} — mixed reduction "
-                f"modes would desynchronise hole discovery order"
-            )
         if msg.packed != self._config.packed:
             raise SynthesisError(
                 f"coordinator model checks with packed={msg.packed} but "
@@ -249,8 +242,6 @@ class BatchRunner:
             if core.prefix_cache is not None
             else (0, 0, 0)
         )
-        por_skipped_seen = core.por_rules_skipped
-        ample_states_seen = core.ample_states
         store_hits_seen = core.store_hits
         store_writes_seen = core.store_writes
         family_checked_seen = core.family_checked
@@ -344,8 +335,6 @@ class BatchRunner:
             prefix_cache_hits=prefix_now[0] - prefix_seen[0],
             prefix_cache_builds=prefix_now[1] - prefix_seen[1],
             prefix_states_reused=prefix_now[2] - prefix_seen[2],
-            por_rules_skipped=core.por_rules_skipped - por_skipped_seen,
-            ample_states=core.ample_states - ample_states_seen,
             peak_states=core.peak_states,
             family_checked=core.family_checked - family_checked_seen,
             family_splits=core.family_splits - family_splits_seen,

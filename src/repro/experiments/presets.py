@@ -101,12 +101,6 @@ def smoke_preset() -> MatrixSpec:
                 for name in ("mutex", "vi", "msi", "mesi", "moesi", "german")
             ]
             + [
-                # partial-order reduction smoke: one verify and one synth
-                # cell per mode so the reduced kernel path runs in CI
-                {"mode": "verify", "target": "moesi", "por": True,
-                 "timeout_seconds": 120},
-                {"target": "german-small", "por": True,
-                 "timeout_seconds": 300},
                 # family-based synthesis smoke: one cell so the family
                 # scheduler's quotient/split path runs in CI
                 {"target": "msi-tiny", "family": True,

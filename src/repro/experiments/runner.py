@@ -61,7 +61,6 @@ def _synthesis_config(cell: CellSpec) -> SynthesisConfig:
         pruning=cell.pruning,
         generalise_conflicts=cell.generalise,
         prefix_reuse=cell.prefix_reuse,
-        partial_order=cell.por,
         packed=cell.packed,
         family=cell.family,
         solution_limit=cell.solution_limit,
@@ -123,8 +122,8 @@ def _run_verify_cell(cell: CellSpec, telemetry=None) -> Dict[str, Any]:
     )
     start = time.perf_counter()
     result = make_explorer(
-        cell.explorer, system, limits=limits, partial_order=cell.por,
-        packed=cell.packed, telemetry=kernel_telemetry,
+        cell.explorer, system, limits=limits, packed=cell.packed,
+        telemetry=kernel_telemetry,
     ).run()
     elapsed = time.perf_counter() - start
     return {
@@ -397,7 +396,6 @@ class MatrixRunner:
         out_dir,
         fresh: bool = False,
         log: Optional[Callable[[str], None]] = None,
-        force_por: Optional[bool] = None,
         force_packed: Optional[bool] = None,
         telemetry=None,
     ) -> None:
@@ -408,18 +406,12 @@ class MatrixRunner:
         #: The caller owns (and closes) the bundle.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.cells = expand_matrix(spec)
-        if force_por is not None:
+        if force_packed is not None:
             # Applied *after* expansion so cell ids (the journal keys)
             # stay exactly as the spec derives them — overriding the
             # defaults instead would re-derive ids and collide with cells
-            # that set `por` explicitly.  The CLI documents that a mode
+            # that set `packed` explicitly.  The CLI documents that a mode
             # override wants --fresh or a separate --out.
-            self.cells = [
-                dataclasses.replace(cell, por=force_por)
-                for cell in self.cells
-            ]
-        if force_packed is not None:
-            # Same post-expansion rule as force_por, for the same reason.
             self.cells = [
                 dataclasses.replace(cell, packed=force_packed)
                 for cell in self.cells

@@ -62,7 +62,6 @@ class CellSpec:
     pruning: bool = True
     generalise: bool = True
     prefix_reuse: bool = True
-    por: bool = False
     packed: bool = True
     family: bool = False
     evictions: bool = False
@@ -89,7 +88,6 @@ _FLAG_TAGS = (
     ("pruning", False, "naive"),
     ("generalise", False, "nogen"),
     ("prefix_reuse", False, "noreuse"),
-    ("por", True, "por"),
     ("packed", False, "nopacked"),
     ("family", True, "family"),
     ("evictions", True, "evict"),
@@ -117,6 +115,11 @@ def derive_cell_id(values: Dict[str, Any]) -> str:
     return ":".join(parts)
 
 
+def _is_count(value: Any) -> bool:
+    """An int >= 1; JSON ``true`` is an int to Python but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def make_cell(values: Dict[str, Any]) -> CellSpec:
     """Validate one cell dict and freeze it into a :class:`CellSpec`."""
     unknown = set(values) - _CELL_FIELDS
@@ -138,9 +141,9 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
         raise ExperimentError(f"cell {cell.id!r}: unknown backend {cell.backend!r}")
     if cell.explorer not in EXPLORER_STRATEGIES:
         raise ExperimentError(f"cell {cell.id!r}: unknown explorer {cell.explorer!r}")
-    if not isinstance(cell.replicas, int) or cell.replicas < 1:
+    if not _is_count(cell.replicas):
         raise ExperimentError(f"cell {cell.id!r}: replicas must be an int >= 1")
-    if not isinstance(cell.workers, int) or cell.workers < 1:
+    if not _is_count(cell.workers):
         raise ExperimentError(f"cell {cell.id!r}: workers must be an int >= 1")
     if cell.mode == "verify":
         if cell.target not in PROTOCOL_CATALOG:
@@ -158,14 +161,14 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
                 f"cell {cell.id!r}: unknown skeleton {cell.target!r}; "
                 f"available: {', '.join(sorted(SKELETON_CATALOG))}"
             )
-    for flag in ("pruning", "generalise", "prefix_reuse", "por", "packed",
+    for flag in ("pruning", "generalise", "prefix_reuse", "packed",
                  "family", "evictions", "symmetry"):
         if not isinstance(getattr(cell, flag), bool):
             raise ExperimentError(
                 f"cell {cell.id!r}: {flag} must be a bool, "
                 f"got {getattr(cell, flag)!r}"
             )
-    if not isinstance(cell.estimate_samples, int) or cell.estimate_samples < 1:
+    if not _is_count(cell.estimate_samples):
         raise ExperimentError(
             f"cell {cell.id!r}: estimate_samples must be an int >= 1"
         )

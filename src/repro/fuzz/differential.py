@@ -1,7 +1,7 @@
 """The differential oracle: one spec against the configuration lattice.
 
 Every generated protocol is pushed through a lattice of configurations —
-{packed, POR, symmetry, prefix reuse, generalise, family} x {bfs, dfs} x
+{packed, symmetry, prefix reuse, generalise, family} x {bfs, dfs} x
 {sequential, threads, processes} — and the runs are compared against each
 other under the *promises each mode actually makes*:
 
@@ -10,13 +10,12 @@ other under the *promises each mode actually makes*:
   fail everywhere (and its counterexample must replay step by step);
 * **state/transition/attempt counts** are compared within groups that
   promise count-exactness — packed on/off and bfs/dfs agree on complete
-  explorations, but POR visits fewer states (checked as ``<=``) and
-  symmetry-off visits more, so those form their own groups;
+  explorations, but symmetry-off visits more, so it forms its own group;
 * **solution sets** (as hole-name -> action-name assignment sets) are
   compared across every synthesis configuration, always;
 * **solution fingerprints** (visited-set hashes) are compared within
-  groups sharing a state space — POR and symmetry-off legitimately
-  change the visited set;
+  groups sharing a state space — symmetry-off legitimately changes the
+  visited set;
 * **evaluated counts** are compared only where enumeration order and
   pruning-pattern content are promised identical (the packed and
   prefix-reuse toggles).
@@ -58,27 +57,18 @@ class KernelConfig:
     name: str
     explorer: str = "bfs"
     packed: bool = True
-    partial_order: bool = False
     symmetry: bool = True
 
     @property
-    def counts_group(self) -> Optional[str]:
-        """Configs sharing a group promise identical complete-run counts.
-
-        POR runs promise only ``states <= baseline`` (checked against the
-        same-symmetry full group), so they carry no group of their own.
-        """
-        if self.partial_order:
-            return None
+    def counts_group(self) -> str:
+        """Configs sharing a group promise identical complete-run counts."""
         return "sym" if self.symmetry else "nosym"
 
     @property
-    def failure_group(self) -> Optional[str]:
+    def failure_group(self) -> str:
         """Counts at a *failure* stop depend on visit order, so groups
         additionally pin the frontier strategy."""
-        if self.partial_order:
-            return None
-        return f"{self.explorer}:{'sym' if self.symmetry else 'nosym'}"
+        return f"{self.explorer}:{self.counts_group}"
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,6 @@ class SynthLatticeConfig:
     workers: int = 2
     explorer: str = "bfs"
     packed: bool = True
-    partial_order: bool = False
     symmetry: bool = True
     prefix_reuse: bool = True
     generalise: bool = True
@@ -112,8 +101,7 @@ class SynthLatticeConfig:
 
         Only the packed and prefix-reuse toggles promise this: a
         different explorer or backend changes hole-discovery and
-        pattern-arrival order, POR changes counterexample traces (and so
-        generalised patterns), disabling generalisation changes the
+        pattern-arrival order, disabling generalisation changes the
         patterns themselves, and family mode checks quotients rather
         than candidates (its promise is the solution *set*, pinned
         unconditionally below, never the run count).
@@ -122,15 +110,14 @@ class SynthLatticeConfig:
             self.backend == "sequential"
             and self.explorer == "bfs"
             and self.symmetry
-            and not self.partial_order
             and self.generalise
             and not self.family
         )
 
     @property
-    def fingerprint_group(self) -> Tuple[bool, bool]:
-        """Configs sharing (symmetry, POR) share per-solution visited sets."""
-        return (self.symmetry, self.partial_order)
+    def fingerprint_group(self) -> bool:
+        """Configs sharing symmetry share per-solution visited sets."""
+        return self.symmetry
 
     @property
     def deterministic(self) -> bool:
@@ -148,7 +135,7 @@ class Lattice:
     """A named set of kernel and synthesis configurations.
 
     The first entry of each list is the comparison reference and must be
-    the all-promises configuration (bfs, packed, symmetric, no POR).
+    the all-promises configuration (bfs, packed, symmetric).
     """
 
     name: str
@@ -167,8 +154,6 @@ def ablation_lattice() -> Lattice:
             KernelConfig("nopacked", packed=False),
             KernelConfig("dfs", explorer="dfs"),
             KernelConfig("dfs-nopacked", explorer="dfs", packed=False),
-            KernelConfig("por", partial_order=True),
-            KernelConfig("por-dfs", explorer="dfs", partial_order=True),
             KernelConfig("nosym", symmetry=False),
             KernelConfig("nosym-nopacked", symmetry=False, packed=False),
         ),
@@ -178,14 +163,12 @@ def ablation_lattice() -> Lattice:
             SynthLatticeConfig("dfs", explorer="dfs"),
             SynthLatticeConfig("threads", backend="threads"),
             SynthLatticeConfig("processes", backend="processes"),
-            SynthLatticeConfig("por", partial_order=True),
             SynthLatticeConfig("nosym", symmetry=False),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
             SynthLatticeConfig("nogen", generalise=False),
             SynthLatticeConfig(
                 "bare", packed=False, prefix_reuse=False, generalise=False
             ),
-            SynthLatticeConfig("por-dfs", explorer="dfs", partial_order=True),
             SynthLatticeConfig(
                 "processes-dfs", backend="processes", explorer="dfs"
             ),
@@ -197,7 +180,6 @@ def ablation_lattice() -> Lattice:
             SynthLatticeConfig(
                 "family-nopacked", family=True, packed=False
             ),
-            SynthLatticeConfig("family-por", family=True, partial_order=True),
             SynthLatticeConfig("family-nosym", family=True, symmetry=False),
             SynthLatticeConfig("family-threads", family=True, backend="threads"),
             SynthLatticeConfig(
@@ -219,20 +201,18 @@ def ablation_lattice() -> Lattice:
 
 
 def full_lattice() -> Lattice:
-    """The cartesian corners: every backend x explorer x packed (x POR for
-    the kernel side).  Opt in for small ``--count`` runs; the ablation
-    lattice covers the same promises at a fraction of the cost."""
+    """The cartesian corners: every backend x explorer x packed (x
+    symmetry for the kernel side).  Opt in for small ``--count`` runs; the
+    ablation lattice covers the same promises at a fraction of the cost."""
     verify = [
         KernelConfig(
             f"{explorer}{'' if packed else '-nopacked'}"
-            f"{'-por' if por else ''}{'' if sym else '-nosym'}",
-            explorer=explorer, packed=packed, partial_order=por, symmetry=sym,
+            f"{'' if sym else '-nosym'}",
+            explorer=explorer, packed=packed, symmetry=sym,
         )
         for sym in (True, False)
-        for por in (False, True)
         for explorer in ("bfs", "dfs")
         for packed in (True, False)
-        if not (por and not sym)  # POR x nosym adds no distinct promise
     ]
     synth = [
         SynthLatticeConfig(
@@ -243,8 +223,6 @@ def full_lattice() -> Lattice:
         for explorer in ("bfs", "dfs")
         for packed in (True, False)
     ] + [
-        SynthLatticeConfig("por", partial_order=True),
-        SynthLatticeConfig("por-dfs", explorer="dfs", partial_order=True),
         SynthLatticeConfig("nosym", symmetry=False),
         SynthLatticeConfig("noreuse", prefix_reuse=False),
         SynthLatticeConfig("nogen", generalise=False),
@@ -543,30 +521,15 @@ class DifferentialRunner:
                 ))
                 continue
             group = kc.counts_group
-            if group is not None:
-                if group not in group_baseline:
-                    group_baseline[group] = (kc.name, counts)
-                else:
-                    base_name, base_counts = group_baseline[group]
-                    if counts != base_counts:
-                        check.divergences.append(Divergence(
-                            "verify", "counts", kc.name, base_name,
-                            f"states/transitions/attempts {counts} != "
-                            f"{base_counts}",
-                        ))
-        # POR's promise on complete explorations: a subset of the states.
-        for kc in configs:
-            result = results.get(kc.name)
-            if result is None or not kc.partial_order:
-                continue
-            group = "sym" if kc.symmetry else "nosym"
-            if group in group_baseline:
+            if group not in group_baseline:
+                group_baseline[group] = (kc.name, counts)
+            else:
                 base_name, base_counts = group_baseline[group]
-                if result.stats.states_visited > base_counts[0]:
+                if counts != base_counts:
                     check.divergences.append(Divergence(
                         "verify", "counts", kc.name, base_name,
-                        f"POR visited {result.stats.states_visited} states "
-                        f"> unreduced {base_counts[0]}",
+                        f"states/transitions/attempts {counts} != "
+                        f"{base_counts}",
                     ))
 
     def _bug_phase(
@@ -609,23 +572,22 @@ class DifferentialRunner:
                         "bug", "trace-replay", kc.name, "", problem
                     ))
             group = kc.failure_group
-            if group is not None:
-                entry = (kc.name, _result_counts(result), kind)
-                if group not in group_baseline:
-                    group_baseline[group] = entry
-                else:
-                    base_name, base_counts, base_kind = group_baseline[group]
-                    if _result_counts(result) != base_counts:
-                        check.divergences.append(Divergence(
-                            "bug", "counts", kc.name, base_name,
-                            f"failure-run counts {_result_counts(result)} "
-                            f"!= {base_counts}",
-                        ))
-                    if kind != base_kind:
-                        check.divergences.append(Divergence(
-                            "bug", "verdict", kc.name, base_name,
-                            f"failure kind {kind!r} != {base_kind!r}",
-                        ))
+            entry = (kc.name, _result_counts(result), kind)
+            if group not in group_baseline:
+                group_baseline[group] = entry
+            else:
+                base_name, base_counts, base_kind = group_baseline[group]
+                if _result_counts(result) != base_counts:
+                    check.divergences.append(Divergence(
+                        "bug", "counts", kc.name, base_name,
+                        f"failure-run counts {_result_counts(result)} "
+                        f"!= {base_counts}",
+                    ))
+                if kind != base_kind:
+                    check.divergences.append(Divergence(
+                        "bug", "verdict", kc.name, base_name,
+                        f"failure kind {kind!r} != {base_kind!r}",
+                    ))
 
     def _synth_phase(
         self,
@@ -737,7 +699,6 @@ class DifferentialRunner:
         config = SynthesisConfig(
             explorer=kc.explorer,
             packed=kc.packed,
-            partial_order=kc.partial_order,
         )
         core = SynthesisCore(system, config)
         result, _explorer = core.evaluate(CandidateVector.empty())
@@ -752,7 +713,6 @@ class DifferentialRunner:
             kc.explorer,
             system,
             resolver=resolver,
-            partial_order=kc.partial_order,
             packed=kc.packed,
         )
         return explorer.run()
@@ -772,7 +732,6 @@ class DifferentialRunner:
         config = SynthesisConfig(
             explorer=sc.explorer,
             packed=sc.packed,
-            partial_order=sc.partial_order,
             prefix_reuse=sc.prefix_reuse,
             generalise_conflicts=sc.generalise,
             family=sc.family,

@@ -74,7 +74,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ModelError, WildcardEncountered
 from repro.mc.context import ExecutionContext
-from repro.mc.footprint import get_footprint_analysis
 from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.mc.trace import Trace, TraceStep
@@ -116,14 +115,6 @@ class ExplorationCheckpoint:
             the prefix; seeds the resumed run's executed set).
         hole_paths: per-sid discovery-path hole sets when the producing run
             tracked them (``track_hole_paths``), else ``None``.
-        reduction: ``"por"`` or ``"full"`` — the reduction mode the
-            producing run explored under.  A checkpoint is only reusable
-            by a run in the same mode: the visited set of a reduced
-            exploration is not a superset-compatible seed for a full one
-            (or vice versa), so :meth:`ExplorationKernel.run` refuses a
-            cross-mode resume.
-        por_rules_skipped / ample_states: counter seeds for the POR
-            statistics, like the other counters.
         packed: whether the producing run explored in packed mode
             (:mod:`repro.mc.packed`).  Packed checkpoints key ``visited``
             by slab id and store slab ids in ``originals``, so they are
@@ -137,8 +128,7 @@ class ExplorationCheckpoint:
             chain along family splits (parent quotient -> child quotient),
             while 1-by-1 checkpoints chain along candidate digit prefixes;
             the two chains interleave holes differently, so :meth:`run`
-            refuses a cross-mode resume like it does for reduction and
-            packing.
+            refuses a cross-mode resume like it does for packing.
     """
 
     visited: Dict[Any, int]
@@ -152,9 +142,6 @@ class ExplorationCheckpoint:
     max_depth: int
     executed_holes: frozenset
     hole_paths: Optional[Tuple[frozenset, ...]] = None
-    reduction: str = "full"
-    por_rules_skipped: int = 0
-    ample_states: int = 0
     packed: bool = False
     family: bool = False
 
@@ -241,23 +228,13 @@ class ExplorationKernel:
             exploration — *does* checkpoint, deliberately: such a prefix
             explores the identical space as every extension, so resumed
             runs (empty cut set) return the same verdict immediately.
-        partial_order: enable footprint-based partial-order reduction
-            (:mod:`repro.mc.footprint`): states whose enabled rules admit
-            a persistent, property-invisible ample subset expand only
-            that subset.  Verdict-exact; the deferred interleavings'
-            effects are reached through the explored ones.  The frontier
-            strategy keeps its cycle proviso sound: FIFO requires a not
-            yet expanded ample successor (the queue proviso), LIFO — a
-            frontier-based DFS with no path stack — conservatively
-            requires an unvisited one.  Counterexample traces under POR
-            are valid but not always depth-minimal.
         packed: run the hot path on packed state encodings
             (:mod:`repro.mc.packed`) when the system carries a
             ``packed_spec``.  Successor dedup, canonicalisation, and the
             property/deadlock memos then operate on slab ids with
-            table-driven orbit minimisation; rule firing, traces, POR
-            ample selection, and counterexample replay still go through
-            real state objects (``PackedRuntime.state_of``), so verdicts,
+            table-driven orbit minimisation; rule firing, traces, and
+            counterexample replay still go through real state objects
+            (``PackedRuntime.state_of``), so verdicts,
             state counts, and solution sets are identical to object mode.
             Silently falls back to the object path when the system has no
             codec.  Defaults to off at this layer — the engine/CLI layers
@@ -282,12 +259,10 @@ class ExplorationKernel:
         capture_graph: Any = None,
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
-        partial_order: bool = False,
         telemetry: Any = None,
         packed: bool = False,
         family: bool = False,
     ) -> None:
-        self.partial_order = partial_order
         self.family = family
         if isinstance(strategy, str):
             try:
@@ -345,7 +320,7 @@ class ExplorationKernel:
         packed = rt is not None
         all_rules = tuple(system.rules)
         #: rule indices in the strategy's firing order (system indexing,
-        #: so POR bitmasks line up)
+        #: so they line up with the packed runtime's guard bitmask)
         ordered_indices = tuple(
             self.strategy.order_rules(tuple(range(len(all_rules))))
         )
@@ -364,26 +339,8 @@ class ExplorationKernel:
         canon_acc = [0.0]
         canon_seed = [0.0]
         expand_acc = [0.0]
-        ample_acc = [0.0]
         resume_acc = [0.0]
         checkpoint_acc = [0.0]
-        por = None
-        if self.partial_order:
-            if instrumented:
-                with tele.span("footprint_probe") as probe_span:
-                    analysis = get_footprint_analysis(system)
-                    probe_span.set(usable=analysis.usable)
-            else:
-                analysis = get_footprint_analysis(system)
-            if analysis.usable:
-                por = analysis
-        reduction_mode = "por" if por is not None else "full"
-        if self.resume_from is not None and self.resume_from.reduction != reduction_mode:
-            raise ModelError(
-                f"cannot resume a {reduction_mode!r}-mode exploration from a "
-                f"{self.resume_from.reduction!r}-mode checkpoint; partial-order "
-                f"reduction must match across a prefix chain"
-            )
         if self.resume_from is not None and self.resume_from.packed != packed:
             raise ModelError(
                 "cannot resume a {}-mode exploration from a {}-mode "
@@ -402,7 +359,6 @@ class ExplorationKernel:
                     "family" if self.resume_from.family else "candidate",
                 )
             )
-        fifo_proviso = isinstance(self.strategy, FifoFrontier)
         parents: List[Optional[Tuple[int, str]]] = []
         originals: List[Any] = []
         hole_paths: List[frozenset] = []
@@ -419,10 +375,6 @@ class ExplorationKernel:
         wildcard_cuts = 0
         max_depth = 0
         truncated = False
-        por_rules_skipped = 0
-        ample_states = 0
-        #: state ids already popped and expanded (the FIFO queue proviso)
-        expanded: Set[int] = set()
         if instrumented:
             # Wrap canonicalisation in a timing shim.  The shim replaces
             # the local binding only — ``canon_source`` keeps serving the
@@ -454,8 +406,6 @@ class ExplorationKernel:
             transitions = resume.transitions
             attempts = resume.attempts
             max_depth = resume.max_depth
-            por_rules_skipped = resume.por_rules_skipped
-            ample_states = resume.ample_states
             ctx.run_executed_holes.update(resume.executed_holes)
             if instrumented:
                 resume_acc[0] += clock() - resume_begin
@@ -558,8 +508,6 @@ class ExplorationKernel:
             }
             if resume is not None:
                 phases["resume_seed"] = resume_acc[0]
-            if por is not None:
-                phases["ample_select"] = ample_acc[0]
             if checkpoint_acc[0]:
                 phases["checkpoint"] = checkpoint_acc[0]
             self.phase_seconds = phases
@@ -587,8 +535,6 @@ class ExplorationKernel:
                 canon_cache_hits=getattr(canon_source, "hits", 0) - cache_hits_base,
                 canon_cache_size=getattr(canon_source, "size", 0),
                 prefix_states_reused=states_reused,
-                por_rules_skipped=por_rules_skipped,
-                ample_states=ample_states,
             )
 
         def cut_holes_view() -> Tuple[Tuple[str, int], ...]:
@@ -614,21 +560,9 @@ class ExplorationKernel:
         if resume is not None:
             # Inherited states already passed the invariants; only the
             # wildcard-cut states need re-expansion (their classification
-            # depends on holes this run's resolver now assigns).  All
-            # *other* inherited states count as already expanded for the
-            # FIFO cycle proviso — they never will be re-expanded here, so
-            # an ample successor pointing at one must not pass as "still
-            # open" or a deferral cycle through the prefix could ignore a
-            # rule forever.
-            cut_sids = set()
+            # depends on holes this run's resolver now assigns).
             for sid, depth in resume.cut_states:
-                cut_sids.add(sid)
                 frontier.append((originals[sid], sid, depth))
-            if self.partial_order:
-                expanded.update(
-                    sid for sid in range(len(resume.originals))
-                    if sid not in cut_sids
-                )
         else:
             # Seed with initial states (checking invariants on them too).
             for state in system.initial_states():
@@ -668,8 +602,6 @@ class ExplorationKernel:
             state, sid, depth = self.strategy.pop(frontier)
             if tick is not None:
                 tick(states=states_visited, frontier=len(frontier), depth=depth)
-            if por is not None:
-                expanded.add(sid)
             if depth > max_depth:
                 max_depth = depth
             if limits.max_depth is not None and depth >= limits.max_depth:
@@ -677,11 +609,9 @@ class ExplorationKernel:
                 continue
             produced_successor = False
             cut_here = False
-            proviso_ok = False
             path_holes = hole_paths[sid] if self.track_hole_paths else frozenset()
             holes_at_state: Set[Any] = set()
 
-            ample: Optional[frozenset] = None
             enabled: Sequence[int] = ordered_indices
             if packed:
                 # ``state`` is a slab id; the guard verdicts are memoised
@@ -697,121 +627,60 @@ class ExplorationKernel:
                         index for index in ordered_indices
                         if (guard_mask >> index) & 1
                     ]
-            if por is not None:
-                if instrumented:
-                    ample_begin = clock()
-                if not packed:
-                    enabled = [
-                        index for index in ordered_indices
-                        if all_rules[index].guard(state)
-                    ]
-                if len(enabled) >= 2:
-                    mask = 0
-                    for index in enabled:
-                        mask |= 1 << index
-                    visible = por.visible_mask_for(
-                        prop.name for prop in pending_coverage
-                    )
-                    chosen = por.ample(
-                        mask, rt.state_of(state) if packed else state, visible
-                    )
-                    if chosen is not None:
-                        ample = frozenset(chosen)
-                if instrumented:
-                    ample_acc[0] += clock() - ample_begin
-
-            def fire_indices(indices, check_guard) -> Optional[VerificationResult]:
-                """Fire a batch of rules at the current state.
-
-                With ``check_guard`` (the POR-off fast path) disabled
-                rules are skipped inline; the POR path pre-filters the
-                enabled set instead because ample selection needs it.
-                """
-                nonlocal produced_successor, cut_here, proviso_ok
-                nonlocal attempts, wildcard_cuts, transitions, holes_at_state
-                for index in indices:
-                    rule = all_rules[index]
-                    if check_guard and not rule.guard(state):
-                        continue
-                    attempts += 1
-                    ctx.begin_firing()
-                    try:
-                        if packed:
-                            successors = rt.fire(state, index, ctx)
-                        else:
-                            successors = rule.fire(state, ctx)
-                    except WildcardEncountered as cut:
-                        cut_here = True
-                        wildcard_cuts += 1
-                        name = cut.hole_name
-                        known_depth = cut_hole_depths.get(name)
-                        if known_depth is None or depth < known_depth:
-                            cut_hole_depths[name] = depth
-                        continue
-                    if self.track_hole_paths:
-                        holes_at_state |= ctx.firing_executed_holes
-                    if successors:
-                        produced_successor = True
-                    firing_holes = (
-                        path_holes | ctx.firing_executed_holes
-                        if self.track_hole_paths
-                        else frozenset()
-                    )
-                    for successor in successors:
-                        transitions += 1
-                        new_sid, is_new = register(
-                            successor, (sid, rule.name), depth + 1, firing_holes
-                        )
-                        if is_new or (fifo_proviso and new_sid not in expanded):
-                            proviso_ok = True
-                        if not is_new:
-                            continue
-                        if packed:
-                            violated = rt.invariant_violation(successor)
-                            if violated is not None:
-                                return failure(
-                                    FailureKind.INVARIANT,
-                                    f"invariant {violated!r} violated",
-                                    new_sid,
-                                )
-                            continue
-                        for invariant in system.invariants:
-                            if not invariant.holds(successor):
-                                return failure(
-                                    FailureKind.INVARIANT,
-                                    f"invariant {invariant.name!r} violated",
-                                    new_sid,
-                                )
-                return None
 
             if instrumented:
                 expand_begin = clock()
-            outcome = fire_indices(
-                enabled if ample is None
-                else [index for index in enabled if index in ample],
-                check_guard=por is None and not packed,
-            )
-            if outcome is not None:
-                if instrumented:
-                    expand_acc[0] += clock() - expand_begin
-                return outcome
-            if ample is not None:
-                if proviso_ok and produced_successor:
-                    ample_states += 1
-                    por_rules_skipped += len(enabled) - len(ample)
-                else:
-                    # Cycle proviso tripped (or the ample rules produced
-                    # nothing): upgrade to a full expansion so no firing
-                    # is deferred around a cycle and deadlock
-                    # classification stays exact.
-                    outcome = fire_indices(
-                        [index for index in enabled if index not in ample],
-                        check_guard=False,
+            for index in enabled:
+                rule = all_rules[index]
+                if not packed and not rule.guard(state):
+                    continue
+                attempts += 1
+                ctx.begin_firing()
+                try:
+                    if packed:
+                        successors = rt.fire(state, index, ctx)
+                    else:
+                        successors = rule.fire(state, ctx)
+                except WildcardEncountered as cut:
+                    cut_here = True
+                    wildcard_cuts += 1
+                    name = cut.hole_name
+                    known_depth = cut_hole_depths.get(name)
+                    if known_depth is None or depth < known_depth:
+                        cut_hole_depths[name] = depth
+                    continue
+                if self.track_hole_paths:
+                    holes_at_state |= ctx.firing_executed_holes
+                if successors:
+                    produced_successor = True
+                firing_holes = (
+                    path_holes | ctx.firing_executed_holes
+                    if self.track_hole_paths
+                    else frozenset()
+                )
+                for successor in successors:
+                    transitions += 1
+                    new_sid, is_new = register(
+                        successor, (sid, rule.name), depth + 1, firing_holes
                     )
-                    if outcome is not None:
+                    if not is_new:
+                        continue
+                    if packed:
+                        violated = rt.invariant_violation(successor)
+                    else:
+                        violated = None
+                        for invariant in system.invariants:
+                            if not invariant.holds(successor):
+                                violated = invariant.name
+                                break
+                    if violated is not None:
                         if instrumented:
                             expand_acc[0] += clock() - expand_begin
-                        return outcome
+                        return failure(
+                            FailureKind.INVARIANT,
+                            f"invariant {violated!r} violated",
+                            new_sid,
+                        )
             if instrumented:
                 expand_acc[0] += clock() - expand_begin
 
@@ -843,9 +712,6 @@ class ExplorationKernel:
                 max_depth=max_depth,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 hole_paths=tuple(hole_paths) if self.track_hole_paths else None,
-                reduction=reduction_mode,
-                por_rules_skipped=por_rules_skipped,
-                ample_states=ample_states,
                 packed=packed,
                 family=self.family,
             )
@@ -918,7 +784,6 @@ def make_explorer(
     capture_graph: Any = None,
     resume_from: Optional[ExplorationCheckpoint] = None,
     collect_checkpoint: bool = False,
-    partial_order: bool = False,
     telemetry: Any = None,
     packed: bool = False,
     family: bool = False,
@@ -940,7 +805,6 @@ def make_explorer(
         capture_graph=capture_graph,
         resume_from=resume_from,
         collect_checkpoint=collect_checkpoint,
-        partial_order=partial_order,
         telemetry=telemetry,
         packed=packed,
         family=family,

@@ -57,12 +57,6 @@ class RunStats:
     runs; see :class:`~repro.mc.kernel.ExplorationCheckpoint`).  They are
     included in ``states_visited``, which therefore matches a from-scratch
     run of the same candidate.
-
-    ``ample_states`` counts the states partial-order reduction expanded
-    with a proper subset of their enabled rules, and
-    ``por_rules_skipped`` the enabled rule firings those reduced
-    expansions deferred (see :mod:`repro.mc.footprint`).  Both are 0 when
-    POR is off or never found a reducible state.
     """
 
     states_visited: int = 0
@@ -74,8 +68,6 @@ class RunStats:
     canon_cache_hits: int = 0
     canon_cache_size: int = 0
     prefix_states_reused: int = 0
-    por_rules_skipped: int = 0
-    ample_states: int = 0
 
     def merged_with(self, other: "RunStats") -> "RunStats":
         """Combine two runs' statistics (sums, maxima, or-flags)."""
@@ -90,8 +82,6 @@ class RunStats:
             canon_cache_size=max(self.canon_cache_size, other.canon_cache_size),
             prefix_states_reused=self.prefix_states_reused
             + other.prefix_states_reused,
-            por_rules_skipped=self.por_rules_skipped + other.por_rules_skipped,
-            ample_states=self.ample_states + other.ample_states,
         )
 
 

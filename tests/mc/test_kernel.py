@@ -295,6 +295,87 @@ class TestCheckpointResume:
         ).run()
         assert result.verdict is Verdict.SUCCESS
 
+    @pytest.mark.parametrize("producer_packed", [True, False])
+    def test_cross_packing_resume_refused(self, producer_packed):
+        # Packed checkpoints key their visited set by slab id, object ones
+        # by canonical state: neither can seed a run in the other mode.
+        from repro.protocols.catalog import PROTOCOL_BUILDERS
+
+        system = PROTOCOL_BUILDERS["moesi"](2)
+        producer = ExplorationKernel(
+            system, packed=producer_packed, collect_checkpoint=True
+        )
+        producer.run()
+        assert producer.checkpoint.packed is producer_packed
+        with pytest.raises(ModelError, match="packed state encoding"):
+            ExplorationKernel(
+                system, packed=not producer_packed,
+                resume_from=producer.checkpoint,
+            ).run()
+
+
+#: complete, bug-free catalog systems: every run explores its whole
+#: reachable set and succeeds
+CATALOG_SYSTEMS = [
+    ("mutex", "mutex", {}),
+    ("vi", "vi", {}),
+    ("msi", "msi", {}),
+    ("msi-evict", "msi", {"evictions": True}),
+    ("msi-nosym", "msi", {"symmetry": False}),
+    ("mesi", "mesi", {}),
+    ("moesi", "moesi", {}),
+    ("german", "german", {}),
+    ("german-nosym", "german", {"symmetry": False}),
+]
+
+
+def build_catalog_system(protocol, options):
+    from repro.protocols.catalog import PROTOCOL_BUILDERS
+
+    return PROTOCOL_BUILDERS[protocol](2, **options)
+
+
+@pytest.mark.parametrize(
+    "protocol,options", [(p, o) for _, p, o in CATALOG_SYSTEMS],
+    ids=[label for label, _, _ in CATALOG_SYSTEMS],
+)
+class TestCatalogCheckpoints:
+    """Whole-system checkpoints on every catalog protocol, in both state
+    encodings."""
+
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_same_mode_resume_accepted(self, protocol, options, packed):
+        system = build_catalog_system(protocol, options)
+        producer = ExplorationKernel(
+            system, packed=packed, collect_checkpoint=True
+        )
+        fresh = producer.run()
+        assert fresh.verdict is Verdict.SUCCESS
+        checkpoint = producer.checkpoint
+        assert checkpoint is not None
+        assert checkpoint.packed is packed
+        assert checkpoint.cut_states == ()
+        assert checkpoint.states_visited == fresh.stats.states_visited
+        resumed = ExplorationKernel(
+            system, packed=packed, resume_from=checkpoint
+        ).run()
+        assert resumed.verdict is fresh.verdict
+        assert resumed.stats.states_visited == fresh.stats.states_visited
+        assert resumed.stats.prefix_states_reused == fresh.stats.states_visited
+
+    def test_truncated_run_is_unknown(self, protocol, options):
+        # A truncated run reports UNKNOWN, never SUCCESS, and leaves no
+        # checkpoint behind: its visited set depends on the cut.
+        explorer = ExplorationKernel(
+            build_catalog_system(protocol, options),
+            limits=ExplorationLimits(max_states=5),
+            collect_checkpoint=True,
+        )
+        result = explorer.run()
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.stats.truncated
+        assert explorer.checkpoint is None
+
 
 class TestCoverageCheckpointing:
     """A wildcard-free coverage failure is complete work: it checkpoints,

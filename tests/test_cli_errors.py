@@ -83,9 +83,9 @@ class TestConflictingFlags:
             "conflicting flags",
         )
 
-    def test_por_and_no_por_mutually_exclusive(self, capsys):
+    def test_removed_por_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "msi", "--por", "--no-por"])
+            main(["verify", "moesi", "--por"])
         assert excinfo.value.code == 2
 
     def test_naive_contradicts_family(self, capsys):
@@ -145,16 +145,26 @@ class TestMatrixErrors:
         assert "cannot read spec" in capsys.readouterr().err
 
 
-class TestMatrixPorOverride:
-    def test_matrix_por_override_no_id_collisions(self, tmp_path):
-        """--por/--no-por apply post-expansion: no duplicate-id crash even
-        when a preset already contains explicit por cells, and every cell
-        really runs in the forced mode."""
-        from repro.experiments import load_preset
+class TestMatrixPackedOverride:
+    def test_matrix_packed_override_keeps_cell_ids(self, tmp_path):
+        """--packed/--no-packed apply post-expansion: ids stay as the spec
+        derives them (no duplicate-id crash when the spec already has a
+        nopacked cell), and every cell really runs in the forced mode."""
+        from repro.experiments import MatrixSpec
         from repro.experiments.runner import MatrixRunner
 
+        spec = MatrixSpec.from_dict({
+            "name": "packed-override",
+            "include": [
+                {"target": "figure2"},
+                {"target": "figure2", "packed": False},
+            ],
+        })
         for force in (True, False):
-            runner = MatrixRunner(
-                load_preset("smoke"), tmp_path / str(force), force_por=force
-            )
-            assert all(cell.por is force for cell in runner.cells)
+            runner = MatrixRunner(spec, tmp_path / str(force),
+                                  force_packed=force)
+            assert [cell.id for cell in runner.cells] == [
+                "synth:figure2:r2:sequential",
+                "synth:figure2:r2:sequential:nopacked",
+            ]
+            assert all(cell.packed is force for cell in runner.cells)
