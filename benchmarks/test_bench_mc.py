@@ -80,7 +80,6 @@ def update_bench_json(section: str, payload: dict) -> None:
         "german",
         "telemetry",
         "packed",
-        "family",
     )
     data = {k: v for k, v in data.items() if k in sections}
     data[section] = payload
@@ -490,97 +489,6 @@ def test_telemetry_overhead(benchmark, tmp_path):
     # Tracing every span/phase of a sub-second check is allowed to cost
     # real percentage points; it must not multiply the run.
     assert on_vs_off < 2.0, on_ratios
-
-
-def test_family_scheduler_workload(benchmark):
-    """Family-based synthesis on/off: checks dispatched and wall-clock.
-
-    Single-threaded sequential rows, so they are meaningful on a 1-CPU
-    container.  Correctness gates the measurement: both schedulers must
-    find the identical solution set.
-
-    Honesty note: under the kernel's wildcard-cut semantics, conflict
-    generalisation already prunes 1-by-1 everything a family FAILURE
-    verdict prunes (both derive from the same trace-replay certificate),
-    so family mode does *not* reduce check counts on fine-grained
-    workloads — on MSI-small it performs ~1.3x the reference's checks
-    and the recorded row says so.  What it buys is coverage per check
-    (``family_candidates_avoided``: members settled by a terminal
-    quotient verdict without their own run), which dominates on
-    coarse-structured spaces like the eviction skeleton.  The floors
-    below guard exactly that shape: real avoidance on msi-evict, and a
-    bounded quotient-to-reference ratio so a broken split heuristic
-    (which would explode interior checks) fails the bench.
-    """
-    targets = ["msi-evict"]
-    if small_enabled():
-        targets.append("msi-small")
-
-    rows = []
-    for index, skeleton_name in enumerate(targets):
-        without = SynthesisEngine(
-            build_skeleton(skeleton_name), SynthesisConfig()
-        ).run()
-
-        def family_run(name=skeleton_name):
-            return SynthesisEngine(
-                build_skeleton(name), SynthesisConfig(family=True)
-            ).run()
-
-        with_family = run_once(benchmark, family_run) if index == 0 else family_run()
-
-        # Correctness before counts: identical solution sets.
-        def view(report):
-            return sorted(
-                tuple(sorted(s.assignment)) for s in report.solutions
-            )
-
-        assert view(with_family) == view(without)
-        assert with_family.family and not without.family
-
-        rows.append(
-            {
-                "skeleton": skeleton_name,
-                "replicas": 2,
-                "solutions": len(without.solutions),
-                "evaluated_without": without.evaluated,
-                "seconds_without": round(without.elapsed_seconds, 3),
-                "evaluated_with": with_family.evaluated,
-                "seconds_with": round(with_family.elapsed_seconds, 3),
-                "family_checked": with_family.family_checked,
-                "family_splits": with_family.family_splits,
-                "family_max_split_depth": with_family.family_max_split_depth,
-                "family_candidates_avoided": (
-                    with_family.family_candidates_avoided
-                ),
-                "quotient_ratio": round(
-                    with_family.evaluated / without.evaluated, 3
-                ),
-            }
-        )
-
-    payload = {"rows": rows}
-    update_bench_json("family", payload)
-    sys.__stdout__.write(
-        "\nBENCH_mc: family scheduler "
-        + ", ".join(
-            f"{row['skeleton']} {row['evaluated_without']} -> "
-            f"{row['evaluated_with']} checks "
-            f"({row['family_candidates_avoided']} avoided)"
-            for row in rows
-        )
-        + "\n"
-    )
-    sys.__stdout__.flush()
-    benchmark.extra_info.update(payload)
-
-    by_name = {row["skeleton"]: row for row in rows}
-    # Measured 1,155 avoided on the dev container; wide floor for noise
-    # in pattern-arrival order.
-    assert by_name["msi-evict"]["family_candidates_avoided"] >= 500
-    # Measured ratios ~1.27 (msi-evict) and ~1.29 (msi-small).
-    for row in rows:
-        assert row["quotient_ratio"] <= 2.0, row
 
 
 @pytest.mark.skipif(not small_enabled(), reason="VERC3_BENCH_SMALL=0")

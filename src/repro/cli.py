@@ -76,7 +76,6 @@ SKELETONS: Dict[str, Callable] = SKELETON_BUILDERS
 #: from SynthesisConfig.resolved_accelerations(), the single stand-down
 #: table
 _ACCELERATION_FLAGS: Dict[str, tuple] = {
-    "family": ("--family", "falling back to the 1-by-1 enumeration"),
     "store": ("--store", "verdicts will be neither recorded nor replayed"),
 }
 
@@ -235,19 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-packed", action="store_true",
         help="force the object-path kernel for candidate evaluation "
              "(the ablation baseline)",
-    )
-    synth_family = synth.add_mutually_exclusive_group()
-    synth_family.add_argument(
-        "--family", action="store_true",
-        help="schedule synthesis as a worklist of hole families: each "
-             "family is model checked once as a wildcard quotient; "
-             "all-fail/all-pass verdicts cover every member in one run "
-             "and ambiguous families split (see docs/architecture.md)",
-    )
-    synth_family.add_argument(
-        "--no-family", action="store_true",
-        help="explicitly keep the 1-by-1 candidate enumeration "
-             "(the default)",
     )
     synth_store = synth.add_mutually_exclusive_group()
     synth_store.add_argument(
@@ -446,11 +432,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "conflicting flags: --refined records pruning patterns, which "
             "--naive disables"
         )
-    if args.naive and args.family:
-        raise CliError(
-            "conflicting flags: --family checks wildcard quotients, which "
-            "need the pruning semantics --naive disables"
-        )
     tele = _build_telemetry(args)
     config = SynthesisConfig(
         pruning=not args.naive,
@@ -462,7 +443,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         compute_fingerprints=args.groups,
         explorer=args.explorer,
         packed=not args.no_packed,
-        family=args.family,
         store_path=args.store,
         # The config mirrors the CLI telemetry so worker *processes* (which
         # only see the config) open their own per-worker sinks.
@@ -473,7 +453,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # Accelerations silently stand down in bad combinations (the engine's
     # single stand-down table); a user who *typed the flag* gets told.
     explicit = {
-        "family": args.family,
         "store": args.store is not None,
     }
     for status in config.resolved_accelerations():
@@ -652,17 +631,16 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for name in sorted(SKELETON_CATALOG):
         entry = SKELETON_CATALOG[name]
         low, high = entry.replicas
-        # The full-family size is the product of the declared holes'
-        # arities — what one `synth --family` root family spans (holes
-        # discovered mid-synthesis beyond the declaration set are rare
-        # and grow this at the pass boundary).
+        # The candidate space is the product of the declared holes'
+        # arities (holes discovered mid-synthesis beyond the declaration
+        # set are rare and grow it at the pass boundary).
         _system, declared = build_skeleton_with_holes(name, low)
         space = 1
         for hole in declared:
             space *= hole.arity
         print(
             f"  {name:<{width}}  {entry.holes:2d} holes  "
-            f"family {space:>9,}  replicas {low}..{high}  {entry.summary}"
+            f"space {space:>9,}  replicas {low}..{high}  {entry.summary}"
         )
     return 0
 

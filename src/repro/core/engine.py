@@ -36,7 +36,6 @@ from repro.core.action import Action
 from repro.core.candidate import WILDCARD, CandidateVector
 from repro.core.discovery import CandidateResolver, DefaultingResolver, HoleRegistry
 from repro.core.enumeration import NaiveEnumerator, SubtreeEnumerator
-from repro.core.family import HoleFamily, narrow_family
 from repro.core.hole import Hole
 from repro.core.pruning import (
     DfsMatcher,
@@ -169,18 +168,6 @@ class SynthesisConfig:
             states for replay).  On by default; ``--no-packed`` ablates
             back to the object path, and systems without a codec spec
             fall back silently.
-        family: drive synthesis as a worklist of hole *families*
-            (:mod:`repro.core.family`) instead of a flat candidate
-            enumeration: each family is model checked once as a quotient
-            with its unfixed holes left as wildcards, all-fail families
-            prune through the conflict-generalisation path, all-pass
-            families yield every member as a solution from the single
-            run, and ambiguous families split on the hole that cut the
-            quotient shallowest.  Composes with symmetry, packed states,
-            and prefix reuse (children resume their parent family's
-            checkpoint).  Requires pruning-mode semantics and, like
-            prefix reuse, auto-inactivates under exploration ``limits``
-            (see :attr:`family_active`).  Off by default.
         telemetry: enable the observability layer (:mod:`repro.obs`) —
             metrics registry, trace spans, kernel phase attribution —
             even without a trace file (metrics land in the report and
@@ -222,7 +209,6 @@ class SynthesisConfig:
     record_traces: bool = True
     explorer: str = "bfs"
     packed: bool = True
-    family: bool = False
     telemetry: bool = False
     trace_path: Optional[str] = None
     progress: bool = False
@@ -238,10 +224,6 @@ class SynthesisConfig:
         if not isinstance(self.packed, bool):
             raise SynthesisError(
                 f"packed must be a bool, got {self.packed!r}"
-            )
-        if not isinstance(self.family, bool):
-            raise SynthesisError(
-                f"family must be a bool, got {self.family!r}"
             )
         for knob in ("solution_limit", "max_evaluations", "max_passes"):
             value = getattr(self, knob)
@@ -324,19 +306,6 @@ class SynthesisConfig:
         return self.generalise_conflicts and self._limits_unset
 
     @property
-    def family_active(self) -> bool:
-        """Whether synthesis runs as a family worklist.
-
-        Families need pruning-mode (wildcard) semantics — a quotient run
-        *is* a wildcard run — and exploration limits disable them for
-        the same reason they disable prefix reuse: a truncated quotient's
-        verdict depends on visit order, so it cannot speak for every
-        member.  When inactive, synthesis falls back to the 1-by-1
-        enumeration silently (the CLI warns).
-        """
-        return self.family and self.pruning and self._limits_unset
-
-    @property
     def store_active(self) -> bool:
         """Whether candidate evaluations may consult the verdict store.
 
@@ -362,10 +331,6 @@ class SynthesisConfig:
         ``prefix_reuse``          pruning is off (no wildcard semantics), or
                                   exploration limits are set (truncated
                                   verdicts depend on visit order)
-        ``family``                pruning is off (a quotient run *is* a
-                                  wildcard run), or exploration limits are
-                                  set (a truncated quotient cannot speak for
-                                  every member)
         ``store_path``            exploration limits are set (truncated
                                   verdicts depend on the limit values, which
                                   the store key does not encode)
@@ -395,12 +360,6 @@ class SynthesisConfig:
             "prefix_reuse",
             self.prefix_reuse,
             self.prefix_reuse_active,
-            limits_reason if limited else "pruning is off",
-        )
-        add(
-            "family",
-            self.family,
-            self.family_active,
             limits_reason if limited else "pruning is off",
         )
         add(
@@ -574,17 +533,6 @@ class SynthesisCore:
                         "synth_verdicts", "verdicts by kind", verdict=name)
                     for name in ("success", "failure", "unknown")
                 },
-                "family_checked": metrics.counter(
-                    "family_checked",
-                    "family quotients dispatched to the model checker"),
-                "family_splits": metrics.counter(
-                    "family_splits", "ambiguous families split"),
-                "family_avoided": metrics.counter(
-                    "family_candidates_avoided",
-                    "per-candidate checks avoided by family verdicts"),
-                "family_depth": metrics.gauge(
-                    "family_max_split_depth",
-                    "deepest family-split chain reached"),
             }
         self.registry = registry if registry is not None else HoleRegistry()
         self.fail_table = PruningTable(subsumption=config.subsumption)
@@ -633,14 +581,6 @@ class SynthesisCore:
         self.inherent_failure = False
         self.inherent_failure_message = ""
         self.stopped_early = False
-        #: family-mode counters (all 0 under 1-by-1 enumeration):
-        #: quotient runs dispatched, ambiguous splits performed, deepest
-        #: split chain, and per-candidate checks a family verdict avoided
-        self.family_checked = 0
-        self.family_splits = 0
-        self.family_max_split_depth = 0
-        self.family_candidates_avoided = 0
-
     # -- evaluation ---------------------------------------------------------
 
     def make_resolver(self, vector: CandidateVector):
@@ -702,10 +642,6 @@ class SynthesisCore:
             resume_from=resume,
             collect_checkpoint=collect,
             packed=self.config.packed,
-            # In family mode every kernel run of this core — including the
-            # initial empty-candidate run — is family-tagged, so the root
-            # family of each pass can resume the initial checkpoint.
-            family=self.config.family_active,
             telemetry=self.telemetry if self.telemetry.enabled else None,
         )
         result = explorer.run()
@@ -777,7 +713,6 @@ class SynthesisCore:
             executed_holes=frozenset(executed),
             failure_holes=None,
             unmet_coverage=stored.unmet_coverage,
-            cut_holes=stored.cut_holes,
             stored_pattern=stored.pattern,
         )
         return result, _StoredRunExplorer(stored.fingerprint)
@@ -827,7 +762,6 @@ class SynthesisCore:
                 sorted(hole.name for hole in result.executed_holes)
             ),
             unmet_coverage=result.unmet_coverage,
-            cut_holes=result.cut_holes,
             fingerprint=fingerprint,
             pattern=pattern_constraints,
             new_holes=new_holes,
@@ -903,7 +837,6 @@ class SynthesisCore:
                 resume_from=resume,
                 collect_checkpoint=True,
                 packed=self.config.packed,
-                family=self.config.family_active,
                 telemetry=tele if tele.enabled else None,
             )
             explorer.run()
@@ -958,293 +891,6 @@ class SynthesisCore:
             self.evaluated += 1
             self.handle_result(digits, result, explorer, run_index=self.evaluated)
 
-    # -- family-based synthesis ---------------------------------------------
-
-    def evaluate_family(
-        self, family: HoleFamily, resume: Optional[ExplorationCheckpoint] = None
-    ) -> Tuple[VerificationResult, ExplorationKernel]:
-        """Model check one family's quotient (unfixed holes as wildcards)."""
-        tele = self.telemetry
-        if not tele.enabled:
-            return self._evaluate_family_inner(family, resume)
-        begin = time.perf_counter()
-        with tele.span(
-            "evaluate_family",
-            family=_candidate_label(family.check_vector()),
-            size=family.size,
-        ) as span:
-            result, explorer = self._evaluate_family_inner(family, resume)
-            span.set(
-                verdict=result.verdict.value,
-                states=result.stats.states_visited,
-            )
-        handles = self._metric_handles
-        if handles is not None:
-            handles["check_seconds"].observe(time.perf_counter() - begin)
-        return result, explorer
-
-    def _evaluate_family_inner(
-        self, family: HoleFamily, resume: Optional[ExplorationCheckpoint]
-    ) -> Tuple[VerificationResult, ExplorationKernel]:
-        cache = self.prefix_cache
-        if resume is None and cache is not None:
-            # The root family's quotient is the initial run re-examined;
-            # resume its cached checkpoint instead of re-exploring.  The
-            # mode check is a guard for caller-owned caches that may hold
-            # a 1-by-1 chain (the family scheduler never stores into the
-            # LRU itself — child checkpoints ride the worklist).
-            found, entry = cache.lookup(())
-            if found and entry is not None and entry.family:
-                resume = entry
-        collect = cache is not None and not family.is_singleton
-        vector = family.check_vector()
-        explorer = make_explorer(
-            self.config.explorer,
-            self.system,
-            resolver=self.make_resolver(vector),
-            limits=self.config.limits,
-            record_traces=self.config.record_traces,
-            track_hole_paths=self.config.refined_patterns,
-            resume_from=resume,
-            collect_checkpoint=collect,
-            packed=self.config.packed,
-            family=True,
-            telemetry=self.telemetry if self.telemetry.enabled else None,
-        )
-        result = explorer.run()
-        if resume is not None and cache is not None:
-            cache.note_hit(result.stats.prefix_states_reused)
-        return result, explorer
-
-    def process_family(
-        self,
-        family: HoleFamily,
-        resume: Optional[ExplorationCheckpoint],
-        depth: int,
-        counters: "_FamilyPassCounters",
-        lock: Optional["threading.Lock"] = None,
-    ) -> Tuple[Tuple[HoleFamily, Optional[ExplorationCheckpoint], int], ...]:
-        """Narrow, check, and classify one family from the worklist.
-
-        Returns the child work items an ambiguous verdict produced (empty
-        for terminal verdicts), each carrying this quotient's checkpoint
-        so the re-check resumes at the wildcard-cut frontier.  This is
-        the family counterpart of :meth:`process_candidate` and is shared
-        by the sequential driver, the thread workers, and the process
-        workers; the same ``lock`` convention applies.
-        """
-        guard = lock if lock is not None else nullcontext()
-        success_constraints = (
-            self.success_table.constraints_since(0)
-            if self.config.success_patterns
-            else ()
-        )
-        remaining, pruned, skipped = narrow_family(
-            family, self.fail_table.constraints_since(0), success_constraints
-        )
-        if pruned or skipped:
-            with guard:
-                counters.covered += pruned + skipped
-                counters.pruned += pruned
-                counters.skipped += skipped
-        if remaining is None:
-            return ()
-        family = remaining
-        if lock is None:
-            self.check_evaluation_budget()
-        result, explorer = self.evaluate_family(family, resume)
-        with guard:
-            if lock is not None:
-                self.check_evaluation_budget()
-            self.evaluated += 1
-            self.family_checked += 1
-            if depth > self.family_max_split_depth:
-                self.family_max_split_depth = depth
-            return self._handle_family_result(
-                family, result, explorer, depth, counters,
-                run_index=self.evaluated,
-            )
-
-    def _handle_family_result(
-        self,
-        family: HoleFamily,
-        result: VerificationResult,
-        explorer: ExplorationKernel,
-        depth: int,
-        counters: "_FamilyPassCounters",
-        run_index: int,
-    ) -> Tuple[Tuple[HoleFamily, Optional[ExplorationCheckpoint], int], ...]:
-        """Classify one checked family; must run under the engine guard."""
-        self.verdict_counts[result.verdict.value] += 1
-        if result.stats.states_visited > self.peak_states:
-            self.peak_states = result.stats.states_visited
-        handles = self._metric_handles
-        if handles is not None:
-            handles["evaluated"].inc()
-            handles["family_checked"].inc()
-            handles["family_depth"].track_max(depth)
-            handles["verdicts"][result.verdict.value].inc()
-            handles["states"].inc(result.stats.states_visited)
-            handles["transitions"].inc(result.stats.transitions_fired)
-            handles["peak"].track_max(result.stats.states_visited)
-        progress = self.telemetry.progress
-        if progress is not None:
-            progress.tick(
-                evaluated=self.evaluated,
-                solutions=len(self.solutions),
-                patterns=len(self.fail_table),
-                peak_states=self.peak_states,
-                cache_hits=(
-                    self.prefix_cache.hits if self.prefix_cache is not None else 0
-                ),
-            )
-        vector = family.check_vector()
-        holes = self.registry.holes
-        self.observer.on_run(run_index, vector, result, holes)
-        size = family.size
-
-        if result.is_failure:
-            # All-fail: the counterexample executed only fixed holes (a
-            # completed firing never resolves a wildcard), so every member
-            # contains it.  One pattern prunes the whole family.
-            counters.covered += size
-            counters.pruned += size - 1
-            self.family_candidates_avoided += size - 1
-            if handles is not None and size > 1:
-                handles["family_avoided"].inc(size - 1)
-            pattern = self._pattern_for_family_failure(family, result)
-            if pattern.is_empty:
-                self.inherent_failure = True
-                self.inherent_failure_message = (
-                    result.message or "empty candidate failed"
-                )
-                raise _StopSynthesis()
-            if self.fail_table.add(pattern):
-                self.observer.on_pattern(pattern, holes)
-            return ()
-
-        if result.is_success:
-            # All-pass: SUCCESS means the run was wildcard-free, i.e. the
-            # quotient never read the unfixed holes — every member is
-            # behaviourally identical to it, and each becomes a solution
-            # carrying the quotient's states and fingerprint.
-            counters.covered += size
-            fingerprint = (
-                explorer.fingerprint_visited()
-                if self.config.compute_fingerprints
-                else None
-            )
-            executed = tuple(sorted(hole.name for hole in result.executed_holes))
-            filtered = 0
-            for member in family.members():
-                if (
-                    self.config.success_patterns
-                    and self.success_table.matches(
-                        CandidateVector.from_digits(member)
-                    )
-                    is not None
-                ):
-                    # Already covered by an earlier pass's solution whose
-                    # extension this member is; the 1-by-1 walker would
-                    # have skipped it the same way.
-                    counters.skipped += 1
-                    filtered += 1
-                    continue
-                solution = Solution(
-                    digits=member,
-                    assignment=tuple(
-                        (holes[pos].name, holes[pos].domain[action].name)
-                        for pos, action in enumerate(member)
-                    ),
-                    states_visited=result.stats.states_visited,
-                    fingerprint=fingerprint,
-                    run_index=run_index,
-                    executed_holes=executed,
-                )
-                self.solutions.append(solution)
-                self.observer.on_solution(solution, holes)
-                if (
-                    self.config.solution_limit is not None
-                    and len(self.solutions) >= self.config.solution_limit
-                ):
-                    self.stopped_early = True
-                    raise _StopSynthesis()
-            avoided = max(0, size - filtered - 1)
-            self.family_candidates_avoided += avoided
-            if handles is not None and avoided:
-                handles["family_avoided"].inc(avoided)
-            if self.config.success_patterns:
-                # One generalised pattern at the *fixed* positions only —
-                # sound because the quotient never read the others — so
-                # later passes skip every member's extensions at once.
-                self.success_table.add(PruningPattern.from_candidate(vector))
-            return ()
-
-        # Ambiguous: the verdict depends on holes the family leaves open.
-        position = self._choose_split_position(family, result)
-        if position is None:
-            # Only beyond-width holes cut the run, so every member explores
-            # the identical space and would be UNKNOWN 1-by-1 as well; the
-            # next pass (wider radices) re-covers all of them.
-            counters.covered += size
-            self.family_candidates_avoided += size - 1
-            if handles is not None and size > 1:
-                handles["family_avoided"].inc(size - 1)
-            return ()
-        self.family_splits += 1
-        if handles is not None:
-            handles["family_splits"].inc()
-        checkpoint = explorer.checkpoint  # None unless collected
-        return tuple(
-            (child, checkpoint, depth + 1)
-            for child in family.split(position)
-        )
-
-    def _pattern_for_family_failure(
-        self, family: HoleFamily, result: VerificationResult
-    ) -> PruningPattern:
-        """Failure pattern covering every member of an all-fail family.
-
-        Conflict generalisation replays the trace against the quotient's
-        check vector and constrains only the holes it executed (a subset
-        of the fixed positions); the fallback constrains exactly the
-        fixed positions.  Either way the whole family matches.
-        """
-        digits = family.check_digits()
-        if self.config.generalise_active:
-            pattern = generalise_failure(
-                self.system, self.registry, digits, result,
-                telemetry=self.telemetry if self.telemetry.enabled else None,
-            )
-            if pattern is not None:
-                return pattern
-        return PruningPattern.from_candidate(family.check_vector())
-
-    def _choose_split_position(
-        self, family: HoleFamily, result: VerificationResult
-    ) -> Optional[int]:
-        """The in-family position whose hole cut the quotient shallowest.
-
-        Ties break towards the lower position; holes that cut but sit
-        beyond the family's width (discovered mid-run) or at already-fixed
-        positions cannot be split here and are ignored.
-        """
-        best: Optional[Tuple[int, int]] = None
-        for name, cut_depth in result.cut_holes:
-            try:
-                hole = self.registry.hole_named(name)
-            except KeyError:
-                continue
-            position = self.registry.position_of(hole, register=False)
-            if position is None or position >= family.width:
-                continue
-            if len(family.options[position]) < 2:
-                continue
-            key = (cut_depth, position)
-            if best is None or key < best:
-                best = key
-        return None if best is None else best[1]
-
     def finalize_report(self, report: "SynthesisReport") -> "SynthesisReport":
         """Copy the aggregate outcome into ``report`` (shared by all engines)."""
         report.holes = list(self.registry.holes)
@@ -1267,11 +913,6 @@ class SynthesisCore:
         report.prefix_cache_builds = builds
         report.prefix_states_reused = reused
         report.packed = self.config.packed
-        report.family = self.config.family_active
-        report.family_checked = self.family_checked
-        report.family_splits = self.family_splits
-        report.family_max_split_depth = self.family_max_split_depth
-        report.family_candidates_avoided = self.family_candidates_avoided
         report.peak_states = self.peak_states
         report.store_enabled = self.store_attached
         report.store_path = self.config.store_path
@@ -1421,24 +1062,6 @@ class SynthesisCore:
         return True
 
 
-class _FamilyPassCounters:
-    """Per-pass coverage accounting for the family scheduler.
-
-    The three fields map onto the report's ``covered`` /
-    ``pruned_failure`` / ``skipped_success`` columns exactly as the
-    enumerator counters do for the 1-by-1 walk; per pass, ``covered``
-    sums to the full candidate product.  Mutations happen under the
-    engine guard (sequential: no lock needed; threads: the shared lock).
-    """
-
-    __slots__ = ("covered", "pruned", "skipped")
-
-    def __init__(self) -> None:
-        self.covered = 0
-        self.pruned = 0
-        self.skipped = 0
-
-
 class _PassWalker:
     """Adapter: one pass walk with pattern-delta tracking at leaves."""
 
@@ -1561,18 +1184,7 @@ class SynthesisEngine:
             previous_count = len(holes)
             report.passes += 1
             core.observer.on_pass_started(report.passes, holes)
-            radices = [hole.arity for hole in holes]
-            if self.config.family_active:
-                counters = _FamilyPassCounters()
-                with self.telemetry.span(
-                    "pass", index=report.passes, holes=len(holes)
-                ):
-                    self._walk_family_pass(radices, counters)
-                report.covered += counters.covered
-                report.pruned_failure += counters.pruned
-                report.skipped_success += counters.skipped
-                continue
-            walker = _PassWalker(core, radices)
+            walker = _PassWalker(core, [hole.arity for hole in holes])
             with self.telemetry.span("pass", index=report.passes, holes=len(holes)):
                 self._walk_pass(walker, first_new, report)
             counters = walker.counters
@@ -1585,21 +1197,3 @@ class SynthesisEngine:
         core = self.core
         for digits in walker.enumerator:
             core.process_candidate(walker, digits, first_new)
-
-    def _walk_family_pass(
-        self, radices: Sequence[int], counters: _FamilyPassCounters
-    ) -> None:
-        """One pass as a LIFO worklist of families over this pass's holes.
-
-        Children are pushed in reverse option order so the lowest option
-        is processed first — the family counterpart of the enumerator's
-        lexicographic order, keeping run indices deterministic.
-        """
-        core = self.core
-        worklist: List[
-            Tuple[HoleFamily, Optional[ExplorationCheckpoint], int]
-        ] = [(HoleFamily.full(radices), None, 0)]
-        while worklist:
-            family, resume, depth = worklist.pop()
-            children = core.process_family(family, resume, depth, counters)
-            worklist.extend(reversed(children))

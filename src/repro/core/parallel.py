@@ -30,7 +30,7 @@ processes and exchanges pruning patterns at batch boundaries.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.engine import (
     FAIL_TAG,
@@ -38,14 +38,11 @@ from repro.core.engine import (
     SynthesisConfig,
     SynthesisCore,
     SynthesisObserver,
-    _FamilyPassCounters,
     _PassWalker,
     _StopSynthesis,
     resolve_telemetry,
 )
-from repro.core.family import HoleFamily
 from repro.core.report import SynthesisReport
-from repro.mc.kernel import ExplorationCheckpoint
 from repro.mc.system import TransitionSystem
 from repro.obs import Telemetry
 from repro.util.itertools2 import product_size, split_ranges
@@ -138,13 +135,6 @@ class ParallelSynthesisEngine:
             report.passes += 1
             core.observer.on_pass_started(report.passes, holes)
             radices = [hole.arity for hole in holes]
-            if self.config.family_active:
-                counters = _FamilyPassCounters()
-                self._run_family_pass(radices, counters)
-                report.covered += counters.covered
-                report.pruned_failure += counters.pruned
-                report.skipped_success += counters.skipped
-                continue
             total = product_size(radices)
             ranges = split_ranges(total, self.threads)
             workers: List[threading.Thread] = []
@@ -169,73 +159,6 @@ class ParallelSynthesisEngine:
                 thread.join()
             if errors:
                 raise errors[0]
-
-    def _run_family_pass(
-        self, radices: List[int], counters: _FamilyPassCounters
-    ) -> None:
-        """One family pass over a shared worklist drained by all workers.
-
-        Unlike the 1-by-1 pass, family work items are produced dynamically
-        (an ambiguous quotient spawns its children), so the pass cannot be
-        pre-split into contiguous index ranges.  Workers instead pop from
-        a condition-guarded LIFO worklist, evaluate the quotient outside
-        the lock, and push children back; the pass ends when the worklist
-        is empty and no worker still holds an item in flight.
-        """
-        core = self.core
-        worklist: List[
-            Tuple[HoleFamily, Optional[ExplorationCheckpoint], int]
-        ] = [(HoleFamily.full(radices), None, 0)]
-        cond = threading.Condition()
-        in_flight = [0]
-        errors: List[BaseException] = []
-
-        def drain() -> None:
-            while True:
-                with cond:
-                    while (
-                        not worklist
-                        and in_flight[0]
-                        and not self._stop.is_set()
-                    ):
-                        cond.wait()
-                    if self._stop.is_set() or not worklist:
-                        return
-                    family, resume, depth = worklist.pop()
-                    in_flight[0] += 1
-                children: Tuple = ()
-                try:
-                    children = core.process_family(
-                        family, resume, depth, counters, lock=self._lock
-                    )
-                finally:
-                    with cond:
-                        worklist.extend(reversed(children))
-                        in_flight[0] -= 1
-                        cond.notify_all()
-
-        def work() -> None:
-            try:
-                drain()
-            except _StopSynthesis:
-                self._stop.set()
-            except BaseException as exc:  # surface worker crashes
-                errors.append(exc)
-                self._stop.set()
-            finally:
-                with cond:
-                    cond.notify_all()
-
-        workers = [
-            threading.Thread(target=work, name=f"verc3-family-{index}")
-            for index in range(self.threads)
-        ]
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join()
-        if errors:
-            raise errors[0]
 
     def _walk_range(self, radices: List[int], start: int, end: int,
                     first_new: int, report: SynthesisReport) -> None:

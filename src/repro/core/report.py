@@ -87,16 +87,6 @@ class SynthesisReport:
     #: were asked to use the fixed-layout encoding (systems without a
     #: codec spec fall back to the object path silently)
     packed: bool = False
-    #: family-based synthesis (see repro.core.family): whether the run
-    #: scheduled hole families instead of flat candidates, how many
-    #: family quotients were model checked, how many ambiguous families
-    #: split, the deepest split chain, and how many per-candidate checks
-    #: the family verdicts avoided
-    family: bool = False
-    family_checked: int = 0
-    family_splits: int = 0
-    family_max_split_depth: int = 0
-    family_candidates_avoided: int = 0
     #: largest visited-state count of any single candidate run — the
     #: run's memory high-water mark (surfaced in the matrix journal)
     peak_states: int = 0
@@ -200,13 +190,6 @@ class SynthesisReport:
         ]
         if self.packed:
             lines.insert(-1, "packed kernel:     on")
-        if self.family:
-            lines.insert(
-                -1,
-                f"family synthesis:  {self.family_checked:,} quotients checked, "
-                f"{self.family_splits:,} splits (depth {self.family_max_split_depth}), "
-                f"{self.family_candidates_avoided:,} checks avoided",
-            )
         if self.store_enabled:
             lines.insert(
                 -1,

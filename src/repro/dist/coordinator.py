@@ -12,8 +12,7 @@ Design points:
 
 * **Work stealing beats static splitting.**  Each pass is cut into
   roughly ``workers x batches_per_worker`` shard-aligned ranges
-  (:func:`repro.core.family.plan_family_shards` is the shard unit in both
-  1-by-1 and family mode) and the batches go on **one shared task queue**
+  (:func:`plan_shard_batches`) and the batches go on **one shared task queue**
   every worker pulls from; a worker that drew cheap (heavily pruned)
   ranges immediately steals the next pending batch instead of idling
   behind a fixed assignment (the thread backend's static split suffers
@@ -59,6 +58,7 @@ import os
 import queue as queue_module
 import time
 from collections import deque
+from math import prod
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.engine import (
@@ -70,7 +70,6 @@ from repro.core.engine import (
     _StopSynthesis,
     resolve_telemetry,
 )
-from repro.core.family import plan_family_shards
 from repro.core.pruning import PruningPattern
 from repro.core.report import SynthesisReport
 from repro.dist.messages import (
@@ -122,31 +121,27 @@ def plan_shard_batches(
 ) -> List[Tuple[int, int]]:
     """Cut the candidate index space into *shard-aligned* dispatch batches.
 
-    Family shards (:func:`repro.core.family.plan_family_shards`) are
-    contiguous ascending blocks of the lexicographic candidate order, so
-    projecting them onto index ranges and coalescing consecutive ranges
-    up to the :func:`plan_batches` size floor yields batches with the
-    same count/size guarantees whose boundaries also respect shard
-    boundaries — the shard unit is then identical between 1-by-1 and
-    family passes, and a future shard-granular scheduler can reuse the
-    plan unchanged.
+    A shard fixes the leading holes and spans every completion of the
+    rest: a contiguous block of ``prod(radices[k:])`` indices in the
+    lexicographic candidate order.  ``k`` is the first position at which
+    the leading product reaches ``workers x batches_per_worker`` (or the
+    end, when the space is too small).  Consecutive shards coalesce up to
+    the :func:`plan_batches` size floor, so batches keep its count/size
+    guarantees and their boundaries fall on shared-prefix subtrees.
     """
     target = max(1, workers * batches_per_worker)
-    shards = plan_family_shards(radices, target)
-    total = sum(shard.size for shard in shards)
+    shards = 1
+    position = 0
+    while shards < target and position < len(radices):
+        shards *= radices[position]
+        position += 1
+    shard_size = prod(radices[position:])
+    total = shards * shard_size
     if total <= 0:
         return []
     floor = max(min_batch_size, -(-total // target))
-    batches: List[Tuple[int, int]] = []
-    start = position = 0
-    for shard in shards:
-        position += shard.size
-        if position - start >= floor:
-            batches.append((start, position))
-            start = position
-    if position > start:
-        batches.append((start, position))
-    return batches
+    step = shard_size * max(1, -(-floor // shard_size))
+    return [(start, min(start + step, total)) for start in range(0, total, step)]
 
 
 class DistributedSynthesisEngine:
@@ -372,27 +367,10 @@ class DistributedSynthesisEngine:
         core = self.core
         config = self.config
         radices = [hole.arity for hole in holes]
-        family_mode = config.family_active
-        if family_mode:
-            # The shared worklist cannot cross process boundaries, so the
-            # root family is pre-split into deterministic shards and each
-            # batch covers a contiguous slice of the shard list (workers
-            # run a local worklist per shard).  Shards are uneven in cost
-            # by construction, which is exactly what work-stealing-style
-            # batch dispatch is for — hence min_batch_size=1.
-            shards = plan_family_shards(
-                radices, max(1, self.workers * self.batches_per_worker)
-            )
-            total = len(shards)
-            batches = plan_batches(
-                total, self.workers, self.batches_per_worker, min_batch_size=1
-            )
-        else:
-            shards = ()
-            batches = plan_shard_batches(
-                radices, self.workers, self.batches_per_worker,
-                self.min_batch_size,
-            )
+        batches = plan_shard_batches(
+            radices, self.workers, self.batches_per_worker,
+            self.min_batch_size,
+        )
         self._ensure_workers()
 
         pass_start = PassStart(
@@ -403,8 +381,6 @@ class DistributedSynthesisEngine:
             success_patterns=core.success_table.constraints_since(),
             explorer=config.explorer,
             packed=config.packed,
-            family=family_mode,
-            family_shards=tuple(shard.to_wire() for shard in shards),
         )
         # PassStart goes on the control queues *before* any task enters
         # the shared queue: each control queue is FIFO, so a worker that
@@ -572,11 +548,6 @@ class DistributedSynthesisEngine:
             core.peak_states = result.peak_states
         core.store_hits += result.store_hits
         core.store_writes += result.store_writes
-        core.family_checked += result.family_checked
-        core.family_splits += result.family_splits
-        core.family_candidates_avoided += result.family_candidates_avoided
-        if result.family_max_split_depth > core.family_max_split_depth:
-            core.family_max_split_depth = result.family_max_split_depth
         if (
             result.metrics
             and core.telemetry.enabled

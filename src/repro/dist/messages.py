@@ -43,7 +43,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.hole import Hole
 from repro.core.action import Action
-from repro.core.family import WireFamily
 from repro.dist.wire import WireSolution
 from repro.mc.system import TransitionSystem
 from repro.protocols.catalog import build_skeleton
@@ -132,15 +131,6 @@ class PassStart:
     #: and prefix checkpoints are mode-specific, so workers refuse to run
     #: the other mode rather than silently mixing them.
     packed: bool = True
-    #: whether this pass runs family-based synthesis.  Another tripwire:
-    #: a worker walking candidate indices while the coordinator planned
-    #: family shards (or vice versa) would misread every BatchTask range.
-    family: bool = False
-    #: the pass's pre-split family shards (wire form, see
-    #: :func:`repro.core.family.plan_family_shards`); batch start/end
-    #: index into this tuple instead of the candidate index space.
-    #: Empty unless ``family`` is set.
-    family_shards: Tuple[WireFamily, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -213,13 +203,6 @@ class BatchResult:
     #: largest single-run visited-state count seen by this worker so far
     #: (merged by max on the coordinator — a high-water mark, not a delta)
     peak_states: int = 0
-    #: family-mode deltas: quotients checked, ambiguous splits, and
-    #: per-candidate checks avoided in this batch; the split depth is a
-    #: high-water mark like ``peak_states`` (all 0 in 1-by-1 passes)
-    family_checked: int = 0
-    family_splits: int = 0
-    family_max_split_depth: int = 0
-    family_candidates_avoided: int = 0
     #: per-batch metrics-registry delta (``repro.obs.metrics.diff_snapshots``
     #: output; empty dict when the worker runs without telemetry) — the
     #: coordinator folds it into its own registry, so aggregated metrics

@@ -6,8 +6,6 @@ process boundary:
 
 * pruning patterns already travel as ``((position, action_index), ...)``
   constraint tuples;
-* family shards travel as option-subset tuples
-  (:data:`repro.core.family.WireFamily`);
 * solutions travel as :class:`WireSolution` — hole-digit tuples plus the
   scalar counters; the coordinator re-derives the human-readable
   assignment from its canonical hole snapshot at the pass boundary

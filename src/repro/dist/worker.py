@@ -30,17 +30,13 @@ from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 from repro.core.engine import (
-    FAIL_TAG,
-    SUCCESS_TAG,
     PrefixCache,
     SynthesisConfig,
     SynthesisCore,
-    _FamilyPassCounters,
     _PassWalker,
     _StopSynthesis,
 )
 from repro.core.discovery import HoleRegistry
-from repro.core.family import HoleFamily, WireFamily
 from repro.core.hole import Hole
 from repro.core.pruning import PruningPattern
 from repro.dist.messages import (
@@ -154,8 +150,6 @@ class BatchRunner:
         self.pass_index = -1
         self._radices: Tuple[int, ...] = ()
         self._first_new = 0
-        self._family = False
-        self._family_shards: Tuple[WireFamily, ...] = ()
         # One prefix cache for the worker's lifetime: checkpoints stay
         # valid across passes (and their pass-local cores) because the
         # canonical hole order only appends and the rebuilt system — hole
@@ -180,13 +174,6 @@ class BatchRunner:
                 f"mixed kernel modes would make solution fingerprints "
                 f"and prefix checkpoints incomparable"
             )
-        if msg.family != self._config.family_active:
-            raise SynthesisError(
-                f"coordinator plans the pass with family={msg.family} but "
-                f"this worker resolves it to "
-                f"{self._config.family_active} — batch ranges would index "
-                f"the wrong space (family shards vs candidate indices)"
-            )
         core = SynthesisCore(
             self.system,
             replace(self._config),
@@ -203,8 +190,6 @@ class BatchRunner:
         self.pass_index = msg.pass_index
         self._radices = tuple(spec.arity for spec in msg.hole_specs)
         self._first_new = msg.first_new
-        self._family = msg.family
-        self._family_shards = msg.family_shards
 
     def apply_patterns(self, msg: PatternUpdate) -> None:
         """Fold a mid-pass pattern broadcast into the pass tables.
@@ -244,9 +229,6 @@ class BatchRunner:
         )
         store_hits_seen = core.store_hits
         store_writes_seen = core.store_writes
-        family_checked_seen = core.family_checked
-        family_splits_seen = core.family_splits
-        family_avoided_seen = core.family_candidates_avoided
         if task.eval_budget is not None:
             core.config.max_evaluations = core.evaluated + task.eval_budget
         else:
@@ -258,12 +240,7 @@ class BatchRunner:
             if tele.enabled and tele.metrics is not None
             else None
         )
-        walker = (
-            None
-            if self._family
-            else _PassWalker(core, self._radices, task.start, task.end)
-        )
-        family_counters = _FamilyPassCounters()
+        walker = _PassWalker(core, self._radices, task.start, task.end)
         budget_exhausted = False
         span = (
             tele.span("batch", batch=task.batch_id,
@@ -274,11 +251,8 @@ class BatchRunner:
         try:
             if span is not None:
                 span.__enter__()
-            if walker is None:
-                self._walk_family_shards(task, family_counters)
-            else:
-                for digits in walker.enumerator:
-                    core.process_candidate(walker, digits, self._first_new)
+            for digits in walker.enumerator:
+                core.process_candidate(walker, digits, self._first_new)
         except _StopSynthesis:
             budget_exhausted = core.stopped_early and not core.inherent_failure
             core.stopped_early = False
@@ -298,24 +272,15 @@ class BatchRunner:
             if core.prefix_cache is not None
             else (0, 0, 0)
         )
-        if walker is None:
-            covered = family_counters.covered
-            skipped = {
-                FAIL_TAG: family_counters.pruned,
-                SUCCESS_TAG: family_counters.skipped,
-            }
-        else:
-            covered = walker.counters.covered
-            skipped = dict(walker.counters.skipped)
         return BatchResult(
             worker_id=self.worker_id,
             batch_id=task.batch_id,
             start=task.start,
             end=task.end,
-            covered=covered,
+            covered=walker.counters.covered,
             evaluated=core.evaluated - evaluated_seen,
             deduplicated=core.deduplicated - deduplicated_seen,
-            skipped=skipped,
+            skipped=dict(walker.counters.skipped),
             verdict_counts={
                 verdict: count - verdicts_seen.get(verdict, 0)
                 for verdict, count in core.verdict_counts.items()
@@ -336,12 +301,6 @@ class BatchRunner:
             prefix_cache_builds=prefix_now[1] - prefix_seen[1],
             prefix_states_reused=prefix_now[2] - prefix_seen[2],
             peak_states=core.peak_states,
-            family_checked=core.family_checked - family_checked_seen,
-            family_splits=core.family_splits - family_splits_seen,
-            family_max_split_depth=core.family_max_split_depth,
-            family_candidates_avoided=(
-                core.family_candidates_avoided - family_avoided_seen
-            ),
             metrics=metrics_delta,
             store_hits=core.store_hits - store_hits_seen,
             store_writes=core.store_writes - store_writes_seen,
@@ -349,25 +308,6 @@ class BatchRunner:
             inherent_failure=core.inherent_failure,
             inherent_failure_message=core.inherent_failure_message,
         )
-
-
-    def _walk_family_shards(
-        self, task: BatchTask, counters: _FamilyPassCounters
-    ) -> None:
-        """Drain the batch's slice of the pass's family shards.
-
-        Each shard runs as its own LIFO worklist (children never escape
-        the batch, so checkpoints ride locally exactly as in the
-        sequential scheduler); shards are processed in slice order to
-        keep per-batch run indices deterministic.
-        """
-        core = self.core
-        for wire in self._family_shards[task.start:task.end]:
-            worklist = [(HoleFamily.from_wire(wire), None, 0)]
-            while worklist:
-                family, resume, depth = worklist.pop()
-                children = core.process_family(family, resume, depth, counters)
-                worklist.extend(reversed(children))
 
     def close(self) -> None:
         """Release the runner's lifetime resources (the verdict store)."""

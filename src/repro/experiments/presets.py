@@ -99,12 +99,6 @@ def smoke_preset() -> MatrixSpec:
             "include": [
                 {"mode": "verify", "target": name, "timeout_seconds": 120}
                 for name in ("mutex", "vi", "msi", "mesi", "moesi", "german")
-            ]
-            + [
-                # family-based synthesis smoke: one cell so the family
-                # scheduler's quotient/split path runs in CI
-                {"target": "msi-tiny", "family": True,
-                 "timeout_seconds": 300},
             ],
         }
     )

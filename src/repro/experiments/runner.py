@@ -62,7 +62,6 @@ def _synthesis_config(cell: CellSpec) -> SynthesisConfig:
         generalise_conflicts=cell.generalise,
         prefix_reuse=cell.prefix_reuse,
         packed=cell.packed,
-        family=cell.family,
         solution_limit=cell.solution_limit,
         max_evaluations=cell.max_evaluations,
         explorer=cell.explorer,
@@ -98,10 +97,6 @@ def _run_synth_cell(cell: CellSpec, telemetry=None) -> Dict[str, Any]:
         "solution_set": [list(map(list, assignment)) for assignment in solutions],
         "seconds": round(report.elapsed_seconds, 4),
         "peak_states": report.peak_states,
-        "family_checked": report.family_checked if report.family else None,
-        "family_avoided": (
-            report.family_candidates_avoided if report.family else None
-        ),
         "store_hits": report.store_hits if report.store_enabled else None,
         "model_checks": report.model_checks if report.store_enabled else None,
         "ok": bool(report.solutions),

@@ -63,7 +63,6 @@ class CellSpec:
     generalise: bool = True
     prefix_reuse: bool = True
     packed: bool = True
-    family: bool = False
     evictions: bool = False
     symmetry: bool = True
     solution_limit: Optional[int] = None
@@ -89,7 +88,6 @@ _FLAG_TAGS = (
     ("generalise", False, "nogen"),
     ("prefix_reuse", False, "noreuse"),
     ("packed", False, "nopacked"),
-    ("family", True, "family"),
     ("evictions", True, "evict"),
     ("symmetry", False, "nosym"),
 )
@@ -162,7 +160,7 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
                 f"available: {', '.join(sorted(SKELETON_CATALOG))}"
             )
     for flag in ("pruning", "generalise", "prefix_reuse", "packed",
-                 "family", "evictions", "symmetry"):
+                 "evictions", "symmetry"):
         if not isinstance(getattr(cell, flag), bool):
             raise ExperimentError(
                 f"cell {cell.id!r}: {flag} must be a bool, "

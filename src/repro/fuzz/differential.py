@@ -1,7 +1,7 @@
 """The differential oracle: one spec against the configuration lattice.
 
 Every generated protocol is pushed through a lattice of configurations —
-{packed, symmetry, prefix reuse, generalise, family} x {bfs, dfs} x
+{packed, symmetry, prefix reuse, generalise} x {bfs, dfs} x
 {sequential, threads, processes} — and the runs are compared against each
 other under the *promises each mode actually makes*:
 
@@ -92,7 +92,6 @@ class SynthLatticeConfig:
     symmetry: bool = True
     prefix_reuse: bool = True
     generalise: bool = True
-    family: bool = False
     store: str = ""
 
     @property
@@ -101,17 +100,14 @@ class SynthLatticeConfig:
 
         Only the packed and prefix-reuse toggles promise this: a
         different explorer or backend changes hole-discovery and
-        pattern-arrival order, disabling generalisation changes the
-        patterns themselves, and family mode checks quotients rather
-        than candidates (its promise is the solution *set*, pinned
-        unconditionally below, never the run count).
+        pattern-arrival order, and disabling generalisation changes the
+        patterns themselves.
         """
         return (
             self.backend == "sequential"
             and self.explorer == "bfs"
             and self.symmetry
             and self.generalise
-            and not self.family
         )
 
     @property
@@ -171,19 +167,6 @@ def ablation_lattice() -> Lattice:
             ),
             SynthLatticeConfig(
                 "processes-dfs", backend="processes", explorer="dfs"
-            ),
-            # Family-based synthesis: the scheduler promises the exact
-            # solution set (and per-solution fingerprints) of the 1-by-1
-            # enumeration, alone and composed with every acceleration
-            # toggle and backend.
-            SynthLatticeConfig("family", family=True),
-            SynthLatticeConfig(
-                "family-nopacked", family=True, packed=False
-            ),
-            SynthLatticeConfig("family-nosym", family=True, symmetry=False),
-            SynthLatticeConfig("family-threads", family=True, backend="threads"),
-            SynthLatticeConfig(
-                "family-processes", family=True, backend="processes"
             ),
             # The verdict store: a cold recording run must behave
             # exactly like the reference, and the same-tag run after it
@@ -245,7 +228,6 @@ def tier1_lattice() -> Lattice:
             SynthLatticeConfig("nopacked", packed=False),
             SynthLatticeConfig("dfs", explorer="dfs"),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
-            SynthLatticeConfig("family", family=True),
         ),
     )
 
@@ -734,7 +716,6 @@ class DifferentialRunner:
             packed=sc.packed,
             prefix_reuse=sc.prefix_reuse,
             generalise_conflicts=sc.generalise,
-            family=sc.family,
             compute_fingerprints=True,
             max_evaluations=self.max_evaluations,
             store_path=(

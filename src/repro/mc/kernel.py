@@ -123,12 +123,6 @@ class ExplorationCheckpoint:
             a cross-mode resume.  The prefix cache and all three backends
             keep runtime and checkpoints within one process, so this
             never crosses a process boundary.
-        family: whether the producing run was a family-mode quotient
-            exploration (:mod:`repro.core.family`).  Family checkpoints
-            chain along family splits (parent quotient -> child quotient),
-            while 1-by-1 checkpoints chain along candidate digit prefixes;
-            the two chains interleave holes differently, so :meth:`run`
-            refuses a cross-mode resume like it does for packing.
     """
 
     visited: Dict[Any, int]
@@ -143,7 +137,6 @@ class ExplorationCheckpoint:
     executed_holes: frozenset
     hole_paths: Optional[Tuple[frozenset, ...]] = None
     packed: bool = False
-    family: bool = False
 
 
 class FrontierStrategy:
@@ -240,12 +233,6 @@ class ExplorationKernel:
             codec.  Defaults to off at this layer — the engine/CLI layers
             default it on — so direct kernel users (and the orbit-cache
             counters their tests pin) are unaffected.
-        family: tag this run (and any checkpoint it collects) as a
-            family-mode quotient exploration.  Purely a provenance/tripwire
-            flag at this layer: exploration semantics are unchanged, but a
-            checkpoint collected here can only seed another family-mode
-            run, and ``resume_from`` refuses a checkpoint from the other
-            mode (see :class:`ExplorationCheckpoint`).
     """
 
     def __init__(
@@ -261,9 +248,7 @@ class ExplorationKernel:
         collect_checkpoint: bool = False,
         telemetry: Any = None,
         packed: bool = False,
-        family: bool = False,
     ) -> None:
-        self.family = family
         if isinstance(strategy, str):
             try:
                 strategy = EXPLORER_STRATEGIES[strategy]()
@@ -350,24 +335,11 @@ class ExplorationKernel:
                     "packed" if self.resume_from.packed else "object",
                 )
             )
-        if self.resume_from is not None and self.resume_from.family != self.family:
-            raise ModelError(
-                "cannot resume a {}-mode exploration from a {}-mode "
-                "checkpoint; family-based and 1-by-1 synthesis chain their "
-                "checkpoints differently".format(
-                    "family" if self.family else "candidate",
-                    "family" if self.resume_from.family else "candidate",
-                )
-            )
         parents: List[Optional[Tuple[int, str]]] = []
         originals: List[Any] = []
         hole_paths: List[frozenset] = []
         pending_coverage = list(system.coverage)
         cut_states: List[Tuple[int, int]] = []
-        #: hole name -> shallowest depth at which it wildcard-cut a firing
-        #: (feeds VerificationResult.cut_holes; the family scheduler's
-        #: earliest-cut split heuristic reads it)
-        cut_hole_depths: Dict[str, int] = {}
 
         states_visited = 0
         transitions = 0
@@ -537,9 +509,6 @@ class ExplorationKernel:
                 prefix_states_reused=states_reused,
             )
 
-        def cut_holes_view() -> Tuple[Tuple[str, int], ...]:
-            return tuple(sorted(cut_hole_depths.items()))
-
         def failure(kind: FailureKind, message: str, sid: int,
                     extra_holes: frozenset = frozenset()) -> VerificationResult:
             relevant: Optional[frozenset] = None
@@ -554,7 +523,6 @@ class ExplorationKernel:
                 wildcard_encountered=ctx.run_wildcard_encountered,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 failure_holes=relevant,
-                cut_holes=cut_holes_view(),
             )
 
         if resume is not None:
@@ -641,13 +609,9 @@ class ExplorationKernel:
                         successors = rt.fire(state, index, ctx)
                     else:
                         successors = rule.fire(state, ctx)
-                except WildcardEncountered as cut:
+                except WildcardEncountered:
                     cut_here = True
                     wildcard_cuts += 1
-                    name = cut.hole_name
-                    known_depth = cut_hole_depths.get(name)
-                    if known_depth is None or depth < known_depth:
-                        cut_hole_depths[name] = depth
                     continue
                 if self.track_hole_paths:
                     holes_at_state |= ctx.firing_executed_holes
@@ -713,7 +677,6 @@ class ExplorationKernel:
                 executed_holes=frozenset(ctx.run_executed_holes),
                 hole_paths=tuple(hole_paths) if self.track_hole_paths else None,
                 packed=packed,
-                family=self.family,
             )
             if instrumented:
                 checkpoint_acc[0] += clock() - checkpoint_begin
@@ -732,7 +695,6 @@ class ExplorationKernel:
                     frozenset(ctx.run_executed_holes) if self.track_hole_paths else None
                 ),
                 unmet_coverage=unmet,
-                cut_holes=cut_holes_view(),
             )
         if ctx.run_wildcard_encountered or truncated:
             return VerificationResult(
@@ -742,7 +704,6 @@ class ExplorationKernel:
                 wildcard_encountered=ctx.run_wildcard_encountered,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 unmet_coverage=unmet,
-                cut_holes=cut_holes_view(),
             )
         return VerificationResult(
             verdict=Verdict.SUCCESS,
@@ -786,7 +747,6 @@ def make_explorer(
     collect_checkpoint: bool = False,
     telemetry: Any = None,
     packed: bool = False,
-    family: bool = False,
 ) -> ExplorationKernel:
     """Build a kernel for a registered strategy name (``bfs``/``dfs``).
 
@@ -807,5 +767,4 @@ def make_explorer(
         collect_checkpoint=collect_checkpoint,
         telemetry=telemetry,
         packed=packed,
-        family=family,
     )

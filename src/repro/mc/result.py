@@ -104,11 +104,6 @@ class VerificationResult:
             the explorer was asked to track hole paths; the refined pruning
             mode uses it.
         unmet_coverage: names of coverage properties never satisfied.
-        cut_holes: ``(hole_name, depth)`` pairs, sorted by name, recording
-            the shallowest depth at which each wildcard hole cut an
-            execution branch during this run.  Empty on wildcard-free runs.
-            Family-based synthesis uses the earliest (minimum-depth) cut to
-            pick the hole an ambiguous family should split on.
         stored_pattern: the generalised failure pattern already computed
             for this run — either replayed from the verdict store or
             computed once when recording to it.  ``None`` means "not
@@ -126,7 +121,6 @@ class VerificationResult:
     executed_holes: FrozenSet[Any] = frozenset()
     failure_holes: Optional[FrozenSet[Any]] = None
     unmet_coverage: Tuple[str, ...] = ()
-    cut_holes: Tuple[Tuple[str, int], ...] = ()
     stored_pattern: Optional[Tuple[Tuple[int, int], ...]] = None
 
     @property

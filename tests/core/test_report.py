@@ -95,5 +95,14 @@ class TestSummary:
         row = make_report(pruning=False).table_row("cfg")
         assert row["Pruning Patterns"] is None
 
+    def test_summary_and_row_have_no_family_fields(self):
+        # Family synthesis was removed: no report field, summary line or
+        # Table I column may mention it.
+        report = make_report()
+        report.evaluated = 3
+        assert not any(name.startswith("family") for name in vars(report))
+        assert "family" not in report.summary()
+        assert not any("family" in key.lower() for key in report.table_row("cfg"))
+
     def test_hole_count(self):
         assert make_report().hole_count == 2

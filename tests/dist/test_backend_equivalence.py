@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.core.parallel import ParallelSynthesisEngine
-from repro.dist import DistributedSynthesisEngine, SystemSpec
+from repro.dist import DistributedSynthesisEngine, SystemSpec, coordinator
 from repro.errors import SynthesisError
 from repro.protocols.catalog import build_skeleton
 
@@ -106,6 +106,31 @@ class TestNaiveEquivalence:
 
 
 class TestDistributedSpecifics:
+    @pytest.mark.parametrize("name", ["figure2", "mutex", "vi", "msi-tiny"])
+    def test_every_planned_range_is_merged_once(self, name, monkeypatch):
+        """Each pass dispatches exactly the shard-aligned plan: every
+        batch of ``plan_shard_batches`` comes back and merges once."""
+        planned, merged = [], []
+
+        def plan(*args, **kwargs):
+            batches = plan_shard_batches(*args, **kwargs)
+            planned.append(batches)
+            merged.append([])
+            return batches
+
+        def merge(self, report, result, holes):
+            merged[-1].append((result.start, result.end))
+            return merge_batch(self, report, result, holes)
+
+        plan_shard_batches = coordinator.plan_shard_batches
+        merge_batch = DistributedSynthesisEngine._merge_batch
+        monkeypatch.setattr(coordinator, "plan_shard_batches", plan)
+        monkeypatch.setattr(DistributedSynthesisEngine, "_merge_batch", merge)
+        report = DistributedSynthesisEngine(SystemSpec(name), workers=2).run()
+        assert report.solutions
+        assert len(planned) == report.passes
+        assert [sorted(ranges) for ranges in merged] == planned
+
     def test_many_small_batches_still_agree(self):
         sequential = SynthesisEngine(build_skeleton("msi-tiny")).run()
         report = DistributedSynthesisEngine(

@@ -119,6 +119,8 @@ class TestSpecParsing:
             make_cell({"target": "figure2", "flavour": "spicy"})
         with pytest.raises(ExperimentError, match=r"unknown cell field.*'por'"):
             make_cell({"target": "moesi", "mode": "verify", "por": True})
+        with pytest.raises(ExperimentError, match=r"unknown cell field.*'family'"):
+            make_cell({"target": "msi-tiny", "family": True})
 
     def test_unknown_targets_rejected(self):
         with pytest.raises(ExperimentError, match="unknown skeleton"):
@@ -488,6 +490,7 @@ class TestPresets:
         targets = {cell.target for cell in smoke}
         # The smoke matrix covers the new workloads in both modes.
         assert {"moesi-small", "german-small", "moesi", "german"} <= targets
+        assert len({cell.id for cell in smoke}) == len(smoke) == 13
 
     def test_rows_carry_timing_and_peak_states(self, tmp_path):
         out = tmp_path / "out"

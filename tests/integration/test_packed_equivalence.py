@@ -11,8 +11,8 @@ packed on and off must produce
   counterexample trace *replayable* — packed traces are decoded back to
   real states, so each step must be a real firing of the named rule;
 * identical synthesis solution sets and per-candidate verdicts, under
-  every other acceleration toggle (prefix reuse off, naive mode, family
-  mode, DFS) and on the thread and process backends;
+  every other acceleration toggle (prefix reuse off, naive mode, DFS)
+  and on the thread and process backends;
 * bit-identical solution fingerprints (packed explorers decode and
   re-canonicalise their visited sets before fingerprinting).
 """
@@ -196,7 +196,6 @@ def test_synthesis_backends_match_when_packed(name):
     dict(prefix_reuse=False),
     dict(pruning=False),
     dict(naive_match=True),
-    dict(family=True),
     dict(explorer="dfs"),
 ])
 def test_synthesis_flag_combinations_match(flags):

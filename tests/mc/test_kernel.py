@@ -313,6 +313,18 @@ class TestCheckpointResume:
                 resume_from=producer.checkpoint,
             ).run()
 
+    def test_checkpoints_carry_no_synthesis_mode_tag(self):
+        # Family synthesis was removed, and with it the checkpoint's mode
+        # tag: only the packing tag still gates a resume.
+        from dataclasses import fields
+
+        from repro.mc.kernel import ExplorationCheckpoint
+
+        names = {field.name for field in fields(ExplorationCheckpoint)}
+        assert "packed" in names and "family" not in names
+        with pytest.raises(TypeError, match="family"):
+            ExplorationKernel(counter_system(), family=True)
+
 
 #: complete, bug-free catalog systems: every run explores its whole
 #: reachable set and succeeds

