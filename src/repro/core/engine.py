@@ -55,7 +55,13 @@ from repro.mc.kernel import (
 from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.store import StoredRun, VerdictStore, flags_signature, system_signature
+from repro.store import (
+    StoredRun,
+    VerdictStore,
+    candidate_key,
+    flags_signature,
+    system_signature,
+)
 from repro.store.store import merge_assignment
 from repro.util.timing import Stopwatch
 
@@ -610,14 +616,16 @@ class SynthesisCore:
 
     def _evaluate_inner(self, vector: CandidateVector) -> Tuple[VerificationResult, ExplorationKernel]:
         concrete = not any(entry is WILDCARD for entry in vector.entries)
-        assignment = None
+        key = None
         holes_before: Optional[Tuple[Hole, ...]] = None
         if self.store is not None and concrete:
             holes_before = self.registry.holes
-            assignment = merge_assignment(holes_before, vector.entries)
-            stored = self.store.lookup(
-                self._system_sig, self._flags_sig, assignment
+            key = candidate_key(
+                self._system_sig,
+                self._flags_sig,
+                merge_assignment(holes_before, vector.entries),
             )
+            stored = self.store.lookup(key)
             if stored is not None and self._stored_run_usable(stored):
                 self.store_hits += 1
                 return self._replay_stored_run(stored)
@@ -649,9 +657,9 @@ class SynthesisCore:
             cache.store((), explorer.checkpoint)
         if resume is not None:
             cache.note_hit(result.stats.prefix_states_reused)
-        if assignment is not None and not self.store_readonly:
+        if key is not None and not self.store_readonly:
             result = self._record_stored_run(
-                assignment, holes_before, vector.entries, result, explorer
+                key, holes_before, vector.entries, result, explorer
             )
         return result, explorer
 
@@ -719,7 +727,7 @@ class SynthesisCore:
 
     def _record_stored_run(
         self,
-        assignment: Tuple[Tuple[str, int], ...],
+        key: str,
         holes_before: Tuple[Hole, ...],
         digits: Tuple[int, ...],
         result: VerificationResult,
@@ -756,7 +764,9 @@ class SynthesisCore:
                 else None
             ),
             message=result.message,
-            stats=dataclasses.asdict(result.stats),
+            stats={
+                name: getattr(result.stats, name) for name in _RUN_STATS_FIELDS
+            },
             wildcard_encountered=result.wildcard_encountered,
             executed=tuple(
                 sorted(hole.name for hole in result.executed_holes)
@@ -766,7 +776,7 @@ class SynthesisCore:
             pattern=pattern_constraints,
             new_holes=new_holes,
         )
-        self.store.record(self._system_sig, self._flags_sig, assignment, stored)
+        self.store.record(key, stored)
         self.store_writes += 1
         return result
 

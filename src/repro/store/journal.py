@@ -34,8 +34,13 @@ class VerdictJournal:
 
     # ------------------------------------------------------------------ write
 
-    def append(self, record: dict) -> int:
-        """Append one record; returns the journal size after the append."""
+    def append(self, record: dict) -> Tuple[int, int]:
+        """Append one record; returns its ``(start, end)`` byte offsets.
+
+        Both are read under the lock, so ``start`` equals the journal size
+        just before this append (after any torn-tail repair): a caller that
+        knew that size can tell no other writer appended in between.
+        """
 
         if self._handle is None:
             raise ValueError("journal is closed")
@@ -48,7 +53,8 @@ class VerdictJournal:
             handle.seek(0, os.SEEK_END)
             handle.write(data)
             handle.flush()
-            return handle.tell()
+            end = handle.tell()
+            return end - len(data), end
         finally:
             self._unlock(handle)
 
@@ -83,8 +89,10 @@ class VerdictJournal:
         except OSError:
             return 0
 
-    def replay(self, offset: int = 0) -> Iterator[Tuple[int, dict]]:
-        """Yield ``(end_offset, record)`` for each intact record past *offset*.
+    def replay(self, offset: int = 0) -> Iterator[Tuple[int, str, dict]]:
+        """Yield ``(end_offset, line, record)`` for each intact record past *offset*.
+
+        ``line`` is the record's text as stored, without its newline.
 
         A torn trailing line (no newline terminator yet) is left alone — its
         offset is not consumed, so a later replay picks it up once the
@@ -108,11 +116,12 @@ class VerdictJournal:
                 if not stripped:
                     continue
                 try:
-                    record = json.loads(stripped.decode("utf-8"))
+                    line = stripped.decode("utf-8")
+                    record = json.loads(line)
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue  # repaired torn line: consume and ignore
                 if isinstance(record, dict):
-                    yield position, record
+                    yield position, line, record
 
     # ---------------------------------------------------------------- cleanup
 

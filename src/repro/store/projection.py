@@ -77,12 +77,14 @@ class SqliteProjection:
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             offset = self.applied_offset()
-            for end_offset, record in journal.replay(offset):
+            for end_offset, line, record in journal.replay(offset):
                 key = record.get("key")
                 if isinstance(key, str):
+                    # The journal writes canonical JSON (sorted keys, compact
+                    # separators), so its line is stored as read.
                     self._conn.execute(
                         "INSERT OR REPLACE INTO verdicts (key, record) VALUES (?, ?)",
-                        (key, json.dumps(record, sort_keys=True, separators=(",", ":"))),
+                        (key, line),
                     )
                     applied += 1
                 offset = end_offset

@@ -3,12 +3,12 @@
 ``VerdictStore`` combines the append-only journal (source of truth) and
 the SQLite projection (fast lookup) behind two operations:
 
-* ``lookup(system_sig, flags_sig, assignment)`` — O(1) check whether an
-  identically-configured run already verified this candidate.
-* ``record(system_sig, flags_sig, assignment, run)`` — durably append
-  the outcome of one model-checker run.
+* ``lookup(key)`` — O(1) check whether an identically-configured run
+  already verified this candidate.
+* ``record(key, run)`` — durably append the outcome of one model-checker
+  run.
 
-Keys are content hashes over three components:
+Keys (:func:`candidate_key`) are content hashes over three components:
 
 * **system signature** — protocol name plus the structural surface of
   the built transition system (rule/invariant/coverage names, initial
@@ -39,6 +39,7 @@ import os
 import sqlite3
 import threading
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.store.journal import VerdictJournal
@@ -108,12 +109,23 @@ def flags_signature(config: Any) -> str:
 
 
 def candidate_key(system_sig: str, flags_sig: str, assignment: Assignment) -> str:
-    payload = {
-        "system": system_sig,
-        "flags": flags_sig,
-        "assignment": [[name, int(digit)] for name, digit in sorted(assignment)],
-    }
-    return _digest(payload)
+    """The store key of one candidate.
+
+    Hashes exactly the text ``_digest`` produces for ``{"system":
+    system_sig, "flags": flags_sig, "assignment": [[name, digit], ...]}``
+    (sorted keys, compact separators, ASCII escapes), written out
+    directly: keys must stay byte-identical for existing stores to keep
+    hitting, and this runs once per candidate.
+    """
+
+    pairs = ",".join(
+        f"[{_json_string(name)},{int(digit)}]" for name, digit in sorted(assignment)
+    )
+    text = (
+        f'{{"assignment":[{pairs}],"flags":{_json_string(flags_sig)},'
+        f'"system":{_json_string(system_sig)}}}'
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 @dataclass
@@ -191,7 +203,10 @@ class VerdictStore:
         self._mutex = threading.Lock()
         self.journal = VerdictJournal(os.path.join(self.path, JOURNAL_NAME))
         self.projection = self._open_projection()
-        self._applied_size = 0
+        # Journal bytes whose records are projected or held in ``_recent``
+        # (this store's own appends).  Only another writer can grow the
+        # journal past it, and only then is the projection stale.
+        self._seen_size = 0
         self._recent: Dict[str, StoredRun] = {}
         with self._mutex:
             self._catch_up()
@@ -211,27 +226,30 @@ class VerdictStore:
             return SqliteProjection(projection_path)
 
     def _catch_up(self) -> None:
+        # Sized *before* the replay: a record another writer appends during
+        # it stays unseen and triggers the next catch-up, rather than being
+        # marked seen unprojected.
+        size = self.journal.size()
         try:
             self.projection.catch_up(self.journal)
         except sqlite3.Error:
             self.projection.close()
             self.projection = self._open_projection()
             self.projection.catch_up(self.journal)
-        self._applied_size = self.journal.size()
+        self._seen_size = size
 
     # ------------------------------------------------------------------- read
 
-    def lookup(
-        self, system_sig: str, flags_sig: str, assignment: Assignment
-    ) -> Optional[StoredRun]:
-        key = candidate_key(system_sig, flags_sig, assignment)
+    def lookup(self, key: str) -> Optional[StoredRun]:
+        """The stored run under *key* (see :func:`candidate_key`), if any."""
+
         hit = self._recent.get(key)
         if hit is not None:
             return hit
         with self._mutex:
-            # Another process may have appended since our last catch-up; a
-            # cheap stat tells us whether the projection could be stale.
-            if self.journal.size() > self._applied_size:
+            # Own records are answered from ``_recent``; a cheap stat tells
+            # whether another writer has appended since the last catch-up.
+            if self.journal.size() > self._seen_size:
                 self._catch_up()
             record = self.projection.get(key)
             if record is None:
@@ -241,25 +259,27 @@ class VerdictStore:
             return run
 
     def __len__(self) -> int:
+        """Distinct keys in the journal, this store's own records included."""
+
         with self._mutex:
-            if self.journal.size() > self._applied_size:
-                self._catch_up()
+            # Own records are not projected until a catch-up, so always
+            # catch up here (``len`` is off the per-candidate path).
+            self._catch_up()
             return self.projection.count()
 
     # ------------------------------------------------------------------ write
 
-    def record(
-        self,
-        system_sig: str,
-        flags_sig: str,
-        assignment: Assignment,
-        run: StoredRun,
-    ) -> None:
-        key = candidate_key(system_sig, flags_sig, assignment)
+    def record(self, key: str, run: StoredRun) -> None:
+        """Durably append *run* under *key*; returns once it is flushed."""
+
         record = {"key": key}
         record.update(run.to_record())
         with self._mutex:
-            self.journal.append(record)
+            start, end = self.journal.append(record)
+            # Appended right where this store last looked: nothing foreign
+            # in between, and the new record is answered from ``_recent``.
+            if start == self._seen_size:
+                self._seen_size = end
             self._recent[key] = run
 
     # ---------------------------------------------------------------- cleanup
