@@ -22,7 +22,12 @@ counterexample replay:
   and deadlock classification.
 * Canonicalisation is table-driven: per permutation, a precomputed
   index/value remap over the packed layout; the orbit minimum is a min
-  over remapped code vectors with **no** object reconstruction.
+  over remapped code vectors with **no** object reconstruction.  Where
+  the layout leads with a rename-free replica block under the full
+  symmetric group, only the permutations that sort that block are
+  tried (any other image is larger at its first unsorted position), and
+  candidates are compared with the best so far one position at a time,
+  so later slots' rename tables are consulted only on ties.
 
 Exactness contract (pinned by ``tests/mc/test_packed_codec.py``): for
 every mapping ``m``, ``remap(encode(s), m) == encode(permute(s, m))``.
@@ -39,6 +44,7 @@ lock on their miss paths; all other memo writes are idempotent
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -234,6 +240,18 @@ class Block:
         self.n = n
 
 
+#: a remap plan: one ``(src, table)`` pair per destination position
+#: (table None = copy verbatim)
+Plan = Tuple[Tuple[int, Optional[Any]], ...]
+
+
+def _renames(slot: Any) -> bool:
+    """Whether a slot's codes change under a permutation."""
+    if isinstance(slot, (IdSlot, IdSetSlot)):
+        return True
+    return getattr(slot, "_rename", None) is not None
+
+
 def _invert(mapping: Tuple[int, ...]) -> Tuple[int, ...]:
     inverse = [0] * len(mapping)
     for old, new in enumerate(mapping):
@@ -255,7 +273,8 @@ class StateCodec:
     """
 
     __slots__ = ("layout", "_extract", "_build", "mappings", "_slots", "_plans",
-                 "width")
+                 "_by_inverse", "_identity", "_block", "_tie_ranks", "width",
+                 "images")
 
     def __init__(
         self,
@@ -276,25 +295,55 @@ class StateCodec:
                 slots.append(entry.slot)
         self._slots = tuple(slots)
         self.width = len(slots)
-        #: per non-identity mapping: a remap plan — one ``(src, table)``
-        #: pair per destination position (table None = copy verbatim)
-        self._plans: List[Tuple[Tuple[int, Optional[Any]], ...]] = []
-        for mapping in self.mappings[1:]:
-            plan: List[Tuple[int, Optional[Any]]] = []
-            base = 0
+        #: per mapping, in group order: its remap plan
+        self._plans: List[Plan] = []
+        #: inverse mapping -> its plan (the inverse says which source
+        #: replica lands at each block position)
+        self._by_inverse: Dict[Tuple[int, ...], Plan] = {}
+        identity = tuple((pos, None) for pos in range(self.width))
+        self._identity = identity
+        for mapping in self.mappings:
             inverse = _invert(mapping)
-            for entry in self.layout:
-                if isinstance(entry, Block):
-                    table = entry.slot.table_for(mapping) if isinstance(
-                        entry.slot, (IdSlot, IdSetSlot)
-                    ) or getattr(entry.slot, "_rename", None) is not None else None
-                    for j in range(entry.n):
-                        plan.append((base + inverse[j], table))
-                    base += entry.n
-                else:
-                    plan.append((base, entry.slot.table_for(mapping)))
-                    base += 1
-            self._plans.append(tuple(plan))
+            if mapping == tuple(range(len(mapping))):
+                plan = identity
+            else:
+                plan = self._plan(mapping, inverse)
+            self._plans.append(plan)
+            self._by_inverse[inverse] = plan
+        #: width of the leading rename-free replica block when the group is
+        #: every permutation of it (0 = minimise over every plan)
+        self._block = 0
+        first = self.layout[0] if self.layout else None
+        if (
+            isinstance(first, Block)
+            and not _renames(first.slot)
+            and all(len(m) == first.n for m in self.mappings)
+            and len(self._by_inverse) == math.factorial(first.n)
+        ):
+            self._block = first.n
+        #: tie pattern of the sorted block (``ties[i]``: rank ``i + 1`` equals
+        #: rank ``i``) -> every rearrangement of ``range(block)`` that only
+        #: permutes tied ranks (filled on first use; racing fills agree)
+        self._tie_ranks: Dict[Tuple[bool, ...], List[Tuple[int, ...]]] = {}
+        #: candidate images compared by :meth:`canonical_codes`; reported
+        #: as ``pack_canon_images`` by :meth:`PackedRuntime.counters`
+        self.images = 0
+
+    def _plan(self, mapping: Tuple[int, ...], inverse: Tuple[int, ...]) -> Plan:
+        plan: List[Tuple[int, Optional[Any]]] = []
+        base = 0
+        for entry in self.layout:
+            if isinstance(entry, Block):
+                table = None
+                if _renames(entry.slot):
+                    table = entry.slot.table_for(mapping)
+                for j in range(entry.n):
+                    plan.append((base + inverse[j], table))
+                base += entry.n
+            else:
+                plan.append((base, entry.slot.table_for(mapping)))
+                base += 1
+        return tuple(plan)
 
     def encode(self, state: Any) -> Tuple[int, ...]:
         values = self._extract(state)
@@ -307,28 +356,74 @@ class StateCodec:
             tuple(slot.decode(code) for slot, code in zip(self._slots, codes))
         )
 
-    def canonical_codes(self, codes: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The lexicographic minimum of the orbit, via remap plans only."""
-        best = codes
-        for plan in self._plans:
-            candidate = tuple(
-                codes[src] if table is None else table[codes[src]]
-                for src, table in plan
-            )
-            if candidate < best:
-                best = candidate
-        return best
-
-    def remap(self, codes: Tuple[int, ...], mapping: Tuple[int, ...]) -> Tuple[int, ...]:
-        """One permutation's image of a code vector (identity included)."""
-        index = self.mappings.index(tuple(mapping))
-        if index == 0:
+    def _image(self, codes: Tuple[int, ...], plan: Plan) -> Tuple[int, ...]:
+        if plan is self._identity:
             return codes
-        plan = self._plans[index - 1]
         return tuple(
             codes[src] if table is None else table[codes[src]]
             for src, table in plan
         )
+
+    def _sorting_plans(self, codes: Tuple[int, ...]) -> List[Plan]:
+        """The plans whose image has the leading block sorted.
+
+        One per rearrangement of equal replica codes among themselves:
+        a single plan when the block's codes are distinct.
+        """
+        n = self._block
+        order = sorted(range(n), key=codes.__getitem__)
+        ties = tuple(codes[order[i]] == codes[order[i - 1]] for i in range(1, n))
+        ranks = self._tie_ranks.get(ties)
+        if ranks is None:
+            groups: List[List[int]] = [[0]]
+            for rank, tied in enumerate(ties, 1):
+                if tied:
+                    groups[-1].append(rank)
+                else:
+                    groups.append([rank])
+            ranks = [
+                tuple(itertools.chain.from_iterable(choice))
+                for choice in itertools.product(*map(itertools.permutations, groups))
+            ]
+            self._tie_ranks[ties] = ranks
+        by_inverse = self._by_inverse
+        return [by_inverse[tuple([order[r] for r in rank])] for rank in ranks]
+
+    def canonical_codes(self, codes: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The lexicographic minimum of the orbit, via remap plans only.
+
+        With a leading rename-free replica block and the full symmetric
+        group, only the plans that sort the block are candidates: every
+        image rearranges the same block codes, so an unsorted block is
+        larger at its first unsorted position.  Candidates then share the
+        block prefix and are compared past it one position at a time,
+        building a full image only for a new best.
+        """
+        start = self._block
+        candidates = self._sorting_plans(codes) if start else self._plans
+        self.images += len(candidates)
+        best = self._image(codes, candidates[0])
+        positions = range(start, self.width)
+        for plan in candidates[1:]:
+            for pos in positions:
+                src, table = plan[pos]
+                code = codes[src] if table is None else table[codes[src]]
+                held = best[pos]
+                if code != held:
+                    if code < held:
+                        best = self._image(codes, plan)
+                    break
+        return best
+
+    def remap(self, codes: Tuple[int, ...], mapping: Tuple[int, ...]) -> Tuple[int, ...]:
+        """One permutation's image of a code vector (identity included)."""
+        mapping = tuple(mapping)
+        plan = None
+        if sorted(mapping) == list(range(len(mapping))):
+            plan = self._by_inverse.get(_invert(mapping))
+        if plan is None:
+            raise ValueError(f"{mapping!r} is not in the codec's group")
+        return self._image(codes, plan)
 
 
 def identity_mappings(n: int) -> List[Tuple[int, ...]]:
@@ -636,6 +731,7 @@ class PackedRuntime:
         return {
             "pack_states_interned": self.states_interned,
             "pack_canon_scans": self.canon_scans,
+            "pack_canon_images": self.codec.images,
             "pack_fire_memo_hits": self.fire_memo_hits,
             "pack_fire_memo_misses": self.fire_memo_misses,
             "pack_decode_calls": self.decode_calls,

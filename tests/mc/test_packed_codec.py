@@ -26,7 +26,7 @@ from repro.protocols.msi.defs import permute_state
 CASES = [
     (name, replicas)
     for name in sorted(PROTOCOL_CATALOG)
-    for replicas in (2, 3)
+    for replicas in (2, 3, 4)
 ]
 
 
