@@ -7,7 +7,8 @@ bit-for-bit.
 
 from benchmarks.conftest import attach_report, run_once
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.protocols.toy import build_figure2_skeleton
+from repro.dist import DistributedSynthesisEngine, SystemSpec
+from repro.protocols.toy import build_figure2_skeleton, build_figure2_solution
 
 
 def test_figure2_with_pruning(benchmark):
@@ -32,12 +33,12 @@ def test_figure2_naive(benchmark):
     assert len(report.solutions) == 1
 
 
-def test_figure2_parallel(benchmark):
-    from repro.core.parallel import ParallelSynthesisEngine
 
+def test_figure2_processes(benchmark):
     report = run_once(
         benchmark,
-        lambda: ParallelSynthesisEngine(build_figure2_skeleton(), threads=4).run(),
+        lambda: DistributedSynthesisEngine(SystemSpec("figure2"), workers=2).run(),
     )
-    attach_report(benchmark, report, "figure2, 4 threads pruning")
+    attach_report(benchmark, report, "figure2, 2 processes, pruning")
     assert len(report.solutions) == 1
+    assert report.solutions[0].assignment_dict() == build_figure2_solution()

@@ -12,11 +12,9 @@ Paper rows (i7-4800MQ, C++):
 What we reproduce by default (CPython; see DESIGN.md substitutions):
 
 * the candidate-space columns exactly (validated by construction);
-* MSI-small with pruning, fully measured: 1 thread, 4 threads (an
-  *algorithmic* reproduction only — the GIL serialises the model
-  checking, so no wall-clock speedup), and 4 worker processes
-  (:mod:`repro.dist`, the backend that can actually deliver the paper's
-  speedup on a multi-core host);
+* MSI-small with pruning, fully measured: 1 thread and 4 worker processes
+  (:mod:`repro.dist`; the paper's 4-thread rows become process rows
+  because the GIL serialises pure-Python model checking across threads);
 * MSI-small naive, *estimated* from a random sample of candidate checks
   (the full 231k-run baseline takes tens of CPU-minutes in CPython; set
   VERC3_BENCH_NAIVE_FULL=1 to measure it outright);
@@ -43,7 +41,6 @@ from benchmarks.conftest import (
 from repro.analysis.stats import estimate_naive_seconds
 from repro.analysis.tables import render_table1_row
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.protocols.msi import msi_large, msi_small, msi_tiny
 
@@ -84,20 +81,6 @@ class TestMsiSmall:
         # Headline shape: >95% of the naive space is never model checked
         # (paper: 99.6%).
         assert report.reduction_vs_naive > 0.95
-
-    def test_small_four_threads_pruning(self, benchmark, table1_rows):
-        """Labeled as an algorithmic reproduction: the GIL means this row's
-        wall clock is *not* expected to beat the 1-thread row."""
-        report = run_once(
-            benchmark,
-            lambda: ParallelSynthesisEngine(
-                msi_small(bench_caches()).system, threads=4
-            ).run(),
-        )
-        label = "MSI-small 4 threads, pruning (algorithmic repro)"
-        attach_report(benchmark, report, label)
-        table1_rows.append(render_table1_row(label, report))
-        assert report.solutions
 
     def test_small_four_processes_pruning(self, benchmark, table1_rows):
         """The repro.dist backend row: real multi-core parallelism."""
@@ -174,15 +157,17 @@ class TestMsiLarge:
         assert report.solutions
         assert report.reduction_vs_naive > 0.99  # paper: 99.8%
 
-    def test_large_four_threads_pruning(self, benchmark, table1_rows):
+    def test_large_four_processes_pruning(self, benchmark, table1_rows):
         report = run_once(
             benchmark,
-            lambda: ParallelSynthesisEngine(
-                msi_large(bench_caches()).system, threads=4
+            lambda: DistributedSynthesisEngine(
+                SystemSpec("msi-large", bench_caches()), workers=4
             ).run(),
         )
-        attach_report(benchmark, report, "MSI-large 4 threads, pruning")
-        table1_rows.append(render_table1_row("MSI-large 4 threads, pruning", report))
+        attach_report(benchmark, report, "MSI-large 4 processes, pruning")
+        table1_rows.append(
+            render_table1_row("MSI-large 4 processes, pruning", report)
+        )
         assert report.solutions
 
     def test_large_naive_estimate(self, benchmark, table1_rows):

@@ -4,12 +4,11 @@
 Rows and gating:
 
 * MSI-tiny rows always run (not in the paper; a fast sanity row).
-* MSI-small rows run by default: pruning x {1 thread, 4 threads,
-  4 processes} measured, the naive baseline measured in full with
-  ``--naive-full`` or estimated from a random sample of candidate checks
-  otherwise.  The threads row is an algorithmic reproduction only (GIL);
-  the processes row (``repro.dist``) is the one that can show the paper's
-  wall-clock speedup on a multi-core host.
+* MSI-small rows run by default: pruning x {1 thread, 4 processes}
+  measured, the naive baseline measured in full with ``--naive-full`` or
+  estimated from a random sample of candidate checks otherwise.  The
+  processes row (``repro.dist``) stands in for the paper's 4-thread row:
+  it is the one that can show the wall-clock speedup on a multi-core host.
 * MSI-large rows with ``--large`` (tens of minutes in CPython).
 
 Run:  python examples/table1.py [--large] [--naive-full] [--caches N]
@@ -20,17 +19,12 @@ import argparse
 from repro.analysis.stats import estimate_naive_seconds, sample_candidate_cost
 from repro.analysis.tables import format_table, render_table1_row
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.protocols.msi import msi_large, msi_small, msi_tiny
 
 
-def measure(system, pruning=True, threads=1):
-    if threads == 1:
-        return SynthesisEngine(system, SynthesisConfig(pruning=pruning)).run()
-    return ParallelSynthesisEngine(
-        system, SynthesisConfig(pruning=pruning), threads=threads
-    ).run()
+def measure(system, pruning=True):
+    return SynthesisEngine(system, SynthesisConfig(pruning=pruning)).run()
 
 
 def rows_for(name, factory, catalog_name, caches, naive_full, rows):
@@ -38,13 +32,6 @@ def rows_for(name, factory, catalog_name, caches, naive_full, rows):
     print(f"[{name}] pruning, 1 thread ...", flush=True)
     pruned = measure(skeleton.system)
     rows.append(render_table1_row(f"{name} 1 thread, pruning", pruned))
-
-    print(f"[{name}] pruning, 4 threads (GIL-bound, algorithmic repro) ...",
-          flush=True)
-    parallel = measure(factory(caches).system, threads=4)
-    rows.append(render_table1_row(
-        f"{name} 4 threads, pruning (algorithmic repro)", parallel
-    ))
 
     print(f"[{name}] pruning, 4 processes ...", flush=True)
     distributed = DistributedSynthesisEngine(

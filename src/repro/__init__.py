@@ -38,7 +38,6 @@ from repro.api import open_store, synthesize, verify
 from repro.core import (
     Action,
     Hole,
-    ParallelSynthesisEngine,
     SynthesisConfig,
     SynthesisEngine,
     SynthesisReport,
@@ -74,7 +73,6 @@ __all__ = [
     "Hole",
     "Invariant",
     "Multiset",
-    "ParallelSynthesisEngine",
     "Rule",
     "ScalarSet",
     "SynthesisConfig",

@@ -2,8 +2,8 @@
 
 Computes the derived quantities the paper reports in Section III: the
 percentage reduction in evaluated candidates and the effective speedup of
-pruning over the naive enumeration, and the parallel speedup of the
-multi-threaded engine.  :func:`pattern_economy` adds the metric the
+pruning over the naive enumeration, and the parallel speedup of a
+multi-worker run.  :func:`pattern_economy` adds the metric the
 conflict-generalisation extension moves: candidates pruned per recorded
 failure pattern.
 """

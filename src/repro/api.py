@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.core.engine import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.core.report import SynthesisReport
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import SynthesisError
@@ -44,10 +43,10 @@ from repro.store import open_store as _open_store
 
 __all__ = ["open_store", "synthesize", "verify"]
 
-#: Backends :func:`synthesize` accepts, in speedup order on multi-core
-#: hosts.  ``threads`` is the GIL-bound algorithmic reproduction;
-#: ``processes`` delivers real wall-clock speedups (see ``repro.dist``).
-BACKENDS = ("sequential", "threads", "processes")
+#: The evaluation backends, the single list the CLI, the experiment matrix
+#: and the fuzz lattice share.  ``processes`` delivers real multi-core
+#: wall-clock speedups (see ``repro.dist``).
+BACKENDS = ("sequential", "processes")
 
 
 def verify(
@@ -116,16 +115,16 @@ def synthesize(
 
     Args:
         skeleton: a catalog skeleton name, a built holed
-            :class:`~repro.mc.system.TransitionSystem` (``sequential`` /
-            ``threads`` backends only), or a
+            :class:`~repro.mc.system.TransitionSystem` (``sequential``
+            backend only), or a
             :class:`~repro.dist.SystemSpec`.
         config: synthesis knobs; defaults to the paper's procedure plus
             both sound accelerations (see
             :class:`~repro.core.engine.SynthesisConfig`).
         replicas: replicated-component count for catalog builds.
-        backend: ``"sequential"``, ``"threads"`` (GIL-bound algorithmic
-            reproduction), or ``"processes"`` (real multi-core speedups).
-        workers: thread / worker-process count for the parallel backends.
+        backend: ``"sequential"`` or ``"processes"`` (real multi-core
+            speedups).
+        workers: worker-process count for the processes backend.
         store: directory of a durable verdict store to record to and
             replay from (shorthand for ``config.store_path``); a second
             run against the same store re-checks almost nothing —
@@ -170,8 +169,6 @@ def synthesize(
         system = SKELETON_BUILDERS[skeleton](replicas)
     else:
         system = skeleton
-    if backend == "threads":
-        return ParallelSynthesisEngine(system, config, threads=workers).run()
     return SynthesisEngine(system, config).run()
 
 

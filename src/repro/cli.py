@@ -23,7 +23,6 @@ Examples::
     python -m repro verify german --procs 2
     python -m repro synth msi-small --backend processes --workers 4
     python -m repro synth msi-small --store runs/msi-store
-    python -m repro synth moesi-small --threads 4
     python -m repro synth german-small --no-generalise --no-prefix-reuse
     python -m repro matrix --preset smoke
     python -m repro matrix --preset table1 --out matrix-runs/table1
@@ -42,9 +41,9 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.grouping import describe_groups
+from repro.api import BACKENDS
 from repro.errors import CliError
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -197,14 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("skeleton", choices=sorted(SKELETONS))
     synth.add_argument("--caches", "--procs", dest="replicas", type=int, default=2)
     synth.add_argument(
-        "--backend", choices=("sequential", "threads", "processes"), default=None,
-        help="evaluation backend; default: sequential, or threads when "
-             "--threads > 1.  'processes' is the only backend with real "
-             "multi-core wall-clock speedups (see repro.dist)",
+        "--backend", choices=BACKENDS, default="sequential",
+        help="evaluation backend; 'processes' shards candidates across "
+             "worker processes for multi-core wall-clock speedups "
+             "(see repro.dist)",
     )
-    synth.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the threads backend "
-                            "(default: 4 with --backend threads, else 1)")
     synth.add_argument("--workers", type=int, default=4,
                        help="worker processes for the processes backend")
     synth.add_argument(
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and lattice, never on timing)",
     )
     fuzz.add_argument("--workers", type=int, default=2,
-                      help="thread/process count for the parallel-backend "
+                      help="worker-process count for the processes-backend "
                            "lattice configurations (default: 2)")
     fuzz.add_argument("--max-evaluations", type=int, default=None,
                       help="safety cap on candidates per synthesis run")
@@ -425,8 +421,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"--caches/--procs must be >= 1, got {args.replicas}")
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
-    if args.threads is not None and args.threads < 1:
-        raise CliError(f"--threads must be >= 1, got {args.threads}")
     if args.naive and args.refined:
         raise CliError(
             "conflicting flags: --refined records pruning patterns, which "
@@ -467,29 +461,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"repro: {flag} is inactive{reason}; {consequence}",
             file=sys.stderr,
         )
-    backend = args.backend
-    if backend is None:
-        backend = "threads" if (args.threads or 1) > 1 else "sequential"
     root = (
         tele.span("synth", skeleton=args.skeleton, replicas=args.replicas,
-                  backend=backend)
+                  backend=args.backend)
         if tele is not None
         else None
     )
     try:
         if root is not None:
             root.__enter__()
-        if backend == "processes":
+        if args.backend == "processes":
             report = DistributedSynthesisEngine(
                 SystemSpec(args.skeleton, args.replicas), config,
                 workers=args.workers, telemetry=tele,
-            ).run()
-        elif backend == "threads":
-            system = SKELETONS[args.skeleton](args.replicas)
-            report = ParallelSynthesisEngine(
-                system, config,
-                threads=args.threads if args.threads is not None else 4,
-                telemetry=tele,
             ).run()
         else:
             system = SKELETONS[args.skeleton](args.replicas)

@@ -14,7 +14,6 @@ from repro.core.discovery import CandidateResolver, HoleRegistry
 from repro.core.engine import SynthesisConfig, SynthesisEngine
 from repro.core.enumeration import NaiveEnumerator, SubtreeEnumerator
 from repro.core.hole import Hole
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.core.pruning import DfsMatcher, PruningPattern, PruningTable
 from repro.core.report import Solution, SynthesisReport
 
@@ -26,7 +25,6 @@ __all__ = [
     "Hole",
     "HoleRegistry",
     "NaiveEnumerator",
-    "ParallelSynthesisEngine",
     "PruningPattern",
     "PruningTable",
     "Solution",

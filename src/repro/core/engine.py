@@ -161,7 +161,7 @@ class SynthesisConfig:
             registered in :data:`repro.mc.kernel.EXPLORER_STRATEGIES`
             (``"bfs"``, the default and the paper's choice because minimal
             traces prune best, or ``"dfs"``).  Shared verbatim with the
-            thread and process backends.
+            process backend.
         packed: run candidate model checking on the packed-state kernel
             (:mod:`repro.mc.packed`) when the system carries a codec
             spec: states are encoded into fixed-layout vectors, interned
@@ -492,9 +492,9 @@ class PrefixCache:
 class SynthesisCore:
     """State and per-candidate logic shared by the engines.
 
-    Thread-safety note: the registry and pattern tables are themselves
-    thread-safe; counters and solution lists are only mutated under the
-    caller's control (the parallel engine aggregates per-worker counters).
+    One core is driven by one walk at a time: the sequential engine and each
+    process-backend worker own theirs, so counters and solution lists need
+    no guard.
     """
 
     def __init__(
@@ -506,7 +506,6 @@ class SynthesisCore:
         prefix_cache: Optional[PrefixCache] = None,
         telemetry=None,
         store: Optional[VerdictStore] = None,
-        store_readonly: bool = False,
     ) -> None:
         self.system = system
         self.config = config
@@ -563,10 +562,6 @@ class SynthesisCore:
             self._owns_store = True
         else:
             self.store = None
-        #: read-only mode: consult but never append (the thread backend
-        #: evaluates outside the shared lock, so recording there would
-        #: race the registry-growth snapshot around each run)
-        self.store_readonly = store_readonly
         self.store_attached = self.store is not None
         if self.store is not None:
             self._system_sig = system_signature(system)
@@ -657,7 +652,7 @@ class SynthesisCore:
             cache.store((), explorer.checkpoint)
         if resume is not None:
             cache.note_hit(result.stats.prefix_states_reused)
-        if key is not None and not self.store_readonly:
+        if key is not None:
             result = self._record_stored_run(
                 key, holes_before, vector.entries, result, explorer
             )
@@ -869,37 +864,26 @@ class SynthesisCore:
         walker: "_PassWalker",
         digits: Tuple[int, ...],
         first_new: int,
-        lock: Optional["threading.Lock"] = None,
     ) -> None:
         """Dispatch one enumerated candidate: dedup, prune, or model check.
 
         This is the single verdict-handling path shared by the sequential
-        engine, the thread workers, and the process workers (``repro.dist``).
-        With ``lock=None`` the evaluation budget is checked *before* the
-        model-checker run (sequential semantics); with a lock the check
-        happens under the lock after the run, preserving the thread engine's
-        historical counting.
+        engine and the process workers (``repro.dist``).  The evaluation
+        budget is checked *before* the model-checker run.
         """
-        guard = lock if lock is not None else nullcontext()
         if not self.config.pruning and self.all_defaults_since(digits, first_new):
-            with guard:
-                self.deduplicated += 1
+            self.deduplicated += 1
             walker.counters.yielded -= 1
             return
         tag = walker.recheck_at_leaf()
         if tag is not None:
             walker.enumerator.note_leaf_skipped(tag)
-            with guard:
-                self.observer.on_prune(digits, tag)
+            self.observer.on_prune(digits, tag)
             return
-        if lock is None:
-            self.check_evaluation_budget()
+        self.check_evaluation_budget()
         result, explorer = self.evaluate(CandidateVector.from_digits(digits))
-        with guard:
-            if lock is not None:
-                self.check_evaluation_budget()
-            self.evaluated += 1
-            self.handle_result(digits, result, explorer, run_index=self.evaluated)
+        self.evaluated += 1
+        self.handle_result(digits, result, explorer, run_index=self.evaluated)
 
     def finalize_report(self, report: "SynthesisReport") -> "SynthesisReport":
         """Copy the aggregate outcome into ``report`` (shared by all engines)."""

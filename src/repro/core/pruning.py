@@ -21,8 +21,9 @@ Two matching engines are provided:
   and popped in position order; the instant every constraint of a pattern is
   satisfied, the whole subtree below the pattern's last constrained position
   is skipped and its size counted analytically.  Patterns may be added
-  mid-walk (from this thread's own failures or from other threads), which is
-  how parallel workers "make use of another thread's registered patterns as
+  mid-walk (from the walk's own failures); the process backend broadcasts
+  each worker's patterns to the others between batches, which is how
+  parallel workers "make use of another thread's registered patterns as
   soon as they become available" (paper, Section II, Parallel Synthesis).
 
 The same machinery is reused for *success patterns* (solutions found in an
@@ -256,7 +257,7 @@ class DfsMatcher:
 
     def integrate(self, patterns: Iterable[PruningPattern],
                   current_path: Sequence[int]) -> None:
-        """Add patterns discovered mid-walk (own failures or other threads')."""
+        """Add patterns discovered mid-walk (the walk's own failures)."""
         for pattern in patterns:
             self._install(pattern, current_path)
 

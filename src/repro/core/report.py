@@ -61,8 +61,9 @@ class SynthesisReport:
     system_name: str
     pruning: bool
     threads: int
-    #: evaluation backend that produced this report; ``threads`` counts
-    #: workers of whichever kind (threads or processes) the backend uses.
+    #: evaluation backend that produced this report; ``threads`` (named
+    #: after the paper's Table I column) is its worker count: 1 for
+    #: ``sequential``, the worker-process count for ``processes``.
     backend: str = "sequential"
     #: frontier strategy the model checker ran with (``bfs``/``dfs``)
     explorer: str = "bfs"

@@ -1,9 +1,9 @@
 """Process-parallel distributed synthesis (the ``processes`` backend).
 
-The thread backend (:mod:`repro.core.parallel`) reproduces the paper's
-parallel *algorithm* but is GIL-bound in CPython; this package delivers the
-actual wall-clock speedups by sharding candidate evaluation across worker
-*processes*:
+The paper parallelises synthesis with C++ threads; CPython's GIL
+serialises pure-Python model checking across threads, so this package
+delivers the wall-clock speedups by sharding candidate evaluation across
+worker *processes*:
 
 * :mod:`repro.dist.coordinator` — shard-aligned batch planning, the
   shared work-stealing task queue, pattern broadcast, deterministic

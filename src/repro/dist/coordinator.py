@@ -3,10 +3,10 @@
 :class:`DistributedSynthesisEngine` is the process backend: it shards each
 enumeration pass's candidate index space into batches, dispatches them to a
 pool of worker processes, and merges the returned deltas into the
-authoritative :class:`~repro.core.engine.SynthesisCore`.  Unlike the
-thread backend (GIL-bound, algorithmic reproduction only), worker
-processes model check truly concurrently, which is what recovers the
-paper's multi-worker wall-clock speedups on multi-core hosts.
+authoritative :class:`~repro.core.engine.SynthesisCore`.  Worker
+processes model check truly concurrently (CPython's GIL would serialise
+threads), which is what recovers the paper's multi-worker wall-clock
+speedups on multi-core hosts.
 
 Design points:
 
@@ -15,7 +15,7 @@ Design points:
   (:func:`plan_shard_batches`) and the batches go on **one shared task queue**
   every worker pulls from; a worker that drew cheap (heavily pruned)
   ranges immediately steals the next pending batch instead of idling
-  behind a fixed assignment (the thread backend's static split suffers
+  behind a fixed assignment (a static one-range-per-worker split suffers
   exactly that).
 * **Pattern exchange by broadcast.**  With a shared queue the coordinator
   cannot know which worker runs the next batch, so newly accepted pruning

@@ -2,7 +2,7 @@
 
 * ``table1`` — reproduces the repository's Table I
   (``table1_output.txt``): the MSI-tiny naive/pruning pair, MSI-small
-  under all three backends, and the sample-extrapolated MSI-small naive
+  under both backends, and the sample-extrapolated MSI-small naive
   baseline.  An include-only matrix — the paper's table is irregular.
 * ``smoke`` — a few minutes of tiny cells: every complete protocol
   verified at 2 replicas and every fast skeleton synthesised
@@ -46,13 +46,6 @@ def table1_preset() -> MatrixSpec:
                     "id": "small-seq",
                     "label": "MSI-small 1 thread, pruning",
                     "target": "msi-small",
-                },
-                {
-                    "id": "small-threads",
-                    "label": "MSI-small 4 threads, pruning (algorithmic repro)",
-                    "target": "msi-small",
-                    "backend": "threads",
-                    "workers": 4,
                 },
                 {
                     "id": "small-processes",

@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.analysis.stats import estimate_naive_seconds, sample_candidate_cost
 from repro.analysis.tables import format_table
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import ExperimentError
 from repro.experiments.spec import CellSpec, MatrixSpec, expand_matrix, make_cell
@@ -75,11 +74,6 @@ def _run_synth_cell(cell: CellSpec, telemetry=None) -> Dict[str, Any]:
         report = DistributedSynthesisEngine(
             SystemSpec(cell.target, cell.replicas), config,
             workers=cell.workers, telemetry=telemetry,
-        ).run()
-    elif cell.backend == "threads":
-        system, _holes = build_skeleton_with_holes(cell.target, cell.replicas)
-        report = ParallelSynthesisEngine(
-            system, config, threads=cell.workers, telemetry=telemetry
         ).run()
     else:
         system, _holes = build_skeleton_with_holes(cell.target, cell.replicas)

@@ -24,12 +24,12 @@ import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Dict, List, Optional
 
+from repro.api import BACKENDS
 from repro.errors import ExperimentError
 from repro.mc.kernel import EXPLORER_STRATEGIES
 from repro.protocols.catalog import PROTOCOL_CATALOG, SKELETON_CATALOG
 
 MODES = ("synth", "verify")
-BACKENDS = ("sequential", "threads", "processes")
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,10 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
     if cell.mode not in MODES:
         raise ExperimentError(f"cell {cell.id!r}: unknown mode {cell.mode!r}")
     if cell.backend not in BACKENDS:
-        raise ExperimentError(f"cell {cell.id!r}: unknown backend {cell.backend!r}")
+        raise ExperimentError(
+            f"cell {cell.id!r}: unknown backend {cell.backend!r}; "
+            f"known: {', '.join(BACKENDS)}"
+        )
     if cell.explorer not in EXPLORER_STRATEGIES:
         raise ExperimentError(f"cell {cell.id!r}: unknown explorer {cell.explorer!r}")
     if not _is_count(cell.replicas):

@@ -2,7 +2,7 @@
 
 Every generated protocol is pushed through a lattice of configurations —
 {packed, symmetry, prefix reuse, generalise} x {bfs, dfs} x
-{sequential, threads, processes} — and the runs are compared against each
+{sequential, processes} — and the runs are compared against each
 other under the *promises each mode actually makes*:
 
 * **verdicts** are compared across every configuration, always: the
@@ -22,7 +22,7 @@ other under the *promises each mode actually makes*:
 
 Candidate evaluations flow through
 :meth:`repro.core.engine.SynthesisCore.evaluate` — the same single
-verdict path the sequential, thread, and process backends share — so a
+verdict path the sequential and process backends share — so a
 divergence here is a real engine divergence, not a harness artifact.
 """
 
@@ -33,9 +33,9 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.api import BACKENDS
 from repro.core.candidate import CandidateVector
 from repro.core.engine import SynthesisConfig, SynthesisCore, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.fuzz.spec import (
     ProtocolSpec,
     build_reference_system,
@@ -119,8 +119,8 @@ class SynthLatticeConfig:
     def deterministic(self) -> bool:
         """Whether ``evaluated`` is reproducible run to run (journal use).
 
-        The thread and process backends share pruning patterns with
-        timing-dependent reach, so their evaluated counts may vary
+        The process backend shares pruning patterns with
+        timing-dependent reach, so its evaluated counts may vary
         between runs even at a fixed seed.
         """
         return self.backend == "sequential"
@@ -157,7 +157,6 @@ def ablation_lattice() -> Lattice:
             SynthLatticeConfig("ref"),
             SynthLatticeConfig("nopacked", packed=False),
             SynthLatticeConfig("dfs", explorer="dfs"),
-            SynthLatticeConfig("threads", backend="threads"),
             SynthLatticeConfig("processes", backend="processes"),
             SynthLatticeConfig("nosym", symmetry=False),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
@@ -202,7 +201,7 @@ def full_lattice() -> Lattice:
             f"{backend}-{explorer}{'' if packed else '-nopacked'}",
             backend=backend, explorer=explorer, packed=packed,
         )
-        for backend in ("sequential", "threads", "processes")
+        for backend in BACKENDS
         for explorer in ("bfs", "dfs")
         for packed in (True, False)
     ] + [
@@ -394,7 +393,7 @@ class DifferentialRunner:
         max_evaluations: optional per-synthesis-run candidate budget
             (safety valve for pathological specs; the family's spaces are
             small enough that the default ``None`` is fine).
-        workers: thread/process count for the parallel backends.
+        workers: worker-process count for the processes backend.
     """
 
     def __init__(
@@ -649,7 +648,7 @@ class DifferentialRunner:
         Only the sequential backend promises exact hit accounting: its
         enumeration walk is deterministic, so a cold run records every
         evaluated candidate and the same-tag warm run replays all of
-        them.  The parallel backends prune with timing-dependent reach —
+        them.  The processes backend prunes with timing-dependent reach —
         a warm run may evaluate a candidate its cold twin pruned — so
         for them the store is pinned only through the solution-set and
         fingerprint comparisons every config already gets.
@@ -725,11 +724,6 @@ class DifferentialRunner:
         if sc.backend == "sequential":
             system, _holes = build_skeleton_from_spec(spec, symmetry=sc.symmetry)
             return SynthesisEngine(system, config).run()
-        if sc.backend == "threads":
-            system, _holes = build_skeleton_from_spec(spec, symmetry=sc.symmetry)
-            return ParallelSynthesisEngine(
-                system, config, threads=self.workers
-            ).run()
         if sc.backend == "processes":
             # Imported lazily: repro.dist pulls in multiprocessing wiring
             # the sequential-only paths never need.

@@ -93,7 +93,7 @@ class ExplorationCheckpoint:
 
     Everything here is immutable (or treated as such): resuming copies the
     containers into kernel-local state, so one checkpoint can seed many
-    runs — including concurrently, under the threads backend.
+    runs.
 
     Attributes:
         visited: canonical state -> state id for every state the prefix
@@ -120,7 +120,7 @@ class ExplorationCheckpoint:
             by slab id and store slab ids in ``originals``, so they are
             only meaningful against the same in-process
             :class:`~repro.mc.packed.PackedRuntime`; :meth:`run` refuses
-            a cross-mode resume.  The prefix cache and all three backends
+            a cross-mode resume.  The prefix cache and both backends
             keep runtime and checkpoints within one process, so this
             never crosses a process boundary.
     """
@@ -384,8 +384,6 @@ class ExplorationKernel:
 
         # The orbit cache (repro.mc.symmetry.CachingCanonicalizer) is
         # shared across runs of the same system; report per-run hit deltas.
-        # Under the threads backend concurrent runs share the counter, so a
-        # run's delta can include other threads' hits — diagnostics only.
         cache_hits_base = getattr(canon_source, "hits", 0)
         #: packed-runtime counter snapshot, for per-run pack_* metric deltas
         pack_base = rt.counters() if instrumented and packed else None
@@ -752,7 +750,7 @@ def make_explorer(
 
     This is the factory every layer above the model checker goes through:
     :meth:`SynthesisCore.evaluate <repro.core.engine.SynthesisCore.evaluate>`
-    (and therefore the sequential, thread, and process backends) and the
+    (and therefore the sequential and process backends) and the
     CLI ``verify`` command.
     """
     return ExplorationKernel(

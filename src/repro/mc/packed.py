@@ -35,9 +35,9 @@ The remap-minimum is therefore a true orbit canonical form, and
 ``decode`` of any interned encoding is a real state object — which is how
 traces and counterexample replay stay exact under packing.
 
-Thread note: one runtime is shared by all kernels of a system (the thread
-backend runs many concurrently).  Interning and trie insertion take a
-lock on their miss paths; all other memo writes are idempotent
+Thread note: one runtime is shared by all kernels of a system, so runs
+from several threads may use it at once.  Interning and trie insertion
+take a lock on their miss paths; all other memo writes are idempotent
 (deterministic recomputation) and rely on GIL-atomic dict/list ops.
 """
 
@@ -441,7 +441,7 @@ class PackedSpec:
 
     Built once per :class:`~repro.mc.system.TransitionSystem` by the DSL
     builder or a protocol module; ``with_canonicalizer`` copies share it,
-    so one slab serves every run of the system (threads included).
+    so one slab serves every run of the system.
     """
 
     __slots__ = ("codec_factory", "_codec", "_runtime", "_lock")

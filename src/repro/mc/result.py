@@ -47,8 +47,7 @@ class RunStats:
     ``canon_cache_hits`` counts orbit-cache lookups served from the memo
     during *this* run; ``canon_cache_size`` is the cache's entry count at
     run end (the cache is shared across runs of one system, so the size is
-    cumulative, and under the threads backend a run's hit delta can
-    include concurrent runs' hits — diagnostics, not an exact measure).
+    cumulative).
     Both are 0 when the system canonicalises without a
     :class:`~repro.mc.symmetry.CachingCanonicalizer`.
 

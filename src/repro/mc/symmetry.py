@@ -91,8 +91,8 @@ class CachingCanonicalizer:
     system because canonicalisation does not depend on the candidate
     under evaluation.
 
-    Thread note: the thread backend shares one instance across workers.
-    Dict reads/writes are GIL-atomic, so a race can at worst duplicate a
+    Thread note: runs from several threads may share one instance.  Dict
+    reads/writes are GIL-atomic, so a race can at worst duplicate a
     computation; the ``hits``/``misses`` counters may undercount slightly
     under contention, and a single run's hit *delta* (``RunStats``) can
     include concurrent runs' hits — both acceptable for diagnostics.
@@ -135,7 +135,7 @@ class CachingCanonicalizer:
         Dict insertion order makes the first ``len//2`` keys the oldest;
         recent entries — the ones the frontier is still generating near —
         survive, so an overflow costs half the memo rather than all of it.
-        If a concurrent insert resizes the dict mid-scan (thread backend),
+        If a concurrent insert from another thread resizes the dict mid-scan,
         fall back to the old wholesale clear: correctness never depends on
         what the cache retains.
         """

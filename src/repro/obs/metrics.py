@@ -14,9 +14,8 @@ Design constraints, in order of importance:
 * **Zero dependencies.** Standard library only.
 
 Thread-safety note: handle updates are *not* individually locked.  Every
-hot-path update in this repo already happens under an engine lock (the
-sequential backend is single-threaded; the thread backend serialises
-``handle_result``; the process backend merges snapshots in the
+hot-path update in this repo comes from a single thread (the sequential
+backend is single-threaded; the process backend merges snapshots in the
 coordinator), so per-update locking would buy nothing and cost plenty.
 """
 

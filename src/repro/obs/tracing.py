@@ -14,10 +14,9 @@ Event schema (one JSON object per line in the JSONL sink):
 * ``progress``: throttled live counters (see ``obs.progress``);
 * ``meta``: one-off annotations (command line, protocol, config).
 
-Spans nest per-thread via a thread-local stack; a tracer-wide
-``default_parent`` lets worker threads parent their spans under the
-run's root span.  The JSONL sink batches writes and fsyncs per batch —
-kill-safe in the same way as the experiments journal.
+Spans nest per-thread via a thread-local stack.  The JSONL sink batches
+writes and fsyncs per batch — kill-safe in the same way as the
+experiments journal.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ class Span:
         tracer = self._tracer
         self.span_id = next(tracer._ids)
         stack = tracer._stack()
-        self.parent = stack[-1] if stack else tracer.default_parent
+        self.parent = stack[-1] if stack else None
         self._start = tracer.clock()
         event = {
             "t": round(self._start - tracer.origin, 6),
@@ -174,7 +173,6 @@ class Tracer:
         self.sink = sink if sink is not None else NullSink()
         self.clock = clock
         self.origin = clock()
-        self.default_parent: Optional[int] = None
         self._ids = itertools.count(1)
         self._local = threading.local()
 
@@ -186,7 +184,7 @@ class Tracer:
 
     def current_span(self) -> Optional[int]:
         stack = self._stack()
-        return stack[-1] if stack else self.default_parent
+        return stack[-1] if stack else None
 
     def span(self, name: str, **attrs) -> Span:
         return Span(self, name, attrs)

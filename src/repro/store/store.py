@@ -197,8 +197,8 @@ class VerdictStore:
         self.path = os.fspath(path)
         os.makedirs(self.path, exist_ok=True)
         # One mutex serialises lookups and records: the SQLite connection
-        # is shared across the thread backend's workers, and the journal
-        # handle's seek/write sequence must not interleave within a process
+        # may be shared across threads, and the journal handle's
+        # seek/write sequence must not interleave within a process
         # (cross-process interleaving is handled by flock).
         self._mutex = threading.Lock()
         self.journal = VerdictJournal(os.path.join(self.path, JOURNAL_NAME))

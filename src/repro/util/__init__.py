@@ -5,7 +5,6 @@ from repro.util.itertools2 import (
     mixed_radix_decode,
     mixed_radix_encode,
     product_size,
-    split_ranges,
 )
 from repro.util.timing import Stopwatch
 
@@ -15,5 +14,4 @@ __all__ = [
     "mixed_radix_decode",
     "mixed_radix_encode",
     "product_size",
-    "split_ranges",
 ]

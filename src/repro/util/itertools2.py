@@ -122,24 +122,3 @@ class MixedRadixCounter:
             yield self.digits
             self.advance()
 
-
-def split_ranges(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``parts`` contiguous half-open ranges.
-
-    Used by parallel synthesis to hand each worker thread a slice of the
-    candidate index space.  Earlier ranges are at most one element larger.
-    Empty ranges are omitted.
-    """
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    base, extra = divmod(total, parts)
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for part in range(parts):
-        size = base + (1 if part < extra else 0)
-        if size:
-            ranges.append((start, start + size))
-        start += size
-    return ranges

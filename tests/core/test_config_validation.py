@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core import SynthesisConfig
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import SynthesisError
-from repro.protocols.catalog import build_skeleton
 
 
 class TestConfigValidation:
@@ -77,12 +75,9 @@ class TestTelemetryConfigValidation:
 
 
 class TestEngineWorkerValidation:
-    def test_threads_engine_rejects_nonpositive_threads(self):
-        system = build_skeleton("mutex")
-        with pytest.raises(ValueError, match="threads"):
-            ParallelSynthesisEngine(system, threads=0)
-        with pytest.raises(ValueError, match="threads"):
-            ParallelSynthesisEngine(system, threads=-2)
+    def test_processes_engine_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            DistributedSynthesisEngine(SystemSpec("mutex"), workers=0)
 
     def test_processes_engine_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="workers"):

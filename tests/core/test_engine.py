@@ -5,7 +5,7 @@ import pytest
 from repro.core.action import Action
 from repro.core.engine import SynthesisConfig, SynthesisEngine, SynthesisObserver
 from repro.core.hole import Hole
-from repro.core.parallel import ParallelSynthesisEngine
+from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.properties import Invariant
 from repro.mc.rule import Rule
 from repro.mc.system import TransitionSystem
@@ -144,28 +144,27 @@ class TestRefinedPatterns:
         assert report.evaluated <= full.evaluated
 
 
-class TestParallelEngine:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_same_solutions_any_thread_count(self, threads):
-        report = ParallelSynthesisEngine(
-            build_figure2_skeleton(), threads=threads
+class TestProcessesEngine:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_same_solutions_any_worker_count(self, workers):
+        report = DistributedSynthesisEngine(
+            SystemSpec("figure2"), workers=workers
         ).run()
         assert len(report.solutions) == 1
         assert report.solutions[0].assignment_dict() == build_figure2_solution()
-        assert report.threads == threads
+        assert report.threads == workers
+        assert report.backend == "processes"
 
-    def test_parallel_naive_mode(self):
-        report = ParallelSynthesisEngine(
-            build_figure2_skeleton(),
-            SynthesisConfig(pruning=False),
-            threads=2,
+    def test_processes_naive_mode(self):
+        report = DistributedSynthesisEngine(
+            SystemSpec("figure2"), SynthesisConfig(pruning=False), workers=2
         ).run()
         assert report.evaluated == 24
         assert len(report.solutions) == 1
 
-    def test_rejects_zero_threads(self):
+    def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            ParallelSynthesisEngine(build_figure2_skeleton(), threads=0)
+            DistributedSynthesisEngine(SystemSpec("figure2"), workers=0)
 
 
 class TestStopConditions:
@@ -182,6 +181,26 @@ class TestStopConditions:
         ).run()
         assert report.evaluated <= 4
         assert report.stopped_early
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 9])
+    def test_budget_is_checked_before_the_model_check(self, budget):
+        # Figure 2 needs 10 runs; a smaller budget stops after exactly
+        # that many, never one over.
+        report = SynthesisEngine(
+            build_figure2_skeleton(), SynthesisConfig(max_evaluations=budget)
+        ).run()
+        assert report.evaluated == budget
+        assert report.stopped_early
+        assert report.solutions == []
+
+    @pytest.mark.parametrize("budget", [10, 11])
+    def test_budget_that_covers_the_run_does_not_stop_it(self, budget):
+        report = SynthesisEngine(
+            build_figure2_skeleton(), SynthesisConfig(max_evaluations=budget)
+        ).run()
+        assert report.evaluated == 10
+        assert not report.stopped_early
+        assert len(report.solutions) == 1
 
     def test_max_passes(self):
         report = SynthesisEngine(

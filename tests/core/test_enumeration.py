@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.enumeration import NaiveEnumerator, SubtreeEnumerator
 from repro.core.pruning import DfsMatcher, PruningPattern, PruningTable
-from repro.util.itertools2 import mixed_radix_decode, product_size, split_ranges
+from repro.util.itertools2 import mixed_radix_decode, product_size
 
 radices_strategy = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
 
@@ -68,9 +68,12 @@ class TestSubtreeEnumerator:
     @settings(max_examples=100, deadline=None)
     def test_range_partition_covers_everything(self, radices, data):
         total = product_size(radices)
-        parts = data.draw(st.integers(min_value=1, max_value=4))
+        cuts = sorted(data.draw(
+            st.lists(st.integers(min_value=0, max_value=total), max_size=3)
+        ))
+        bounds = [0, *cuts, total]
         collected = []
-        for start, end in split_ranges(total, parts):
+        for start, end in zip(bounds, bounds[1:]):
             collected.extend(SubtreeEnumerator(radices, [], start, end))
         assert collected == [
             mixed_radix_decode(i, radices) for i in range(total)

@@ -1,6 +1,6 @@
-"""Backend equivalence: sequential vs threads vs processes.
+"""Backend equivalence: sequential vs processes.
 
-The three backends share one verdict-handling code path
+The two backends share one verdict-handling code path
 (:meth:`SynthesisCore.process_candidate`) but differ in how they split and
 schedule the candidate space.  They must agree exactly on *what* they find
 — solution sets and the canonical hole registry — while evaluated-candidate
@@ -11,7 +11,6 @@ different times (the paper's Table I shows the same 855-vs-825 effect).
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec, coordinator
 from repro.errors import SynthesisError
 from repro.protocols.catalog import build_skeleton
@@ -23,8 +22,6 @@ def run_backend(backend, name, config=None):
     config = config or SynthesisConfig()
     if backend == "sequential":
         return SynthesisEngine(build_skeleton(name), config).run()
-    if backend == "threads":
-        return ParallelSynthesisEngine(build_skeleton(name), config, threads=2).run()
     return DistributedSynthesisEngine(
         SystemSpec(name), config, workers=2, min_batch_size=2
     ).run()
@@ -49,17 +46,16 @@ class TestPruningEquivalence:
     def test_backends_agree(self, name):
         sequential = run_backend("sequential", name)
         assert sequential.solutions
-        for backend in ("threads", "processes"):
-            report = run_backend(backend, name)
-            assert solution_view(report) == solution_view(sequential), backend
-            assert registry_view(report) == registry_view(sequential), backend
-            # Evaluated counts may drift with pattern-sharing timing, but
-            # only within a narrow band around the sequential walk.
-            assert (
-                sequential.evaluated // 2
-                <= report.evaluated
-                <= sequential.evaluated * 2
-            ), backend
+        report = run_backend("processes", name)
+        assert solution_view(report) == solution_view(sequential)
+        assert registry_view(report) == registry_view(sequential)
+        # Evaluated counts may drift with pattern-sharing timing, but
+        # only within a narrow band around the sequential walk.
+        assert (
+            sequential.evaluated // 2
+            <= report.evaluated
+            <= sequential.evaluated * 2
+        )
 
 
 @pytest.mark.parametrize("explorer", ["bfs", "dfs"])
@@ -73,13 +69,12 @@ class TestExplorerStrategyEquivalence:
         )
         assert sequential.solutions
         assert sequential.explorer == explorer
-        for backend in ("threads", "processes"):
-            report = run_backend(
-                backend, "msi-tiny", SynthesisConfig(explorer=explorer)
-            )
-            assert report.explorer == explorer
-            assert solution_view(report) == solution_view(sequential), backend
-            assert registry_view(report) == registry_view(sequential), backend
+        report = run_backend(
+            "processes", "msi-tiny", SynthesisConfig(explorer=explorer)
+        )
+        assert report.explorer == explorer
+        assert solution_view(report) == solution_view(sequential)
+        assert registry_view(report) == registry_view(sequential)
 
     def test_strategies_agree_with_each_other(self, explorer):
         report = run_backend(
@@ -95,14 +90,13 @@ class TestNaiveEquivalence:
     def test_backends_agree_without_pruning(self, name):
         config = SynthesisConfig(pruning=False)
         sequential = run_backend("sequential", name, config)
-        for backend in ("threads", "processes"):
-            report = run_backend(backend, name, SynthesisConfig(pruning=False))
-            assert solution_view(report) == solution_view(sequential), backend
-            assert registry_view(report) == registry_view(sequential), backend
-            # Without pruning every backend must evaluate the exact naive
-            # candidate space (dedup included): no timing effects exist.
-            assert report.evaluated == sequential.evaluated, backend
-            assert report.deduplicated == sequential.deduplicated, backend
+        report = run_backend("processes", name, SynthesisConfig(pruning=False))
+        assert solution_view(report) == solution_view(sequential)
+        assert registry_view(report) == registry_view(sequential)
+        # Without pruning every backend must evaluate the exact naive
+        # candidate space (dedup included): no timing effects exist.
+        assert report.evaluated == sequential.evaluated
+        assert report.deduplicated == sequential.deduplicated
 
 
 class TestDistributedSpecifics:

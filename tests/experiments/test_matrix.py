@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.api import BACKENDS
 from repro.errors import ExperimentError
 from repro.experiments import (
     MatrixRunner,
@@ -128,6 +129,18 @@ class TestSpecParsing:
         with pytest.raises(ExperimentError, match="unknown protocol"):
             make_cell({"mode": "verify", "target": "msi-tiny"})
 
+    def test_unknown_backend_names_the_valid_ones(self):
+        with pytest.raises(
+            ExperimentError,
+            match=r"unknown backend 'threads'; known: sequential, processes",
+        ):
+            make_cell({"target": "figure2", "backend": "threads"})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_api_backend_makes_a_cell(self, backend):
+        cell = make_cell({"target": "figure2", "backend": backend})
+        assert cell.backend == backend
+
     def test_estimate_reference_must_exist(self):
         spec = spec_from(
             include=[
@@ -180,6 +193,15 @@ class TestRunCell:
         assert row["solutions"] == 1
         assert row["evaluated"] == 10
         assert row["naive_candidates"] == 24
+
+    def test_processes_cell_matches_the_sequential_row(self):
+        sequential = run_cell(make_cell({"target": "figure2"}))
+        processes = run_cell(
+            make_cell({"target": "figure2", "backend": "processes", "workers": 2})
+        )
+        assert processes["ok"]
+        assert processes["solutions"] == sequential["solutions"] == 1
+        assert processes["solution_set"] == sequential["solution_set"]
 
     def test_verify_cell_row(self):
         row = run_cell(make_cell({"mode": "verify", "target": "german"}))
@@ -482,7 +504,6 @@ class TestPresets:
             "tiny-naive",
             "tiny-pruned",
             "small-seq",
-            "small-threads",
             "small-processes",
             "small-naive-estimated",
         ]

@@ -13,6 +13,7 @@ from unittest import mock
 
 import pytest
 
+from repro.api import BACKENDS
 from repro.fuzz import (
     DifferentialRunner,
     generate_spec,
@@ -21,6 +22,7 @@ from repro.fuzz import (
     run_campaign,
     shrink_spec,
 )
+from repro.fuzz.differential import LATTICES, full_lattice
 from repro.mc.packed import StateCodec
 
 SEEDS = range(3)
@@ -34,6 +36,22 @@ def _identity_canonical(self, codes):
 @pytest.fixture(scope="module")
 def runner():
     return DifferentialRunner("tier1")
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_backends_are_api_backends(name):
+    assert {config.backend for config in LATTICES[name]().synth} <= set(BACKENDS)
+
+
+def test_full_lattice_covers_every_backend_corner():
+    corners = {
+        (config.backend, config.explorer, config.packed)
+        for config in full_lattice().synth
+    }
+    for backend in BACKENDS:
+        for explorer in ("bfs", "dfs"):
+            for packed in (True, False):
+                assert (backend, explorer, packed) in corners
 
 
 def test_healthy_seeds_sweep_clean(runner):

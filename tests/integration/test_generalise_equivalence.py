@@ -17,9 +17,9 @@ every skeleton must yield:
 
 import pytest
 
+from repro.api import BACKENDS
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.core.engine import SynthesisObserver
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.protocols.catalog import build_skeleton
 
@@ -31,8 +31,6 @@ BASELINE = dict(generalise_conflicts=False, prefix_reuse=False)
 def run_backend(backend, name, config):
     if backend == "sequential":
         return SynthesisEngine(build_skeleton(name), config).run()
-    if backend == "threads":
-        return ParallelSynthesisEngine(build_skeleton(name), config, threads=2).run()
     return DistributedSynthesisEngine(
         SystemSpec(name), config, workers=2, min_batch_size=2
     ).run()
@@ -72,7 +70,7 @@ class TestGeneralisationEquivalence:
     def test_all_backends_match_ungeneralised_baseline(self, name):
         baseline = run_backend("sequential", name, SynthesisConfig(**BASELINE))
         assert baseline.solutions
-        for backend in ("sequential", "threads", "processes"):
+        for backend in BACKENDS:
             report = run_backend(backend, name, SynthesisConfig())
             assert solution_view(report) == solution_view(baseline), backend
             assert registry_view(report) == registry_view(baseline), backend

@@ -14,7 +14,7 @@ depth-first must produce
   hole-name -> action-name assignment: the strategy changes rule firing
   order, hence hole discovery order and digit positions, but never which
   completions are correct), under every other acceleration toggle and on
-  the thread and process backends;
+  the process backend;
 * per-candidate verdict agreement wherever both strategies dispatched the
   same (named) candidate to the model checker.
 
@@ -26,7 +26,6 @@ are not compared.
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.context import FixedResolver
 from repro.mc.kernel import make_explorer
@@ -104,14 +103,11 @@ def test_synthesis_solution_sets_match(name):
 
 @pytest.mark.parametrize("name", ["msi-tiny", "german-small"])
 def test_synthesis_backends_match_under_dfs(name):
-    """DFS composes with the thread and process backends, and they find
-    the BFS solution set."""
+    """DFS composes with the process backend, and it finds the BFS
+    solution set."""
     baseline = SynthesisEngine(build_skeleton(name), SynthesisConfig()).run()
     sequential = SynthesisEngine(
         build_skeleton(name), SynthesisConfig(explorer="dfs")
-    ).run()
-    threaded = ParallelSynthesisEngine(
-        build_skeleton(name), SynthesisConfig(explorer="dfs"), threads=2
     ).run()
     distributed = DistributedSynthesisEngine(
         SystemSpec(name), SynthesisConfig(explorer="dfs"),
@@ -120,10 +116,9 @@ def test_synthesis_backends_match_under_dfs(name):
     assert (
         assignment_view(baseline)
         == assignment_view(sequential)
-        == assignment_view(threaded)
         == assignment_view(distributed)
     )
-    assert threaded.explorer == distributed.explorer == "dfs"
+    assert sequential.explorer == distributed.explorer == "dfs"
 
 
 @pytest.mark.parametrize("flags", [

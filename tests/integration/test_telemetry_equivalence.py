@@ -24,8 +24,8 @@ import json
 
 import pytest
 
+from repro.api import BACKENDS
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.kernel import make_explorer
 from repro.obs import Telemetry, build_stats, load_events
@@ -135,17 +135,13 @@ def test_synthesis_solution_sets_match(name, tmp_path):
     assert_balanced_trace(trace)
 
 
-@pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["msi-tiny", "german-small"])
 def test_backends_match_with_telemetry(name, backend, tmp_path):
     baseline = SynthesisEngine(build_skeleton(name), SynthesisConfig()).run()
     trace = tmp_path / f"{backend}.jsonl"
     config = SynthesisConfig(telemetry=True, trace_path=str(trace))
-    if backend == "threads":
-        report = ParallelSynthesisEngine(
-            build_skeleton(name), config, threads=2
-        ).run()
-    elif backend == "processes":
+    if backend == "processes":
         report = DistributedSynthesisEngine(
             SystemSpec(name), config, workers=2, min_batch_size=2
         ).run()

@@ -63,11 +63,10 @@ class TestSpans:
         assert starts[1]["parent"] == outer.span_id
         assert inner.parent == outer.span_id
 
-    def test_default_parent_adopts_worker_threads(self):
+    def test_spans_nest_per_thread(self):
         sink = RecordingSink()
         tracer = Tracer(sink)
-        with tracer.span("root") as root:
-            tracer.default_parent = root.span_id
+        with tracer.span("root"):
 
             def worker():
                 with tracer.span("child"):
@@ -76,12 +75,33 @@ class TestSpans:
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
-            tracer.default_parent = None
         child_start = [
             e for e in sink.events
             if e["type"] == "span_start" and e["name"] == "child"
         ][0]
-        assert child_start["parent"] == root.span_id
+        assert child_start["parent"] is None
+
+    def test_spans_nest_inside_a_worker_thread(self):
+        sink = RecordingSink()
+        tracer = Tracer(sink)
+
+        spans = {}
+
+        def worker():
+            with tracer.span("outer") as outer:
+                with tracer.span("inner") as inner:
+                    spans.update(outer=outer, inner=inner)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert spans["outer"].parent is None
+        assert spans["inner"].parent == spans["outer"].span_id
+        starts = {
+            e["name"]: e for e in sink.events if e["type"] == "span_start"
+        }
+        assert starts["outer"]["parent"] is None
+        assert starts["inner"]["parent"] == starts["outer"]["id"]
 
     def test_exception_records_error(self):
         sink = RecordingSink()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
+from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.bfs import BfsExplorer
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
@@ -45,8 +45,9 @@ class TestSynthesis:
         ]
 
     def test_parallel_agrees(self):
-        system, _holes = build_mutex_skeleton(2)
-        report = ParallelSynthesisEngine(system, threads=2).run()
+        report = DistributedSynthesisEngine(
+            SystemSpec("mutex"), workers=2
+        ).run()
         assert [dict(s.assignment) for s in report.solutions] == [
             REFERENCE_ASSIGNMENT
         ]

@@ -10,8 +10,8 @@ import pytest
 
 from repro import api
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
+from repro.errors import SynthesisError
 from repro.mc.kernel import ExplorationLimits
 from repro.protocols.catalog import build_skeleton
 
@@ -100,24 +100,6 @@ class TestCrossBackend:
             DistributedSynthesisEngine(SystemSpec("figure2"), workers=2).run()
         )
 
-    def test_threads_backend_is_read_only(self, tmp_path):
-        run_sequential(str(tmp_path))
-        warm = ParallelSynthesisEngine(
-            build_skeleton("figure2"),
-            SynthesisConfig(store_path=str(tmp_path)),
-            threads=2,
-        ).run()
-        assert warm.store_enabled
-        assert warm.store_writes == 0  # never records
-        assert warm.store_hits > 0  # but replays
-        cold_threads = ParallelSynthesisEngine(
-            build_skeleton("figure2"),
-            SynthesisConfig(store_path=str(tmp_path / "fresh")),
-            threads=2,
-        ).run()
-        assert cold_threads.store_writes == 0
-        assert cold_threads.store_hits == 0
-
     def test_processes_warm_run_checks_nothing(self, tmp_path):
         config = SynthesisConfig(store_path=str(tmp_path))
         cold = DistributedSynthesisEngine(
@@ -140,6 +122,18 @@ class TestApiFacade:
         with api.open_store(path) as store:
             assert len(store) == cold.store_writes
 
+    @pytest.mark.parametrize("backend", api.BACKENDS)
+    def test_facade_runs_every_backend(self, backend):
+        report = api.synthesize("figure2", backend=backend, workers=2)
+        assert report.backend == backend
+        assert len(report.solutions) == 1
+
     def test_facade_rejects_unknown_backend(self):
         with pytest.raises(Exception, match="backend"):
             api.synthesize("figure2", backend="carrier-pigeon")
+
+    def test_facade_rejects_retired_threads_backend(self):
+        with pytest.raises(
+            SynthesisError, match="known: sequential, processes"
+        ):
+            api.synthesize("mutex", backend="threads")

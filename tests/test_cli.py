@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import BACKENDS
 from repro.cli import main
 
 
@@ -47,9 +48,6 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "evaluated:         24" in out
 
-    def test_synth_threads(self, capsys):
-        assert main(["synth", "mutex", "--threads", "2"]) == 0
-
     def test_synth_processes_backend(self, capsys):
         assert main(
             ["synth", "mutex", "--backend", "processes", "--workers", "2"]
@@ -62,6 +60,25 @@ class TestSynth:
         assert main(["synth", "figure2", "--backend", "sequential"]) == 0
         assert "sequential backend" in capsys.readouterr().out
 
+    def test_synth_backend_processes_honors_explicit_count(self, capsys):
+        assert main(
+            ["synth", "figure2", "--backend", "processes", "--workers", "1"]
+        ) == 0
+        assert "processes backend, 1 worker(s)" in capsys.readouterr().out
+
+    def test_synth_default_backend_is_sequential(self, capsys):
+        assert main(["synth", "figure2"]) == 0
+        assert "sequential backend, 1 worker(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_synth_accepts_every_api_backend(self, capsys, backend):
+        assert main(
+            ["synth", "figure2", "--backend", backend, "--workers", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"{backend} backend" in out
+        assert "solutions:         1" in out
+
     def test_synth_explorer_dfs(self, capsys):
         assert main(["synth", "mutex", "--explorer", "dfs"]) == 0
         out = capsys.readouterr().out
@@ -71,20 +88,6 @@ class TestSynth:
     def test_synth_explorer_default_is_bfs(self, capsys):
         assert main(["synth", "figure2"]) == 0
         assert "bfs explorer" in capsys.readouterr().out
-
-    def test_synth_backend_threads_honors_explicit_count(self, capsys):
-        assert main(
-            ["synth", "figure2", "--backend", "threads", "--threads", "1"]
-        ) == 0
-        assert "threads backend, 1 worker(s)" in capsys.readouterr().out
-
-    def test_synth_backend_threads_zero_rejected(self, capsys):
-        # The CLI validates worker counts itself now (exit 2 + message),
-        # instead of letting the engine raise a bare ValueError.
-        assert main(
-            ["synth", "figure2", "--backend", "threads", "--threads", "0"]
-        ) == 2
-        assert "--threads must be >= 1" in capsys.readouterr().err
 
     def test_synth_groups(self, capsys):
         assert main(["synth", "msi-tiny", "--groups"]) == 0

@@ -11,7 +11,6 @@ from repro.util.itertools2 import (
     mixed_radix_decode,
     mixed_radix_encode,
     product_size,
-    split_ranges,
 )
 
 radices_strategy = st.lists(st.integers(min_value=1, max_value=5), min_size=0, max_size=5)
@@ -112,40 +111,3 @@ class TestMixedRadixCounter:
         ]
         assert list(MixedRadixCounter(radices)) == expected
 
-
-class TestSplitRanges:
-    def test_even_split(self):
-        assert split_ranges(10, 2) == [(0, 5), (5, 10)]
-
-    def test_uneven_split_front_loads(self):
-        assert split_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_parts_than_items(self):
-        assert split_ranges(2, 4) == [(0, 1), (1, 2)]
-
-    def test_zero_total(self):
-        assert split_ranges(0, 3) == []
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            split_ranges(5, 0)
-        with pytest.raises(ValueError):
-            split_ranges(-1, 2)
-
-    @given(
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=1, max_value=16),
-    )
-    def test_partition_properties(self, total, parts):
-        ranges = split_ranges(total, parts)
-        # Contiguous, ordered, covering exactly [0, total).
-        cursor = 0
-        for start, end in ranges:
-            assert start == cursor
-            assert end > start
-            cursor = end
-        assert cursor == total
-        # Balanced: sizes differ by at most one.
-        if ranges:
-            sizes = [end - start for start, end in ranges]
-            assert max(sizes) - min(sizes) <= 1
