@@ -1,13 +1,13 @@
 """Model-checker benchmarks feeding ``BENCH_mc.json``.
 
-Two single-threaded comparisons (no cpu_count gating needed, unlike
+Single-threaded measurements (no cpu_count gating needed, unlike
 ``BENCH_dist.json``'s multi-worker rows):
 
-* **orbit-cache on/off single-candidate checks** — the paper's cost model
-  is "one model-checking run per surviving candidate", so the wall-clock
-  of a single check is the number every other speedup multiplies.
-  Measured on MSI-small at 3 replicas with the reference completion,
-  legacy canonicaliser (full orbit search) vs the cached one.
+* **telemetry on/off on a single-candidate check** — the paper's cost
+  model is "one model-checking run per surviving candidate", so the
+  wall-clock of a single check is the number every other speedup
+  multiplies.  Measured on MSI-small at 3 replicas with the reference
+  completion.
 
 * **synthesis with conflict generalisation + prefix reuse on/off** — full
   MSI-small synthesis at 2 replicas, default config vs the PR 2 baseline
@@ -15,10 +15,14 @@ Two single-threaded comparisons (no cpu_count gating needed, unlike
   candidates-checked and wall-time reductions, and asserts the solution
   sets are identical before trusting either number.
 
+* **MOESI and German verify + synthesis** wall-clock rows.
+
 With ``VERC3_BENCH_RECORD=1`` each test merges its section into
 ``BENCH_mc.json`` so partial runs don't clobber the other section; without
-it the numbers are only printed.  A fingerprint-determinism sanity check
-rides along for the tuple-walk ``fingerprint_state`` rewrite.
+it the numbers are only printed.  The ``single_candidate`` (orbit cache
+on/off) and ``packed`` (packed/object kernel) sections are the last
+records of the retired object exploration path; no bench writes them any
+more, and ``docs/architecture.md`` cites them.
 """
 
 from __future__ import annotations
@@ -36,22 +40,16 @@ from benchmarks.conftest import record_enabled, run_once, small_enabled
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.mc.bfs import BfsExplorer
 from repro.mc.context import FixedResolver
-from repro.mc.hashing import fingerprint_state_set
 from repro.mc.result import Verdict
-from repro.mc.symmetry import Permuter, ScalarSet
 from repro.protocols.catalog import build_skeleton
-from repro.protocols.msi import defs
 from repro.protocols.msi.skeleton import msi_small
 
 REPLICAS = 3
-#: candidate checks per configuration; >1 exercises the cross-run cache
+#: candidate checks per configuration; >1 exercises the cross-run memo
 #: reuse every synthesis pass gets for free
 REPEATS = 4
-#: fresh-system samples behind the packed cold-start and steady medians
-COLD_TRIALS = 5
 #: alternating samples behind the telemetry-off ceiling; the ratio it
-#: gates is ~1.0 by construction, so it needs more samples than the
-#: packed floors, whose margins are several-fold
+#: gates is ~1.0 by construction, so it needs many samples
 TELEMETRY_TRIALS = 41
 #: disabled-telemetry single-candidate checks must stay within 3% of the
 #: plain kernel's (median over one session's trials)
@@ -72,7 +70,8 @@ def update_bench_json(section: str, payload: dict) -> None:
                 data = json.load(handle)
         except (OSError, ValueError):
             data = {}
-    # Drop pre-sectioned legacy top-level keys so the file self-cleans.
+    # Drop pre-sectioned legacy top-level keys so the file self-cleans;
+    # the retired benches' sections are kept as the cited record.
     sections = (
         "single_candidate",
         "synthesis",
@@ -99,84 +98,10 @@ def make_resolver(skeleton):
     )
 
 
-def make_systems():
-    """(cache-off system, cache-on system) for the same skeleton."""
-    cached_skel = msi_small(REPLICAS)
-    uncached_skel = msi_small(REPLICAS)
-    legacy = Permuter.for_single(ScalarSet("cache", REPLICAS), defs.permute_state)
-    uncached_system = uncached_skel.system.with_canonicalizer(legacy.canonicalize)
-    return (uncached_skel, uncached_system), (cached_skel, cached_skel.system)
-
-
-def check_candidates(skeleton, system):
-    """Run REPEATS single-candidate checks; return (seconds, results)."""
-    resolver = make_resolver(skeleton)
-    results = []
-    start = time.perf_counter()
-    for _ in range(REPEATS):
-        explorer = BfsExplorer(system, resolver=resolver)
-        results.append((explorer.run(), frozenset(explorer.visited_states)))
-    return time.perf_counter() - start, results
-
-
-def test_orbit_cache_single_candidate_speedup(benchmark):
-    (off_skel, off_system), (on_skel, on_system) = make_systems()
-
-    off_seconds, off_results = check_candidates(off_skel, off_system)
-
-    def cached_run():
-        return check_candidates(on_skel, on_system)
-
-    on_seconds, on_results = run_once(benchmark, cached_run)
-
-    # Correctness before speed: identical verdicts and state counts.
-    for (off_res, _), (on_res, _) in zip(off_results, on_results):
-        assert off_res.verdict is Verdict.SUCCESS
-        assert on_res.verdict is Verdict.SUCCESS
-        assert on_res.stats.states_visited == off_res.stats.states_visited
-    last_on = on_results[-1][0]
-    assert last_on.stats.canon_cache_hits > 0
-    assert last_on.stats.canon_cache_size > 0
-
-    # Fingerprint determinism sanity (tuple-walk rewrite): identical
-    # visited sets fingerprint identically, run after run.
-    on_prints = {fingerprint_state_set(states) for _, states in on_results}
-    off_prints = {fingerprint_state_set(states) for _, states in off_results}
-    assert len(on_prints) == 1
-    assert len(off_prints) == 1
-
-    speedup = off_seconds / on_seconds if on_seconds else float("inf")
-    payload = {
-        "replicas": REPLICAS,
-        "repeats": REPEATS,
-        "skeleton": "msi-small",
-        "rows": [
-            {
-                "config": "orbit-cache-off",
-                "seconds": round(off_seconds, 4),
-                "states_per_check": off_results[0][0].stats.states_visited,
-            },
-            {
-                "config": "orbit-cache-on",
-                "seconds": round(on_seconds, 4),
-                "states_per_check": on_results[0][0].stats.states_visited,
-                "cache_hits_last_check": last_on.stats.canon_cache_hits,
-                "cache_size": last_on.stats.canon_cache_size,
-            },
-        ],
-        "speedup_cache_on": round(speedup, 3),
-    }
-    update_bench_json("single_candidate", payload)
-    sys.__stdout__.write(
-        f"\nBENCH_mc: orbit cache speedup {speedup:.2f}x "
-        f"({off_seconds:.3f}s -> {on_seconds:.3f}s over {REPEATS} checks)\n"
-    )
-    sys.__stdout__.flush()
-    benchmark.extra_info.update(payload)
-
-    # Generous floor: the acceptance target is >= 1.3x, but wall-clock on a
-    # loaded CI box is noisy, so only sanity-assert the cache isn't a loss.
-    assert speedup > 1.0
+def make_system():
+    """The MSI-small skeleton at ``REPLICAS`` replicas and its system."""
+    skeleton = msi_small(REPLICAS)
+    return skeleton, skeleton.system
 
 
 def _workload_payload(protocol_factory, skeleton_name, benchmark):
@@ -237,132 +162,12 @@ def test_german_workload(benchmark):
     benchmark.extra_info.update(payload)
 
 
-def test_packed_kernel_speedup(benchmark):
-    """Packed-state kernel on/off on the single-candidate check.
-
-    Same workload shape as the ``single_candidate`` section (MSI-small at
-    3 replicas, reference completion, orbit cache on for the object
-    baseline), single-threaded, so the rows are directly comparable.
-    Two packed numbers are recorded because the kernel's economics are
-    cold-vs-warm: the first check pays for guard evaluation, rule
-    firings, and canonical scans, all of which are memoised in the
-    per-system slab, so later checks of the same system — the shape of
-    every synthesis pass — replay them as dictionary hits.  The
-    acceptance gate (>= 5x, target >= 10x) is on the steady state.
-
-    The cold comparison needs a fresh system per sample, so it runs
-    ``COLD_TRIALS`` times, alternating object and packed; each trial then
-    re-checks its now-warm packed system for the steady-state sample.
-    Both floors are asserted on the median ratio of this session rather
-    than on one noisy sample.
-
-    Correctness gates the measurement: identical verdicts and identical
-    states per check, and the packed run must actually engage the packed
-    runtime (no silent object-path fallback).
-    """
-    from repro.mc.kernel import make_explorer
-
-    def packed_checks(packed_system, resolver):
-        results = []
-        start = time.perf_counter()
-        for _ in range(REPEATS):
-            explorer = make_explorer(
-                "bfs", packed_system, resolver=resolver, packed=True
-            )
-            assert explorer.packed_runtime is not None
-            results.append(explorer.run())
-        return time.perf_counter() - start, results
-
-    def ratio(slow, fast):
-        return slow / fast if fast else float("inf")
-
-    object_samples, cold_samples, cold_ratios = [], [], []
-    steady_samples, steady_ratios = [], []
-    for trial in range(COLD_TRIALS):
-        _, (skel, object_system) = make_systems()
-        seconds, object_results = check_candidates(skel, object_system)
-        for result, _ in object_results:
-            assert result.verdict is Verdict.SUCCESS
-        object_samples.append(seconds)
-        packed_skel = msi_small(REPLICAS)
-        packed_system = packed_skel.system
-        resolver = make_resolver(packed_skel)
-        cold_seconds, cold_results = packed_checks(packed_system, resolver)
-        cold_samples.append(cold_seconds)
-        cold_ratios.append(ratio(seconds, cold_seconds))
-
-        def steady_run(system=packed_system, resolver=resolver):
-            return packed_checks(system, resolver)
-
-        if trial == COLD_TRIALS - 1:
-            steady_seconds, steady_results = run_once(benchmark, steady_run)
-        else:
-            steady_seconds, steady_results = steady_run()
-        steady_samples.append(steady_seconds)
-        steady_ratios.append(ratio(seconds, steady_seconds))
-    object_seconds = statistics.median(object_samples)
-    cold_seconds = statistics.median(cold_samples)
-    cold_speedup = statistics.median(cold_ratios)
-    steady_seconds = statistics.median(steady_samples)
-    steady_speedup = statistics.median(steady_ratios)
-
-    object_states = object_results[0][0].stats.states_visited
-    for result in cold_results + steady_results:
-        assert result.verdict is Verdict.SUCCESS
-        assert result.stats.states_visited == object_states
-
-    object_per_check = object_seconds / REPEATS
-    steady_per_check = steady_seconds / REPEATS
-    payload = {
-        "replicas": REPLICAS,
-        "repeats": REPEATS,
-        "skeleton": "msi-small",
-        "rows": [
-            {
-                "config": "packed-off (orbit cache on)",
-                "seconds": round(object_seconds, 4),
-                "states_per_check": object_states,
-            },
-            {
-                "config": "packed-on (incl. cold first check)",
-                "seconds": round(cold_seconds, 4),
-                "states_per_check": cold_results[0].stats.states_visited,
-            },
-            {
-                "config": "packed-on (steady state)",
-                "seconds": round(steady_seconds, 4),
-                "states_per_check": steady_results[0].stats.states_visited,
-            },
-        ],
-        "cold_trials": COLD_TRIALS,
-        "speedup_packed_cold": round(cold_speedup, 3),
-        "speedup_packed_steady": round(steady_speedup, 3),
-    }
-    update_bench_json("packed", payload)
-    sys.__stdout__.write(
-        f"\nBENCH_mc: packed kernel speedup "
-        f"{steady_speedup:.2f}x steady ({object_per_check * 1000:.2f}ms -> "
-        f"{steady_per_check * 1000:.2f}ms/check), {cold_speedup:.2f}x "
-        f"incl. cold start\n"
-    )
-    sys.__stdout__.flush()
-    benchmark.extra_info.update(payload)
-
-    # The acceptance gate, on this session's median.  Measured ~14-16x
-    # steady-state on a 2-vCPU host; the >= 5x floor leaves a loaded CI
-    # box headroom.
-    assert steady_speedup >= 5.0, steady_ratios
-    # The cold first check must still not be a loss overall (median of
-    # this session's trials).
-    assert cold_speedup >= 1.0, cold_ratios
-
-
 def test_telemetry_overhead(benchmark, tmp_path):
     """Telemetry on/off on the single-candidate check (satellite of the
     observability PR).
 
-    Single-threaded, same workload as the orbit-cache bench (MSI-small at
-    3 replicas, reference completion, cached canonicaliser).  Three sides
+    Single-threaded, MSI-small at 3 replicas with the reference
+    completion, the ``single_candidate`` shape.  Three sides
     alternate on one warm system for ``TELEMETRY_TRIALS`` trials: the
     plain kernel (``BfsExplorer``, the ``single_candidate`` shape), the
     telemetry-plumbed factory with telemetry off, and the full bundle
@@ -380,7 +185,7 @@ def test_telemetry_overhead(benchmark, tmp_path):
     from repro.mc.kernel import make_explorer
     from repro.obs import Telemetry
 
-    _, (skel, system) = make_systems()
+    skel, system = make_system()
     resolver = make_resolver(skel)
 
     def timed_checks(factory):
@@ -409,7 +214,7 @@ def test_telemetry_overhead(benchmark, tmp_path):
     def factory_on():
         return make_explorer("bfs", system, resolver=resolver, telemetry=tele)
 
-    timed_checks(plain)  # warm the orbit cache for every side alike
+    timed_checks(plain)  # warm the packed memos for every side alike
     plain_samples, off_samples, on_samples = [], [], []
     off_ratios, on_ratios = [], []
     for trial in range(TELEMETRY_TRIALS):

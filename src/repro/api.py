@@ -56,7 +56,6 @@ def verify(
     evictions: bool = False,
     symmetry: bool = True,
     explorer: str = "bfs",
-    packed: bool = True,
     max_states: Optional[int] = None,
 ) -> VerificationResult:
     """Model check one complete protocol.
@@ -72,8 +71,6 @@ def verify(
             builds only).
         explorer: frontier strategy, ``"bfs"`` (minimal traces) or
             ``"dfs"``.
-        packed: run on the packed-state kernel where the protocol
-            provides a codec (exact; falls back silently otherwise).
         max_states: optional exploration cap.
 
     Returns:
@@ -98,7 +95,6 @@ def verify(
         explorer,
         system,
         limits=ExplorationLimits(max_states=max_states),
-        packed=packed,
     ).run()
 
 

@@ -179,16 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--dfs", action="store_true",
                         help="shorthand for --explorer dfs")
-    packed_group = verify.add_mutually_exclusive_group()
-    packed_group.add_argument(
-        "--packed", action="store_true",
-        help="run on the packed-state kernel (the default where the "
-             "protocol provides a state codec; exact, ~10x faster)",
-    )
-    packed_group.add_argument(
-        "--no-packed", action="store_true",
-        help="force the object-path kernel (the ablation baseline)",
-    )
     verify.add_argument("--max-states", type=int, default=None)
     _add_telemetry_flags(verify)
 
@@ -219,17 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-prefix-reuse", action="store_true",
         help="re-explore every candidate from the initial states instead "
              "of resuming from cached shared-prefix explorations",
-    )
-    synth_packed = synth.add_mutually_exclusive_group()
-    synth_packed.add_argument(
-        "--packed", action="store_true",
-        help="evaluate candidates on the packed-state kernel (the "
-             "default where the protocol provides a state codec)",
-    )
-    synth_packed.add_argument(
-        "--no-packed", action="store_true",
-        help="force the object-path kernel for candidate evaluation "
-             "(the ablation baseline)",
     )
     synth_store = synth.add_mutually_exclusive_group()
     synth_store.add_argument(
@@ -277,18 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument(
         "--fresh", action="store_true",
         help="discard an existing journal and re-run every cell",
-    )
-    matrix_packed = matrix.add_mutually_exclusive_group()
-    matrix_packed.add_argument(
-        "--packed", action="store_true",
-        help="run every cell on the packed-state kernel (overrides the "
-             "spec; use --fresh or a separate --out so journaled cells "
-             "from the other mode are not reused)",
-    )
-    matrix_packed.add_argument(
-        "--no-packed", action="store_true",
-        help="run every cell on the object-path kernel (overrides the "
-             "spec; same journal caveat as --packed)",
     )
     matrix.add_argument(
         "--list-presets", action="store_true",
@@ -376,8 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limits = ExplorationLimits(max_states=args.max_states)
     tele = _build_telemetry(args)
     explorer = make_explorer(
-        strategy, system, limits=limits, packed=not args.no_packed,
-        telemetry=tele,
+        strategy, system, limits=limits, telemetry=tele,
     )
     if tele is not None:
         with tele.span(
@@ -436,7 +402,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         max_evaluations=args.max_evaluations,
         compute_fingerprints=args.groups,
         explorer=args.explorer,
-        packed=not args.no_packed,
         store_path=args.store,
         # The config mirrors the CLI telemetry so worker *processes* (which
         # only see the config) open their own per-worker sinks.
@@ -510,9 +475,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             print("matrix: one of --preset or --spec is required "
                   "(or --list-presets)", file=sys.stderr)
             return 2
-        force_packed = (
-            True if args.packed else (False if args.no_packed else None)
-        )
         out_dir = args.out or f"matrix-runs/{spec.name}"
         if args.trace == "":
             # The default trace lands inside the output directory, whose
@@ -521,7 +483,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         tele = _build_telemetry(args, default_trace=f"{out_dir}/trace.jsonl")
         runner = MatrixRunner(
             spec, out_dir, fresh=args.fresh, log=print,
-            force_packed=force_packed, telemetry=tele,
+            telemetry=tele,
         )
         try:
             if tele is not None:

@@ -162,18 +162,6 @@ class SynthesisConfig:
             (``"bfs"``, the default and the paper's choice because minimal
             traces prune best, or ``"dfs"``).  Shared verbatim with the
             process backend.
-        packed: run candidate model checking on the packed-state kernel
-            (:mod:`repro.mc.packed`) when the system carries a codec
-            spec: states are encoded into fixed-layout vectors, interned
-            in a slab, and canonicalised by table-driven index/value
-            remaps, with guard masks and rule firings memoised per
-            interned state.  Exact by construction — the codec's rename
-            tables evaluate the very expressions the object permuter
-            applies — so verdicts, state counts, and traces are
-            identical to the object path (traces decode back to real
-            states for replay).  On by default; ``--no-packed`` ablates
-            back to the object path, and systems without a codec spec
-            fall back silently.
         telemetry: enable the observability layer (:mod:`repro.obs`) —
             metrics registry, trace spans, kernel phase attribution —
             even without a trace file (metrics land in the report and
@@ -214,7 +202,6 @@ class SynthesisConfig:
     compute_fingerprints: bool = False
     record_traces: bool = True
     explorer: str = "bfs"
-    packed: bool = True
     telemetry: bool = False
     trace_path: Optional[str] = None
     progress: bool = False
@@ -226,10 +213,6 @@ class SynthesisConfig:
             raise SynthesisError(
                 f"unknown explorer {self.explorer!r}; available: "
                 f"{', '.join(sorted(EXPLORER_STRATEGIES))}"
-            )
-        if not isinstance(self.packed, bool):
-            raise SynthesisError(
-                f"packed must be a bool, got {self.packed!r}"
             )
         for knob in ("solution_limit", "max_evaluations", "max_passes"):
             value = getattr(self, knob)
@@ -644,7 +627,6 @@ class SynthesisCore:
             track_hole_paths=self.config.refined_patterns,
             resume_from=resume,
             collect_checkpoint=collect,
-            packed=self.config.packed,
             telemetry=self.telemetry if self.telemetry.enabled else None,
         )
         result = explorer.run()
@@ -841,8 +823,7 @@ class SynthesisCore:
                 track_hole_paths=self.config.refined_patterns,
                 resume_from=resume,
                 collect_checkpoint=True,
-                packed=self.config.packed,
-                telemetry=tele if tele.enabled else None,
+                    telemetry=tele if tele.enabled else None,
             )
             explorer.run()
         cache.store(prefix, explorer.checkpoint)
@@ -906,7 +887,6 @@ class SynthesisCore:
         report.prefix_cache_hits = hits
         report.prefix_cache_builds = builds
         report.prefix_states_reused = reused
-        report.packed = self.config.packed
         report.peak_states = self.peak_states
         report.store_enabled = self.store_attached
         report.store_path = self.config.store_path
@@ -981,9 +961,6 @@ class SynthesisCore:
                 ),
                 states_visited=result.stats.states_visited,
                 fingerprint=(
-                    # Packed explorers key visited by slab id; this decodes
-                    # and re-canonicalises so fingerprints stay bit-identical
-                    # across packed and object runs.
                     explorer.fingerprint_visited()
                     if self.config.compute_fingerprints
                     else None

@@ -84,10 +84,6 @@ class SynthesisReport:
     prefix_cache_hits: int = 0
     prefix_cache_builds: int = 0
     prefix_states_reused: int = 0
-    #: packed-state kernel (see repro.mc.packed): whether candidate runs
-    #: were asked to use the fixed-layout encoding (systems without a
-    #: codec spec fall back to the object path silently)
-    packed: bool = False
     #: largest visited-state count of any single candidate run — the
     #: run's memory high-water mark (surfaced in the matrix journal)
     peak_states: int = 0
@@ -189,8 +185,6 @@ class SynthesisReport:
             f"solutions:         {len(self.solutions)}",
             f"elapsed:           {self.elapsed_seconds:.3f}s",
         ]
-        if self.packed:
-            lines.insert(-1, "packed kernel:     on")
         if self.store_enabled:
             lines.insert(
                 -1,

@@ -380,7 +380,6 @@ class DistributedSynthesisEngine:
             fail_patterns=core.fail_table.constraints_since(),
             success_patterns=core.success_table.constraints_since(),
             explorer=config.explorer,
-            packed=config.packed,
         )
         # PassStart goes on the control queues *before* any task enters
         # the shared queue: each control queue is FIFO, so a worker that

@@ -126,11 +126,6 @@ class PassStart:
     fail_patterns: Tuple[Constraints, ...]
     success_patterns: Tuple[Constraints, ...]
     explorer: str = "bfs"
-    #: whether the coordinator model checks on the packed-state kernel.
-    #: Packed mode is verdict- and order-exact, but solution fingerprints
-    #: and prefix checkpoints are mode-specific, so workers refuse to run
-    #: the other mode rather than silently mixing them.
-    packed: bool = True
 
 
 @dataclass(frozen=True)

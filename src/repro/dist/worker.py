@@ -167,13 +167,6 @@ class BatchRunner:
                 f"coordinator runs the {msg.explorer!r} explorer but this "
                 f"worker was configured with {self._config.explorer!r}"
             )
-        if msg.packed != self._config.packed:
-            raise SynthesisError(
-                f"coordinator model checks with packed={msg.packed} but "
-                f"this worker resolves it to {self._config.packed} — "
-                f"mixed kernel modes would make solution fingerprints "
-                f"and prefix checkpoints incomparable"
-            )
         core = SynthesisCore(
             self.system,
             replace(self._config),

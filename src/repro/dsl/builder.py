@@ -183,7 +183,7 @@ class ProtocolBuilder:
         lets :meth:`build` compile a fully table-driven packed-state
         codec (:mod:`repro.mc.packed`) instead of treating the global
         record as one opaque atom.  When no explicit global rename was
-        set, ``schema.rename`` also becomes the object-path rename, so
+        set, ``schema.rename`` also becomes the object permuter's rename, so
         both layers share one source of truth.
         """
         self._global_schema = schema
@@ -272,9 +272,10 @@ class ProtocolBuilder:
                 ScalarSet("proc", self.n_procs), permute
             )
             # No replica_keys fast path here: the builder cannot know which
-            # process indices a user's global state references, so only the
-            # orbit cache is generic enough to apply.
-            canonicalize = permuter.make_canonicalizer()
+            # process indices a user's global state references.  The
+            # packed codec canonicalises exploration; this orbit search
+            # serves fingerprints (and a codec-less build, if cleared).
+            canonicalize = permuter.canonicalize
 
         return TransitionSystem(
             name=f"{self.name}-{self.n_procs}p",

@@ -9,8 +9,8 @@
   sequentially.  This is the CI matrix-smoke step.
 * ``fuzz`` — generated protocols through the journaled runner: building
   the preset registers a handful of seeded fuzz skeletons in the runtime
-  catalog (:func:`register_fuzz_skeletons`) and synthesises each one
-  under the packed/object kernels.  The differential lattice itself
+  catalog (:func:`register_fuzz_skeletons`) and synthesises each one.
+  The differential lattice itself
   lives in ``python -m repro fuzz``; this preset is the matrix-side
   bridge, giving generated specs the same resumable journal, report, and
   timeout machinery as the hand-written workloads.
@@ -149,13 +149,7 @@ def fuzz_preset() -> MatrixSpec:
                 "replicas": 2,
                 "backend": "sequential",
             },
-            # Each generated skeleton under both kernels: the packed
-            # column must match the object column row for row in the
-            # report — the matrix-level echo of the differential oracle.
-            "axes": {
-                "target": names,
-                "packed": [True, False],
-            },
+            "axes": {"target": names},
         }
     )
 

@@ -18,7 +18,6 @@ expires; other cells run in-process.  A cell that raises records status
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -60,7 +59,6 @@ def _synthesis_config(cell: CellSpec) -> SynthesisConfig:
         pruning=cell.pruning,
         generalise_conflicts=cell.generalise,
         prefix_reuse=cell.prefix_reuse,
-        packed=cell.packed,
         solution_limit=cell.solution_limit,
         max_evaluations=cell.max_evaluations,
         explorer=cell.explorer,
@@ -111,8 +109,7 @@ def _run_verify_cell(cell: CellSpec, telemetry=None) -> Dict[str, Any]:
     )
     start = time.perf_counter()
     result = make_explorer(
-        cell.explorer, system, limits=limits, packed=cell.packed,
-        telemetry=kernel_telemetry,
+        cell.explorer, system, limits=limits, telemetry=kernel_telemetry,
     ).run()
     elapsed = time.perf_counter() - start
     return {
@@ -385,7 +382,6 @@ class MatrixRunner:
         out_dir,
         fresh: bool = False,
         log: Optional[Callable[[str], None]] = None,
-        force_packed: Optional[bool] = None,
         telemetry=None,
     ) -> None:
         self.spec = spec
@@ -395,16 +391,6 @@ class MatrixRunner:
         #: The caller owns (and closes) the bundle.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.cells = expand_matrix(spec)
-        if force_packed is not None:
-            # Applied *after* expansion so cell ids (the journal keys)
-            # stay exactly as the spec derives them — overriding the
-            # defaults instead would re-derive ids and collide with cells
-            # that set `packed` explicitly.  The CLI documents that a mode
-            # override wants --fresh or a separate --out.
-            self.cells = [
-                dataclasses.replace(cell, packed=force_packed)
-                for cell in self.cells
-            ]
         self.out_dir = Path(out_dir)
         self.fresh = fresh
         self._log = log or (lambda message: None)

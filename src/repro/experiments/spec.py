@@ -62,7 +62,6 @@ class CellSpec:
     pruning: bool = True
     generalise: bool = True
     prefix_reuse: bool = True
-    packed: bool = True
     evictions: bool = False
     symmetry: bool = True
     solution_limit: Optional[int] = None
@@ -87,7 +86,6 @@ _FLAG_TAGS = (
     ("pruning", False, "naive"),
     ("generalise", False, "nogen"),
     ("prefix_reuse", False, "noreuse"),
-    ("packed", False, "nopacked"),
     ("evictions", True, "evict"),
     ("symmetry", False, "nosym"),
 )
@@ -162,8 +160,8 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
                 f"cell {cell.id!r}: unknown skeleton {cell.target!r}; "
                 f"available: {', '.join(sorted(SKELETON_CATALOG))}"
             )
-    for flag in ("pruning", "generalise", "prefix_reuse", "packed",
-                 "evictions", "symmetry"):
+    for flag in ("pruning", "generalise", "prefix_reuse", "evictions",
+                 "symmetry"):
         if not isinstance(getattr(cell, flag), bool):
             raise ExperimentError(
                 f"cell {cell.id!r}: {flag} must be a bool, "

@@ -1,24 +1,31 @@
 """The differential oracle: one spec against the configuration lattice.
 
 Every generated protocol is pushed through a lattice of configurations —
-{packed, symmetry, prefix reuse, generalise} x {bfs, dfs} x
-{sequential, processes} — and the runs are compared against each
-other under the *promises each mode actually makes*:
+{symmetry, prefix reuse, generalise} x {bfs, dfs} x
+{sequential, processes}, plus a ``wholestate`` run with the spec's codec
+removed — and the runs are compared against each other under the
+*promises each mode actually makes*:
 
 * **verdicts** are compared across every configuration, always: the
   reference completion must verify and the seeded bug completion must
   fail everywhere (and its counterexample must replay step by step);
 * **state/transition/attempt counts** are compared within groups that
-  promise count-exactness — packed on/off and bfs/dfs agree on complete
-  explorations, but symmetry-off visits more, so it forms its own group;
+  promise count-exactness — codec on/off (``wholestate``) and bfs/dfs
+  agree on complete explorations, but symmetry-off visits more, so it
+  forms its own group;
 * **solution sets** (as hole-name -> action-name assignment sets) are
   compared across every synthesis configuration, always;
 * **solution fingerprints** (visited-set hashes) are compared within
   groups sharing a state space — symmetry-off legitimately changes the
   visited set;
 * **evaluated counts** are compared only where enumeration order and
-  pruning-pattern content are promised identical (the packed and
+  pruning-pattern content are promised identical (the ``wholestate`` and
   prefix-reuse toggles).
+
+The ``wholestate`` configs are the lattice's independent canonicaliser:
+with the codec removed, the kernel runs on the whole-state codec derived
+from the system's ``canonicalize``, so every orbit goes through the DSL
+``Permuter`` instead of the codec's remap tables.
 
 Candidate evaluations flow through
 :meth:`repro.core.engine.SynthesisCore.evaluate` — the same single
@@ -56,7 +63,8 @@ class KernelConfig:
 
     name: str
     explorer: str = "bfs"
-    packed: bool = True
+    #: run with the spec's codec removed (the derived whole-state codec)
+    wholestate: bool = False
     symmetry: bool = True
 
     @property
@@ -88,7 +96,9 @@ class SynthLatticeConfig:
     backend: str = "sequential"
     workers: int = 2
     explorer: str = "bfs"
-    packed: bool = True
+    #: run with the spec's codec removed (sequential backend only: worker
+    #: processes rebuild the system from the spec)
+    wholestate: bool = False
     symmetry: bool = True
     prefix_reuse: bool = True
     generalise: bool = True
@@ -98,7 +108,7 @@ class SynthLatticeConfig:
     def evaluated_exact(self) -> bool:
         """Whether ``report.evaluated`` must equal the reference's.
 
-        Only the packed and prefix-reuse toggles promise this: a
+        Only the ``wholestate`` and prefix-reuse toggles promise this: a
         different explorer or backend changes hole-discovery and
         pattern-arrival order, and disabling generalisation changes the
         patterns themselves.
@@ -131,7 +141,7 @@ class Lattice:
     """A named set of kernel and synthesis configurations.
 
     The first entry of each list is the comparison reference and must be
-    the all-promises configuration (bfs, packed, symmetric).
+    the all-promises configuration (bfs, with the spec's codec, symmetric).
     """
 
     name: str
@@ -147,23 +157,18 @@ def ablation_lattice() -> Lattice:
         "ablation",
         verify=(
             KernelConfig("ref"),
-            KernelConfig("nopacked", packed=False),
+            KernelConfig("wholestate", wholestate=True),
             KernelConfig("dfs", explorer="dfs"),
-            KernelConfig("dfs-nopacked", explorer="dfs", packed=False),
             KernelConfig("nosym", symmetry=False),
-            KernelConfig("nosym-nopacked", symmetry=False, packed=False),
         ),
         synth=(
             SynthLatticeConfig("ref"),
-            SynthLatticeConfig("nopacked", packed=False),
+            SynthLatticeConfig("wholestate", wholestate=True),
             SynthLatticeConfig("dfs", explorer="dfs"),
             SynthLatticeConfig("processes", backend="processes"),
             SynthLatticeConfig("nosym", symmetry=False),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
             SynthLatticeConfig("nogen", generalise=False),
-            SynthLatticeConfig(
-                "bare", packed=False, prefix_reuse=False, generalise=False
-            ),
             SynthLatticeConfig(
                 "processes-dfs", backend="processes", explorer="dfs"
             ),
@@ -183,28 +188,26 @@ def ablation_lattice() -> Lattice:
 
 
 def full_lattice() -> Lattice:
-    """The cartesian corners: every backend x explorer x packed (x
-    symmetry for the kernel side).  Opt in for small ``--count`` runs; the
-    ablation lattice covers the same promises at a fraction of the cost."""
+    """The cartesian corners: every backend x explorer (x symmetry for
+    the kernel side), plus the sequential ``wholestate`` oracle.  Opt in
+    for small ``--count`` runs; the ablation lattice covers the same
+    promises at a fraction of the cost."""
     verify = [
         KernelConfig(
-            f"{explorer}{'' if packed else '-nopacked'}"
-            f"{'' if sym else '-nosym'}",
-            explorer=explorer, packed=packed, symmetry=sym,
+            f"{explorer}{'' if sym else '-nosym'}",
+            explorer=explorer, symmetry=sym,
         )
         for sym in (True, False)
         for explorer in ("bfs", "dfs")
-        for packed in (True, False)
-    ]
+    ] + [KernelConfig("wholestate", wholestate=True)]
     synth = [
         SynthLatticeConfig(
-            f"{backend}-{explorer}{'' if packed else '-nopacked'}",
-            backend=backend, explorer=explorer, packed=packed,
+            f"{backend}-{explorer}", backend=backend, explorer=explorer,
         )
         for backend in BACKENDS
         for explorer in ("bfs", "dfs")
-        for packed in (True, False)
     ] + [
+        SynthLatticeConfig("wholestate", wholestate=True),
         SynthLatticeConfig("nosym", symmetry=False),
         SynthLatticeConfig("noreuse", prefix_reuse=False),
         SynthLatticeConfig("nogen", generalise=False),
@@ -219,12 +222,12 @@ def tier1_lattice() -> Lattice:
         "tier1",
         verify=(
             KernelConfig("ref"),
-            KernelConfig("nopacked", packed=False),
+            KernelConfig("wholestate", wholestate=True),
             KernelConfig("dfs", explorer="dfs"),
         ),
         synth=(
             SynthLatticeConfig("ref"),
-            SynthLatticeConfig("nopacked", packed=False),
+            SynthLatticeConfig("wholestate", wholestate=True),
             SynthLatticeConfig("dfs", explorer="dfs"),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
         ),
@@ -346,6 +349,13 @@ def replay_trace(system, trace, resolver=None) -> Optional[str]:
 
 
 # -- the runner ---------------------------------------------------------------
+
+
+def _without_codec(system, wholestate: bool):
+    """``system`` with its codec removed when ``wholestate`` is set."""
+    if wholestate:
+        system.packed_spec = None
+    return system
 
 
 def _result_counts(result: VerificationResult) -> Tuple[int, int, int]:
@@ -676,12 +686,10 @@ class DifferentialRunner:
         self, spec: ProtocolSpec, kc: KernelConfig
     ) -> VerificationResult:
         """One complete-protocol verification through SynthesisCore.evaluate."""
-        system = build_reference_system(spec, symmetry=kc.symmetry)
-        config = SynthesisConfig(
-            explorer=kc.explorer,
-            packed=kc.packed,
+        system = _without_codec(
+            build_reference_system(spec, symmetry=kc.symmetry), kc.wholestate
         )
-        core = SynthesisCore(system, config)
+        core = SynthesisCore(system, SynthesisConfig(explorer=kc.explorer))
         result, _explorer = core.evaluate(CandidateVector.empty())
         return result
 
@@ -692,9 +700,8 @@ class DifferentialRunner:
         resolver = resolver_for_assignment(holes, spec.bug_assignment)
         explorer = make_explorer(
             kc.explorer,
-            system,
+            _without_codec(system, kc.wholestate),
             resolver=resolver,
-            packed=kc.packed,
         )
         return explorer.run()
 
@@ -712,7 +719,6 @@ class DifferentialRunner:
     ):
         config = SynthesisConfig(
             explorer=sc.explorer,
-            packed=sc.packed,
             prefix_reuse=sc.prefix_reuse,
             generalise_conflicts=sc.generalise,
             compute_fingerprints=True,
@@ -723,7 +729,11 @@ class DifferentialRunner:
         )
         if sc.backend == "sequential":
             system, _holes = build_skeleton_from_spec(spec, symmetry=sc.symmetry)
-            return SynthesisEngine(system, config).run()
+            return SynthesisEngine(
+                _without_codec(system, sc.wholestate), config
+            ).run()
+        if sc.wholestate:
+            raise ValueError("wholestate configs run on the sequential backend")
         if sc.backend == "processes":
             # Imported lazily: repro.dist pulls in multiprocessing wiring
             # the sequential-only paths never need.

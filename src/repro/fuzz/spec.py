@@ -18,8 +18,8 @@ before releasing.  Knobs add an explicit acknowledgement round
 consumption (``single_slot``), decorative modular grant counters
 (``counters``), a second, server-side hole (``hole_server``), and the
 packed-codec flavour (``codec``: a typed-schema codec, the opaque-global
-codec, or *no* codec at all — the latter exercises the kernel's silent
-packed fallback).
+codec, or *no* codec at all — the latter exercises the whole-state codec
+every system without a ``packed_spec`` derives).
 
 Ground truth is generator-known: the reference completion
 (:attr:`ProtocolSpec.reference_assignment`) verifies by construction, and
@@ -518,8 +518,7 @@ def _build(
     system = builder.build()
     if spec.codec == "none":
         # Simulate a system compiled without any packed codec: the kernel
-        # must fall back to the object path silently (engine `packed=True`
-        # stays a no-op and pack_* metrics never appear).
+        # derives a whole-state codec canonicalised by the DSL permuter.
         system.packed_spec = None
     return system
 

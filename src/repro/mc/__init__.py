@@ -5,7 +5,7 @@ that VerC3 embeds: guarded-command transition systems over immutable
 states, one unified exploration kernel (:mod:`repro.mc.kernel`)
 parameterised by a frontier strategy — FIFO/"bfs" for minimal error
 traces, LIFO/"dfs" as the ablation — with resumable prefix checkpoints,
-scalarset symmetry reduction with a cached canonicaliser, and three-valued
+scalarset symmetry reduction on packed state encodings, and three-valued
 verdicts (SUCCESS / FAILURE / UNKNOWN) so the synthesis layer can reason
 about candidates containing wildcard holes.
 """
@@ -26,19 +26,12 @@ from repro.mc.multiset import Multiset
 from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
 from repro.mc.result import Verdict, VerificationResult
 from repro.mc.rule import Rule, RuleInstance, ruleset
-from repro.mc.symmetry import (
-    CachingCanonicalizer,
-    CanonicalizingSystem,
-    Permuter,
-    ScalarSet,
-)
+from repro.mc.symmetry import Permuter, ScalarSet
 from repro.mc.system import TransitionSystem
 from repro.mc.trace import Trace, TraceStep
 
 __all__ = [
     "BfsExplorer",
-    "CachingCanonicalizer",
-    "CanonicalizingSystem",
     "CoverageProperty",
     "DeadlockPolicy",
     "DfsExplorer",

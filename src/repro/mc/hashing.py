@@ -101,15 +101,20 @@ def fingerprint_state(state: Any) -> int:
 
 
 def fingerprint_state_set(states: Iterable[Any]) -> int:
-    """Order-independent fingerprint of a set of states.
+    """Order-independent fingerprint of a set of states."""
+    return combine_fingerprints(fingerprint_state(state) for state in states)
 
-    XOR-combining per-state fingerprints makes the result independent of
-    iteration order, so it can be computed over hash-set contents directly.
+
+def combine_fingerprints(values: Iterable[int]) -> int:
+    """Order-independent combination of per-state fingerprints.
+
+    XOR-combining makes the result independent of iteration order, so it
+    can be computed over hash-set contents directly.
     """
     combined = 0
     count = 0
-    for state in states:
-        combined ^= fingerprint_state(state)
+    for value in values:
+        combined ^= value
         count += 1
     # Mix in the count so the empty set and self-cancelling pairs differ.
     return fingerprint_bytes(f"{combined}:{count}".encode("ascii"))

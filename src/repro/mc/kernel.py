@@ -4,13 +4,20 @@ Every search strategy in this package — breadth-first
 (:class:`~repro.mc.bfs.BfsExplorer`), depth-first
 (:class:`~repro.mc.dfs.DfsExplorer`) — is one :class:`ExplorationKernel`
 parameterised by a :class:`FrontierStrategy`.  The kernel owns everything
-the strategies used to duplicate: state interning against the system's
-canonicaliser, invariant and coverage evaluation, the parent/trace store,
-wildcard bookkeeping, deadlock classification, optional hole-path tracking
-and graph capture, and :class:`~repro.mc.result.RunStats` (including the
-canonicalisation-cache counters).  A strategy contributes exactly two
-decisions: which end of the frontier to pop (FIFO = BFS, LIFO = DFS) and
-in which order to try rules at a state.
+the strategies used to duplicate: state interning and canonicalisation on
+the system's :class:`~repro.mc.packed.PackedRuntime`, invariant and
+coverage evaluation, the parent/trace store, wildcard bookkeeping,
+deadlock classification, optional hole-path tracking and graph capture,
+and :class:`~repro.mc.result.RunStats`.  A strategy contributes exactly
+two decisions: which end of the frontier to pop (FIFO = BFS, LIFO = DFS)
+and in which order to try rules at a state.
+
+There is one exploration path.  Every state the loop touches is a slab id
+of the system's packed runtime (:meth:`TransitionSystem.packed_runtime
+<repro.mc.system.TransitionSystem.packed_runtime>`): the system's codec
+when it has one, and otherwise a whole-state codec derived from its
+``canonicalize``.  Rule firing, traces and counterexample replay still go
+through real state objects (``PackedRuntime.state_of``).
 
 Verdict semantics pinned down here (shared by *all* strategies; the
 synthesis layer depends on every clause):
@@ -96,9 +103,9 @@ class ExplorationCheckpoint:
     runs.
 
     Attributes:
-        visited: canonical state -> state id for every state the prefix
+        visited: canonical slab id -> state id for every state the prefix
             run interned (all of which passed the invariants).
-        originals: state id -> the state as first discovered.
+        originals: state id -> slab id of the state as first discovered.
         parents: state id -> ``(parent_sid, rule_name)`` discovery edge, or
             ``None`` for initial states (and everything, when the producing
             run had ``record_traces=False``).
@@ -115,14 +122,11 @@ class ExplorationCheckpoint:
             the prefix; seeds the resumed run's executed set).
         hole_paths: per-sid discovery-path hole sets when the producing run
             tracked them (``track_hole_paths``), else ``None``.
-        packed: whether the producing run explored in packed mode
-            (:mod:`repro.mc.packed`).  Packed checkpoints key ``visited``
-            by slab id and store slab ids in ``originals``, so they are
-            only meaningful against the same in-process
-            :class:`~repro.mc.packed.PackedRuntime`; :meth:`run` refuses
-            a cross-mode resume.  The prefix cache and both backends
-            keep runtime and checkpoints within one process, so this
-            never crosses a process boundary.
+
+    Slab ids are only meaningful against the same in-process
+    :class:`~repro.mc.packed.PackedRuntime`.  The prefix cache and both
+    backends keep runtime and checkpoints within one process, so a
+    checkpoint never crosses a process boundary.
     """
 
     visited: Dict[Any, int]
@@ -136,7 +140,6 @@ class ExplorationCheckpoint:
     max_depth: int
     executed_holes: frozenset
     hole_paths: Optional[Tuple[frozenset, ...]] = None
-    packed: bool = False
 
 
 class FrontierStrategy:
@@ -146,7 +149,7 @@ class FrontierStrategy:
     name: str = "?"
 
     def pop(self, frontier: deque) -> Tuple[Any, int, int]:
-        """Remove and return the next ``(state, sid, depth)`` entry."""
+        """Remove and return the next ``(slab id, sid, depth)`` entry."""
         raise NotImplementedError
 
     def order_rules(self, rules: Sequence) -> Tuple:
@@ -221,18 +224,8 @@ class ExplorationKernel:
             exploration — *does* checkpoint, deliberately: such a prefix
             explores the identical space as every extension, so resumed
             runs (empty cut set) return the same verdict immediately.
-        packed: run the hot path on packed state encodings
-            (:mod:`repro.mc.packed`) when the system carries a
-            ``packed_spec``.  Successor dedup, canonicalisation, and the
-            property/deadlock memos then operate on slab ids with
-            table-driven orbit minimisation; rule firing, traces, and
-            counterexample replay still go through real state objects
-            (``PackedRuntime.state_of``), so verdicts,
-            state counts, and solution sets are identical to object mode.
-            Silently falls back to the object path when the system has no
-            codec.  Defaults to off at this layer — the engine/CLI layers
-            default it on — so direct kernel users (and the orbit-cache
-            counters their tests pin) are unaffected.
+        telemetry: a ``repro.obs.Telemetry`` for phase attribution and
+            per-run ``pack_*`` counter deltas, or ``None``.
     """
 
     def __init__(
@@ -247,7 +240,6 @@ class ExplorationKernel:
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
         telemetry: Any = None,
-        packed: bool = False,
     ) -> None:
         if isinstance(strategy, str):
             try:
@@ -259,13 +251,8 @@ class ExplorationKernel:
                 ) from None
         self.system = system
         self.strategy = strategy
-        #: the shared :class:`~repro.mc.packed.PackedRuntime` when packed
-        #: mode is on and the system has a codec; ``None`` otherwise
-        self.packed_runtime = None
-        if packed:
-            spec = getattr(system, "packed_spec", None)
-            if spec is not None:
-                self.packed_runtime = spec.runtime(system)
+        #: the system's shared :class:`~repro.mc.packed.PackedRuntime`
+        self.packed_runtime = system.packed_runtime()
         self.ctx = ExecutionContext(resolver)
         self.limits = limits or ExplorationLimits()
         self.record_traces = record_traces
@@ -286,7 +273,7 @@ class ExplorationKernel:
         #: the exploration drained without truncation or a counterexample
         #: (COVERAGE failures still checkpoint; see the constructor docs)
         self.checkpoint: Optional[ExplorationCheckpoint] = None
-        #: canonical state -> state id, filled during :meth:`run`
+        #: canonical slab id -> state id, filled during :meth:`run`
         self.visited_states: Dict[Any, int] = {}
         #: a ``repro.obs.Telemetry`` (or ``None``); the enabled/disabled
         #: decision is taken once in :meth:`run`, not per state
@@ -298,11 +285,9 @@ class ExplorationKernel:
         """Explore and return the verdict."""
         system = self.system
         ctx = self.ctx
-        canonicalize = system.canonicalize
         limits = self.limits
         visited = self.visited_states
         rt = self.packed_runtime
-        packed = rt is not None
         all_rules = tuple(system.rules)
         #: rule indices in the strategy's firing order (system indexing,
         #: so they line up with the packed runtime's guard bitmask)
@@ -326,17 +311,8 @@ class ExplorationKernel:
         expand_acc = [0.0]
         resume_acc = [0.0]
         checkpoint_acc = [0.0]
-        if self.resume_from is not None and self.resume_from.packed != packed:
-            raise ModelError(
-                "cannot resume a {}-mode exploration from a {}-mode "
-                "checkpoint; packed state encoding must match across a "
-                "prefix chain".format(
-                    "packed" if packed else "object",
-                    "packed" if self.resume_from.packed else "object",
-                )
-            )
         parents: List[Optional[Tuple[int, str]]] = []
-        originals: List[Any] = []
+        originals: List[int] = []
         hole_paths: List[frozenset] = []
         pending_coverage = list(system.coverage)
         cut_states: List[Tuple[int, int]] = []
@@ -347,20 +323,6 @@ class ExplorationKernel:
         wildcard_cuts = 0
         max_depth = 0
         truncated = False
-        if instrumented:
-            # Wrap canonicalisation in a timing shim.  The shim replaces
-            # the local binding only — ``canon_source`` keeps serving the
-            # orbit-cache counters, and the disabled path never pays it.
-            canon_source = canonicalize
-
-            def canonicalize(state, _raw=canon_source, _acc=canon_acc,
-                             _clock=clock):
-                begin = _clock()
-                result = _raw(state)
-                _acc[0] += _clock() - begin
-                return result
-        else:
-            canon_source = canonicalize
 
         resume = self.resume_from
         states_reused = 0
@@ -382,34 +344,27 @@ class ExplorationKernel:
             if instrumented:
                 resume_acc[0] += clock() - resume_begin
 
-        # The orbit cache (repro.mc.symmetry.CachingCanonicalizer) is
-        # shared across runs of the same system; report per-run hit deltas.
-        cache_hits_base = getattr(canon_source, "hits", 0)
         #: packed-runtime counter snapshot, for per-run pack_* metric deltas
-        pack_base = rt.counters() if instrumented and packed else None
+        pack_base = rt.counters() if instrumented else None
 
         frontier: deque = deque()
 
-        def register(state: Any, parent: Optional[Tuple[int, str]], depth: int,
+        def register(rid: int, parent: Optional[Tuple[int, str]], depth: int,
                      path_holes: frozenset) -> Tuple[int, bool]:
-            """Canonicalise, dedup, property-check, and enqueue a state.
+            """Canonicalise, dedup, property-check, and enqueue a slab id.
 
-            In packed mode ``state`` is a slab id: canonicalisation is the
-            table-driven :meth:`~repro.mc.packed.PackedRuntime.canon_id`
-            and the visited set is keyed by the canonical slab id.
+            The visited set is keyed by the canonical slab id
+            (:meth:`~repro.mc.packed.PackedRuntime.canon_id`).
 
             Returns ``(state_id, is_new)``.
             """
             nonlocal states_visited
-            if packed:
-                if instrumented:
-                    canon_begin = clock()
-                    canon = rt.canon_id(state)
-                    canon_acc[0] += clock() - canon_begin
-                else:
-                    canon = rt.canon_id(state)
+            if instrumented:
+                canon_begin = clock()
+                canon = rt.canon_id(rid)
+                canon_acc[0] += clock() - canon_begin
             else:
-                canon = canonicalize(state)
+                canon = rt.canon_id(rid)
             known = visited.get(canon)
             if known is not None:
                 if self.capture_graph is not None and parent is not None:
@@ -417,28 +372,21 @@ class ExplorationKernel:
                 return known, False
             sid = len(originals)
             visited[canon] = sid
-            originals.append(state)
+            originals.append(rid)
             parents.append(parent if self.record_traces else None)
             if self.track_hole_paths:
                 hole_paths.append(path_holes)
             states_visited += 1
             if pending_coverage:
-                if packed:
-                    satisfied = rt.coverage_names(state)
-                    for prop in list(pending_coverage):
-                        if prop.name in satisfied:
-                            pending_coverage.remove(prop)
-                else:
-                    for prop in list(pending_coverage):
-                        if prop.satisfied_by(state):
-                            pending_coverage.remove(prop)
+                satisfied = rt.coverage_names(rid)
+                for prop in list(pending_coverage):
+                    if prop.name in satisfied:
+                        pending_coverage.remove(prop)
             if self.capture_graph is not None:
-                self.capture_graph.add_state(
-                    sid, rt.state_of(state) if packed else state, depth
-                )
+                self.capture_graph.add_state(sid, rt.state_of(rid), depth)
                 if parent is not None:
                     self.capture_graph.add_edge(parent[0], sid, parent[1])
-            frontier.append((state, sid, depth))
+            frontier.append((rid, sid, depth))
             return sid, True
 
         def build_trace(sid: int) -> Optional[Trace]:
@@ -448,11 +396,11 @@ class ExplorationKernel:
             cursor: Optional[int] = sid
             while cursor is not None:
                 parent = parents[cursor]
-                original = originals[cursor]
-                if packed:
-                    original = rt.state_of(original)
                 steps.append(
-                    TraceStep(parent[1] if parent else None, original)
+                    TraceStep(
+                        parent[1] if parent else None,
+                        rt.state_of(originals[cursor]),
+                    )
                 )
                 cursor = parent[0] if parent else None
             steps.reverse()
@@ -483,14 +431,13 @@ class ExplorationKernel:
             self.phase_seconds = phases
             for name, seconds in phases.items():
                 tele.phase(name, seconds)
-            if pack_base is not None:
-                metrics = tele.metrics
-                for name, value in rt.counters().items():
-                    delta = value - pack_base[name]
-                    if delta:
-                        metrics.counter(
-                            name, "packed-kernel counter (run delta)"
-                        ).inc(delta)
+            metrics = tele.metrics
+            for name, value in rt.counters().items():
+                delta = value - pack_base[name]
+                if delta:
+                    metrics.counter(
+                        name, "packed-kernel counter (run delta)"
+                    ).inc(delta)
 
         def stats() -> RunStats:
             if instrumented:
@@ -502,8 +449,6 @@ class ExplorationKernel:
                 wildcard_cuts=wildcard_cuts,
                 max_depth=max_depth,
                 truncated=truncated,
-                canon_cache_hits=getattr(canon_source, "hits", 0) - cache_hits_base,
-                canon_cache_size=getattr(canon_source, "size", 0),
                 prefix_states_reused=states_reused,
             )
 
@@ -532,29 +477,18 @@ class ExplorationKernel:
         else:
             # Seed with initial states (checking invariants on them too).
             for state in system.initial_states():
-                if packed:
-                    state = rt.intern(state)
-                sid, is_new = register(state, None, 0, frozenset())
+                rid = rt.intern(state)
+                sid, is_new = register(rid, None, 0, frozenset())
                 if not is_new:
                     continue
-                if packed:
-                    violated = rt.invariant_violation(state)
-                    if violated is not None:
-                        return failure(
-                            FailureKind.INVARIANT,
-                            f"invariant {violated!r} violated in an "
-                            f"initial state",
-                            sid,
-                        )
-                    continue
-                for invariant in system.invariants:
-                    if not invariant.holds(state):
-                        return failure(
-                            FailureKind.INVARIANT,
-                            f"invariant {invariant.name!r} violated in an "
-                            f"initial state",
-                            sid,
-                        )
+                violated = rt.invariant_violation(rid)
+                if violated is not None:
+                    return failure(
+                        FailureKind.INVARIANT,
+                        f"invariant {violated!r} violated in an "
+                        f"initial state",
+                        sid,
+                    )
 
         canon_seed[0] = canon_acc[0]  # canon time spent seeding, not expanding
         tick = None
@@ -565,7 +499,7 @@ class ExplorationKernel:
             if limits.max_states is not None and states_visited >= limits.max_states:
                 truncated = True
                 break
-            state, sid, depth = self.strategy.pop(frontier)
+            rid, sid, depth = self.strategy.pop(frontier)
             if tick is not None:
                 tick(states=states_visited, frontier=len(frontier), depth=depth)
             if depth > max_depth:
@@ -578,35 +512,27 @@ class ExplorationKernel:
             path_holes = hole_paths[sid] if self.track_hole_paths else frozenset()
             holes_at_state: Set[Any] = set()
 
-            enabled: Sequence[int] = ordered_indices
-            if packed:
-                # ``state`` is a slab id; the guard verdicts are memoised
-                # per interned state, so re-visits skip the guard calls.
-                entry = rt.enabled_entry(state)
-                if order_ascending:
-                    enabled = entry[1]
-                elif order_descending:
-                    enabled = entry[1][::-1]
-                else:
-                    guard_mask = entry[0]
-                    enabled = [
-                        index for index in ordered_indices
-                        if (guard_mask >> index) & 1
-                    ]
+            # The guard verdicts are memoised per interned state, so
+            # re-visits skip the guard calls.
+            entry = rt.enabled_entry(rid)
+            if order_ascending:
+                enabled: Sequence[int] = entry[1]
+            elif order_descending:
+                enabled = entry[1][::-1]
+            else:
+                guard_mask = entry[0]
+                enabled = [
+                    index for index in ordered_indices
+                    if (guard_mask >> index) & 1
+                ]
 
             if instrumented:
                 expand_begin = clock()
             for index in enabled:
-                rule = all_rules[index]
-                if not packed and not rule.guard(state):
-                    continue
                 attempts += 1
                 ctx.begin_firing()
                 try:
-                    if packed:
-                        successors = rt.fire(state, index, ctx)
-                    else:
-                        successors = rule.fire(state, ctx)
+                    successors = rt.fire(rid, index, ctx)
                 except WildcardEncountered:
                     cut_here = True
                     wildcard_cuts += 1
@@ -620,21 +546,15 @@ class ExplorationKernel:
                     if self.track_hole_paths
                     else frozenset()
                 )
+                rule_name = all_rules[index].name
                 for successor in successors:
                     transitions += 1
                     new_sid, is_new = register(
-                        successor, (sid, rule.name), depth + 1, firing_holes
+                        successor, (sid, rule_name), depth + 1, firing_holes
                     )
                     if not is_new:
                         continue
-                    if packed:
-                        violated = rt.invariant_violation(successor)
-                    else:
-                        violated = None
-                        for invariant in system.invariants:
-                            if not invariant.holds(successor):
-                                violated = invariant.name
-                                break
+                    violated = rt.invariant_violation(successor)
                     if violated is not None:
                         if instrumented:
                             expand_acc[0] += clock() - expand_begin
@@ -648,15 +568,13 @@ class ExplorationKernel:
 
             if cut_here:
                 cut_states.append((sid, depth))
-            elif not produced_successor:
-                if (rt.is_deadlock(state) if packed
-                        else system.deadlock.is_deadlock(state)):
-                    return failure(
-                        FailureKind.DEADLOCK,
-                        "deadlock: no enabled transitions",
-                        sid,
-                        extra_holes=frozenset(holes_at_state),
-                    )
+            elif not produced_successor and rt.is_deadlock(rid):
+                return failure(
+                    FailureKind.DEADLOCK,
+                    "deadlock: no enabled transitions",
+                    sid,
+                    extra_holes=frozenset(holes_at_state),
+                )
 
         if self.collect_checkpoint and not truncated:
             if instrumented:
@@ -674,7 +592,6 @@ class ExplorationKernel:
                 max_depth=max_depth,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 hole_paths=tuple(hole_paths) if self.track_hole_paths else None,
-                packed=packed,
             )
             if instrumented:
                 checkpoint_acc[0] += clock() - checkpoint_begin
@@ -710,27 +627,20 @@ class ExplorationKernel:
             executed_holes=frozenset(ctx.run_executed_holes),
         )
 
+    def visited_representatives(self) -> List[Any]:
+        """The visited set as state objects, one orbit member per state."""
+        state_of = self.packed_runtime.state_of
+        return [state_of(cid) for cid in self.visited_states]
+
     def fingerprint_visited(self) -> int:
-        """Behaviour fingerprint of the visited set, identical across modes.
+        """Behaviour fingerprint of the visited set.
 
-        Object mode fingerprints the canonical states keyed in
-        :attr:`visited_states` directly.  Packed mode keys that dict by
-        canonical slab ids whose *representative* is the packed-layout
-        minimum — a different (orbit-equivalent) member than the object
-        canonicaliser's — so each is decoded and re-canonicalised through
-        the system's object canonicaliser, which is an orbit function:
-        the resulting values (and the XOR-combined set fingerprint) are
-        bit-identical to an object-mode run's.
+        The visited set is keyed by canonical slab ids; the runtime maps
+        each back through the system's object canonicaliser (memoised per
+        id), so the value depends only on the set of orbits visited —
+        see :meth:`~repro.mc.packed.PackedRuntime.fingerprint_set`.
         """
-        from repro.mc.hashing import fingerprint_state_set
-
-        rt = self.packed_runtime
-        if rt is None:
-            return fingerprint_state_set(self.visited_states)
-        canonicalize = self.system.canonicalize
-        return fingerprint_state_set(
-            canonicalize(rt.state_of(rid)) for rid in self.visited_states
-        )
+        return self.packed_runtime.fingerprint_set(self.visited_states)
 
 
 def make_explorer(
@@ -744,7 +654,6 @@ def make_explorer(
     resume_from: Optional[ExplorationCheckpoint] = None,
     collect_checkpoint: bool = False,
     telemetry: Any = None,
-    packed: bool = False,
 ) -> ExplorationKernel:
     """Build a kernel for a registered strategy name (``bfs``/``dfs``).
 
@@ -764,5 +673,4 @@ def make_explorer(
         resume_from=resume_from,
         collect_checkpoint=collect_checkpoint,
         telemetry=telemetry,
-        packed=packed,
     )

@@ -14,7 +14,10 @@ counterexample replay:
   schemas the DSL carries (:mod:`repro.dsl.fields` — ``IdField`` /
   ``IdSetField`` rename hooks say exactly which slots are replica-indexed)
   or, for hand-written protocols, from a discovery spec over their field
-  tables (:func:`repro.protocols.msi.defs.packed_spec`).
+  tables (:func:`repro.protocols.msi.defs.packed_spec`).  A system with
+  neither gets a derived :class:`WholeStateCodec`: whole states interned
+  in one slot, canonicalised by the system's own ``canonicalize``.  Every
+  exploration therefore runs on this module.
 * A :class:`PackedRuntime` interns encodings in a slab (encoding → dense
   index) and memoises, per interned state: the canonical orbit member,
   the enabled-rule set, rule-firing successors (a per-rule resolution
@@ -46,9 +49,10 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, WildcardEncountered
+from repro.mc.hashing import combine_fingerprints, fingerprint_state
 
 #: slab capacity: a hard cap so a runaway system fails loudly instead of
 #: swallowing memory; catalog workloads intern a few thousand states
@@ -156,7 +160,8 @@ class IdSlot:
             return value + 1
         raise ModelError(
             f"packed IdSlot: {value!r} outside [0, {self.n}) "
-            f"(sentinel {self.sentinel!r}); run with --no-packed to bypass"
+            f"(sentinel {self.sentinel!r}); the state leaves its schema's "
+            f"declared id domain"
         )
 
     def decode(self, code: int) -> Any:
@@ -191,7 +196,7 @@ class IdSetSlot:
             if not isinstance(member, int) or not 0 <= member < self.n:
                 raise ModelError(
                     f"packed IdSetSlot: member {member!r} outside [0, {self.n}); "
-                    f"run with --no-packed to bypass"
+                    f"the state leaves its schema's declared id domain"
                 )
             mask |= 1 << member
         return mask
@@ -440,8 +445,9 @@ class PackedSpec:
     """A system's packed-state capability: a codec plus a shared runtime.
 
     Built once per :class:`~repro.mc.system.TransitionSystem` by the DSL
-    builder or a protocol module; ``with_canonicalizer`` copies share it,
-    so one slab serves every run of the system.
+    builder or a protocol module, or derived by the system itself around
+    a :class:`WholeStateCodec` when it has none, so one slab serves every
+    run of the system.
     """
 
     __slots__ = ("codec_factory", "_codec", "_runtime", "_lock")
@@ -502,13 +508,16 @@ class PackedRuntime:
 
     All memos are keyed by the *raw* interned id — never by the canonical
     one — because rule firing, traces, and replay must see the exact state
-    the exploration reached, not an orbit-equivalent substitute.
+    the exploration reached, not an orbit-equivalent substitute.  The one
+    exception is the fingerprint memo, which :meth:`fingerprint_set` fills
+    for the canonical ids a visited set holds.
     """
 
     __slots__ = (
         "codec", "_rules", "_invariants", "_coverage", "_deadlock",
-        "_index", "_codes", "_states", "_canon", "_enabled", "_inv",
-        "_cov", "_dead", "_fire", "_lock", "_stride",
+        "_canonicalize", "_index", "_codes", "_states", "_canon",
+        "_enabled", "_inv", "_cov", "_dead", "_fp", "_fire", "_lock",
+        "_stride",
         "states_interned", "canon_scans", "fire_memo_hits",
         "fire_memo_misses", "decode_calls",
     )
@@ -519,6 +528,7 @@ class PackedRuntime:
         self._invariants = tuple(system.invariants)
         self._coverage = tuple(system.coverage)
         self._deadlock = system.deadlock
+        self._canonicalize = system.canonicalize
         self._stride = len(self._rules)
         self._index: Dict[Tuple[int, ...], int] = {}
         self._codes: List[Tuple[int, ...]] = []
@@ -528,6 +538,7 @@ class PackedRuntime:
         self._inv: List[Any] = []
         self._cov: List[Optional[frozenset]] = []
         self._dead: List[Optional[bool]] = []
+        self._fp: List[Optional[int]] = []
         self._fire: Dict[int, Any] = {}
         self._lock = threading.Lock()
         self.states_interned = 0
@@ -543,8 +554,9 @@ class PackedRuntime:
         rid = len(self._codes)
         if rid >= MAX_SLAB_ENTRIES:
             raise ModelError(
-                f"packed slab overflow (> {MAX_SLAB_ENTRIES} distinct states); "
-                f"re-run with --no-packed"
+                f"packed slab overflow: more than MAX_SLAB_ENTRIES="
+                f"{MAX_SLAB_ENTRIES} distinct states interned; bound the "
+                f"exploration with --max-states"
             )
         self._codes.append(codes)
         self._states.append(state)
@@ -553,6 +565,7 @@ class PackedRuntime:
         self._inv.append(None)
         self._cov.append(None)
         self._dead.append(None)
+        self._fp.append(None)
         self._index[codes] = rid
         self.states_interned += 1
         return rid
@@ -650,6 +663,28 @@ class PackedRuntime:
             verdict = self._deadlock.is_deadlock(self.state_of(rid))
             self._dead[rid] = verdict
         return verdict
+
+    def fingerprint_set(self, cids: Iterable[int]) -> int:
+        """Behaviour fingerprint of a visited set of canonical slab ids.
+
+        A canonical id's representative is the packed-layout minimum, a
+        different (orbit-equivalent) member than the object
+        canonicaliser's, so each is decoded and re-canonicalised through
+        the system's ``canonicalize`` — an orbit function — before
+        hashing.  The per-id values are memoised and combined exactly as
+        :func:`~repro.mc.hashing.fingerprint_state_set` combines them, so
+        the result is bit-identical to fingerprinting the object
+        representatives directly.
+        """
+        fps = self._fp
+        values = []
+        for cid in cids:
+            value = fps[cid]
+            if value is None:
+                value = fingerprint_state(self._canonicalize(self.state_of(cid)))
+                fps[cid] = value
+            values.append(value)
+        return combine_fingerprints(values)
 
     # -- firing memo --------------------------------------------------------
 
@@ -838,14 +873,34 @@ def codec_for_opaque_global(
     return StateCodec(layout, extract, build, mappings)
 
 
-def trivial_codec() -> StateCodec:
-    """Whole-state interning for systems without symmetry (e.g. the
-    Figure 2 toy): one atom slot, identity group — the packed firing memo
-    and slab dedup still apply."""
-    slot = AtomSlot()
-    return StateCodec(
-        [Scalar(slot)],
-        lambda state: (state,),
-        lambda values: values[0],
-        identity_mappings(1),
-    )
+class WholeStateCodec(StateCodec):
+    """The codec derived for a system built without a ``packed_spec``.
+
+    One atom slot interns whole states and the group is the identity, so
+    the canonical step cannot be a remap: it is the system's own
+    ``canonicalize`` applied to the decoded state.  The runtime memoises
+    it per slab id, so each distinct raw state is canonicalised once per
+    system.  Exact by construction: the slab dedups exactly what
+    ``canonicalize`` merges.
+    """
+
+    __slots__ = ("_canonicalize", "_slot")
+
+    def __init__(self, canonicalize: Callable[[Any], Any]) -> None:
+        slot = AtomSlot()
+        super().__init__(
+            [Scalar(slot)],
+            lambda state: (state,),
+            lambda values: values[0],
+            identity_mappings(1),
+        )
+        self._canonicalize = canonicalize
+        self._slot = slot
+
+    def encode(self, state: Any) -> Tuple[int, ...]:
+        return (self._slot.encode(state),)
+
+    def canonical_codes(self, codes: Tuple[int, ...]) -> Tuple[int, ...]:
+        self.images += 1
+        slot = self._slot
+        return (slot.encode(self._canonicalize(slot.decode(codes[0]))),)

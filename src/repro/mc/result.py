@@ -44,13 +44,6 @@ class FailureKind(enum.Enum):
 class RunStats:
     """Statistics of one exploration.
 
-    ``canon_cache_hits`` counts orbit-cache lookups served from the memo
-    during *this* run; ``canon_cache_size`` is the cache's entry count at
-    run end (the cache is shared across runs of one system, so the size is
-    cumulative).
-    Both are 0 when the system canonicalises without a
-    :class:`~repro.mc.symmetry.CachingCanonicalizer`.
-
     ``prefix_states_reused`` counts the states this run inherited from a
     prefix-exploration checkpoint instead of re-exploring (0 for cold
     runs; see :class:`~repro.mc.kernel.ExplorationCheckpoint`).  They are
@@ -64,8 +57,6 @@ class RunStats:
     wildcard_cuts: int = 0
     max_depth: int = 0
     truncated: bool = False
-    canon_cache_hits: int = 0
-    canon_cache_size: int = 0
     prefix_states_reused: int = 0
 
     def merged_with(self, other: "RunStats") -> "RunStats":
@@ -77,8 +68,6 @@ class RunStats:
             wildcard_cuts=self.wildcard_cuts + other.wildcard_cuts,
             max_depth=max(self.max_depth, other.max_depth),
             truncated=self.truncated or other.truncated,
-            canon_cache_hits=self.canon_cache_hits + other.canon_cache_hits,
-            canon_cache_size=max(self.canon_cache_size, other.canon_cache_size),
             prefix_states_reused=self.prefix_states_reused
             + other.prefix_states_reused,
         )

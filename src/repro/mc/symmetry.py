@@ -1,4 +1,4 @@
-"""Scalarset symmetry reduction (Ip & Dill style), with cached canonicalisation.
+"""Scalarset symmetry reduction (Ip & Dill style).
 
 Replicated processes (e.g. the cache controllers in the MSI case study) are
 interchangeable: any permutation of their indices maps reachable states to
@@ -12,26 +12,22 @@ occurrence of a scalarset index inside a state according to ``mapping``
 (a tuple where ``mapping[old] == new``).  :class:`Permuter` then
 canonicalises a state to a deterministic orbit representative.
 
-Canonicalisation is the hot path of every model-checker run (one call per
-generated successor), so two optimisations sit in front of the naive
-minimum-of-the-orbit search:
+Exploration itself canonicalises on the packed runtime
+(:mod:`repro.mc.packed`), which memoises one canonical id per interned
+state.  The object canonicaliser installed on a system
+(``permuter.canonicalize``) has two jobs: it is the fingerprint authority,
+and for systems without a codec it is the derived whole-state codec's
+canonical step.
 
-* **Sorted-replica fast path.**  When the model supplies ``replica_keys``
-  — a function projecting the state onto one orderable key per replica,
-  invariant under renaming of the *other* replicas — and those keys are
-  pairwise distinct, sorting replicas by key yields the orbit
-  representative with a single ``permute`` call instead of ``n!`` of them.
-  Key distinctness is an orbit invariant, so every member of an orbit
-  takes the same path and lands on the same representative; ties fall
-  back to the full orbit search.
-* **Orbit-representative memo cache.**  :class:`CachingCanonicalizer`
-  memoises raw state → canonical representative.  States recur massively
-  both within a run (the same raw successor generated along different
-  paths) and *across* candidate evaluations of one synthesis run (the
-  system object — and hence the cache — is shared), and canonicalisation
-  is candidate-independent, so the cache is sound across runs.  Hit/size
-  counters surface in :class:`~repro.mc.result.RunStats` as
-  ``canon_cache_hits`` / ``canon_cache_size``.
+**Sorted-replica fast path.**  When the model supplies ``replica_keys``
+— a function projecting the state onto one orderable key per replica,
+invariant under renaming of the *other* replicas — and those keys are
+pairwise distinct, sorting replicas by key yields the orbit
+representative with a single ``permute`` call instead of ``n!`` of them.
+Key distinctness is an orbit invariant, so every member of an orbit
+takes the same path and lands on the same representative; ties fall
+back to the full orbit search.  The representatives it picks fix the
+msi-family fingerprint values.
 """
 
 from __future__ import annotations
@@ -41,16 +37,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.mc.state import state_key
-from repro.mc.system import TransitionSystem
 
 PermuteFn = Callable[[Any, Tuple[int, ...]], Any]
 #: projects a state onto one orderable key per replica (see Permuter docs)
 ReplicaKeysFn = Callable[[Any], Sequence[Any]]
-
-#: default orbit-cache capacity; on overflow the oldest half of the
-#: entries is evicted (states are small tuples, so a million entries is
-#: tens of MB at most)
-DEFAULT_CACHE_ENTRIES = 1 << 20
 
 
 class ScalarSet:
@@ -81,79 +71,6 @@ class ScalarSet:
 
     def __repr__(self) -> str:
         return f"ScalarSet({self.name!r}, size={self.size})"
-
-
-class CachingCanonicalizer:
-    """Memoising wrapper around a canonicalisation function.
-
-    Maps raw (hashable) states to their orbit representatives.  Correct
-    for any deterministic canonicaliser; shared across runs of the same
-    system because canonicalisation does not depend on the candidate
-    under evaluation.
-
-    Thread note: runs from several threads may share one instance.  Dict
-    reads/writes are GIL-atomic, so a race can at worst duplicate a
-    computation; the ``hits``/``misses`` counters may undercount slightly
-    under contention, and a single run's hit *delta* (``RunStats``) can
-    include concurrent runs' hits — both acceptable for diagnostics.
-    """
-
-    __slots__ = ("_canonicalize", "_cache", "max_entries", "hits", "misses")
-
-    def __init__(
-        self,
-        canonicalize: Callable[[Any], Any],
-        max_entries: int = DEFAULT_CACHE_ENTRIES,
-    ) -> None:
-        if max_entries <= 0:
-            raise ModelError("max_entries must be positive")
-        self._canonicalize = canonicalize
-        self._cache: dict = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-
-    def __call__(self, state: Any) -> Any:
-        cache = self._cache
-        canon = cache.get(state)
-        if canon is not None:
-            self.hits += 1
-            return canon
-        canon = self._canonicalize(state)
-        if len(cache) >= self.max_entries:
-            self._evict_half()
-        cache[state] = canon
-        # The representative will itself be generated as a raw successor
-        # sooner or later; seeding it is free.
-        cache[canon] = canon
-        self.misses += 1
-        return canon
-
-    def _evict_half(self) -> None:
-        """Drop the oldest half of the memo instead of wiping it.
-
-        Dict insertion order makes the first ``len//2`` keys the oldest;
-        recent entries — the ones the frontier is still generating near —
-        survive, so an overflow costs half the memo rather than all of it.
-        If a concurrent insert from another thread resizes the dict mid-scan,
-        fall back to the old wholesale clear: correctness never depends on
-        what the cache retains.
-        """
-        cache = self._cache
-        try:
-            oldest = list(itertools.islice(iter(cache), len(cache) // 2))
-            for key in oldest:
-                cache.pop(key, None)
-        except RuntimeError:  # dict mutated during iteration
-            cache.clear()
-
-    @property
-    def size(self) -> int:
-        """Entries currently memoised."""
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()
 
 
 class Permuter:
@@ -253,27 +170,3 @@ class Permuter:
                 best = candidate
                 best_key = candidate_key
         return best
-
-    def make_canonicalizer(
-        self, cache: bool = True, max_entries: int = DEFAULT_CACHE_ENTRIES
-    ) -> Callable[[Any], Any]:
-        """The canonicaliser to install on a system.
-
-        With ``cache`` (the default) the returned callable is a
-        :class:`CachingCanonicalizer` whose hit/size counters the
-        exploration kernel surfaces in ``RunStats``.
-        """
-        if not cache:
-            return self.canonicalize
-        return CachingCanonicalizer(self.canonicalize, max_entries=max_entries)
-
-
-def CanonicalizingSystem(
-    system: TransitionSystem, permuter: Permuter, cache: bool = True
-) -> TransitionSystem:
-    """Return a copy of ``system`` that canonicalises via ``permuter``.
-
-    Named like a class because it constructs a system; kept a function so the
-    result is a plain :class:`TransitionSystem`.
-    """
-    return system.with_canonicalizer(permuter.make_canonicalizer(cache=cache))

@@ -579,7 +579,7 @@ def build_mesi_system(
             ScalarSet("cache", n_caches), permute_state,
             replica_keys=replica_keys,
         )
-        canonicalize = permuter.make_canonicalizer()
+        canonicalize = permuter.canonicalize
 
     return TransitionSystem(
         name=f"{name}-{n_caches}c",

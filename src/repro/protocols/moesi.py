@@ -736,7 +736,7 @@ def build_moesi_system(
             ScalarSet("cache", n_caches), permute_state,
             replica_keys=replica_keys,
         )
-        canonicalize = permuter.make_canonicalizer()
+        canonicalize = permuter.canonicalize
 
     return TransitionSystem(
         name=f"{name}-{n_caches}c",

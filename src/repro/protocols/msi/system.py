@@ -115,7 +115,7 @@ def build_msi_system(
             defs.permute_state,
             replica_keys=defs.replica_keys,
         )
-        canonicalize = permuter.make_canonicalizer()
+        canonicalize = permuter.canonicalize
 
     return TransitionSystem(
         name=f"{name}-{n_caches}c",

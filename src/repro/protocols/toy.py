@@ -69,17 +69,12 @@ def build_figure2_skeleton_with_holes() -> Tuple[TransitionSystem, List[Hole]]:
             apply=apply,
         )
 
-    from repro.mc.packed import PackedSpec, trivial_codec
-
     system = TransitionSystem(
         name="figure2-toy",
         initial_states=["s0"],
         rules=[make_rule(name) for name in DECISION_STATES],
         invariants=[Invariant("no-error", lambda state: state != "err")],
         deadlock=DeadlockPolicy.fail(quiescent=lambda state: state == "ok"),
-        # No symmetry: whole-state interning still gives packed mode the
-        # slab dedup and the firing memo.
-        packed_spec=PackedSpec(trivial_codec),
     )
     return system, holes
 

@@ -16,7 +16,7 @@ Keys (:func:`candidate_key`) are content hashes over three components:
   share verdicts even under the same name.
 * **flags signature** — every configuration knob that can change a
   *verdict or its stored side effects* (pruning, default action index,
-  explorer, conflict generalisation, refined patterns, packed kernel).
+  explorer, conflict generalisation, refined patterns).
   Knobs that only change performance or reporting (prefix reuse, trace
   recording, telemetry) are excluded so runs can share verdicts across
   them.
@@ -89,7 +89,6 @@ def system_signature(system: Any) -> str:
         ),
         "canonicalize": canon_tag,
         "deadlock": deadlock_tag,
-        "packed_spec": getattr(system, "packed_spec", None) is not None,
     }
     return _digest(payload)
 
@@ -103,7 +102,6 @@ def flags_signature(config: Any) -> str:
         "explorer": str(getattr(config, "explorer", "bfs")),
         "generalise": bool(getattr(config, "generalise_active", False)),
         "refined_patterns": bool(getattr(config, "refined_patterns", False)),
-        "packed": bool(getattr(config, "packed", True)),
     }
     return _digest(payload)
 

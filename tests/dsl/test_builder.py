@@ -110,7 +110,7 @@ class TestBuilder:
         explorer = BfsExplorer(system)
         result = explorer.run()
         assert result.verdict is Verdict.SUCCESS
-        states = {tuple(state[0]) for state in explorer.visited_states}
+        states = {tuple(state[0]) for state in explorer.visited_representatives()}
         assert ("got",) in states
 
 

@@ -122,6 +122,10 @@ class TestSpecParsing:
             make_cell({"target": "moesi", "mode": "verify", "por": True})
         with pytest.raises(ExperimentError, match=r"unknown cell field.*'family'"):
             make_cell({"target": "msi-tiny", "family": True})
+        with pytest.raises(ExperimentError, match=r"unknown cell field.*'packed'"):
+            make_cell({"target": "msi-tiny", "packed": False})
+        with pytest.raises(ExperimentError, match=r"unknown axis 'packed'"):
+            spec_from(axes={"packed": [True, False]})
 
     def test_unknown_targets_rejected(self):
         with pytest.raises(ExperimentError, match="unknown skeleton"):

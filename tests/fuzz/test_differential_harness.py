@@ -45,13 +45,22 @@ def test_lattice_backends_are_api_backends(name):
 
 def test_full_lattice_covers_every_backend_corner():
     corners = {
-        (config.backend, config.explorer, config.packed)
-        for config in full_lattice().synth
+        (config.backend, config.explorer) for config in full_lattice().synth
     }
     for backend in BACKENDS:
         for explorer in ("bfs", "dfs"):
-            for packed in (True, False):
-                assert (backend, explorer, packed) in corners
+            assert (backend, explorer) in corners
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_every_lattice_has_one_sequential_wholestate_oracle(name):
+    lattice = LATTICES[name]()
+    for configs in (lattice.verify, lattice.synth):
+        oracles = [config for config in configs if config.wholestate]
+        assert [config.name for config in oracles] == ["wholestate"]
+    synth_oracle = next(c for c in lattice.synth if c.wholestate)
+    assert synth_oracle.backend == "sequential"
+    assert synth_oracle.evaluated_exact
 
 
 def test_healthy_seeds_sweep_clean(runner):
@@ -108,10 +117,12 @@ def test_broken_canonicalisation_is_detected_shrunk_and_replayable(
 
 
 def test_divergence_names_the_packed_toggle(runner):
-    """The divergence report must point at the packed/object pair — that
-    is what makes a reproducer triagable."""
+    """The divergence report must point at the codec/whole-state pair —
+    that is what makes a reproducer triagable.  The sabotaged remap is the
+    codec's; the ``wholestate`` config canonicalises through the
+    ``Permuter`` and keeps the true orbit count."""
     with mock.patch.object(StateCodec, "canonical_codes", _identity_canonical):
         check = runner.check_spec(generate_spec(0))
     assert not check.ok
     witness = check.divergences[0]
-    assert {witness.config, witness.baseline} == {"ref", "nopacked"}
+    assert {witness.config, witness.baseline} == {"ref", "wholestate"}

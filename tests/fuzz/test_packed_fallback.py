@@ -1,17 +1,18 @@
-"""The silent packed-codec fallback, exercised through the engine path.
+"""The derived whole-state codec, exercised through the engine path.
 
-``SynthesisConfig(packed=True)`` is the default, but a system without a
-``packed_spec`` cannot run on the packed kernel — the kernel quietly
-falls back to the object path.  These tests pin the contract of that
-fallback: it *engages* (the run completes, with behaviour identical to
-an explicit ``packed=False`` run) and it is *honest* (no ``pack_*``
-metrics appear when it does, while a codec-carrying control run of the
-same shape reports them).
+A system without a ``packed_spec`` (the fuzz ``none`` codec flavour) still
+runs on the packed kernel: it derives a whole-state codec whose canonical
+step is the system's own ``canonicalize``.  These tests pin that contract:
+the derived codec *engages* (``pack_*`` metrics appear) and it is *exact*
+(the run matches the same spec built with the opaque-global codec).
 """
 
+from dataclasses import replace
+
 from repro.core.engine import SynthesisConfig, SynthesisEngine
-from repro.fuzz import build_skeleton_from_spec, generate_spec
+from repro.fuzz import build_reference_system, build_skeleton_from_spec, generate_spec
 from repro.mc.kernel import make_explorer
+from repro.mc.packed import WholeStateCodec
 
 #: seed 3 generates a codec="none" spec (see its corpus note); seed 0 is
 #: the schema-codec control
@@ -23,12 +24,20 @@ def _solution_view(report):
     return sorted(tuple(sorted(s.assignment)) for s in report.solutions)
 
 
-def _pack_series_total(snapshot):
-    return sum(
-        sum(entry["series"].values())
-        for name, entry in snapshot.items()
-        if name.startswith("pack_")
-    )
+def _fingerprint_view(report):
+    return {tuple(sorted(s.assignment)): s.fingerprint for s in report.solutions}
+
+
+def _pack_total(engine, name):
+    snapshot = engine.core.telemetry.metrics.snapshot()
+    entry = snapshot.get(name)
+    return 0 if entry is None else sum(entry["series"].values())
+
+
+def _codecless_and_opaque():
+    spec = generate_spec(CODECLESS_SEED)
+    assert spec.codec == "none"
+    return spec, replace(spec, codec="opaque")
 
 
 def test_codecless_spec_has_no_packed_spec():
@@ -36,67 +45,54 @@ def test_codecless_spec_has_no_packed_spec():
     assert spec.codec == "none"
     system, _holes = build_skeleton_from_spec(spec)
     assert getattr(system, "packed_spec", None) is None
+    assert isinstance(system.packed_runtime().codec, WholeStateCodec)
 
 
-def test_fallback_engages_and_matches_object_path():
-    """packed=True on a codec-less system must behave exactly like
-    packed=False: same solutions, same evaluation count, same verdicts."""
-    spec = generate_spec(CODECLESS_SEED)
-    reports = {}
-    for packed in (True, False):
+def test_codecless_run_matches_the_opaque_codec():
+    """The derived codec behaves exactly like the opaque-global codec:
+    same solutions, fingerprints, evaluation count and verdicts."""
+    reports = []
+    for spec in _codecless_and_opaque():
         system, _holes = build_skeleton_from_spec(spec)
-        reports[packed] = SynthesisEngine(
-            system, SynthesisConfig(packed=packed)
-        ).run()
-    assert reports[True].solutions, "expected at least one solution"
-    assert _solution_view(reports[True]) == _solution_view(reports[False])
-    assert reports[True].evaluated == reports[False].evaluated
-    assert reports[True].verdict_counts == reports[False].verdict_counts
+        reports.append(SynthesisEngine(
+            system, SynthesisConfig(compute_fingerprints=True)
+        ).run())
+    codecless, opaque = reports
+    assert codecless.solutions, "expected at least one solution"
+    assert _solution_view(codecless) == _solution_view(opaque)
+    assert _fingerprint_view(codecless) == _fingerprint_view(opaque)
+    assert codecless.evaluated == opaque.evaluated
+    assert codecless.verdict_counts == opaque.verdict_counts
 
 
-def test_fallback_keeps_pack_metrics_zero():
+def test_codecless_run_reports_pack_metrics():
     spec = generate_spec(CODECLESS_SEED)
     system, _holes = build_skeleton_from_spec(spec)
     engine = SynthesisEngine(system, SynthesisConfig(telemetry=True))
     report = engine.run()
     assert report.solutions
-    snapshot = engine.core.telemetry.metrics.snapshot()
-    assert _pack_series_total(snapshot) == 0, sorted(
-        name for name in snapshot if name.startswith("pack_")
-    )
+    assert _pack_total(engine, "pack_states_interned") > 0
+    assert _pack_total(engine, "pack_canon_scans") > 0
 
 
 def test_codec_control_reports_pack_metrics():
-    """The same assertion inverted on a schema-codec spec, so a regression
-    that silently stops *ever* packing cannot hide behind the fallback
-    test."""
+    """The same metrics on a schema-codec spec, so a regression that
+    silently stops packing either kind of system cannot hide."""
     spec = generate_spec(SCHEMA_SEED)
     assert spec.codec == "schema"
     system, _holes = build_skeleton_from_spec(spec)
     engine = SynthesisEngine(system, SynthesisConfig(telemetry=True))
     report = engine.run()
     assert report.solutions
-    snapshot = engine.core.telemetry.metrics.snapshot()
-    interned = snapshot.get("pack_states_interned")
-    assert interned is not None and sum(interned["series"].values()) > 0
+    assert _pack_total(engine, "pack_states_interned") > 0
 
 
-def test_kernel_level_fallback_counts_match():
+def test_kernel_level_counts_match_the_opaque_codec():
     """The same contract one layer down, via make_explorer directly."""
-    spec = generate_spec(CODECLESS_SEED)
-    from repro.fuzz import build_reference_system
-
-    results = {}
-    for packed in (True, False):
+    results = []
+    for spec in _codecless_and_opaque():
         system = build_reference_system(spec)
-        assert system.packed_spec is None
-        results[packed] = make_explorer("bfs", system, packed=packed).run()
-    assert results[True].is_success
-    assert (
-        results[True].stats.states_visited
-        == results[False].stats.states_visited
-    )
-    assert (
-        results[True].stats.transitions_fired
-        == results[False].stats.transitions_fired
-    )
+        results.append(make_explorer("bfs", system).run())
+    codecless, opaque = results
+    assert codecless.is_success and opaque.is_success
+    assert codecless.stats == opaque.stats

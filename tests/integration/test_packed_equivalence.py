@@ -1,21 +1,26 @@
-"""Equivalence matrix for the packed-state kernel.
+"""Equivalence suite for the packed-state kernel.
 
-Packed mode must be *exact*, not just verdict-preserving: the codec's
-table-driven remaps evaluate the same expressions as the object layer's
-permutations, so on every catalog protocol and skeleton, exploring with
-packed on and off must produce
+Every exploration runs on packed encodings, so the kernel is checked
+against two baselines that share none of its machinery:
 
-* identical verify verdicts AND identical state/transition/attempt
-  counts (including the seeded-bug builds, the eviction extension, and
-  symmetry off), under both frontier strategies, with any
-  counterexample trace *replayable* — packed traces are decoded back to
-  real states, so each step must be a real firing of the named rule;
-* identical synthesis solution sets and per-candidate verdicts, under
-  every other acceleration toggle (prefix reuse off, naive mode, DFS)
-  and on the process backend;
-* bit-identical solution fingerprints (packed explorers decode and
-  re-canonicalise their visited sets before fingerprinting).
+* a test-local plain search (:func:`reference_explore`) over object
+  states — ``rule.guard``/``rule.fire``, ``system.canonicalize``, the
+  invariants and the deadlock policy, with no codec and no memo.  On
+  every catalog protocol (seeded bugs, the eviction extension and
+  symmetry off included), under both frontier strategies, the kernel
+  must report the same verdict, failure kind and
+  state/transition/attempt counts, and any counterexample trace must
+  *replay* as real firings.  Its visited set also fixes the solution
+  fingerprint: the kernel's ``fingerprint_visited`` must equal
+  ``fingerprint_state_set`` over the reference's canonical states;
+* for synthesis, the same skeleton with its codec removed, which
+  explores on the whole-state codec derived from ``canonicalize``: the
+  solution sets, per-candidate verdicts, fingerprints and ``evaluated``
+  counts must match under every acceleration toggle and on the process
+  backend.
 """
+
+from collections import deque
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.core.candidate import WILDCARD
 from repro.core.engine import SynthesisObserver
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.context import ExecutionContext
+from repro.mc.hashing import fingerprint_state_set
 from repro.mc.kernel import make_explorer
 from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 from repro.protocols.german import build_german_system
@@ -57,6 +63,56 @@ SKELETONS = [
 ]
 
 
+def reference_explore(system, strategy="bfs"):
+    """Plain explicit-state search with the kernel's verdict semantics.
+
+    Invariants are checked on each new state as it is generated, and
+    coverage once the frontier drains.  A state that produced no
+    successor is a deadlock unless the policy accepts it.  ``dfs`` pops
+    the newest entry and tries rules in reverse declaration order, as
+    the kernel's LIFO strategy does.  Returns ``(failure kind or None,
+    counts, canonical visited set)``.
+    """
+    lifo = strategy == "dfs"
+    rules = list(reversed(system.rules)) if lifo else list(system.rules)
+    ctx = ExecutionContext()
+    visited = set()
+    frontier = deque()
+    pending = list(system.coverage)
+    counts = {"states": 0, "transitions": 0, "attempts": 0}
+
+    def add(state):
+        """Dedup and enqueue; True if a new state violates an invariant."""
+        canon = system.canonicalize(state)
+        if canon in visited:
+            return False
+        visited.add(canon)
+        counts["states"] += 1
+        pending[:] = [prop for prop in pending if not prop.satisfied_by(state)]
+        frontier.append(state)
+        return any(not inv.holds(state) for inv in system.invariants)
+
+    for state in system.initial_states():
+        if add(state):
+            return "invariant", counts, visited
+    while frontier:
+        state = frontier.pop() if lifo else frontier.popleft()
+        produced = False
+        for rule in rules:
+            if not rule.guard(state):
+                continue
+            counts["attempts"] += 1
+            successors = rule.fire(state, ctx)
+            produced = produced or bool(successors)
+            for successor in successors:
+                counts["transitions"] += 1
+                if add(successor):
+                    return "invariant", counts, visited
+        if not produced and system.deadlock.is_deadlock(state):
+            return "deadlock", counts, visited
+    return ("coverage" if pending else None), counts, visited
+
+
 def replay_trace(system, trace):
     """Assert a trace is a real execution of ``system`` ending in a
     property violation (or a deadlock state)."""
@@ -75,6 +131,13 @@ def replay_trace(system, trace):
     violated = any(not inv.holds(current) for inv in system.invariants)
     deadlocked = not any(rule.guard(current) for rule in system.rules)
     assert violated or deadlocked
+
+
+def without_codec(system):
+    """The system with its codec removed: it explores on the whole-state
+    codec derived from its ``canonicalize``."""
+    system.packed_spec = None
+    return system
 
 
 class NamedVerdictRecorder(SynthesisObserver):
@@ -104,58 +167,57 @@ def executed_view(report):
     return sorted((sorted(s.assignment), s.executed_holes) for s in report.solutions)
 
 
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
 @pytest.mark.parametrize("label,builder", VERIFY_SYSTEMS,
                          ids=[label for label, _ in VERIFY_SYSTEMS])
-def test_verify_runs_are_identical(label, builder):
-    for strategy in ("bfs", "dfs"):
-        baseline = make_explorer(strategy, builder(), packed=False).run()
-        packed_system = builder()
-        assert packed_system.packed_spec is not None
-        packed = make_explorer(strategy, packed_system, packed=True).run()
-        assert packed.verdict == baseline.verdict, strategy
-        assert packed.failure_kind == baseline.failure_kind, strategy
-        stats, base = packed.stats, baseline.stats
-        assert stats.states_visited == base.states_visited, strategy
-        assert stats.transitions_fired == base.transitions_fired, strategy
-        assert stats.rules_attempted == base.rules_attempted, strategy
-        assert packed.wildcard_encountered == baseline.wildcard_encountered
-        if packed.trace is not None:
-            # Packed traces are decoded back to object states, so they
-            # must replay as real firings on a fresh (object) system.
-            replay_trace(builder(), packed.trace)
+def test_verify_runs_match_the_reference(label, builder, strategy):
+    kind, counts, _visited = reference_explore(builder(), strategy)
+    system = builder()
+    assert system.packed_spec is not None
+    result = make_explorer(strategy, system).run()
+    assert (result.failure_kind.value if result.failure_kind else None) == kind
+    assert result.is_success == (kind is None)
+    stats = result.stats
+    assert stats.states_visited == counts["states"]
+    assert stats.transitions_fired == counts["transitions"]
+    assert stats.rules_attempted == counts["attempts"]
+    if result.trace is not None:
+        # Traces are decoded back to object states, so they must replay
+        # as real firings on a fresh system.
+        replay_trace(builder(), result.trace)
 
 
-def test_packed_fingerprints_match_object_mode():
-    """Cross-mode fingerprints agree: packed visited sets are decoded
-    and re-canonicalised before hashing."""
-    object_run = make_explorer(
-        "bfs", PROTOCOL_BUILDERS["msi"](2), packed=False
-    )
-    object_run.run()
-    packed_run = make_explorer("bfs", PROTOCOL_BUILDERS["msi"](2), packed=True)
-    packed_run.run()
-    assert packed_run.packed_runtime is not None
-    assert object_run.fingerprint_visited() == packed_run.fingerprint_visited()
+@pytest.mark.parametrize("label", ["msi@2", "mesi", "german", "msi-nosym"])
+def test_fingerprints_match_the_reference(label):
+    """The kernel's fingerprint memo hashes exactly the reference's
+    canonical visited set, with the codec and without it."""
+    builder = dict(VERIFY_SYSTEMS)[label]
+    _kind, _counts, visited = reference_explore(builder())
+    expected = fingerprint_state_set(visited)
+    for system in (builder(), without_codec(builder())):
+        explorer = make_explorer("bfs", system)
+        explorer.run()
+        assert explorer.fingerprint_visited() == expected
 
 
 @pytest.mark.parametrize("name", SKELETONS)
-def test_synthesis_solution_sets_match(name):
+def test_synthesis_matches_the_codecless_run(name):
     on_observer = NamedVerdictRecorder()
     off_observer = NamedVerdictRecorder()
     on = SynthesisEngine(
         build_skeleton(name),
-        SynthesisConfig(packed=True, compute_fingerprints=True),
+        SynthesisConfig(compute_fingerprints=True),
         on_observer,
     ).run()
     off = SynthesisEngine(
-        build_skeleton(name),
-        SynthesisConfig(packed=False, compute_fingerprints=True),
+        without_codec(build_skeleton(name)),
+        SynthesisConfig(compute_fingerprints=True),
         off_observer,
     ).run()
     assert assignment_view(on) == assignment_view(off)
     assert executed_view(on) == executed_view(off)
     assert {hole.name for hole in on.holes} == {hole.name for hole in off.holes}
-    assert on.packed and not off.packed
+    assert on.evaluated == off.evaluated
     fingerprints = {
         mode: {
             frozenset(s.assignment): s.fingerprint for s in report.solutions
@@ -164,21 +226,17 @@ def test_synthesis_solution_sets_match(name):
     }
     assert fingerprints["on"] == fingerprints["off"]
     shared = set(on_observer.verdicts) & set(off_observer.verdicts)
-    assert shared, "modes share no dispatched candidates"
+    assert shared, "runs share no dispatched candidates"
     for key in shared:
         assert on_observer.verdicts[key] == off_observer.verdicts[key], key
 
 
 @pytest.mark.parametrize("name", ["msi-tiny", "german-small"])
-def test_synthesis_backends_match_when_packed(name):
-    """Packed mode composes with the process backend (and the PassStart
-    tripwire lets matching configs through)."""
-    sequential = SynthesisEngine(
-        build_skeleton(name), SynthesisConfig(packed=True)
-    ).run()
+def test_synthesis_backends_match(name):
+    """The packed kernel composes with the process backend."""
+    sequential = SynthesisEngine(build_skeleton(name), SynthesisConfig()).run()
     distributed = DistributedSynthesisEngine(
-        SystemSpec(name), SynthesisConfig(packed=True),
-        workers=2, min_batch_size=2,
+        SystemSpec(name), SynthesisConfig(), workers=2, min_batch_size=2,
     ).run()
     assert assignment_view(sequential) == assignment_view(distributed)
 
@@ -191,11 +249,12 @@ def test_synthesis_backends_match_when_packed(name):
     dict(explorer="dfs"),
 ])
 def test_synthesis_flag_combinations_match(flags):
-    """Packed on/off agree under every other acceleration toggle too."""
+    """Codec on/off agree under every other acceleration toggle too."""
     on = SynthesisEngine(
-        build_skeleton("msi-tiny"), SynthesisConfig(packed=True, **flags)
+        build_skeleton("msi-tiny"), SynthesisConfig(**flags)
     ).run()
     off = SynthesisEngine(
-        build_skeleton("msi-tiny"), SynthesisConfig(packed=False, **flags)
+        without_codec(build_skeleton("msi-tiny")), SynthesisConfig(**flags)
     ).run()
     assert assignment_view(on) == assignment_view(off)
+    assert on.evaluated == off.evaluated

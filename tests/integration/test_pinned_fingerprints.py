@@ -1,12 +1,13 @@
-"""Pinned visited-set fingerprints of network-carrying DSL systems.
+"""Pinned visited-set fingerprints.
 
 A DSL state holds its in-flight messages in an ``UnorderedNetwork``, whose
 bag is ordered by the messages' reprs; ``state_key`` serialises the network
 through its repr, and that key picks each symmetry orbit's representative.
 So a change to how messages print, hash or order inside a multiset shows up
-here: the fingerprint of the canonical visited set moves.  The values are
-fixed constants, checked in packed and in object mode, on three catalog
-protocols and one generated spec per packed-codec flavour.
+here: the fingerprint of the canonical visited set moves.  The msi family
+canonicalises through the ``Permuter``'s ``replica_keys`` fast path, whose
+representatives fix its values.  The values are fixed constants, on six
+catalog protocols and one generated spec per packed-codec flavour.
 """
 
 import pytest
@@ -21,6 +22,9 @@ CATALOG_PINS = [
     ("german@3", lambda: PROTOCOL_BUILDERS["german"](3), 900, 10964020329130311117),
     ("vi@3", lambda: PROTOCOL_BUILDERS["vi"](3), 19, 8139467742822389294),
     ("mutex@3", lambda: PROTOCOL_BUILDERS["mutex"](3), 16, 9587025456467383836),
+    ("msi@3", lambda: PROTOCOL_BUILDERS["msi"](3), 311, 15288679981033395436),
+    ("mesi@3", lambda: PROTOCOL_BUILDERS["mesi"](3), 335, 1905194624902150006),
+    ("moesi@3", lambda: PROTOCOL_BUILDERS["moesi"](3), 613, 12504016229954630799),
 ]
 
 #: (codec flavour, generator seed, visited states, fingerprint_visited);
@@ -32,31 +36,29 @@ FUZZ_PINS = [
 ]
 
 
-def _fingerprint(builder, packed):
-    explorer = make_explorer("bfs", builder(), packed=packed)
+def _fingerprint(builder):
+    explorer = make_explorer("bfs", builder())
     result = explorer.run()
     assert result.is_success
     return result.stats.states_visited, explorer.fingerprint_visited()
 
 
-@pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
 @pytest.mark.parametrize(
     "label,builder,states,fingerprint",
     CATALOG_PINS,
     ids=[pin[0] for pin in CATALOG_PINS],
 )
-def test_catalog_fingerprints_are_pinned(label, builder, states, fingerprint, packed):
-    assert _fingerprint(builder, packed) == (states, fingerprint)
+def test_catalog_fingerprints_are_pinned(label, builder, states, fingerprint):
+    assert _fingerprint(builder) == (states, fingerprint)
 
 
-@pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
 @pytest.mark.parametrize(
     "codec,seed,states,fingerprint", FUZZ_PINS, ids=[pin[0] for pin in FUZZ_PINS]
 )
-def test_fuzz_spec_fingerprints_are_pinned(codec, seed, states, fingerprint, packed):
+def test_fuzz_spec_fingerprints_are_pinned(codec, seed, states, fingerprint):
     spec = generate_spec(seed)
     assert (spec.codec, spec.n_procs) == (codec, 3)
-    assert _fingerprint(lambda: build_reference_system(spec), packed) == (
+    assert _fingerprint(lambda: build_reference_system(spec)) == (
         states,
         fingerprint,
     )

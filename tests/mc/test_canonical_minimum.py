@@ -218,7 +218,7 @@ def test_msi4_compares_far_fewer_images_than_the_group_size():
     sorted-block restriction must stay well under 23 on average."""
     system = build_protocol("msi", 4)
     telemetry = Telemetry()
-    result = make_explorer("bfs", system, packed=True, telemetry=telemetry).run()
+    result = make_explorer("bfs", system, telemetry=telemetry).run()
     assert result.is_success
     snapshot = telemetry.metrics.snapshot()
 

@@ -166,10 +166,15 @@ class TestStatsParity:
         assert dfs.stats.transitions_fired == bfs.stats.transitions_fired
         assert dfs.stats.max_depth == bfs.stats.max_depth
 
-    def test_cache_counters_default_zero_without_cache(self):
-        result = BfsExplorer(counter_system()).run()
-        assert result.stats.canon_cache_hits == 0
-        assert result.stats.canon_cache_size == 0
+    def test_codecless_system_shares_one_derived_runtime(self):
+        from repro.mc.packed import WholeStateCodec
+
+        system = counter_system()
+        first = BfsExplorer(system)
+        second = DfsExplorer(system)
+        assert isinstance(first.packed_runtime.codec, WholeStateCodec)
+        assert second.packed_runtime is first.packed_runtime
+        assert first.run().stats.states_visited == second.run().stats.states_visited
 
 
 class TestCheckpointResume:
@@ -295,35 +300,19 @@ class TestCheckpointResume:
         ).run()
         assert result.verdict is Verdict.SUCCESS
 
-    @pytest.mark.parametrize("producer_packed", [True, False])
-    def test_cross_packing_resume_refused(self, producer_packed):
-        # Packed checkpoints key their visited set by slab id, object ones
-        # by canonical state: neither can seed a run in the other mode.
-        from repro.protocols.catalog import PROTOCOL_BUILDERS
-
-        system = PROTOCOL_BUILDERS["moesi"](2)
-        producer = ExplorationKernel(
-            system, packed=producer_packed, collect_checkpoint=True
-        )
-        producer.run()
-        assert producer.checkpoint.packed is producer_packed
-        with pytest.raises(ModelError, match="packed state encoding"):
-            ExplorationKernel(
-                system, packed=not producer_packed,
-                resume_from=producer.checkpoint,
-            ).run()
-
-    def test_checkpoints_carry_no_synthesis_mode_tag(self):
-        # Family synthesis was removed, and with it the checkpoint's mode
-        # tag: only the packing tag still gates a resume.
+    @pytest.mark.parametrize("retired", ["family", "packed"])
+    def test_checkpoints_carry_no_mode_tag(self, retired):
+        # Family synthesis and the object exploration path were removed,
+        # and with them the checkpoint's mode tags: every checkpoint is
+        # slab-keyed against its system's one packed runtime.
         from dataclasses import fields
 
         from repro.mc.kernel import ExplorationCheckpoint
 
         names = {field.name for field in fields(ExplorationCheckpoint)}
-        assert "packed" in names and "family" not in names
-        with pytest.raises(TypeError, match="family"):
-            ExplorationKernel(counter_system(), family=True)
+        assert retired not in names
+        with pytest.raises(TypeError, match=retired):
+            ExplorationKernel(counter_system(), **{retired: True})
 
 
 #: complete, bug-free catalog systems: every run explores its whole
@@ -352,25 +341,18 @@ def build_catalog_system(protocol, options):
     ids=[label for label, _, _ in CATALOG_SYSTEMS],
 )
 class TestCatalogCheckpoints:
-    """Whole-system checkpoints on every catalog protocol, in both state
-    encodings."""
+    """Whole-system checkpoints on every catalog protocol."""
 
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_same_mode_resume_accepted(self, protocol, options, packed):
+    def test_resume_accepted(self, protocol, options):
         system = build_catalog_system(protocol, options)
-        producer = ExplorationKernel(
-            system, packed=packed, collect_checkpoint=True
-        )
+        producer = ExplorationKernel(system, collect_checkpoint=True)
         fresh = producer.run()
         assert fresh.verdict is Verdict.SUCCESS
         checkpoint = producer.checkpoint
         assert checkpoint is not None
-        assert checkpoint.packed is packed
         assert checkpoint.cut_states == ()
         assert checkpoint.states_visited == fresh.stats.states_visited
-        resumed = ExplorationKernel(
-            system, packed=packed, resume_from=checkpoint
-        ).run()
+        resumed = ExplorationKernel(system, resume_from=checkpoint).run()
         assert resumed.verdict is fresh.verdict
         assert resumed.stats.states_visited == fresh.stats.states_visited
         assert resumed.stats.prefix_states_reused == fresh.stats.states_visited

@@ -128,3 +128,19 @@ def test_orbit_partition_matches_object_canonicalizer(name, replicas):
     assert sorted(map(sorted, packed_groups.values())) == sorted(
         map(sorted, object_groups.values())
     )
+
+
+def test_slab_cap_names_the_cap_and_the_exploration_bound(monkeypatch):
+    """The slab cap is a safety check: past it a run fails loudly, naming
+    the cap and the ``--max-states`` bound."""
+    from repro.errors import ModelError
+    from repro.mc import packed
+    from repro.mc.kernel import make_explorer
+
+    monkeypatch.setattr(packed, "MAX_SLAB_ENTRIES", 10)
+    with pytest.raises(ModelError) as excinfo:
+        make_explorer("bfs", build_protocol("mutex", 3)).run()
+    message = str(excinfo.value)
+    assert "MAX_SLAB_ENTRIES=10" in message
+    assert "--max-states" in message
+    assert "--no-packed" not in message

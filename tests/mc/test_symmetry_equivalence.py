@@ -3,7 +3,8 @@
 Verdict-equivalence suite: canonicalised and uncanonicalised runs of the
 same system must agree on the verdict and failure kind (mutex, msi-tiny,
 mesi), the symmetry-reduced run visiting no more states.  Plus unit tests
-for the orbit-representative memo cache and the sorted-replica fast path.
+for the derived whole-state codec's memos and the sorted-replica fast
+path.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from repro.mc.context import FixedResolver
 from repro.mc.dfs import DfsExplorer
 from repro.mc.multiset import Multiset
 from repro.mc.result import Verdict
-from repro.mc.symmetry import CachingCanonicalizer, Permuter, ScalarSet
+from repro.mc.symmetry import Permuter, ScalarSet
 from repro.protocols.mesi import build_mesi_system
 from repro.protocols.msi import defs
 from repro.protocols.msi.skeleton import SkeletonSpec, msi_skeleton
@@ -103,7 +104,7 @@ class TestVerdictEquivalence:
         assert reduced.unmet_coverage == full.unmet_coverage
 
 
-# -- orbit cache -------------------------------------------------------------
+# -- derived codec and the sorted-replica fast path ----------------------------
 
 
 def permute_caches(state, mapping):
@@ -129,59 +130,77 @@ ALL_TEST_STATES = [
 ]
 
 
-class TestOrbitCache:
-    def test_hits_accumulate_and_representatives_match_uncached(self):
-        uncached = Permuter.for_single(ScalarSet("cache", 3), permute_caches)
-        cached = CachingCanonicalizer(
-            Permuter.for_single(ScalarSet("cache", 3), permute_caches).canonicalize
-        )
+class TestDerivedCodecMemo:
+    """A system without a codec explores on the whole-state codec derived
+    from its ``canonicalize``; the runtime memoises that canonical step
+    (and the fingerprint step) per interned state."""
+
+    def counting_system(self, calls):
+        from repro.protocols.mutex import build_mutex_system
+
+        system = build_mutex_system(3)
+        canonicalize = system.canonicalize
+
+        def counted(state):
+            calls.append(state)
+            return canonicalize(state)
+
+        system.canonicalize = counted
+        system.packed_spec = None
+        return system
+
+    def test_representatives_match_canonicalize(self):
+        from repro.mc.packed import WholeStateCodec
+
+        permuter = Permuter.for_single(ScalarSet("cache", 3), permute_caches)
+        codec = WholeStateCodec(permuter.canonicalize)
         for state in ALL_TEST_STATES:
-            assert cached(state) == uncached.canonicalize(state)
-        assert cached.hits == 0  # every state distinct so far
-        for state in ALL_TEST_STATES:
-            assert cached(state) == uncached.canonicalize(state)
-        assert cached.hits == len(ALL_TEST_STATES)
-        assert cached.size >= len(ALL_TEST_STATES)
+            canon = codec.decode(codec.canonical_codes(codec.encode(state)))
+            assert canon == permuter.canonicalize(state)
 
-    def test_canonical_member_is_seeded(self):
-        cached = CachingCanonicalizer(
-            Permuter.for_single(ScalarSet("cache", 3), permute_caches).canonicalize
-        )
-        state = make_state("MIS", 0, [("Data", 2)])
-        canon = cached(state)
-        assert cached(canon) == canon
-        assert cached.hits == 1  # the representative was seeded, not recomputed
-
-    def test_cache_clears_at_capacity(self):
-        cached = CachingCanonicalizer(lambda s: s, max_entries=4)
-        for n in range(10):
-            cached((n,))
-        assert cached.size <= 4
-        assert cached.misses == 10
-
-    def test_recent_entries_survive_capacity_overflow(self):
-        # Overflow evicts the *oldest* half, not the whole memo: entries
-        # the frontier is still generating near keep hitting.
-        cached = CachingCanonicalizer(lambda s: s, max_entries=4)
-        for n in range(4):
-            cached((n,))  # cache now full: (0,) (1,) (2,) (3,)
-        cached((4,))  # overflow: (0,) and (1,) evicted, recent half stays
-        assert cached.misses == 5
-        cached((3,))
-        cached((4,))
-        assert cached.hits == 2  # survivors of the eviction
-        cached((0,))  # evicted -> recomputed
-        assert cached.misses == 6
-
-    def test_run_stats_surface_cache_counters(self):
-        system = build_msi_system(2)
+    def test_canonicalize_runs_once_per_interned_state(self):
+        calls = []
+        system = self.counting_system(calls)
         first = BfsExplorer(system).run()
-        assert first.stats.canon_cache_size > 0
-        # A second run over the same system is served from the shared cache.
+        assert calls
+        assert len(calls) == len(set(calls))
+        cold_calls = len(calls)
+        # A second run reuses the system's runtime: every canonical id is
+        # memoised, so the object canonicaliser is not called again.
         second = BfsExplorer(system).run()
-        assert second.stats.canon_cache_hits > 0
-        assert second.stats.canon_cache_hits >= first.stats.canon_cache_hits
-        assert second.stats.states_visited == first.stats.states_visited
+        assert len(calls) == cold_calls
+        assert second.stats == first.stats
+
+    def test_derived_codec_honours_canonicalize(self):
+        """Without its codec, msi@3 explores on the codec derived from its
+        ``canonicalize`` and lands on the codec's pinned numbers."""
+        from repro.mc.kernel import make_explorer
+
+        system = build_msi_system(3)
+        system.packed_spec = None
+        explorer = make_explorer("bfs", system)
+        stats = explorer.run().stats
+        assert (stats.states_visited, stats.transitions_fired) == (311, 884)
+        assert explorer.fingerprint_visited() == 15288679981033395436
+
+    def test_fingerprint_memo_is_bit_identical(self):
+        from repro.mc.hashing import fingerprint_state_set
+
+        calls = []
+        system = self.counting_system(calls)
+        explorer = BfsExplorer(system)
+        explorer.run()
+        before = len(calls)
+        value = explorer.fingerprint_visited()
+        assert len(calls) > before
+        after = len(calls)
+        assert explorer.fingerprint_visited() == value
+        assert len(calls) == after
+        objects = [
+            system.canonicalize(state)
+            for state in explorer.visited_representatives()
+        ]
+        assert fingerprint_state_set(objects) == value
 
 
 class TestSortedReplicaFastPath:

@@ -12,8 +12,8 @@ Two layers:
   what is deterministic about them: identical state counts and repeat
   counts, and a non-empty trace.  Timing ratios from one recorded run are
   too noisy to gate on, so the telemetry-off ceiling (within 3% of the
-  plain kernel) and the packed speed floors are asserted by the bench
-  itself on medians taken in one session (``benchmarks/test_bench_mc.py``).
+  plain kernel) is asserted by the bench itself on medians taken in one
+  session (``benchmarks/test_bench_mc.py``).
 """
 
 import json
@@ -91,11 +91,10 @@ class TestRecordedOverheadRatio:
 class TestRecordedPackedFloor:
     """Guard the packed-state kernel's recorded rows.
 
-    The bench measured packed and object checks of the identical workload;
-    tier-1 checks that the rows really describe the same work.  Its speed
-    floors (steady state >= 5x, cold start >= 1x) are asserted by the bench
-    on medians of one session
-    (``benchmarks/test_bench_mc.py::test_packed_kernel_speedup``).
+    The retired packed/object bench measured both kernels on the identical
+    workload before the object path was deleted; ``docs/architecture.md``
+    cites these rows, and tier-1 checks that they really describe the same
+    work.
     """
 
     def _load(self):

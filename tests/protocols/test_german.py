@@ -51,7 +51,7 @@ class TestDataSemantics:
         states and both data values are exercised."""
         explorer = BfsExplorer(build_german_system(2))
         explorer.run()
-        states = list(explorer.visited_states)
+        states = explorer.visited_representatives()
         assert any(s[1].st == GS_W for s in states)
         assert any(s[1].st == GE_W for s in states)
         assert any(s[1].mem == 1 for s in states)
@@ -64,7 +64,7 @@ class TestDataSemantics:
         explorer.run()
         races = [
             s
-            for s in explorer.visited_states
+            for s in explorer.visited_representatives()
             if any(p.st == IE_W for p in s[0]) and s[1].st == GE_W
         ]
         assert races
@@ -75,7 +75,7 @@ class TestDataSemantics:
         explorer = BfsExplorer(build_german_system(2))
         result = explorer.run()
         assert result.verdict is Verdict.SUCCESS
-        for state in explorer.visited_states:
+        for state in explorer.visited_representatives():
             procs, glob, _net = state
             for proc in procs:
                 if proc.st in (S, SE_W, E):

@@ -56,7 +56,7 @@ class TestExclusiveSemantics:
         saw a GetM from it (the silent E->M upgrade)."""
         explorer = BfsExplorer(build_mesi_system(1))
         explorer.run()
-        states = list(explorer.visited_states)
+        states = explorer.visited_representatives()
         assert any(mesi.C_E in s[0] for s in states)
         assert any(mesi.C_M in s[0] for s in states)
 

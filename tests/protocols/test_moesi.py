@@ -56,7 +56,7 @@ class TestOwnedSemantics:
         Shared one — the dirty-sharing configuration MESI cannot express."""
         explorer = BfsExplorer(build_moesi_system(2))
         explorer.run()
-        states = list(explorer.visited_states)
+        states = explorer.visited_representatives()
         assert any(
             moesi.C_O in s[0] and moesi.C_S in s[0] for s in states
         )

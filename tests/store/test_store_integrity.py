@@ -176,7 +176,6 @@ class TestKeys:
 
     def test_flags_signature_separates_verdict_affecting_knobs(self):
         base = flags_signature(SynthesisConfig())
-        assert flags_signature(SynthesisConfig(packed=False)) != base
         assert flags_signature(SynthesisConfig(explorer="dfs")) != base
         assert flags_signature(SynthesisConfig(pruning=False)) != base
         # Performance-only knobs share verdicts.
@@ -192,7 +191,6 @@ class TestKeys:
             "explorer": "bfs",
             "generalise": True,
             "refined_patterns": False,
-            "packed": True,
         }
         assert flags_signature(SynthesisConfig()) == _digest(expected)
 
@@ -227,10 +225,10 @@ class TestKeys:
 
     def test_mismatched_flags_are_never_consulted(self, tmp_path):
         store = VerdictStore(str(tmp_path))
-        packed_flags = flags_signature(SynthesisConfig())
-        object_flags = flags_signature(SynthesisConfig(packed=False))
-        store.record(candidate_key(SYS, packed_flags, (("h", 0),)), stored())
-        assert store.lookup(candidate_key(SYS, object_flags, (("h", 0),))) is None
+        bfs_flags = flags_signature(SynthesisConfig())
+        dfs_flags = flags_signature(SynthesisConfig(explorer="dfs"))
+        store.record(candidate_key(SYS, bfs_flags, (("h", 0),)), stored())
+        assert store.lookup(candidate_key(SYS, dfs_flags, (("h", 0),))) is None
         store.close()
 
     def test_system_signature_separates_shapes(self):

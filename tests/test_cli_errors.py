@@ -1,6 +1,8 @@
 """CLI error-path coverage: unknown targets, bad numeric flags, and
 conflicting flag combinations all exit with status 2 and a message."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -94,7 +96,11 @@ class TestConflictingFlags:
         ["verify", "moesi", "--por"],
         ["synth", "figure2", "--family"],
         ["synth", "figure2", "--no-family"],
-    ], ids=["por", "family", "no-family"])
+        ["verify", "msi", "--no-packed"],
+        ["synth", "msi-tiny", "--packed"],
+        ["matrix", "--preset", "smoke", "--no-packed"],
+    ], ids=["por", "family", "no-family", "verify-no-packed",
+            "synth-packed", "matrix-no-packed"])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -116,26 +122,16 @@ class TestMatrixErrors:
         assert "cannot read spec" in capsys.readouterr().err
 
 
-class TestMatrixPackedOverride:
-    def test_matrix_packed_override_keeps_cell_ids(self, tmp_path):
-        """--packed/--no-packed apply post-expansion: ids stay as the spec
-        derives them (no duplicate-id crash when the spec already has a
-        nopacked cell), and every cell really runs in the forced mode."""
-        from repro.experiments import MatrixSpec
-        from repro.experiments.runner import MatrixRunner
-
-        spec = MatrixSpec.from_dict({
-            "name": "packed-override",
-            "include": [
-                {"target": "figure2"},
-                {"target": "figure2", "packed": False},
-            ],
-        })
-        for force in (True, False):
-            runner = MatrixRunner(spec, tmp_path / str(force),
-                                  force_packed=force)
-            assert [cell.id for cell in runner.cells] == [
-                "synth:figure2:r2:sequential",
-                "synth:figure2:r2:sequential:nopacked",
-            ]
-            assert all(cell.packed is force for cell in runner.cells)
+class TestMatrixRetiredPackedField:
+    def test_matrix_spec_with_packed_cell_is_rejected(self, tmp_path, capsys):
+        """Every cell runs on the packed kernel; a spec that still sets
+        the retired ``packed`` field fails before any cell runs."""
+        spec_path = tmp_path / "packed.json"
+        spec_path.write_text(json.dumps({
+            "name": "packed-field",
+            "include": [{"target": "figure2", "packed": False}],
+        }))
+        assert main(["matrix", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "'packed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
