@@ -5,10 +5,9 @@
    passes cost more than they save (an honest boundary of the technique).
 2. Subtree-skipping vs flat per-candidate pattern matching (our CPython
    substitution): identical counts, different enumeration cost.
-3. Refined trace-based patterns (our extension): never more evaluations.
-4. Success-pattern memoisation: avoids re-verifying known solutions'
+3. Success-pattern memoisation: avoids re-verifying known solutions'
    don't-care extensions across passes.
-5. Coverage properties: dropping them admits degenerate protocols
+4. Coverage properties: dropping them admits degenerate protocols
    (the paper's Section III observation).
 """
 
@@ -59,25 +58,6 @@ class TestMatcherAblation:
         flat = run_config(msi_tiny(bench_caches()).system, naive_match=True)
         assert subtree.evaluated == flat.evaluated
         assert subtree.failure_patterns == flat.failure_patterns
-
-
-class TestRefinedPatterns:
-    def test_refined(self, benchmark):
-        report = run_once(
-            benchmark,
-            lambda: run_config(
-                msi_tiny(bench_caches()).system, refined_patterns=True
-            ),
-        )
-        attach_report(benchmark, report, "MSI-tiny, refined patterns")
-
-    def test_refined_never_worse(self):
-        base = run_config(msi_tiny(bench_caches()).system)
-        refined = run_config(msi_tiny(bench_caches()).system, refined_patterns=True)
-        assert refined.evaluated <= base.evaluated
-        assert {s.digits for s in refined.solutions} == {
-            s.digits for s in base.solutions
-        }
 
 
 class TestSuccessMemoisation:

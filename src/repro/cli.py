@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-store", action="store_true",
         help="explicitly run without a verdict store (the default)",
     )
-    synth.add_argument("--refined", action="store_true",
-                       help="refined trace-based pruning patterns")
     synth.add_argument("--solution-limit", type=int, default=None)
     synth.add_argument("--max-evaluations", type=int, default=None)
     synth.add_argument("--groups", action="store_true",
@@ -387,17 +385,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"--caches/--procs must be >= 1, got {args.replicas}")
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
-    if args.naive and args.refined:
-        raise CliError(
-            "conflicting flags: --refined records pruning patterns, which "
-            "--naive disables"
-        )
     tele = _build_telemetry(args)
     config = SynthesisConfig(
         pruning=not args.naive,
         generalise_conflicts=not args.no_generalise,
         prefix_reuse=not args.no_prefix_reuse,
-        refined_patterns=args.refined,
         solution_limit=args.solution_limit,
         max_evaluations=args.max_evaluations,
         compute_fingerprints=args.groups,

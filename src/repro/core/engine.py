@@ -123,14 +123,17 @@ class SynthesisConfig:
         naive_match: match candidates one-by-one against the pattern tables
             (paper-faithful lookup) instead of subtree-skipping DFS.  The
             two are differentially tested to produce identical counts.
-        generalise_conflicts: on every failure, replay the counterexample
-            trace to find the minimal hole conflict it executes and record
-            *that* as the pruning pattern instead of the full candidate
-            width (:func:`repro.core.pruning.generalise_failure`).  Sound,
-            strictly more general, and on by default; ``--no-generalise``
-            on the CLI restores the paper's full-width patterns.  Like
-            prefix reuse, automatically disabled when exploration
-            ``limits`` are set (see :attr:`generalise_active`).
+        generalise_conflicts: on every failure, record only the minimal
+            hole conflict the failure executes as the pruning pattern,
+            instead of the full candidate width
+            (:func:`repro.core.pruning.generalise_failure`).  Candidate
+            runs and prefix builds then track each state's hole path in
+            the exploration kernel, and the conflict is read off the
+            failing run.  Sound, strictly more general, and on by
+            default; ``--no-generalise`` on the CLI restores the paper's
+            full-width patterns.  Like prefix reuse, automatically
+            disabled when pruning is off or exploration ``limits`` are
+            set (see :attr:`generalise_active`).
         prefix_reuse: cache the exploration of shared assignment prefixes
             (:class:`PrefixCache`) so sibling candidates resume from the
             cached frontier instead of re-exploring from the initial
@@ -140,12 +143,6 @@ class SynthesisConfig:
         prefix_cache_capacity: LRU entry cap of the prefix cache; needs to
             exceed the hole count for the chain to stay warm along one
             enumeration path.
-        refined_patterns: record patterns constraining only the holes
-            executed on the minimal error trace instead of the full
-            candidate prefix — a strictly stronger, still sound pruning
-            (our extension; benchmarked as an ablation).  Subsumed by
-            ``generalise_conflicts`` in practice; kept as the
-            kernel-tracking-based fallback and ablation.
         success_patterns: memoise solutions so later passes don't re-verify
             extensions of a known solution whose extra holes are don't-cares.
         subsumption: drop new patterns already implied by stored ones.
@@ -191,7 +188,6 @@ class SynthesisConfig:
     generalise_conflicts: bool = True
     prefix_reuse: bool = True
     prefix_cache_capacity: int = 64
-    refined_patterns: bool = False
     success_patterns: bool = True
     subsumption: bool = True
     default_action_index: int = 0
@@ -282,8 +278,11 @@ class SynthesisConfig:
 
     @property
     def generalise_active(self) -> bool:
-        """Whether failure patterns may be conflict-generalised.
+        """Whether failure patterns are conflict-generalised.
 
+        This also decides whether candidate runs and prefix builds track
+        hole paths in the kernel.  Without pruning no pattern is recorded,
+        so there is nothing to generalise and nothing to track.
         Exploration limits disable generalisation for the same reason they
         disable prefix reuse: a sibling matching the generalised conflict
         is guaranteed to *contain* the counterexample, but a truncated
@@ -292,7 +291,7 @@ class SynthesisConfig:
         that exposure to cross-pass extensions only (the paper's original
         caveat); generalisation would widen it to same-pass siblings.
         """
-        return self.generalise_conflicts and self._limits_unset
+        return self.pruning and self.generalise_conflicts and self._limits_unset
 
     @property
     def store_active(self) -> bool:
@@ -314,9 +313,11 @@ class SynthesisConfig:
         ========================  ==============================================
         acceleration              stands down when
         ========================  ==============================================
-        ``generalise_conflicts``  exploration limits are set (a truncated
-                                  sibling exploration is not guaranteed to
-                                  reach the generalised counterexample)
+        ``generalise_conflicts``  pruning is off (no patterns are recorded),
+                                  or exploration limits are set (a
+                                  truncated sibling exploration is not
+                                  guaranteed to reach the generalised
+                                  counterexample)
         ``prefix_reuse``          pruning is off (no wildcard semantics), or
                                   exploration limits are set (truncated
                                   verdicts depend on visit order)
@@ -339,17 +340,18 @@ class SynthesisConfig:
                 )
             )
 
+        off_reason = limits_reason if limited else "pruning is off"
         add(
             "generalise_conflicts",
             self.generalise_conflicts,
             self.generalise_active,
-            limits_reason,
+            off_reason,
         )
         add(
             "prefix_reuse",
             self.prefix_reuse,
             self.prefix_reuse_active,
-            limits_reason if limited else "pruning is off",
+            off_reason,
         )
         add(
             "store",
@@ -624,7 +626,7 @@ class SynthesisCore:
             resolver=self.make_resolver(vector),
             limits=self.config.limits,
             record_traces=self.config.record_traces,
-            track_hole_paths=self.config.refined_patterns,
+            track_hole_paths=self.config.generalise_active,
             resume_from=resume,
             collect_checkpoint=collect,
             telemetry=self.telemetry if self.telemetry.enabled else None,
@@ -714,7 +716,7 @@ class SynthesisCore:
 
         The failure pattern is generalised *here*, once, and handed back
         on the result (``stored_pattern``) so :meth:`handle_result` does
-        not replay the counterexample a second time.
+        not generalise it a second time.
         """
         pattern_constraints = None
         if result.is_failure and self.config.pruning:
@@ -820,10 +822,10 @@ class SynthesisCore:
                 resolver=self.make_resolver(CandidateVector.from_digits(prefix)),
                 limits=self.config.limits,
                 record_traces=self.config.record_traces,
-                track_hole_paths=self.config.refined_patterns,
+                track_hole_paths=self.config.generalise_active,
                 resume_from=resume,
                 collect_checkpoint=True,
-                    telemetry=tele if tele.enabled else None,
+                telemetry=tele if tele.enabled else None,
             )
             explorer.run()
         cache.store(prefix, explorer.checkpoint)
@@ -989,22 +991,11 @@ class SynthesisCore:
             # once while recording to it; never generalise twice.
             return PruningPattern(result.stored_pattern)
         if self.config.generalise_active:
-            pattern = generalise_failure(
-                self.system, self.registry, digits, result,
-                telemetry=self.telemetry if self.telemetry.enabled else None,
-            )
+            # Called through this module's binding, which instrumentation
+            # may wrap.
+            pattern = generalise_failure(self.registry, digits, result)
             if pattern is not None:
                 return pattern
-        if self.config.refined_patterns and result.failure_holes is not None:
-            constraints = []
-            for hole in result.failure_holes:
-                position = self.registry.position_of(hole, register=False)
-                if position is None or position >= len(digits):
-                    raise SynthesisError(
-                        f"failure hole {hole.name!r} has no assigned position"
-                    )
-                constraints.append((position, digits[position]))
-            return PruningPattern(constraints)
         return PruningPattern.from_candidate(CandidateVector.from_digits(digits))
 
     def check_evaluation_budget(self) -> None:

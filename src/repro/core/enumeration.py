@@ -10,17 +10,19 @@ configuration, it cannot be used as a wildcard again").
 Two enumerator implementations walk one pass (optionally restricted to an
 index subrange, which is how parallel workers split the space):
 
-* :class:`SubtreeEnumerator` — DFS with incremental pattern matching
-  (:class:`~repro.core.pruning.DfsMatcher`); when a pattern fires at depth
-  ``d``, the whole subtree (``prod(radices[d+1:])`` candidates) is skipped
-  and counted analytically.  This is our CPython-feasible replacement for
+* :class:`SubtreeEnumerator` — DFS with incremental bitset pattern
+  matching (:class:`~repro.core.pruning.DfsMatcher`: each push or pop is
+  a few big-int operations); when a pattern fires at depth ``d``, the
+  whole subtree (``prod(radices[d+1:])`` candidates) is skipped and
+  counted analytically.  This is our CPython-feasible replacement for
   the paper's per-candidate lookup over billions of candidates (DESIGN.md,
   substitution 1).  Because a pattern fires the moment its *last*
   constrained position is pushed, conflict-generalised patterns
-  (:func:`~repro.core.pruning.generalise_failure`) — whose highest
-  constrained position is the end of the shortest failure-forcing prefix —
-  cut subtrees at the shallowest sound depth, once per matching assignment
-  of their (possibly sparse) constrained positions.
+  (:func:`~repro.core.pruning.generalise_failure`, read off the kernel's
+  hole paths) — whose highest constrained position is the end of the
+  shortest failure-forcing prefix — cut subtrees at the shallowest sound
+  depth, once per matching assignment of their (possibly sparse)
+  constrained positions.
 * :class:`NaiveEnumerator` — visits every index and performs one
   per-candidate table lookup: the paper-faithful behaviour, used for the
   small problem sizes and for differential testing of the subtree walker.
@@ -126,15 +128,13 @@ class SubtreeEnumerator:
             if high <= self.start or low >= self.end:
                 continue
             overlap = min(high, self.end) - max(low, self.start)
+            # A push also reports patterns a mid-walk integrate left
+            # satisfied at a shallower position.
             matched: Optional[str] = None
             for tag, matcher in self.matchers:
                 fired = matcher.push(position, digit)
                 if fired and matched is None:
                     matched = tag
-            if matched is None:
-                # A matcher may already be satisfied from a mid-walk
-                # integrate at a shallower position.
-                matched = self.matched_tag()
             self._digits.append(digit)
             if matched is not None:
                 self.counters.skipped[matched] += overlap

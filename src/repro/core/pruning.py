@@ -16,15 +16,17 @@ Two matching engines are provided:
   :meth:`PruningTable.add`), not a scan of the table; still, one query
   per candidate is too slow in CPython for the billion-candidate
   MSI-large space.
-* :class:`DfsMatcher` — an incremental matcher driven by the subtree-
-  skipping enumerator (:mod:`repro.core.enumeration`).  Digits are pushed
-  and popped in position order; the instant every constraint of a pattern is
-  satisfied, the whole subtree below the pattern's last constrained position
-  is skipped and its size counted analytically.  Patterns may be added
-  mid-walk (from the walk's own failures); the process backend broadcasts
-  each worker's patterns to the others between batches, which is how
-  parallel workers "make use of another thread's registered patterns as
-  soon as they become available" (paper, Section II, Parallel Synthesis).
+* :class:`DfsMatcher` — an incremental bitset matcher driven by the
+  subtree-skipping enumerator (:mod:`repro.core.enumeration`).  Digits
+  are pushed and popped in position order, each push costing a few
+  big-int operations over pattern-id masks; the instant every constraint
+  of a pattern is satisfied, the whole subtree below the pattern's last
+  constrained position is skipped and its size counted analytically.
+  Patterns may be added mid-walk (from the walk's own failures); the
+  process backend broadcasts each worker's patterns to the others between
+  batches, which is how parallel workers "make use of another thread's
+  registered patterns as soon as they become available" (paper, Section
+  II, Parallel Synthesis).
 
 The same machinery is reused for *success patterns* (solutions found in an
 earlier pass whose unconstrained holes are provably unreachable and hence
@@ -33,13 +35,15 @@ double-counted.
 
 Conflict generalisation (:func:`generalise_failure`) strengthens the
 recorded failure patterns beyond the paper: instead of constraining every
-assigned position of the failed candidate, the counterexample trace is
-*replayed* to find the exact hole subset it executes — the minimal conflict
-— and only those positions are constrained.  Because the pattern's highest
-constrained position bounds the shortest assignment prefix that already
-forces the counterexample, the subtree-skipping enumerator can discard the
-entire subtree below that prefix, which is exponentially larger than what
-the full-width pattern could cut.
+assigned position of the failed candidate, the pattern constrains only the
+holes the failure executes — the minimal conflict.  The exploration kernel
+tracks, per state, the holes executed on its discovery path
+(``track_hole_paths``), so the conflict is read off the failing run
+rather than recomputed.  Because the pattern's highest constrained
+position bounds the shortest assignment prefix that already forces the
+counterexample, the subtree-skipping enumerator can discard the entire
+subtree below that prefix, which is exponentially larger than what the
+full-width pattern could cut.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.candidate import CandidateVector
-from repro.errors import WildcardEncountered
-from repro.mc.context import ExecutionContext
-from repro.mc.result import FailureKind, VerificationResult
+from repro.errors import SynthesisError
+from repro.mc.result import VerificationResult
 
 
 class PruningPattern:
@@ -214,57 +217,101 @@ class PruningTable:
 
 
 class DfsMatcher:
-    """Incremental pattern matcher for position-ordered DFS enumeration.
+    """Incremental bitset matcher for position-ordered DFS enumeration.
 
-    The enumerator pushes digits in increasing position order and pops them
-    on backtrack.  Each stored pattern keeps a count of unsatisfied
-    constraints; a push of ``(position, action)`` decrements the count of
-    every pattern constraining exactly that pair.  A pattern *fires* when
-    its count reaches zero — which, because positions are pushed in order,
-    can only happen while pushing its maximum constrained position — and the
-    enumerator then skips the entire subtree.
+    The enumerator pushes digits in increasing position order, starting
+    at position 0, and pops them on backtrack.  Each integrated pattern
+    owns one bit (its insertion index), and three indexes map to bitmasks
+    of pattern ids: the patterns constraining a position at all, the
+    patterns holding a given ``(position, action)`` constraint, and the
+    patterns whose last constraint is at a position.  The matcher keeps
+    two masks for the current path:
 
-    Patterns may be added mid-walk via :meth:`integrate`, passing the digits
-    currently on the DFS path so the new pattern's counter reflects the
-    constraints that path already satisfies.  A pattern whose constraints
-    are already fully satisfied at integration time is tracked through the
-    ``matched_count`` invariant: the matcher maintains the number of
-    patterns with zero unsatisfied constraints, so :meth:`push` (and
-    :attr:`any_matched`) report a match regardless of *when* the pattern
-    completed.
+    * ``violated`` — patterns with a constraint the path contradicts;
+    * ``covered`` — patterns whose every constrained position is on the
+      path (empty patterns from the start).
+
+    A push ORs one mask into each, so its cost is a few big-int
+    operations however many patterns share the constraint; a pattern
+    *fires* when it is covered and not violated, and the enumerator then
+    skips the entire subtree.  A pop restores the pair saved by the
+    matching push.
+
+    Patterns may be added mid-walk via :meth:`integrate`, passing the
+    digits currently on the DFS path; the new pattern's bit is set in the
+    current pair and in every saved pair it belongs to, so a pattern
+    already satisfied by a shallower prefix fires until the walk
+    backtracks above it.
     """
 
     def __init__(self, patterns: Iterable[PruningPattern] = ()) -> None:
         self._patterns: List[PruningPattern] = []
-        self._remaining: List[int] = []
-        self._index: Dict[Tuple[int, int], List[int]] = {}
-        self._matched_count = 0
-        for pattern in patterns:
-            self._install(pattern, current_path=())
+        #: position -> ids of patterns constraining it
+        self._at: List[int] = []
+        #: position -> ids of patterns whose last constraint is there
+        self._ending: List[int] = []
+        #: (position, action) -> ids of patterns with that constraint
+        self._with: Dict[Tuple[int, int], int] = {}
+        self._violated = 0
+        self._covered = 0
+        #: (violated, covered) before each push still on the path
+        self._stack: List[Tuple[int, int]] = []
+        self.integrate(patterns, current_path=())
 
-    def _install(self, pattern: PruningPattern, current_path: Sequence[int]) -> None:
-        pattern_id = len(self._patterns)
-        satisfied = 0
-        for position, action in pattern.constraints:
-            if position < len(current_path) and current_path[position] == action:
-                satisfied += 1
-            self._index.setdefault((position, action), []).append(pattern_id)
+    def _install(self, pattern: PruningPattern) -> int:
+        """Index ``pattern`` under a fresh id; returns its bit."""
+        bit = 1 << len(self._patterns)
         self._patterns.append(pattern)
-        remaining = len(pattern.constraints) - satisfied
-        self._remaining.append(remaining)
-        if remaining == 0:
-            self._matched_count += 1
+        at, ending, with_ = self._at, self._ending, self._with
+        grow = pattern.max_position + 1 - len(at)
+        if grow > 0:
+            at.extend([0] * grow)
+            ending.extend([0] * grow)
+        for constraint in pattern.constraints:
+            at[constraint[0]] |= bit
+            with_[constraint] = with_.get(constraint, 0) | bit
+        if not pattern.is_empty:
+            ending[pattern.max_position] |= bit
+        return bit
 
     def integrate(self, patterns: Iterable[PruningPattern],
                   current_path: Sequence[int]) -> None:
-        """Add patterns discovered mid-walk (the walk's own failures)."""
+        """Add patterns discovered mid-walk (the walk's own failures).
+
+        ``current_path`` holds the digits pushed so far, one per saved
+        pair; the pair saved before the push at position ``k`` describes
+        the prefix ``current_path[:k]``.
+        """
+        stack = self._stack
+        depth = len(stack)
         for pattern in patterns:
-            self._install(pattern, current_path)
+            bit = self._install(pattern)
+            # First prefix length at which the path contradicts the
+            # pattern, and the first at which it covers it.
+            violated_from = depth + 1
+            for position, action in pattern.constraints:
+                if position >= depth:
+                    break
+                if current_path[position] != action:
+                    violated_from = position + 1
+                    break
+            covered_from = pattern.max_position + 1
+            for k in range(min(violated_from, covered_from), depth):
+                violated, covered = stack[k]
+                if k >= violated_from:
+                    violated |= bit
+                if k >= covered_from:
+                    covered |= bit
+                stack[k] = (violated, covered)
+            if depth >= violated_from:
+                self._violated |= bit
+            if depth >= covered_from:
+                self._covered |= bit
 
     @property
     def any_matched(self) -> bool:
         """True if some pattern is fully satisfied by the current DFS path."""
-        return self._matched_count > 0
+        return bool(self._covered & ~self._violated)
 
     def push(self, position: int, action: int) -> bool:
         """Record digit ``action`` at ``position``; True if a pattern matches.
@@ -273,24 +320,23 @@ class DfsMatcher:
         inferred to fail (or, for success tables, to succeed) — the
         enumerator should skip it.
         """
-        remaining = self._remaining
-        for pattern_id in self._index.get((position, action), ()):
-            remaining[pattern_id] -= 1
-            if remaining[pattern_id] == 0:
-                self._matched_count += 1
-        return self._matched_count > 0
+        violated = self._violated
+        covered = self._covered
+        self._stack.append((violated, covered))
+        if position < len(self._at):
+            violated |= self._at[position] & ~self._with.get((position, action), 0)
+            covered |= self._ending[position]
+            self._violated = violated
+            self._covered = covered
+        return bool(covered & ~violated)
 
     def pop(self, position: int, action: int) -> None:
         """Undo the matching effect of the corresponding :meth:`push`."""
-        remaining = self._remaining
-        for pattern_id in self._index.get((position, action), ()):
-            if remaining[pattern_id] == 0:
-                self._matched_count -= 1
-            remaining[pattern_id] += 1
+        self._violated, self._covered = self._stack.pop()
 
     def fully_matched(self, path: Sequence[int]) -> bool:
         """Non-incremental check of a complete path (used in tests)."""
-        for pattern, _remaining in zip(self._patterns, self._remaining):
+        for pattern in self._patterns:
             if all(
                 position < len(path) and path[position] == action
                 for position, action in pattern.constraints
@@ -305,96 +351,44 @@ class DfsMatcher:
 
 
 def generalise_failure(
-    system,
     registry,
     digits: Sequence[int],
     result: VerificationResult,
-    telemetry=None,
 ) -> Optional[PruningPattern]:
-    """Minimal-conflict pattern for a failed candidate, via trace replay.
+    """Minimal-conflict pattern for a failed candidate.
 
-    ``telemetry`` (a ``repro.obs.Telemetry``, optional) wraps the replay
-    in a ``generalise`` trace span recording whether a conflict was
-    found and how narrow it is — replay cost is one of the phases the
-    ``stats`` subcommand attributes.
+    The pattern constrains exactly the positions of
+    ``result.failure_holes``: the holes the exploration kernel saw
+    executed on the failing state's discovery path (its counterexample
+    trace), plus, for a DEADLOCK, the holes executed by the
+    successor-less firings attempted at the final state — a candidate
+    disagreeing there could enable an escape.  For a COVERAGE failure the
+    set is every hole the run executed.
 
-    Soundness is the paper's Section II argument made exact: the
-    counterexample trace is replayed firing by firing under the failed
-    candidate's assignment, recording precisely which holes execute.  Any
-    candidate agreeing on those positions replays the same trace (guards
-    are hole-free; firings that resolved no further holes are
-    assignment-independent) and therefore contains the same violation, so
-    the returned pattern constrains *only* the replayed conflict — every
+    Soundness is the paper's Section II argument made exact.  A candidate
+    agreeing on those positions fires the same transitions along the
+    trace (guards are hole-free; firings that resolved no further holes
+    are assignment-independent), so it contains the same violation; a
+    COVERAGE failure is only reported on a complete, wildcard-free
+    exploration, which such a candidate repeats state for state.  Every
     other position becomes a wildcard, including assigned positions the
     failure never touched.
 
-    For DEADLOCK failures the conflict additionally includes every hole
-    executed by the (successor-less) rule firings attempted at the final
-    state: a candidate disagreeing there could enable an escape.
-
     Returns ``None`` — callers fall back to the full-width pattern — when
-    no trace is available (COVERAGE failures, ``record_traces=False``) or
-    the replay cannot reproduce the trace (nondeterministic rule bodies,
-    an unexpected wildcard).  An *empty* pattern is a genuine result: the
-    trace executed no holes at all, so the skeleton fails identically
-    under every assignment (the engine reports an inherent failure).
+    the run did not track hole paths.  An *empty* pattern is a genuine
+    result: the failure executed no holes at all, so the skeleton fails
+    identically under every assignment (the engine reports an inherent
+    failure).
     """
-    if telemetry is not None and telemetry.enabled:
-        with telemetry.span("generalise") as span:
-            pattern = _generalise_failure(system, registry, digits, result)
-            span.set(
-                generalised=pattern is not None,
-                width=len(pattern.constraints) if pattern is not None else None,
-            )
-            return pattern
-    return _generalise_failure(system, registry, digits, result)
-
-
-def _generalise_failure(
-    system,
-    registry,
-    digits: Sequence[int],
-    result: VerificationResult,
-) -> Optional[PruningPattern]:
-    trace = result.trace
-    if trace is None or result.failure_kind is FailureKind.COVERAGE:
+    holes = result.failure_holes
+    if holes is None:
         return None
-    from repro.core.discovery import CandidateResolver
-
-    vector = CandidateVector.from_digits(tuple(digits))
-    ctx = ExecutionContext(CandidateResolver(registry, vector))
-    rules_by_name = {rule.name: rule for rule in system.rules}
-    state = trace.initial_state
-    executed: set = set()
-    for step in trace.steps[1:]:
-        rule = rules_by_name.get(step.rule_name)
-        if rule is None:
-            return None
-        ctx.begin_firing()
-        try:
-            successors = rule.fire(state, ctx)
-        except WildcardEncountered:
-            return None
-        executed |= ctx.firing_executed_holes
-        if not any(successor == step.state for successor in successors):
-            return None
-        state = step.state
-    if result.failure_kind is FailureKind.DEADLOCK:
-        for rule in system.rules:
-            if not rule.guard(state):
-                continue
-            ctx.begin_firing()
-            try:
-                successors = rule.fire(state, ctx)
-            except WildcardEncountered:
-                return None
-            if successors:
-                return None  # not the deadlock the verdict reported
-            executed |= ctx.firing_executed_holes
     constraints = []
-    for hole in executed:
+    for hole in holes:
         position = registry.position_of(hole, register=False)
         if position is None or position >= len(digits):
-            return None
+            raise SynthesisError(
+                f"failure hole {hole.name!r} has no assigned position"
+            )
         constraints.append((position, digits[position]))
     return PruningPattern(constraints)

@@ -67,7 +67,7 @@ class ExecutionContext:
     to a hole.  The context tracks, per rule firing and for the whole run,
     which holes were executed and whether a wildcard cut occurred; the
     explorer uses the per-firing data for deadlock classification and
-    (optionally) refined trace-based pruning.
+    (optionally) hole-path tracking for conflict generalisation.
     """
 
     __slots__ = (

@@ -207,9 +207,10 @@ class ExplorationKernel:
         record_traces: keep parent pointers for trace reconstruction
             (disable to save memory on very large complete-system runs).
         track_hole_paths: additionally record, per state, the set of holes
-            executed on its discovery path; enables refined trace-based
-            pruning (an extension over the paper; see
-            :mod:`repro.core.pruning`).
+            executed on its discovery path, and report a failure's
+            conflict holes in ``VerificationResult.failure_holes``; the
+            synthesis engine's conflict generalisation reads them (an
+            extension over the paper; see :mod:`repro.core.pruning`).
         capture_graph: optionally pass a :class:`repro.mc.graph.StateGraph`
             to receive every state and transition (for visualisation).
         resume_from: an :class:`ExplorationCheckpoint` from a run whose
@@ -288,6 +289,7 @@ class ExplorationKernel:
         limits = self.limits
         visited = self.visited_states
         rt = self.packed_runtime
+        track = self.track_hole_paths
         all_rules = tuple(system.rules)
         #: rule indices in the strategy's firing order (system indexing,
         #: so they line up with the packed runtime's guard bitmask)
@@ -331,7 +333,7 @@ class ExplorationKernel:
             visited.update(resume.visited)
             originals.extend(resume.originals)
             parents.extend(resume.parents)
-            if self.track_hole_paths:
+            if track:
                 hole_paths.extend(resume.hole_paths)
             pending = set(resume.pending_coverage)
             pending_coverage = [p for p in pending_coverage if p.name in pending]
@@ -374,7 +376,7 @@ class ExplorationKernel:
             visited[canon] = sid
             originals.append(rid)
             parents.append(parent if self.record_traces else None)
-            if self.track_hole_paths:
+            if track:
                 hole_paths.append(path_holes)
             states_visited += 1
             if pending_coverage:
@@ -455,7 +457,7 @@ class ExplorationKernel:
         def failure(kind: FailureKind, message: str, sid: int,
                     extra_holes: frozenset = frozenset()) -> VerificationResult:
             relevant: Optional[frozenset] = None
-            if self.track_hole_paths:
+            if track:
                 relevant = hole_paths[sid] | extra_holes
             return VerificationResult(
                 verdict=Verdict.FAILURE,
@@ -509,7 +511,7 @@ class ExplorationKernel:
                 continue
             produced_successor = False
             cut_here = False
-            path_holes = hole_paths[sid] if self.track_hole_paths else frozenset()
+            path_holes = hole_paths[sid] if track else frozenset()
             holes_at_state: Set[Any] = set()
 
             # The guard verdicts are memoised per interned state, so
@@ -537,15 +539,17 @@ class ExplorationKernel:
                     cut_here = True
                     wildcard_cuts += 1
                     continue
-                if self.track_hole_paths:
-                    holes_at_state |= ctx.firing_executed_holes
+                firing_holes = path_holes
+                if track:
+                    executed = ctx.firing_executed_holes
+                    if not successors:
+                        # Only successor-less firings matter for a
+                        # deadlock here.
+                        holes_at_state |= executed
+                    elif not executed <= path_holes:
+                        firing_holes = path_holes | executed
                 if successors:
                     produced_successor = True
-                firing_holes = (
-                    path_holes | ctx.firing_executed_holes
-                    if self.track_hole_paths
-                    else frozenset()
-                )
                 rule_name = all_rules[index].name
                 for successor in successors:
                     transitions += 1
@@ -591,7 +595,7 @@ class ExplorationKernel:
                 attempts=attempts,
                 max_depth=max_depth,
                 executed_holes=frozenset(ctx.run_executed_holes),
-                hole_paths=tuple(hole_paths) if self.track_hole_paths else None,
+                hole_paths=tuple(hole_paths) if track else None,
             )
             if instrumented:
                 checkpoint_acc[0] += clock() - checkpoint_begin
@@ -607,7 +611,7 @@ class ExplorationKernel:
                 wildcard_encountered=False,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 failure_holes=(
-                    frozenset(ctx.run_executed_holes) if self.track_hole_paths else None
+                    frozenset(ctx.run_executed_holes) if track else None
                 ),
                 unmet_coverage=unmet,
             )

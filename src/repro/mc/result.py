@@ -89,8 +89,8 @@ class VerificationResult:
             DEADLOCK, those executed on the minimal error path (plus, for
             deadlocks, during firings attempted at the final state); for
             COVERAGE, every hole executed in the run.  Only populated when
-            the explorer was asked to track hole paths; the refined pruning
-            mode uses it.
+            the explorer was asked to track hole paths; conflict
+            generalisation reads it.
         unmet_coverage: names of coverage properties never satisfied.
         stored_pattern: the generalised failure pattern already computed
             for this run — either replayed from the verdict store or

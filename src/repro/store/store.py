@@ -16,7 +16,7 @@ Keys (:func:`candidate_key`) are content hashes over three components:
   share verdicts even under the same name.
 * **flags signature** — every configuration knob that can change a
   *verdict or its stored side effects* (pruning, default action index,
-  explorer, conflict generalisation, refined patterns).
+  explorer, conflict generalisation).
   Knobs that only change performance or reporting (prefix reuse, trace
   recording, telemetry) are excluded so runs can share verdicts across
   them.
@@ -101,7 +101,6 @@ def flags_signature(config: Any) -> str:
         "default_action_index": int(getattr(config, "default_action_index", 0)),
         "explorer": str(getattr(config, "explorer", "bfs")),
         "generalise": bool(getattr(config, "generalise_active", False)),
-        "refined_patterns": bool(getattr(config, "refined_patterns", False)),
     }
     return _digest(payload)
 

@@ -130,18 +130,36 @@ class TestNaiveMatchMode:
         ]
 
 
-class TestRefinedPatterns:
-    def test_refined_patterns_constrain_fewer_positions(self):
-        report = SynthesisEngine(
-            build_figure2_skeleton(), SynthesisConfig(refined_patterns=True)
-        ).run()
+class TestGeneralisedPatterns:
+    def test_generalised_patterns_never_evaluate_more(self):
+        report = SynthesisEngine(build_figure2_skeleton()).run()
         assert len(report.solutions) == 1
-        # Run 6 (<1@B, 2@B>) fails at s2 without the hole-1 choice being part
-        # of the error *trace*... it is on the path (s0 -> s2), so refined
-        # patterns still include it; but run 9's failure path executes all
-        # assigned holes. Refined must never evaluate MORE than full-vector.
-        full = SynthesisEngine(build_figure2_skeleton()).run()
+        # A generalised pattern constrains only the holes on the failing
+        # run's path, a subset of the full-width candidate, so it never
+        # prunes less.
+        full = SynthesisEngine(
+            build_figure2_skeleton(), SynthesisConfig(generalise_conflicts=False)
+        ).run()
         assert report.evaluated <= full.evaluated
+
+    def test_naive_runs_do_not_track_hole_paths(self, monkeypatch):
+        from repro.mc import kernel
+
+        tracked = []
+        original = kernel.ExplorationKernel.__init__
+
+        def spy(self, *args, **kwargs):
+            tracked.append(kwargs.get("track_hole_paths", False))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel.ExplorationKernel, "__init__", spy)
+        SynthesisEngine(
+            build_figure2_skeleton(), SynthesisConfig(pruning=False)
+        ).run()
+        assert tracked and not any(tracked)
+        tracked.clear()
+        SynthesisEngine(build_figure2_skeleton()).run()
+        assert tracked and all(tracked)
 
 
 class TestProcessesEngine:

@@ -73,6 +73,22 @@ class TestConfigGating:
         ).generalise_active
         assert SynthesisConfig(limits=ExplorationLimits()).generalise_active
 
+    def test_generalisation_needs_pruning(self):
+        # Without pruning no pattern is recorded, so generalising (and the
+        # kernel's hole-path tracking that feeds it) would be dead work.
+        config = SynthesisConfig(pruning=False)
+        assert not config.generalise_active
+        status = {s.name: s for s in config.resolved_accelerations()}
+        generalise = status["generalise_conflicts"]
+        assert generalise.requested and not generalise.active
+        assert generalise.reason == "pruning is off"
+        assert status["prefix_reuse"].reason == "pruning is off"
+        limited = SynthesisConfig(
+            pruning=False, limits=ExplorationLimits(max_states=10)
+        )
+        reasons = {s.name: s.reason for s in limited.resolved_accelerations()}
+        assert reasons["generalise_conflicts"] == "exploration limits are set"
+
     def test_core_builds_cache_only_when_active(self):
         system = build_figure2_skeleton()
         assert SynthesisCore(system, SynthesisConfig()).prefix_cache is not None

@@ -248,6 +248,55 @@ class TestDfsMatcher:
         # Re-push a matching digit: matched again.
         assert matcher.push(0, 1)
 
+    def test_integrate_at_leaf_satisfied_by_shallower_prefix(self):
+        matcher = DfsMatcher()
+        for position, action in enumerate((0, 1, 0)):
+            assert not matcher.push(position, action)
+        matcher.integrate([PruningPattern([(0, 0)])], current_path=(0, 1, 0))
+        assert matcher.any_matched
+        # Every saved prefix that contains position 0 keeps it in force.
+        matcher.pop(2, 0)
+        assert matcher.any_matched
+        assert matcher.push(2, 1)
+        matcher.pop(2, 1)
+        matcher.pop(1, 1)
+        assert matcher.any_matched
+        assert matcher.push(1, 0)
+        matcher.pop(1, 0)
+        matcher.pop(0, 0)
+        assert not matcher.any_matched
+        assert not matcher.push(0, 1)
+        assert matcher.push(1, 0) is False
+        matcher.pop(1, 0)
+        matcher.pop(0, 1)
+        assert matcher.push(0, 0)
+
+    def test_integrate_contradicted_pattern_stays_quiet(self):
+        matcher = DfsMatcher()
+        matcher.push(0, 1)
+        matcher.push(1, 0)
+        matcher.integrate([PruningPattern([(0, 0), (2, 1)])], current_path=(1, 0))
+        assert not matcher.any_matched
+        assert not matcher.push(2, 1)
+        matcher.pop(2, 1)
+        matcher.pop(1, 0)
+        matcher.pop(0, 1)
+        assert not matcher.push(0, 0)
+        assert not matcher.push(1, 1)
+        assert matcher.push(2, 1)
+
+    def test_empty_pattern_always_matches(self):
+        matcher = DfsMatcher([PruningPattern(())])
+        assert matcher.any_matched
+        assert matcher.push(0, 0)
+        matcher.pop(0, 0)
+        late = DfsMatcher()
+        late.push(0, 1)
+        late.integrate([PruningPattern(())], current_path=(1,))
+        assert late.any_matched
+        late.pop(0, 1)
+        assert late.any_matched
+
     def test_fully_matched_helper(self):
         matcher = DfsMatcher([PruningPattern([(0, 1), (2, 0)])])
         assert matcher.fully_matched((1, 9, 0))
@@ -256,24 +305,27 @@ class TestDfsMatcher:
 
 
 class TestGeneraliseFailure:
-    """Conflict generalisation: replay the counterexample, constrain only
-    the holes it executes."""
+    """Conflict generalisation: constrain only the holes the failure
+    executes, read off the kernel's hole paths (and, where there is a
+    counterexample to replay, equal to the replay oracle's conflict)."""
 
     @staticmethod
-    def _fork_setup():
+    def _fork_setup(coverage=False):
         """s0 --H0--> {left: 10, right: 20}; 10 --HA--> {err, ok};
         20 --HB--> {ok, err}.  Three holes, but any one failure trace
-        executes exactly two of them."""
+        executes exactly two of them.  With ``coverage`` the system has
+        no invariant, "err" is an accepted end state, and reaching "ok"
+        is a coverage goal instead."""
         from repro.core.action import Action
-        from repro.core.discovery import CandidateResolver, HoleRegistry
+        from repro.core.discovery import HoleRegistry
         from repro.core.hole import Hole
-        from repro.mc.properties import DeadlockPolicy, Invariant
+        from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
         from repro.mc.rule import Rule
         from repro.mc.system import TransitionSystem
 
         h0 = Hole("h0", [Action("L", payload=10), Action("R", payload=20)])
         ha = Hole("ha", [Action("x", payload=-1), Action("y", payload=99)])
-        hb = Hole("hb", [Action("x", payload=98), Action("y", payload=-1)])
+        hb = Hole("hb", [Action("x", payload=99), Action("y", payload=-1)])
 
         def chooser(hole):
             def apply(state, ctx, _hole=hole):
@@ -281,6 +333,16 @@ class TestGeneraliseFailure:
 
             return apply
 
+        if coverage:
+            properties = dict(
+                coverage=[CoverageProperty("reach-ok", lambda s: s == 99)],
+                deadlock=DeadlockPolicy.fail(quiescent=lambda s: s in (-1, 99)),
+            )
+        else:
+            properties = dict(
+                invariants=[Invariant("no-err", lambda s: s != -1)],
+                deadlock=DeadlockPolicy.fail(quiescent=lambda s: s in (98, 99)),
+            )
         system = TransitionSystem(
             name="fork",
             initial_states=[0],
@@ -289,24 +351,35 @@ class TestGeneraliseFailure:
                 Rule("ra", guard=lambda s: s == 10, apply=chooser(ha)),
                 Rule("rb", guard=lambda s: s == 20, apply=chooser(hb)),
             ],
-            invariants=[Invariant("no-err", lambda s: s != -1)],
-            deadlock=DeadlockPolicy.fail(quiescent=lambda s: s in (98, 99)),
+            **properties,
         )
         registry = HoleRegistry()
         for hole in (h0, ha, hb):
             registry.position_of(hole, register=True)
-        return system, registry, CandidateResolver
+        return system, registry
 
-    def _check(self, digits):
+    @staticmethod
+    def _run(system, registry, digits, **kernel_args):
         from repro.core.candidate import CandidateVector
-        from repro.core.pruning import generalise_failure
+        from repro.core.discovery import CandidateResolver
         from repro.mc.kernel import ExplorationKernel
 
-        system, registry, CandidateResolver = self._fork_setup()
         resolver = CandidateResolver(registry, CandidateVector.from_digits(digits))
-        result = ExplorationKernel(system, resolver=resolver).run()
+        result = ExplorationKernel(
+            system, resolver=resolver, track_hole_paths=True, **kernel_args
+        ).run()
         assert result.is_failure
-        return generalise_failure(system, registry, digits, result)
+        return result
+
+    def _check(self, digits):
+        from repro.core.pruning import generalise_failure
+        from tests.replay_oracle import replay_conflict
+
+        system, registry = self._fork_setup()
+        result = self._run(system, registry, digits)
+        pattern = generalise_failure(registry, digits, result)
+        assert pattern == replay_conflict(system, registry, digits, result)
+        return pattern
 
     def test_untouched_hole_dropped_from_pattern(self):
         # <L, x, ?> fails through h0 and ha only; hb's assignment (either
@@ -327,28 +400,35 @@ class TestGeneraliseFailure:
         pattern = self._check((0, 0, 1))
         assert pattern.max_position == 1
 
-    def test_coverage_failure_is_not_generalised(self):
-        from repro.mc.result import FailureKind, Verdict, VerificationResult
-        from repro.core.pruning import generalise_failure
+    def test_coverage_failure_is_narrowed_to_executed_holes(self):
+        # <L, x, y> never reaches "ok": a coverage failure, with no trace
+        # to replay.  The run was complete and wildcard-free, so every
+        # candidate agreeing on the holes it executed (h0, ha) explores
+        # the same states; hb's position is left open.
+        from repro.core.pruning import PruningPattern, generalise_failure
+        from repro.core.candidate import CandidateVector
+        from repro.mc.result import FailureKind
+        from tests.replay_oracle import replay_conflict
 
-        system, registry, _ = self._fork_setup()
-        result = VerificationResult(
-            verdict=Verdict.FAILURE,
-            failure_kind=FailureKind.COVERAGE,
-            message="coverage not met: x",
-        )
-        assert generalise_failure(system, registry, (0, 0, 0), result) is None
+        system, registry = self._fork_setup(coverage=True)
+        digits = (0, 0, 1)
+        result = self._run(system, registry, digits)
+        assert result.failure_kind is FailureKind.COVERAGE
+        assert replay_conflict(system, registry, digits, result) is None
+        pattern = generalise_failure(registry, digits, result)
+        assert pattern.constraints == ((0, 0), (1, 0))
+        full = PruningPattern.from_candidate(CandidateVector.from_digits(digits))
+        assert set(pattern.constraints) < set(full.constraints)
 
     def test_deadlock_includes_final_state_holes(self):
         from repro.core.action import Action
-        from repro.core.candidate import CandidateVector
-        from repro.core.discovery import CandidateResolver, HoleRegistry
+        from repro.core.discovery import HoleRegistry
         from repro.core.hole import Hole
         from repro.core.pruning import generalise_failure
-        from repro.mc.kernel import ExplorationKernel
         from repro.mc.properties import DeadlockPolicy
         from repro.mc.rule import Rule
         from repro.mc.system import TransitionSystem
+        from tests.replay_oracle import replay_conflict
 
         h0 = Hole("h0", [Action("go", payload=30)])
         hd = Hole("hd", [Action("stall", payload=None), Action("run", payload=77)])
@@ -373,13 +453,12 @@ class TestGeneraliseFailure:
         registry.position_of(h0, register=True)
         registry.position_of(hd, register=True)
         digits = (0, 0)  # go, then stall: deadlock at 30
-        resolver = CandidateResolver(registry, CandidateVector.from_digits(digits))
-        result = ExplorationKernel(system, resolver=resolver).run()
-        assert result.is_failure
+        result = self._run(system, registry, digits)
         # hd never fires a transition, but its choice is what blocks the
         # escape from state 30 — the conflict must constrain it.
-        pattern = generalise_failure(system, registry, digits, result)
+        pattern = generalise_failure(registry, digits, result)
         assert pattern.constraints == ((0, 0), (1, 0))
+        assert pattern == replay_conflict(system, registry, digits, result)
 
     def test_hole_free_trace_yields_empty_pattern(self):
         # Defensive path: a trace executing no holes means the skeleton
@@ -398,24 +477,36 @@ class TestGeneraliseFailure:
             rules=[Rule("bad", guard=lambda s: s == 0, apply=lambda s, ctx: [-1])],
             invariants=[Invariant("no-err", lambda s: s != -1)],
         )
-        result = ExplorationKernel(system).run()
+        result = ExplorationKernel(system, track_hole_paths=True).run()
         assert result.is_failure
-        pattern = generalise_failure(system, HoleRegistry(), (), result)
+        pattern = generalise_failure(HoleRegistry(), (), result)
         assert pattern is not None and pattern.is_empty
 
-    def test_missing_trace_falls_back(self):
+    def test_missing_trace_still_generalises(self):
+        # Hole paths are tracked whether or not the trace is recorded, so
+        # a trace-less failure gets the same conflict as a traced one.
+        from repro.core.pruning import generalise_failure
+        from tests.replay_oracle import replay_conflict
+
+        system, registry = self._fork_setup()
+        digits = (0, 0, 1)
+        result = self._run(system, registry, digits, record_traces=False)
+        assert result.trace is None
+        assert replay_conflict(system, registry, digits, result) is None
+        pattern = generalise_failure(registry, digits, result)
+        assert pattern.constraints == ((0, 0), (1, 0))
+
+    def test_untracked_run_is_not_generalised(self):
         from repro.core.candidate import CandidateVector
         from repro.core.discovery import CandidateResolver
         from repro.core.pruning import generalise_failure
         from repro.mc.kernel import ExplorationKernel
 
-        system, registry, _ = self._fork_setup()
+        system, registry = self._fork_setup()
         resolver = CandidateResolver(registry, CandidateVector.from_digits((0, 0, 0)))
-        result = ExplorationKernel(
-            system, resolver=resolver, record_traces=False
-        ).run()
-        assert result.is_failure and result.trace is None
-        assert generalise_failure(system, registry, (0, 0, 0), result) is None
+        result = ExplorationKernel(system, resolver=resolver).run()
+        assert result.is_failure and result.failure_holes is None
+        assert generalise_failure(registry, (0, 0, 0), result) is None
 
 
 # -- differential property test: subtree skipping == flat matching ----------
@@ -433,32 +524,124 @@ pattern_strategy = st.lists(
 radices_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(radices_strategy, pattern_strategy)
-def test_subtree_walker_equals_flat_matching(radices, raw_patterns):
-    """The DFS subtree skipper must yield exactly the flat-match survivors."""
+late_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 12),
+        st.sampled_from(["fail", "success"]),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2)),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda c: c[0],
+        ),
+    ),
+    max_size=6,
+)
+
+
+def fit_patterns(raw_patterns, radices):
+    """Patterns over the positions and domains of ``radices``."""
     patterns = []
     for raw in raw_patterns:
         constraints = [
-            (position, action % radix)
+            (position, action % radices[position])
             for position, action in raw
             if position < len(radices)
-            for radix in [radices[position]]
         ]
         if constraints:
             patterns.append(PruningPattern(constraints))
+    return patterns
 
-    matcher = DfsMatcher(patterns)
-    enumerator = SubtreeEnumerator(radices, [("fail", matcher)])
-    walked = list(enumerator)
 
-    expected = []
+def matching_tags(digits, active):
+    """Tags, in matcher order, with a pattern matching ``digits``."""
+    vector = CandidateVector.from_digits(digits)
+    return [
+        tag for tag in ("fail", "success")
+        if any(pattern.matches(vector) for pattern in active[tag])
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(radices_strategy, pattern_strategy, pattern_strategy, late_strategy)
+def test_subtree_walker_equals_flat_matching(radices, raw_fail, raw_success,
+                                             raw_late):
+    """The DFS subtree skipper, with a failure and a success matcher and
+    patterns integrated at yielded leaves, dispatches exactly the
+    candidates a flat match against the patterns in force at each leaf
+    lets through."""
+    initial = {
+        "fail": fit_patterns(raw_fail, radices),
+        "success": fit_patterns(raw_success, radices),
+    }
+    late = {}
+    for when, tag, raw in raw_late:
+        for pattern in fit_patterns([raw], radices):
+            late.setdefault(when, []).append((tag, pattern))
+
+    matchers = {tag: DfsMatcher(patterns) for tag, patterns in initial.items()}
+    enumerator = SubtreeEnumerator(
+        radices, [("fail", matchers["fail"]), ("success", matchers["success"])]
+    )
+    dispatched, rechecked = [], []
+    for when, digits in enumerate(enumerator):
+        for tag, pattern in late.get(when, ()):
+            matchers[tag].integrate([pattern], enumerator.current_path)
+        tag = enumerator.matched_tag()
+        if tag is None:
+            dispatched.append(digits)
+        else:
+            enumerator.note_leaf_skipped(tag)
+            rechecked.append((digits, tag))
+
+    active = {tag: list(patterns) for tag, patterns in initial.items()}
+    expected_dispatched, expected_rechecked = [], []
+    only = {"fail": 0, "success": 0}
+    when = 0
     for index in range(product_size(radices)):
         digits = mixed_radix_decode(index, radices)
-        vector = CandidateVector.from_digits(digits)
-        if not any(p.matches(vector) for p in patterns):
-            expected.append(digits)
+        tags = matching_tags(digits, active)
+        if tags:
+            if len(tags) == 1:
+                only[tags[0]] += 1
+            continue
+        for tag, pattern in late.get(when, ()):
+            active[tag].append(pattern)
+        when += 1
+        tags = matching_tags(digits, active)
+        if tags:
+            expected_rechecked.append((digits, tags[0]))
+        else:
+            expected_dispatched.append(digits)
 
-    assert walked == expected
-    assert enumerator.counters.yielded == len(expected)
-    assert enumerator.counters.skipped["fail"] == product_size(radices) - len(expected)
+    assert dispatched == expected_dispatched
+    assert rechecked == expected_rechecked
+    counters = enumerator.counters
+    assert counters.yielded == len(dispatched)
+    assert counters.total_skipped() == product_size(radices) - len(dispatched)
+    # A leaf only one table matches is attributed to that table; a leaf
+    # both match goes to whichever fired first on the walk.
+    for tag in ("fail", "success"):
+        at_leaf = sum(1 for _digits, seen in rechecked if seen == tag)
+        assert counters.skipped[tag] >= only[tag] + at_leaf
+    for tag, matcher in matchers.items():
+        assert matcher.pattern_count == len(active[tag])
+
+
+def test_leaf_integrate_satisfied_by_shallower_prefix_skips_siblings():
+    """A pattern integrated at a leaf that an ancestor prefix already
+    satisfies prunes that leaf and every later leaf under the ancestor."""
+    matcher = DfsMatcher()
+    enumerator = SubtreeEnumerator([2, 2, 2], [("fail", matcher)])
+    dispatched = []
+    for digits in enumerator:
+        if digits == (0, 0, 0):
+            matcher.integrate([PruningPattern([(0, 0)])], enumerator.current_path)
+        tag = enumerator.matched_tag()
+        if tag is not None:
+            enumerator.note_leaf_skipped(tag)
+            continue
+        dispatched.append(digits)
+    assert dispatched == [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    assert enumerator.counters.skipped["fail"] == 4
+    assert enumerator.counters.yielded == 4

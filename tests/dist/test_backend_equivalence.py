@@ -61,7 +61,7 @@ class TestPruningEquivalence:
 @pytest.mark.parametrize("explorer", ["bfs", "dfs"])
 class TestExplorerStrategyEquivalence:
     """Both frontier strategies must find the same solutions on every
-    backend; only trace shapes (and hence refined patterns) may differ."""
+    backend; only trace shapes (and hence generalised patterns) may differ."""
 
     def test_backends_agree_per_strategy(self, explorer):
         sequential = run_backend(

@@ -44,22 +44,26 @@ class TestEnginesAgree:
         assert naive.evaluated == naive.naive_candidate_space
 
 
-class TestRefinedPruning:
-    def test_refined_never_loses_solutions(self):
+class TestUntracedPruning:
+    """Conflicts come from the kernel's hole paths, not from the recorded
+    counterexample, so dropping traces changes no pruning decision."""
+
+    def test_untraced_run_keeps_solutions(self):
         base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        refined = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(refined_patterns=True)
+        untraced = SynthesisEngine(
+            msi_tiny(n_caches=2).system, SynthesisConfig(record_traces=False)
         ).run()
-        assert {s.digits for s in refined.solutions} == {
+        assert {s.digits for s in untraced.solutions} == {
             s.digits for s in base.solutions
         }
 
-    def test_refined_evaluates_no_more(self):
+    def test_untraced_run_evaluates_the_same(self):
         base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        refined = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(refined_patterns=True)
+        untraced = SynthesisEngine(
+            msi_tiny(n_caches=2).system, SynthesisConfig(record_traces=False)
         ).run()
-        assert refined.evaluated <= base.evaluated
+        assert untraced.evaluated == base.evaluated
+        assert untraced.failure_patterns == base.failure_patterns
 
 
 class TestLimitsIntegration:

@@ -125,7 +125,7 @@ def test_synthesis_backends_match_under_dfs(name):
     dict(generalise_conflicts=False),
     dict(prefix_reuse=False),
     dict(pruning=False),
-    dict(refined_patterns=True),
+    dict(record_traces=False),
 ])
 def test_synthesis_flag_combinations_match(flags):
     """BFS and DFS agree under every other acceleration toggle too."""

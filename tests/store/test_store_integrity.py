@@ -190,7 +190,6 @@ class TestKeys:
             "default_action_index": 0,
             "explorer": "bfs",
             "generalise": True,
-            "refined_patterns": False,
         }
         assert flags_signature(SynthesisConfig()) == _digest(expected)
 

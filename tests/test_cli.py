@@ -97,9 +97,6 @@ class TestSynth:
         assert main(["synth", "msi-tiny", "--solution-limit", "1"]) == 0
         assert "solutions:         1" in capsys.readouterr().out
 
-    def test_synth_refined(self, capsys):
-        assert main(["synth", "figure2", "--refined"]) == 0
-
     def test_synth_no_generalise(self, capsys):
         # The escape hatch restores the paper's full-width patterns; on
         # figure2 the two modes coincide, so the headline must match.

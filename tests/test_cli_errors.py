@@ -85,13 +85,6 @@ class TestConflictingFlags:
     def test_dfs_with_matching_explorer_is_fine(self, capsys):
         assert main(["verify", "vi", "--dfs", "--explorer", "dfs"]) == 0
 
-    def test_naive_contradicts_refined(self, capsys):
-        run_expect_usage_error(
-            capsys,
-            ["synth", "figure2", "--naive", "--refined"],
-            "conflicting flags",
-        )
-
     @pytest.mark.parametrize("argv", [
         ["verify", "moesi", "--por"],
         ["synth", "figure2", "--family"],
@@ -99,8 +92,9 @@ class TestConflictingFlags:
         ["verify", "msi", "--no-packed"],
         ["synth", "msi-tiny", "--packed"],
         ["matrix", "--preset", "smoke", "--no-packed"],
+        ["synth", "msi-tiny", "--refined"],
     ], ids=["por", "family", "no-family", "verify-no-packed",
-            "synth-packed", "matrix-no-packed"])
+            "synth-packed", "matrix-no-packed", "refined"])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
