@@ -9,7 +9,8 @@ Paper rows (i7-4800MQ, C++):
     MSI-large  1 thread, pruning      12  1,207,959,552  34,928  170,108  12  739.7s
     MSI-large  4 threads, pruning     12  1,207,959,552  34,888  170,087  12  295.7s
 
-What we reproduce by default (CPython; see DESIGN.md substitutions):
+What we reproduce by default (CPython; see docs/architecture.md,
+"Departures from the paper"):
 
 * the candidate-space columns exactly (validated by construction);
 * MSI-small with pruning, fully measured: 1 thread and 4 worker processes

@@ -94,7 +94,8 @@ def main() -> None:
     print()
     print(format_table(rows))
     print("\n(naive rows marked 'estimated' extrapolate mean sampled candidate-check"
-          "\n cost to the full candidate space; see DESIGN.md substitution 1)")
+          "\n cost to the full candidate space; see docs/architecture.md,"
+          "\n \"Departures from the paper\", item 2)")
 
 
 if __name__ == "__main__":

@@ -90,7 +90,8 @@ def estimate_naive_seconds(
     """Extrapolate the naive wall-clock from a sample of candidate checks.
 
     Used when the naive baseline is infeasible to run in full (MSI-large's
-    102M candidates; see DESIGN.md substitution 1).
+    102M candidates; see docs/architecture.md, "Departures from the
+    paper", item 2).
     """
     if sampled_runs <= 0:
         raise ValueError("sampled_runs must be positive")

@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--no-generalise", action="store_true",
         help="record full-width failure patterns (the paper's behaviour) "
-             "instead of replay-minimised conflict patterns",
+             "instead of minimal conflict patterns (the holes the failure "
+             "executed, tracked by the model checker)",
     )
     synth.add_argument(
         "--no-prefix-reuse", action="store_true",

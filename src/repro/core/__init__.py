@@ -12,7 +12,7 @@ from repro.core.action import Action, action
 from repro.core.candidate import WILDCARD, CandidateVector, format_candidate
 from repro.core.discovery import CandidateResolver, HoleRegistry
 from repro.core.engine import SynthesisConfig, SynthesisEngine
-from repro.core.enumeration import NaiveEnumerator, SubtreeEnumerator
+from repro.core.enumeration import SubtreeEnumerator
 from repro.core.hole import Hole
 from repro.core.pruning import DfsMatcher, PruningPattern, PruningTable
 from repro.core.report import Solution, SynthesisReport
@@ -24,7 +24,6 @@ __all__ = [
     "DfsMatcher",
     "Hole",
     "HoleRegistry",
-    "NaiveEnumerator",
     "PruningPattern",
     "PruningTable",
     "Solution",

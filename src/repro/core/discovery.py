@@ -113,7 +113,7 @@ class HoleRegistry:
             return tuple(hole.name for hole in self._holes)
 
     def hole_named(self, name: str) -> Hole:
-        """The registered hole with this name, or None."""
+        """The registered hole with this name (KeyError if none)."""
         hole = self._names.get(name)
         if hole is None:
             raise KeyError(f"no discovered hole named {name!r}")
@@ -134,26 +134,20 @@ class DefaultingResolver:
     This reproduces the paper's behaviour *without* candidate pruning: "any
     newly encountered hole is registered and the default action substituted,
     such that the model checker may continue on the current branch of
-    execution".  We use ``default_index`` (conventionally 0, so skeletons
-    should order a benign action first) as the default.
+    execution".  The default is each hole's first action (index 0), so
+    skeletons should order a benign action first.
     """
 
-    def __init__(
-        self,
-        registry: HoleRegistry,
-        vector: CandidateVector,
-        default_index: int = 0,
-    ) -> None:
+    def __init__(self, registry: HoleRegistry, vector: CandidateVector) -> None:
         self._registry = registry
         self._vector = vector
-        self._default_index = default_index
 
     def resolve(self, hole: Hole):
         """Resolve per the paper's wildcard semantics (see class docs)."""
         position = self._registry.position_of(hole, register=True)
         entry = self._vector.action_index(position)
         if entry is WILDCARD:
-            entry = min(self._default_index, hole.arity - 1)
+            entry = 0
         if entry >= hole.arity:
             raise SynthesisError(
                 f"candidate assigns action index {entry} to hole {hole.name!r} "

@@ -35,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.action import Action
 from repro.core.candidate import WILDCARD, CandidateVector
 from repro.core.discovery import CandidateResolver, DefaultingResolver, HoleRegistry
-from repro.core.enumeration import NaiveEnumerator, SubtreeEnumerator
+from repro.core.enumeration import SubtreeEnumerator
 from repro.core.hole import Hole
 from repro.core.pruning import (
     DfsMatcher,
@@ -120,9 +120,6 @@ class SynthesisConfig:
     Attributes:
         pruning: enable the paper's candidate pruning (wildcard defaults,
             failure patterns); False reproduces the naive baseline.
-        naive_match: match candidates one-by-one against the pattern tables
-            (paper-faithful lookup) instead of subtree-skipping DFS.  The
-            two are differentially tested to produce identical counts.
         generalise_conflicts: on every failure, record only the minimal
             hole conflict the failure executes as the pruning pattern,
             instead of the full candidate width
@@ -140,13 +137,8 @@ class SynthesisConfig:
             states.  Verdict-exact; automatically disabled when pruning is
             off or exploration ``limits`` are set (a truncated exploration
             depends on visit order, which resumption changes).
-        prefix_cache_capacity: LRU entry cap of the prefix cache; needs to
-            exceed the hole count for the chain to stay warm along one
-            enumeration path.
         success_patterns: memoise solutions so later passes don't re-verify
             extensions of a known solution whose extra holes are don't-cares.
-        subsumption: drop new patterns already implied by stored ones.
-        default_action_index: naive-mode default action per hole.
         limits: per-run exploration caps (safety net).
         solution_limit: stop after this many solutions (None = exhaustive).
         max_evaluations: stop after this many model-checker runs.
@@ -184,13 +176,9 @@ class SynthesisConfig:
     """
 
     pruning: bool = True
-    naive_match: bool = False
     generalise_conflicts: bool = True
     prefix_reuse: bool = True
-    prefix_cache_capacity: int = 64
     success_patterns: bool = True
-    subsumption: bool = True
-    default_action_index: int = 0
     limits: Optional[ExplorationLimits] = None
     solution_limit: Optional[int] = None
     max_evaluations: Optional[int] = None
@@ -214,16 +202,6 @@ class SynthesisConfig:
             value = getattr(self, knob)
             if value is not None and value < 0:
                 raise SynthesisError(f"{knob} must be non-negative, got {value}")
-        if self.default_action_index < 0:
-            raise SynthesisError(
-                f"default_action_index must be non-negative, "
-                f"got {self.default_action_index}"
-            )
-        if self.prefix_cache_capacity < 1:
-            raise SynthesisError(
-                f"prefix_cache_capacity must be positive, "
-                f"got {self.prefix_cache_capacity}"
-            )
         for knob in ("telemetry", "progress"):
             if not isinstance(getattr(self, knob), bool):
                 raise SynthesisError(
@@ -525,8 +503,8 @@ class SynthesisCore:
                 },
             }
         self.registry = registry if registry is not None else HoleRegistry()
-        self.fail_table = PruningTable(subsumption=config.subsumption)
-        self.success_table = PruningTable(subsumption=config.subsumption)
+        self.fail_table = PruningTable()
+        self.success_table = PruningTable()
         if not config.prefix_reuse_active:
             self.prefix_cache: Optional[PrefixCache] = None
         elif prefix_cache is not None:
@@ -535,7 +513,7 @@ class SynthesisCore:
             # canonical hole order only ever appends).
             self.prefix_cache = prefix_cache
         else:
-            self.prefix_cache = PrefixCache(config.prefix_cache_capacity)
+            self.prefix_cache = PrefixCache()
         # A caller-owned store outliving this core (the process-backend
         # worker keeps one across passes) is used as-is; otherwise the
         # core opens — and later closes — its own when the config asks.
@@ -573,9 +551,7 @@ class SynthesisCore:
         """The resolver for one candidate (wildcard or defaulting mode)."""
         if self.config.pruning:
             return CandidateResolver(self.registry, vector)
-        return DefaultingResolver(
-            self.registry, vector, self.config.default_action_index
-        )
+        return DefaultingResolver(self.registry, vector)
 
     def evaluate(self, vector: CandidateVector) -> Tuple[VerificationResult, ExplorationKernel]:
         """Model check one candidate, resuming from the prefix cache when possible."""
@@ -1008,20 +984,15 @@ class SynthesisCore:
             raise _StopSynthesis()
 
     def all_defaults_since(self, digits: Tuple[int, ...], first_new: int) -> bool:
-        """Naive-mode dedup: are all positions >= first_new at the default?
+        """Naive-mode dedup: are all positions >= first_new at action 0?
 
         Such a candidate is behaviourally identical to the shorter prefix
-        already evaluated in the previous pass (defaults were substituted
+        already evaluated in the previous pass (action 0 was substituted
         for the then-unknown holes), so it is skipped and counted as a
         duplicate; the total of unique evaluations telescopes to exactly the
         full product, matching the paper's naive "Evaluated" column.
         """
-        holes = self.registry.holes
-        for position in range(first_new, len(digits)):
-            default = min(self.config.default_action_index, holes[position].arity - 1)
-            if digits[position] != default:
-                return False
-        return True
+        return not any(digits[first_new:])
 
 
 class _PassWalker:
@@ -1034,12 +1005,6 @@ class _PassWalker:
         self._pairs: List[Tuple[str, PruningTable, DfsMatcher]] = []
         if not config.pruning:
             self.enumerator = SubtreeEnumerator(radices, [], start, end)
-        elif config.naive_match:
-            tables = [
-                (FAIL_TAG, core.fail_table),
-                (SUCCESS_TAG, core.success_table),
-            ]
-            self.enumerator = NaiveEnumerator(radices, tables, start, end)
         else:
             matchers = []
             for tag, table in (
@@ -1058,14 +1023,10 @@ class _PassWalker:
         """Integrate patterns that arrived since this walker last looked.
 
         Returns the tag of a now-matching table, or None if the candidate
-        should be dispatched.  For the naive matcher the live tables were
-        already consulted at yield time.
+        should be dispatched.
         """
-        config = self.core.config
-        if not config.pruning:
+        if not self.core.config.pruning:
             return None
-        if config.naive_match:
-            return None  # live tables were consulted at yield time
         path = self.enumerator.current_path
         for tag, table, matcher in self._pairs:
             version = table.version

@@ -7,36 +7,34 @@ during a pass join the vector as wildcards and become enumerable in the next
 pass ("once a hole has been used as a non-wildcard in any candidate
 configuration, it cannot be used as a wildcard again").
 
-Two enumerator implementations walk one pass (optionally restricted to an
-index subrange, which is how parallel workers split the space):
+:class:`SubtreeEnumerator` walks one pass (optionally restricted to an
+index subrange, which is how parallel workers split the space) as a DFS
+with incremental bitset pattern matching
+(:class:`~repro.core.pruning.DfsMatcher`: each push or pop is a few
+big-int operations).  When a pattern fires at depth ``d``, the whole
+subtree (``prod(radices[d+1:])`` candidates) is skipped and counted
+analytically.  This is our CPython-feasible replacement for the paper's
+per-candidate lookup over billions of candidates (docs/architecture.md,
+"Departures from the paper", item 1).  Because a pattern fires the
+moment its *last* constrained position is pushed, conflict-generalised
+patterns (:func:`~repro.core.pruning.generalise_failure`, read off the
+kernel's hole paths) — whose highest constrained position is the end of
+the shortest failure-forcing prefix — cut subtrees at the shallowest
+sound depth, once per matching assignment of their (possibly sparse)
+constrained positions.
 
-* :class:`SubtreeEnumerator` — DFS with incremental bitset pattern
-  matching (:class:`~repro.core.pruning.DfsMatcher`: each push or pop is
-  a few big-int operations); when a pattern fires at depth ``d``, the
-  whole subtree (``prod(radices[d+1:])`` candidates) is skipped and
-  counted analytically.  This is our CPython-feasible replacement for
-  the paper's per-candidate lookup over billions of candidates (DESIGN.md,
-  substitution 1).  Because a pattern fires the moment its *last*
-  constrained position is pushed, conflict-generalised patterns
-  (:func:`~repro.core.pruning.generalise_failure`, read off the kernel's
-  hole paths) — whose highest constrained position is the end of the
-  shortest failure-forcing prefix — cut subtrees at the shallowest sound
-  depth, once per matching assignment of their (possibly sparse)
-  constrained positions.
-* :class:`NaiveEnumerator` — visits every index and performs one
-  per-candidate table lookup: the paper-faithful behaviour, used for the
-  small problem sizes and for differential testing of the subtree walker.
-
-Both yield the digit tuples of candidates that survived pruning and expose
-identical counters, so the engine is agnostic to the walker used.
+A flat per-candidate matcher, the paper's lookup taken literally, took
+over twice the subtree walker's wall time on MSI-small and was removed;
+it survives as a test oracle only (docs/architecture.md, the flat
+matching entry under "Tried, measured, removed").
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.pruning import DfsMatcher, PruningTable
-from repro.util.itertools2 import mixed_radix_decode, product_size
+from repro.core.pruning import DfsMatcher
+from repro.util.itertools2 import product_size
 
 
 class EnumeratorCounters:
@@ -146,58 +144,3 @@ class SubtreeEnumerator:
             self._digits.pop()
             for tag, matcher in reversed(self.matchers):
                 matcher.pop(position, digit)
-
-
-class NaiveEnumerator:
-    """Flat per-candidate matching over one pass (paper-faithful).
-
-    Matches each candidate index against the *live* pruning tables (so
-    patterns recorded earlier in the same pass take effect immediately,
-    like the paper's lookup table).
-    """
-
-    def __init__(
-        self,
-        radices: Sequence[int],
-        tables: Sequence[Tuple[str, PruningTable]],
-        start: int = 0,
-        end: Optional[int] = None,
-    ) -> None:
-        self.radices = list(radices)
-        self.tables = list(tables)
-        total = product_size(self.radices)
-        self.start = max(0, start)
-        self.end = total if end is None else min(end, total)
-        self.counters = EnumeratorCounters([tag for tag, _t in self.tables])
-        self._digits: Tuple[int, ...] = ()
-
-    @property
-    def current_path(self) -> Tuple[int, ...]:
-        return self._digits
-
-    def matched_tag(self) -> Optional[str]:
-        from repro.core.candidate import CandidateVector
-
-        vector = CandidateVector.from_digits(self._digits)
-        for tag, table in self.tables:
-            if table.matches(vector) is not None:
-                return tag
-        return None
-
-    def note_leaf_skipped(self, tag: str) -> None:
-        self.counters.yielded -= 1
-        self.counters.skipped[tag] += 1
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        if self.start >= self.end:
-            return
-        self.counters.covered += self.end - self.start
-        for index in range(self.start, self.end):
-            digits = mixed_radix_decode(index, self.radices)
-            self._digits = digits
-            matched = self.matched_tag()
-            if matched is not None:
-                self.counters.skipped[matched] += 1
-                continue
-            self.counters.yielded += 1
-            yield digits

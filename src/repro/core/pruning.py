@@ -8,25 +8,28 @@ with the same trace.  A pattern therefore constrains only the non-wildcard
 positions; any candidate agreeing on all constrained positions is inferred
 to fail without model checking.
 
-Two matching engines are provided:
+Patterns live in a :class:`PruningTable`: an append-only, versioned log
+that rejects exact duplicates and nothing else.  Matching is the job of
+:class:`DfsMatcher`, an incremental bitset matcher driven by the
+subtree-skipping enumerator (:mod:`repro.core.enumeration`).  Digits are
+pushed and popped in position order, each push costing a few big-int
+operations over pattern-id masks; the instant every constraint of a
+pattern is satisfied, the whole subtree below the pattern's last
+constrained position is skipped and its size counted analytically.
+Patterns may be added mid-walk (from the walk's own failures); the
+process backend broadcasts each worker's patterns to the others between
+batches, which is how parallel workers "make use of another thread's
+registered patterns as soon as they become available" (paper, Section
+II, Parallel Synthesis).
 
-* :meth:`PruningTable.matches` — per-candidate matching, the behaviour of
-  the paper's C++ lookup table.  It answers with one subset query over an
-  inverted constraint index (the same query rejects subsumed patterns in
-  :meth:`PruningTable.add`), not a scan of the table; still, one query
-  per candidate is too slow in CPython for the billion-candidate
-  MSI-large space.
-* :class:`DfsMatcher` — an incremental bitset matcher driven by the
-  subtree-skipping enumerator (:mod:`repro.core.enumeration`).  Digits
-  are pushed and popped in position order, each push costing a few
-  big-int operations over pattern-id masks; the instant every constraint
-  of a pattern is satisfied, the whole subtree below the pattern's last
-  constrained position is skipped and its size counted analytically.
-  Patterns may be added mid-walk (from the walk's own failures); the
-  process backend broadcasts each worker's patterns to the others between
-  batches, which is how parallel workers "make use of another thread's
-  registered patterns as soon as they become available" (paper, Section
-  II, Parallel Synthesis).
+The table never checks whether a stored pattern implies a new one.  In
+a sequential run that cannot happen: before a candidate is dispatched
+its walker integrates every stored pattern, so a dispatched candidate
+matches none of them; the pattern its verdict records is a subset of the
+candidate's own constraints, so no stored pattern can lie inside it.  On
+the process backend a pattern found concurrently can still be implied by
+one stored meanwhile, which is harmless: anything it matches, the smaller
+pattern matches too.
 
 The same machinery is reused for *success patterns* (solutions found in an
 earlier pass whose unconstrained holes are provably unreachable and hence
@@ -83,22 +86,6 @@ class PruningPattern:
         """An empty pattern matches everything: the model is inherently faulty."""
         return not self.constraints
 
-    def matches(self, vector: CandidateVector) -> bool:
-        """Does ``vector`` satisfy every constraint of this pattern?
-
-        Wildcard entries in the candidate do *not* satisfy constraints: a
-        pattern constraining a position the candidate leaves wildcard is not
-        (yet) a certain failure for it.
-        """
-        for position, action in self.constraints:
-            if vector.action_index(position) != action:
-                return False
-        return True
-
-    def subsumes(self, other: "PruningPattern") -> bool:
-        """True if every candidate matched by ``other`` is matched by self."""
-        return set(self.constraints) <= set(other.constraints)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PruningPattern):
             return NotImplemented
@@ -113,64 +100,25 @@ class PruningPattern:
 
 
 class PruningTable:
-    """A versioned, thread-safe store of pruning patterns.
+    """A versioned, thread-safe, append-only log of pruning patterns.
 
     ``version`` increases with every accepted pattern; matchers track the
     version up to which they have integrated patterns and fetch the delta
-    with :meth:`patterns_since`.
-
-    Subsumption and :meth:`matches` are both one subset query: which
-    stored patterns have every constraint inside a given constraint set?
-    An inverted index maps each ``(position, action)`` constraint to a
-    bitmask of the ids (insertion indices) of the patterns containing it.
-    A pattern is a subset of ``Q`` exactly when it has no constraint
-    outside ``Q``, so the answer is every id minus the postings of the
-    constraints not in ``Q``; the first stored such pattern is the lowest
-    set bit.  The cost is one big-int OR per distinct constraint, instead
-    of a pass over every stored pattern.
+    with :meth:`patterns_since`.  Patterns are never removed or reordered,
+    so a version is a stable prefix of the log.
     """
 
-    def __init__(self, subsumption: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._patterns: List[PruningPattern] = []
         self._seen: set = set()
-        self._subsumption = subsumption
-        self._postings: Dict[Tuple[int, int], int] = {}
-
-    def _first_subset(self, query) -> Optional[PruningPattern]:
-        """Lowest-id stored pattern whose constraints all lie in ``query``.
-
-        ``query`` is a set of ``(position, action)`` pairs; call with the
-        lock held.
-        """
-        excluded = 0
-        for constraint, ids in self._postings.items():
-            if constraint not in query:
-                excluded |= ids
-        found = ((1 << len(self._patterns)) - 1) & ~excluded
-        if not found:
-            return None
-        return self._patterns[(found & -found).bit_length() - 1]
 
     def add(self, pattern: PruningPattern) -> bool:
-        """Insert a pattern; returns False if it was redundant.
-
-        With subsumption enabled, a pattern already implied by a stored
-        pattern is rejected (keeping the table small); stored patterns that
-        the new pattern subsumes are *not* removed (removal would invalidate
-        matcher snapshots; the duplicate work is only a slightly larger
-        table).
-        """
+        """Append a pattern; returns False if it is an exact duplicate."""
         constraints = pattern.constraints
         with self._lock:
             if constraints in self._seen:
                 return False
-            if self._subsumption and self._first_subset(set(constraints)) is not None:
-                return False
-            bit = 1 << len(self._patterns)
-            postings = self._postings
-            for constraint in constraints:
-                postings[constraint] = postings.get(constraint, 0) | bit
             self._patterns.append(pattern)
             self._seen.add(constraints)
             return True
@@ -204,16 +152,6 @@ class PruningTable:
         """Snapshot of every stored pattern."""
         with self._lock:
             return list(self._patterns)
-
-    def matches(self, vector: CandidateVector) -> Optional[PruningPattern]:
-        """First stored pattern matching ``vector``, if any.
-
-        A pattern matches exactly when its constraints are a subset of the
-        vector's non-wildcard ``(position, action)`` pairs.
-        """
-        query = set(vector.constraints())
-        with self._lock:
-            return self._first_subset(query)
 
 
 class DfsMatcher:
@@ -333,16 +271,6 @@ class DfsMatcher:
     def pop(self, position: int, action: int) -> None:
         """Undo the matching effect of the corresponding :meth:`push`."""
         self._violated, self._covered = self._stack.pop()
-
-    def fully_matched(self, path: Sequence[int]) -> bool:
-        """Non-incremental check of a complete path (used in tests)."""
-        for pattern in self._patterns:
-            if all(
-                position < len(path) and path[position] == action
-                for position, action in pattern.constraints
-            ):
-                return True
-        return False
 
     @property
     def pattern_count(self) -> int:

@@ -155,9 +155,7 @@ class BatchRunner:
         # canonical hole order only appends and the rebuilt system — hole
         # objects included — is owned by this process throughout.
         self._prefix_cache: Optional[PrefixCache] = (
-            PrefixCache(self._config.prefix_cache_capacity)
-            if self._config.prefix_reuse_active
-            else None
+            PrefixCache() if self._config.prefix_reuse_active else None
         )
 
     def start_pass(self, msg: PassStart) -> None:

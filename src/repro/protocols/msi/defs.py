@@ -29,7 +29,8 @@ Protocol summary (no evictions, matching Figure 3's stable states):
   describes); ``SM_A``/``MM_A``/``MS_A`` collect invalidation acks for
   GetM-from-S, GetM-from-M and GetS-from-M respectively.
 
-Substitution note (DESIGN.md): the paper's figure shows Inv-Acks flowing to
+Substitution note (docs/architecture.md, "Departures from the paper",
+item 4): the paper's figure shows Inv-Acks flowing to
 the *requestor*; we collect them at the directory, which keeps the cache
 controller at 7 states and puts the ack-counting bookkeeping where the
 paper's own worked transient (``IM_A``) already lives.

@@ -87,7 +87,8 @@ def build_msi_system(
     With the default (reference) tables the system is the complete protocol;
     skeletons pass tables in which chosen transient entries resolve holes.
     ``evictions=True`` enables the M-eviction/writeback extension (the
-    paper's Figure 3 omits evictions; see DESIGN.md).
+    paper's Figure 3 omits evictions; see docs/architecture.md,
+    "Departures from the paper", item 5).
     """
     if n_caches < 1:
         raise ValueError("n_caches must be >= 1")

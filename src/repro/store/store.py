@@ -98,7 +98,6 @@ def flags_signature(config: Any) -> str:
 
     payload = {
         "pruning": bool(getattr(config, "pruning", True)),
-        "default_action_index": int(getattr(config, "default_action_index", 0)),
         "explorer": str(getattr(config, "explorer", "bfs")),
         "generalise": bool(getattr(config, "generalise_active", False)),
     }

@@ -57,9 +57,10 @@ class MixedRadixCounter:
 
     Unlike :func:`itertools.product`, the counter exposes ``skip_suffix``:
     given a digit position, it advances directly past all values sharing the
-    current digits up to and including that position.  The synthesis
-    enumerator uses this to skip entire pruned subtrees without visiting
-    each candidate individually (see DESIGN.md, substitution 1).
+    current digits up to and including that position, the same move the
+    synthesis enumerator makes when it skips a pruned subtree without
+    visiting each candidate (docs/architecture.md, "Departures from the
+    paper", item 1).
     """
 
     def __init__(self, radices: Sequence[int]) -> None:

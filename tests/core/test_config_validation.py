@@ -15,10 +15,6 @@ class TestConfigValidation:
         with pytest.raises(SynthesisError, match=knob):
             SynthesisConfig(**{knob: -1})
 
-    def test_negative_default_action_index_rejected(self):
-        with pytest.raises(SynthesisError, match="default_action_index"):
-            SynthesisConfig(default_action_index=-1)
-
     @pytest.mark.parametrize(
         "knob", ["solution_limit", "max_evaluations", "max_passes"]
     )
@@ -37,10 +33,14 @@ class TestConfigValidation:
         with pytest.raises(SynthesisError, match="explorer"):
             SynthesisConfig(explorer="best-first")
 
-    # Partial-order reduction and family synthesis were removed; their
+    # Partial-order reduction, family synthesis, flat matching, pattern
+    # subsumption and the two single-value knobs were removed; their
     # knobs must not be silently accepted.  The first is spelled
     # indirectly so a search for the removed name finds no live use.
-    @pytest.mark.parametrize("removed", ["_".join(("partial", "order")), "family"])
+    @pytest.mark.parametrize("removed", [
+        "_".join(("partial", "order")), "family", "naive_match",
+        "subsumption", "default_action_index", "prefix_cache_capacity",
+    ])
     def test_removed_knobs_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):
             SynthesisConfig(**{removed: True})

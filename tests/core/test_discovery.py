@@ -114,11 +114,3 @@ class TestDefaultingResolver:
         hole = make_hole("h")
         resolver = DefaultingResolver(registry, CandidateVector.from_digits([1]))
         assert resolver.resolve(hole).name == "a1"
-
-    def test_default_index_clamped_to_domain(self):
-        registry = HoleRegistry()
-        hole = make_hole("h", arity=1)
-        resolver = DefaultingResolver(
-            registry, CandidateVector.empty(), default_index=5
-        )
-        assert resolver.resolve(hole).name == "a0"

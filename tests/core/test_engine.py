@@ -11,6 +11,8 @@ from repro.mc.rule import Rule
 from repro.mc.system import TransitionSystem
 from repro.protocols.toy import build_figure2_skeleton, build_figure2_solution
 
+from tests.flat_oracle import use_flat_matching
+
 
 class RecordingObserver(SynthesisObserver):
     def __init__(self):
@@ -117,11 +119,10 @@ class TestFigure2Naive:
 
 
 class TestNaiveMatchMode:
-    def test_flat_matching_gives_identical_counts(self):
+    def test_flat_matching_gives_identical_counts(self, monkeypatch):
         subtree = SynthesisEngine(build_figure2_skeleton()).run()
-        flat = SynthesisEngine(
-            build_figure2_skeleton(), SynthesisConfig(naive_match=True)
-        ).run()
+        use_flat_matching(monkeypatch)
+        flat = SynthesisEngine(build_figure2_skeleton()).run()
         assert flat.evaluated == subtree.evaluated
         assert flat.failure_patterns == subtree.failure_patterns
         assert flat.pruned_failure == subtree.pruned_failure

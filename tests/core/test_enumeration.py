@@ -3,9 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.enumeration import NaiveEnumerator, SubtreeEnumerator
+from repro.core.enumeration import SubtreeEnumerator
 from repro.core.pruning import DfsMatcher, PruningPattern, PruningTable
 from repro.util.itertools2 import mixed_radix_decode, product_size
+
+from tests.flat_oracle import FlatEnumerator
 
 radices_strategy = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
 
@@ -80,22 +82,24 @@ class TestSubtreeEnumerator:
         ]
 
 
-class TestNaiveEnumerator:
+class TestFlatEnumerator:
+    """The flat-matching test oracle's enumerator (tests/flat_oracle.py)."""
+
     def test_full_walk(self):
-        enumerator = NaiveEnumerator([2, 2], [])
+        enumerator = FlatEnumerator([2, 2], [])
         assert list(enumerator) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_table_matching(self):
         table = PruningTable()
         table.add(PruningPattern([(1, 1)]))
-        enumerator = NaiveEnumerator([2, 2], [("fail", table)])
+        enumerator = FlatEnumerator([2, 2], [("fail", table)])
         assert list(enumerator) == [(0, 0), (1, 0)]
         assert enumerator.counters.skipped["fail"] == 2
 
     def test_live_table_updates_take_effect(self):
         # A pattern added mid-iteration prunes later candidates.
         table = PruningTable()
-        enumerator = NaiveEnumerator([2, 2], [("fail", table)])
+        enumerator = FlatEnumerator([2, 2], [("fail", table)])
         iterator = iter(enumerator)
         assert next(iterator) == (0, 0)
         table.add(PruningPattern([(0, 1)]))
@@ -104,12 +108,12 @@ class TestNaiveEnumerator:
         assert enumerator.counters.skipped["fail"] == 2
 
     def test_range(self):
-        enumerator = NaiveEnumerator([3, 2], [], start=2, end=4)
+        enumerator = FlatEnumerator([3, 2], [], start=2, end=4)
         assert list(enumerator) == [(1, 0), (1, 1)]
 
     @given(radices_strategy)
     @settings(max_examples=50, deadline=None)
     def test_matches_subtree_enumerator_without_patterns(self, radices):
-        naive = list(NaiveEnumerator(radices, []))
+        flat = list(FlatEnumerator(radices, []))
         subtree = list(SubtreeEnumerator(radices, []))
-        assert naive == subtree
+        assert flat == subtree

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.engine import PrefixCache, SynthesisConfig, SynthesisCore
-from repro.errors import SynthesisError
 from repro.mc.kernel import ExplorationLimits
 from repro.protocols.toy import build_figure2_skeleton
 
@@ -38,10 +37,6 @@ class TestPrefixCache:
 
 
 class TestConfigGating:
-    def test_capacity_validated_in_config(self):
-        with pytest.raises(SynthesisError):
-            SynthesisConfig(prefix_cache_capacity=0)
-
     def test_active_by_default(self):
         assert SynthesisConfig().prefix_reuse_active
 

@@ -13,6 +13,8 @@ from repro.core.enumeration import SubtreeEnumerator
 from repro.core.pruning import DfsMatcher, PruningPattern, PruningTable
 from repro.util.itertools2 import mixed_radix_decode, product_size
 
+from tests.flat_oracle import pattern_matches
+
 
 class TestPruningPattern:
     def test_from_candidate_drops_wildcards(self):
@@ -24,19 +26,19 @@ class TestPruningPattern:
     def test_empty_pattern(self):
         pattern = PruningPattern(())
         assert pattern.is_empty
-        assert pattern.matches(CandidateVector([0, 0]))
+        assert pattern_matches(pattern.constraints, (0, 0))
 
     def test_matching_superset_semantics(self):
         # The paper's core insight: <1@A> prunes any <1@A, 2@*, ...>.
-        pattern = PruningPattern([(0, 0)])
-        assert pattern.matches(CandidateVector([0, 1]))
-        assert pattern.matches(CandidateVector([0]))
-        assert not pattern.matches(CandidateVector([1, 0]))
+        constraints = PruningPattern([(0, 0)]).constraints
+        assert pattern_matches(constraints, (0, 1))
+        assert pattern_matches(constraints, (0,))
+        assert not pattern_matches(constraints, (1, 0))
 
     def test_candidate_wildcard_does_not_satisfy_constraint(self):
-        pattern = PruningPattern([(1, 0)])
-        assert not pattern.matches(CandidateVector([0, WILDCARD]))
-        assert not pattern.matches(CandidateVector([0]))
+        constraints = PruningPattern([(1, 0)]).constraints
+        assert not pattern_matches(constraints, CandidateVector([0, WILDCARD]).entries)
+        assert not pattern_matches(constraints, (0,))
 
     def test_duplicate_position_rejected(self):
         with pytest.raises(ValueError):
@@ -46,23 +48,17 @@ class TestPruningPattern:
         with pytest.raises(ValueError):
             PruningPattern([(-1, 0)])
 
-    def test_subsumes(self):
-        general = PruningPattern([(0, 1)])
-        specific = PruningPattern([(0, 1), (1, 0)])
-        assert general.subsumes(specific)
-        assert not specific.subsumes(general)
-
     def test_equality_hash(self):
         assert PruningPattern([(1, 2), (0, 1)]) == PruningPattern([(0, 1), (1, 2)])
         assert hash(PruningPattern([(0, 1)])) == hash(PruningPattern([(0, 1)]))
 
 
 class TestPruningTable:
-    def test_add_and_match(self):
+    def test_add_appends_in_order(self):
         table = PruningTable()
+        assert table.add(PruningPattern([(1, 0)]))
         assert table.add(PruningPattern([(0, 1)]))
-        assert table.matches(CandidateVector([1, 0])) is not None
-        assert table.matches(CandidateVector([0, 0])) is None
+        assert table.constraints_since(0) == (((1, 0),), ((0, 1),))
 
     def test_exact_duplicates_rejected(self):
         table = PruningTable()
@@ -70,17 +66,15 @@ class TestPruningTable:
         assert not table.add(PruningPattern([(0, 1)]))
         assert len(table) == 1
 
-    def test_subsumption_rejects_implied(self):
-        table = PruningTable(subsumption=True)
-        table.add(PruningPattern([(0, 1)]))
-        assert not table.add(PruningPattern([(0, 1), (1, 0)]))
-        assert len(table) == 1
-
-    def test_subsumption_disabled_keeps_implied(self):
-        table = PruningTable(subsumption=False)
+    def test_implied_pattern_stored_exact_duplicate_not(self):
+        # The log rejects exact duplicates only; a pattern implied by a
+        # stored one is appended (see the module docs for why that never
+        # happens in a sequential run).
+        table = PruningTable()
         table.add(PruningPattern([(0, 1)]))
         assert table.add(PruningPattern([(0, 1), (1, 0)]))
-        assert len(table) == 2
+        assert not table.add(PruningPattern([(1, 0), (0, 1)]))
+        assert len(table) == table.version == 2
 
     def test_versioning_and_delta(self):
         table = PruningTable()
@@ -99,26 +93,17 @@ def random_pattern(rng, positions, actions, max_width):
     return PruningPattern((p, rng.randrange(actions)) for p in chosen)
 
 
-class ScanTable:
-    """Reference table: the linear subsumption scan and flat matching the
-    index replaced."""
+class DedupeLog:
+    """Reference table: an append-only list that skips exact duplicates."""
 
-    def __init__(self, subsumption=True):
+    def __init__(self):
         self.patterns = []
-        self.seen = set()
-        self.subsumption = subsumption
 
     def add(self, pattern):
-        if pattern.constraints in self.seen:
-            return False
-        if self.subsumption and any(e.subsumes(pattern) for e in self.patterns):
+        if pattern in self.patterns:
             return False
         self.patterns.append(pattern)
-        self.seen.add(pattern.constraints)
         return True
-
-    def matches(self, vector):
-        return next((p for p in self.patterns if p.matches(vector)), None)
 
 
 constraint_set_strategy = st.lists(
@@ -129,25 +114,18 @@ constraint_set_strategy = st.lists(
 table_op_strategy = st.one_of(
     st.tuples(st.just("add"), constraint_set_strategy),
     st.tuples(st.just("readd"), st.integers(0, 1000)),
-    st.tuples(
-        st.just("match"),
-        st.lists(st.one_of(st.just(WILDCARD), st.integers(0, 2)), max_size=6),
-    ),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.booleans(), st.lists(table_op_strategy, max_size=40))
-def test_indexed_table_equals_scan(subsumption, ops):
-    """The indexed table decides, orders and matches exactly like a scan."""
-    table = PruningTable(subsumption=subsumption)
-    reference = ScanTable(subsumption=subsumption)
+@given(st.lists(table_op_strategy, max_size=40))
+def test_indexed_table_equals_scan(ops):
+    """The table accepts, orders and versions patterns exactly like a
+    dedupe-only list."""
+    table = PruningTable()
+    reference = DedupeLog()
     offered = []
     for op, arg in ops:
-        if op == "match":
-            vector = CandidateVector(arg)
-            assert table.matches(vector) is reference.matches(vector)
-            continue
         if op == "add":
             pattern = PruningPattern(arg)
         elif offered:
@@ -159,37 +137,26 @@ def test_indexed_table_equals_scan(subsumption, ops):
         assert len(table) == table.version == len(reference.patterns)
     assert table.all_patterns() == reference.patterns
     for version in range(len(reference.patterns) + 1):
+        assert table.patterns_since(version) == reference.patterns[version:]
         assert table.constraints_since(version) == tuple(
             p.constraints for p in reference.patterns[version:]
         )
 
 
-def test_table_never_falls_back_to_scanning(monkeypatch):
-    """Subsumption and matching go through the index alone: a fallback to
-    a per-pattern check raises."""
-
-    def refuse(*_args):
-        raise AssertionError("PruningTable scanned its patterns")
-
-    monkeypatch.setattr(PruningPattern, "subsumes", refuse)
-    monkeypatch.setattr(PruningPattern, "matches", refuse)
-    rng = random.Random(12)
+def test_concurrent_adds_store_each_distinct_pattern_once():
+    """Four threads adding at once (with overlapping offers): every
+    distinct offered pattern is stored exactly once."""
     table = PruningTable()
-    # 10 positions x 4 actions = 40 distinct constraints.
-    accepted = sum(table.add(random_pattern(rng, 10, 4, 8)) for _ in range(3000))
-    assert accepted == len(table) > 0
-    for _ in range(200):
-        table.matches(CandidateVector([rng.randrange(4) for _ in range(10)]))
-
-
-def test_concurrent_adds_keep_the_table_irredundant():
-    """Four threads adding at once: every offered pattern ends up stored or
-    implied by a stored one, and none is implied by an earlier one."""
-    table = PruningTable()
-    offered = [
-        [random_pattern(random.Random(seed * 1000 + i), 10, 4, 4) for i in range(300)]
-        for seed in range(4)
-    ]
+    shared = [random_pattern(random.Random(i), 10, 4, 4) for i in range(200)]
+    offered = []
+    for seed in range(4):
+        own = [
+            random_pattern(random.Random(seed * 1000 + 500 + i), 10, 4, 4)
+            for i in range(100)
+        ]
+        patterns = shared + own
+        random.Random(seed).shuffle(patterns)
+        offered.append(patterns)
     accepted = [0] * 4
     barrier = threading.Barrier(4)
 
@@ -212,11 +179,8 @@ def test_concurrent_adds_keep_the_table_irredundant():
 
     stored = table.all_patterns()
     assert sum(accepted) == len(stored)
-    for patterns in offered:
-        for pattern in patterns:
-            assert any(s.subsumes(pattern) for s in stored), pattern
-    for index, pattern in enumerate(stored):
-        assert not any(earlier.subsumes(pattern) for earlier in stored[:index])
+    assert len(set(stored)) == len(stored)
+    assert set(stored) == {pattern for patterns in offered for pattern in patterns}
 
 
 class TestDfsMatcher:
@@ -296,12 +260,6 @@ class TestDfsMatcher:
         assert late.any_matched
         late.pop(0, 1)
         assert late.any_matched
-
-    def test_fully_matched_helper(self):
-        matcher = DfsMatcher([PruningPattern([(0, 1), (2, 0)])])
-        assert matcher.fully_matched((1, 9, 0))
-        assert not matcher.fully_matched((1, 9, 1))
-        assert not matcher.fully_matched((1,))
 
 
 class TestGeneraliseFailure:
@@ -555,10 +513,9 @@ def fit_patterns(raw_patterns, radices):
 
 def matching_tags(digits, active):
     """Tags, in matcher order, with a pattern matching ``digits``."""
-    vector = CandidateVector.from_digits(digits)
     return [
         tag for tag in ("fail", "success")
-        if any(pattern.matches(vector) for pattern in active[tag])
+        if any(pattern_matches(p.constraints, digits) for p in active[tag])
     ]
 
 

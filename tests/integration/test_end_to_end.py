@@ -10,10 +10,13 @@ from repro.protocols.msi import msi_tiny
 from repro.protocols.mutex import build_mutex_skeleton
 from repro.protocols.vi import build_vi_skeleton
 
+from tests.flat_oracle import use_flat_matching
+
 
 class TestEnginesAgree:
-    """Sequential, flat-match, and naive engines must find the
-    same solution sets on every skeleton (counts may differ, solutions not)."""
+    """The subtree walker, the flat-matching oracle and the naive engine
+    must find the same solution sets on every skeleton (counts may
+    differ, solutions not)."""
 
     @pytest.fixture(scope="class")
     def systems(self):
@@ -24,11 +27,12 @@ class TestEnginesAgree:
         }
 
     @pytest.mark.parametrize("key", ["msi-tiny", "vi", "mutex"])
-    def test_all_engines_same_solutions(self, systems, key):
+    def test_all_engines_same_solutions(self, systems, key, monkeypatch):
         make = systems[key]
         sequential = SynthesisEngine(make()).run()
-        flat = SynthesisEngine(make(), SynthesisConfig(naive_match=True)).run()
         naive = SynthesisEngine(make(), SynthesisConfig(pruning=False)).run()
+        use_flat_matching(monkeypatch)
+        flat = SynthesisEngine(make()).run()
 
         def solution_set(report):
             return {tuple(sorted(dict(s.assignment).items())) for s in report.solutions}

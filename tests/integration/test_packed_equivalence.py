@@ -245,7 +245,7 @@ def test_synthesis_backends_match(name):
     dict(generalise_conflicts=False),
     dict(prefix_reuse=False),
     dict(pruning=False),
-    dict(naive_match=True),
+    dict(success_patterns=False),
     dict(explorer="dfs"),
 ])
 def test_synthesis_flag_combinations_match(flags):

@@ -19,6 +19,7 @@ report:
 import itertools
 from typing import Dict, List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,8 @@ from repro.mc.properties import DeadlockPolicy, Invariant
 from repro.mc.rule import Rule
 from repro.mc.result import Verdict
 from repro.mc.system import TransitionSystem
+
+from tests.flat_oracle import use_flat_matching
 
 ERR = -1
 OK = -2
@@ -189,7 +192,9 @@ def test_flat_matching_agrees_with_subtree(problem):
         return build_random_problem(arities, targets)[0]
 
     subtree = SynthesisEngine(factory()).run()
-    flat = SynthesisEngine(factory(), SynthesisConfig(naive_match=True)).run()
+    with pytest.MonkeyPatch.context() as patch:
+        use_flat_matching(patch)
+        flat = SynthesisEngine(factory()).run()
     assert {s.digits for s in flat.solutions} == {s.digits for s in subtree.solutions}
     assert flat.evaluated == subtree.evaluated
     assert flat.failure_patterns == subtree.failure_patterns

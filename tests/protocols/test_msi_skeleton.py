@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SynthesisConfig, SynthesisEngine
+from repro.core import SynthesisEngine
 from repro.core.candidate import CandidateVector
 from repro.core.discovery import CandidateResolver, HoleRegistry
 from repro.errors import SynthesisError
@@ -16,6 +16,8 @@ from repro.protocols.msi import (
     msi_tiny,
 )
 from repro.protocols.msi.skeleton import SkeletonSpec
+
+from tests.flat_oracle import use_flat_matching
 
 
 class TestSkeletonShapes:
@@ -171,11 +173,10 @@ class TestCoverageMatters:
 
 
 class TestNaiveMatchesSubtree:
-    def test_tiny_counts_identical(self):
+    def test_tiny_counts_identical(self, monkeypatch):
         subtree = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        flat = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(naive_match=True)
-        ).run()
+        use_flat_matching(monkeypatch)
+        flat = SynthesisEngine(msi_tiny(n_caches=2).system).run()
         assert flat.evaluated == subtree.evaluated
         assert flat.failure_patterns == subtree.failure_patterns
         assert sorted(s.digits for s in flat.solutions) == sorted(

@@ -187,7 +187,6 @@ class TestKeys:
         # key set is pinned; the default config hashes exactly these.
         expected = {
             "pruning": True,
-            "default_action_index": 0,
             "explorer": "bfs",
             "generalise": True,
         }
