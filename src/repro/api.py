@@ -29,17 +29,19 @@ this facade wraps them, it does not replace them.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.engine import SynthesisConfig, SynthesisEngine
 from repro.core.report import SynthesisReport
-from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import SynthesisError
 from repro.mc.kernel import ExplorationLimits, make_explorer
 from repro.mc.result import VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.store import VerdictStore
 from repro.store import open_store as _open_store
+
+if TYPE_CHECKING:
+    from repro.dist import SystemSpec
 
 __all__ = ["open_store", "synthesize", "verify"]
 
@@ -140,6 +142,10 @@ def synthesize(
 
         config = replace(config, store_path=store)
     if backend == "processes":
+        # Imported here so that ``import repro`` does not load the dist
+        # layer (and multiprocessing) for sequential runs.
+        from repro.dist import DistributedSynthesisEngine, SystemSpec
+
         if isinstance(skeleton, TransitionSystem):
             raise SynthesisError(
                 "the processes backend needs a catalog name or SystemSpec "
@@ -152,9 +158,7 @@ def synthesize(
             else SystemSpec(skeleton, replicas)
         )
         return DistributedSynthesisEngine(spec, config, workers=workers).run()
-    if isinstance(skeleton, SystemSpec):
-        system: TransitionSystem = skeleton.build()
-    elif isinstance(skeleton, str):
+    if isinstance(skeleton, str):
         from repro.protocols.catalog import SKELETON_BUILDERS
 
         if skeleton not in SKELETON_BUILDERS:
@@ -162,9 +166,13 @@ def synthesize(
                 f"unknown skeleton {skeleton!r}; known: "
                 f"{', '.join(sorted(SKELETON_BUILDERS))}"
             )
-        system = SKELETON_BUILDERS[skeleton](replicas)
-    else:
+        system: TransitionSystem = SKELETON_BUILDERS[skeleton](replicas)
+    elif isinstance(skeleton, TransitionSystem):
         system = skeleton
+    else:
+        from repro.dist import SystemSpec
+
+        system = skeleton.build() if isinstance(skeleton, SystemSpec) else skeleton
     return SynthesisEngine(system, config).run()
 
 

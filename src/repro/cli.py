@@ -44,7 +44,6 @@ from repro.analysis.grouping import describe_groups
 from repro.api import BACKENDS
 from repro.errors import CliError
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import ExperimentError
 from repro.experiments import (
     MatrixRunner,
@@ -429,6 +428,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if root is not None:
             root.__enter__()
         if args.backend == "processes":
+            from repro.dist import DistributedSynthesisEngine, SystemSpec
+
             report = DistributedSynthesisEngine(
                 SystemSpec(args.skeleton, args.replicas), config,
                 workers=args.workers, telemetry=tele,

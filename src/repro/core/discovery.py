@@ -15,11 +15,13 @@ lock-free hot path; only first-time registration takes the lock.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.action import Action
 from repro.core.candidate import WILDCARD, CandidateVector
 from repro.core.hole import Hole
 from repro.errors import SynthesisError, WildcardEncountered
+from repro.mc.context import Resolver, holes_at
 
 
 class HoleRegistry:
@@ -128,7 +130,48 @@ class HoleRegistry:
             return tuple(hole.arity for hole in self._holes)
 
 
-class DefaultingResolver:
+class _RegistryResolver(Resolver):
+    """A resolver over the registry's discovery positions and a candidate.
+
+    ``digits`` is the candidate's action indices with wildcard entries
+    mapped to ``beyond``, which positions past the vector read too.
+    """
+
+    #: digit for wildcard entries and positions past the vector: ``None``
+    #: cuts the branch, an action index substitutes that action
+    beyond: Optional[int] = None
+
+    def __init__(self, registry: HoleRegistry, vector: CandidateVector) -> None:
+        self._registry = registry
+        self.space = registry
+        beyond = self.beyond
+        self.digits: Tuple[Optional[int], ...] = tuple(
+            beyond if entry is WILDCARD else entry for entry in vector.entries
+        )
+
+    def position_of(self, hole: Hole) -> int:
+        """The hole's discovery position (registering a new hole)."""
+        return self._registry.position_of(hole, register=True)
+
+    def entry(self, hole: Hole, position: int) -> Tuple[int, Action]:
+        """``(action index, action)`` for the hole at ``position``."""
+        digits = self.digits
+        digit = digits[position] if position < len(digits) else self.beyond
+        if digit is None:
+            raise WildcardEncountered(hole.name)
+        if digit >= hole.arity:
+            raise SynthesisError(
+                f"candidate assigns action index {digit} to hole {hole.name!r} "
+                f"with arity {hole.arity}"
+            )
+        return digit, hole.domain[digit]
+
+    def holes_in(self, mask: int) -> FrozenSet[Hole]:
+        """The registered holes at ``mask``'s positions."""
+        return holes_at(self._registry.holes, mask)
+
+
+class DefaultingResolver(_RegistryResolver):
     """Naive-mode resolver: unassigned holes get a default action, not a cut.
 
     This reproduces the paper's behaviour *without* candidate pruning: "any
@@ -138,44 +181,13 @@ class DefaultingResolver:
     skeletons should order a benign action first.
     """
 
-    def __init__(self, registry: HoleRegistry, vector: CandidateVector) -> None:
-        self._registry = registry
-        self._vector = vector
-
-    def resolve(self, hole: Hole):
-        """Resolve per the paper's wildcard semantics (see class docs)."""
-        position = self._registry.position_of(hole, register=True)
-        entry = self._vector.action_index(position)
-        if entry is WILDCARD:
-            entry = 0
-        if entry >= hole.arity:
-            raise SynthesisError(
-                f"candidate assigns action index {entry} to hole {hole.name!r} "
-                f"with arity {hole.arity}"
-            )
-        return hole.domain[entry]
+    beyond = 0
 
 
-class CandidateResolver:
+class CandidateResolver(_RegistryResolver):
     """Resolve holes against a candidate vector, discovering new holes.
 
     Holes at positions beyond the vector — or at positions the vector marks
     as wildcards — raise :class:`~repro.errors.WildcardEncountered`, which
     the model checker interprets as "abort this execution branch".
     """
-
-    def __init__(self, registry: HoleRegistry, vector: CandidateVector) -> None:
-        self._registry = registry
-        self._vector = vector
-
-    def resolve(self, hole: Hole):
-        position = self._registry.position_of(hole, register=True)
-        entry = self._vector.action_index(position)
-        if entry is WILDCARD:
-            raise WildcardEncountered(hole.name)
-        if entry >= hole.arity:
-            raise SynthesisError(
-                f"candidate assigns action index {entry} to hole {hole.name!r} "
-                f"with arity {hole.arity}"
-            )
-        return hole.domain[entry]

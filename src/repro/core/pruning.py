@@ -56,6 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.candidate import CandidateVector
 from repro.errors import SynthesisError
+from repro.mc.context import mask_positions
 from repro.mc.result import VerificationResult
 
 
@@ -286,12 +287,14 @@ def generalise_failure(
     """Minimal-conflict pattern for a failed candidate.
 
     The pattern constrains exactly the positions of
-    ``result.failure_holes``: the holes the exploration kernel saw
+    ``result.failure_mask``: the holes the exploration kernel saw
     executed on the failing state's discovery path (its counterexample
     trace), plus, for a DEADLOCK, the holes executed by the
     successor-less firings attempted at the final state — a candidate
     disagreeing there could enable an escape.  For a COVERAGE failure the
-    set is every hole the run executed.
+    mask is every hole the run executed.  The mask's bits are already
+    ``registry`` positions (the candidate's resolver numbered the holes by
+    them), so the registry itself is not consulted.
 
     Soundness is the paper's Section II argument made exact.  A candidate
     agreeing on those positions fires the same transitions along the
@@ -308,15 +311,14 @@ def generalise_failure(
     identically under every assignment (the engine reports an inherent
     failure).
     """
-    holes = result.failure_holes
-    if holes is None:
+    mask = result.failure_mask
+    if mask is None:
         return None
-    constraints = []
-    for hole in holes:
-        position = registry.position_of(hole, register=False)
-        if position is None or position >= len(digits):
-            raise SynthesisError(
-                f"failure hole {hole.name!r} has no assigned position"
-            )
-        constraints.append((position, digits[position]))
-    return PruningPattern(constraints)
+    if mask >> len(digits):
+        position = mask.bit_length() - 1
+        raise SynthesisError(
+            f"failure hole at position {position} has no assigned digit"
+        )
+    return PruningPattern(
+        (position, digits[position]) for position in mask_positions(mask)
+    )

@@ -102,6 +102,7 @@ class WorkerHoleRegistry(HoleRegistry):
                     )
                 position = self._positions[known]
                 self._positions[hole] = position  # bind the real object
+                self._holes[position] = hole
                 self._bound[hole.name] = hole
                 return position
             if not register:

@@ -11,6 +11,11 @@ execution context delegates to:
 * ``CandidateResolver`` (in :mod:`repro.core.discovery`) — the synthesis
   resolver implementing lazy hole discovery and wildcard semantics.
 
+Every resolver numbers the holes it meets (see :class:`Resolver`), and
+the context records executed holes as int bitmasks over those positions.
+The synthesis resolvers use the hole registry's discovery positions; the
+other two number holes in first-resolve order.
+
 A resolver signals a wildcard assignment by raising
 :class:`~repro.errors.WildcardEncountered`; the context records the event so
 the explorer can classify the run (UNKNOWN vs SUCCESS) and then lets the
@@ -19,15 +24,95 @@ exception propagate to abort the current rule firing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Set
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, WildcardEncountered
 
+#: digit-table entry for a hole the table cannot resolve: a memo hit
+#: gives up there and the real firing raises the resolver's error
+UNRESOLVED = object()
 
-class NullResolver:
-    """Resolver for hole-free systems: any hole resolution is a bug."""
+
+def mask_positions(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def holes_at(holes: Sequence[Any], mask: int) -> FrozenSet[Any]:
+    """The holes of a position-indexed sequence selected by ``mask``."""
+    return frozenset(holes[position] for position in mask_positions(mask))
+
+
+class Resolver:
+    """What the context and the packed runtime's firing memo ask of a resolver.
+
+    * ``space`` — the position space (identity-compared): the registry,
+      or the resolver itself;
+    * ``position_of(hole)`` — the hole's position, numbering it if new;
+    * ``digits`` and ``beyond`` — the digit table a firing-memo hit
+      reads: ``digits[p]`` (``beyond`` past the end) is position ``p``'s
+      memo edge key, ``None`` for a wildcard cut, or :data:`UNRESOLVED`
+      to send the hit back to a real firing;
+    * ``entry(hole, position)`` — ``(digit, action)`` for a resolution,
+      or the exception a real firing must raise;
+    * ``holes_in(mask)`` — the hole objects at a mask's positions.
+    """
+
+    space: Any
+    digits: Sequence[Any]
+    beyond: Any = UNRESOLVED
+
+    def position_of(self, hole: Any) -> int:
+        raise NotImplementedError
+
+    def entry(self, hole: Any, position: int) -> Tuple[Any, Any]:
+        raise NotImplementedError
+
+    def holes_in(self, mask: int) -> FrozenSet[Any]:
+        raise NotImplementedError
 
     def resolve(self, hole: Any) -> Any:
+        """The action for ``hole`` (raising as :meth:`entry` does)."""
+        return self.entry(hole, self.position_of(hole))[1]
+
+
+class _FirstResolveNumbering(Resolver):
+    """Position space of resolvers without a registry: first-resolve order."""
+
+    def __init__(self) -> None:
+        self.space = self
+        self._holes: List[Any] = []
+        self._positions: Dict[Any, int] = {}
+        self.digits: List[Any] = []
+
+    def _digit(self, hole: Any) -> Any:
+        raise NotImplementedError
+
+    def position_of(self, hole: Any) -> int:
+        """The hole's first-resolve position (numbered on first sight)."""
+        position = self._positions.get(hole)
+        if position is None:
+            position = len(self._holes)
+            self._positions[hole] = position
+            self._holes.append(hole)
+            self.digits.append(self._digit(hole))
+        return position
+
+    def holes_in(self, mask: int) -> FrozenSet[Any]:
+        """The hole objects at ``mask``'s positions."""
+        return holes_at(self._holes, mask)
+
+
+class NullResolver(_FirstResolveNumbering):
+    """Resolver for hole-free systems: any hole resolution is a bug."""
+
+    def _digit(self, hole: Any) -> Any:
+        return UNRESOLVED
+
+    def entry(self, hole: Any, position: int) -> Tuple[Any, Any]:
         """Reject any resolution: complete systems have no holes."""
         raise ModelError(
             f"hole {hole!r} resolved during a verification-only run; "
@@ -35,7 +120,7 @@ class NullResolver:
         )
 
 
-class FixedResolver:
+class FixedResolver(_FirstResolveNumbering):
     """Resolve holes from a fixed mapping (replay a complete assignment).
 
     ``assignment`` maps hole objects (or hole names) to actions.  A missing
@@ -45,19 +130,35 @@ class FixedResolver:
     """
 
     def __init__(self, assignment: Dict[Any, Any], strict: bool = True) -> None:
+        super().__init__()
         self._assignment = dict(assignment)
         self._strict = strict
 
-    def resolve(self, hole: Any) -> Any:
-        """Resolve from the fixed assignment (see the class docs)."""
+    def _action(self, hole: Any) -> Optional[Any]:
         if hole in self._assignment:
             return self._assignment[hole]
         name = getattr(hole, "name", None)
         if name is not None and name in self._assignment:
             return self._assignment[name]
+        return None
+
+    def _digit(self, hole: Any) -> Any:
+        action = self._action(hole)
+        if action is None:
+            return UNRESOLVED if self._strict else None
+        for index, candidate in enumerate(getattr(hole, "domain", ())):
+            if candidate is action:
+                return index
+        return action  # an action from outside the domain keys its own edge
+
+    def entry(self, hole: Any, position: int) -> Tuple[Any, Any]:
+        """``(digit, action)`` from the fixed assignment (see the class docs)."""
+        action = self._action(hole)
+        if action is not None:
+            return self.digits[position], action
         if self._strict:
             raise ModelError(f"no action assigned for hole {hole!r}")
-        raise WildcardEncountered(str(name or hole))
+        raise WildcardEncountered(str(getattr(hole, "name", None) or hole))
 
 
 class ExecutionContext:
@@ -65,59 +166,60 @@ class ExecutionContext:
 
     Rule bodies call :meth:`resolve` to obtain the action currently assigned
     to a hole.  The context tracks, per rule firing and for the whole run,
-    which holes were executed and whether a wildcard cut occurred; the
-    explorer uses the per-firing data for deadlock classification and
-    (optionally) hole-path tracking for conflict generalisation.
+    the executed holes (as position masks, ``firing_executed`` and
+    ``run_executed``) and whether a wildcard cut occurred; the explorer
+    uses the per-firing data for deadlock classification and hole-path
+    tracking.  The packed runtime's firing memo sets the same fields on a
+    memo hit without running the rule body.
     """
 
     __slots__ = (
-        "_resolver",
+        "resolver",
         "run_wildcard_encountered",
-        "run_executed_holes",
-        "_firing_executed",
-        "_firing_wildcard",
-        "_recording",
+        "run_executed",
+        "firing_executed",
+        "firing_hit_wildcard",
         "_record",
     )
 
     def __init__(self, resolver: Any = None) -> None:
-        self._resolver = resolver if resolver is not None else NullResolver()
+        self.resolver = resolver if resolver is not None else NullResolver()
         self.run_wildcard_encountered: bool = False
-        self.run_executed_holes: Set[Any] = set()
-        self._firing_executed: Set[Any] = set()
-        self._firing_wildcard: bool = False
-        self._recording: bool = False
-        self._record: list = []
+        #: position mask of every hole resolved during the run
+        self.run_executed: int = 0
+        #: position mask of the holes resolved during the current firing
+        self.firing_executed: int = 0
+        #: whether the current firing hit a wildcard
+        self.firing_hit_wildcard: bool = False
+        self._record: Optional[list] = None
 
     def begin_firing(self) -> None:
-        """Reset per-firing tracking; called by the explorer before each rule."""
-        self._firing_executed = set()
-        self._firing_wildcard = False
+        """Reset per-firing tracking before a rule body runs."""
+        self.firing_executed = 0
+        self.firing_hit_wildcard = False
 
     @property
     def firing_executed_holes(self) -> FrozenSet[Any]:
         """Holes resolved during the current rule firing."""
-        return frozenset(self._firing_executed)
+        return self.resolver.holes_in(self.firing_executed)
 
     @property
-    def firing_hit_wildcard(self) -> bool:
-        """Whether the current firing hit a wildcard."""
-        return self._firing_wildcard
+    def run_executed_holes(self) -> FrozenSet[Any]:
+        """Holes resolved during the run."""
+        return self.resolver.holes_in(self.run_executed)
 
     def begin_recording(self) -> None:
         """Start capturing this firing's hole-resolution path.
 
         Used by the packed runtime's firing memo: the recorded
-        ``(hole, action)`` sequence — with a trailing ``(hole, None)`` if
-        the firing hit a wildcard — keys the memoised successors.
+        ``(hole, position, digit)`` sequence — ending in a ``None`` digit
+        if the firing hit a wildcard — keys the memoised successors.
         """
-        self._recording = True
         self._record = []
 
     def end_recording(self) -> list:
         """Stop recording and return the captured resolution path."""
-        self._recording = False
-        record, self._record = self._record, []
+        record, self._record = self._record, None
         return record
 
     def resolve(self, hole: Any) -> Any:
@@ -127,16 +229,19 @@ class ExecutionContext:
         the event) if the assignment is the wildcard; rule bodies must let
         the exception propagate.
         """
+        resolver = self.resolver
+        position = resolver.position_of(hole)
         try:
-            action = self._resolver.resolve(hole)
+            digit, action = resolver.entry(hole, position)
         except WildcardEncountered:
-            self._firing_wildcard = True
+            self.firing_hit_wildcard = True
             self.run_wildcard_encountered = True
-            if self._recording:
-                self._record.append((hole, None))
+            if self._record is not None:
+                self._record.append((hole, position, None))
             raise
-        self._firing_executed.add(hole)
-        self.run_executed_holes.add(hole)
-        if self._recording:
-            self._record.append((hole, action))
+        bit = 1 << position
+        self.firing_executed |= bit
+        self.run_executed |= bit
+        if self._record is not None:
+            self._record.append((hole, position, digit))
         return action

@@ -58,18 +58,33 @@ identically under any extension.  ``collect_checkpoint=True`` captures that
 shared work as an :class:`ExplorationCheckpoint` (visited set, parent
 store, the wildcard-cut states, pending coverage, counters) once the
 frontier drains without a definite failure; ``resume_from=checkpoint``
-seeds a later run with it, so only the cut states are re-expanded and only
-genuinely new states are explored.  :class:`~repro.core.engine.PrefixCache`
-chains these checkpoints digit by digit across sibling candidates.
+seeds a later run with it, so only genuinely new states are explored.
+:class:`~repro.core.engine.PrefixCache` chains these checkpoints digit by
+digit across sibling candidates.
 
-Resumption is verdict-exact: the resumed run reports the same verdict, the
-same ``states_visited``, the same executed holes, and the same
-wildcard/coverage classification a from-scratch run of the full candidate
-would.  ``rules_attempted``/``transitions_fired`` may double-count at the
-resume seam (cut states re-fire all their rules) and counterexample traces
-through inherited states reuse the prefix run's parent edges, which are
-valid but not always depth-minimal.  ``RunStats.prefix_states_reused``
-records how many states a run inherited instead of re-exploring.
+The seam re-fires only the rules that were cut.  For each cut state the
+checkpoint keeps the cut rule indices, whether a non-cut firing there
+produced a successor, and the hole mask of its successor-less non-cut
+firings.  A resumed run fires just the cut rules at that state and folds
+the other two values into its deadlock test: the non-cut firings resolved
+only prefix holes, so re-firing them would re-register known successors
+and add nothing to the frontier.
+
+Resumption is exact: the resumed run reports the same verdict, the same
+``states_visited`` and ``transitions_fired``, the same executed holes,
+and the same wildcard/coverage classification a from-scratch run of the
+full candidate would.  ``rules_attempted`` and ``wildcard_cuts`` count
+the cut rules a resumed run re-tries a second time, and counterexample
+traces through inherited states reuse the prefix run's parent edges,
+which are valid but not always depth-minimal.
+``RunStats.prefix_states_reused`` records how many states a run
+inherited instead of re-exploring.
+
+Holes are tracked as int masks over the resolver's positions (see
+:mod:`repro.mc.context`): executed holes per firing and per run, each
+state's discovery-path holes, and a checkpoint's masks.  A run's
+:class:`~repro.mc.result.VerificationResult` carries the masks and their
+hole-object views, built once per run.
 """
 
 from __future__ import annotations
@@ -77,9 +92,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ModelError, WildcardEncountered
+from repro.errors import ModelError
 from repro.mc.context import ExecutionContext
 from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
@@ -109,37 +124,48 @@ class ExplorationCheckpoint:
         parents: state id -> ``(parent_sid, rule_name)`` discovery edge, or
             ``None`` for initial states (and everything, when the producing
             run had ``record_traces=False``).
-        cut_states: ``(sid, depth)`` of every state where a rule firing was
-            wildcard-cut, in ascending depth order.  These are the only
-            inherited states a resumed run re-expands: their classification
-            (successors? deadlock?) depends on holes the prefix left
-            unassigned.
+        cut_states: ``(sid, depth, cut_rules, produced, dead_end_holes)``
+            for every state where a rule firing was wildcard-cut, in
+            ascending depth order.  These are the only inherited states a
+            resumed run re-expands: their classification (successors?
+            deadlock?) depends on holes the prefix left unassigned.
+            ``cut_rules`` are the rule indices cut there, in firing order
+            (the only rules a resumed run re-fires); ``produced`` says
+            whether a non-cut firing there produced a successor; and
+            ``dead_end_holes`` is the position mask of the holes its
+            successor-less non-cut firings executed (0 unless the run
+            tracked hole paths).
         pending_coverage: names of coverage properties no visited state
             satisfied yet.
         states_visited / transitions / attempts / max_depth: counter
             seeds, so resumed stats match a from-scratch run.
-        executed_holes: holes resolved during the prefix run (a subset of
-            the prefix; seeds the resumed run's executed set).
-        hole_paths: per-sid discovery-path hole sets when the producing run
-            tracked them (``track_hole_paths``), else ``None``.
+        executed_holes: position mask of the holes resolved during the
+            prefix run (a subset of the prefix; seeds the resumed run's
+            executed mask).
+        hole_paths: per-sid discovery-path position masks when the
+            producing run tracked them (``track_hole_paths``), else
+            ``None``.
 
     Slab ids are only meaningful against the same in-process
-    :class:`~repro.mc.packed.PackedRuntime`.  The prefix cache and both
-    backends keep runtime and checkpoints within one process, so a
-    checkpoint never crosses a process boundary.
+    :class:`~repro.mc.packed.PackedRuntime`, and the masks against the
+    producing resolver's positions on the prefix: a resuming resolver
+    must number those holes the same way (the synthesis resolvers do,
+    through the registry's append-only discovery order).  The prefix
+    cache and both backends keep runtime and checkpoints within one
+    process, so a checkpoint never crosses a process boundary.
     """
 
     visited: Dict[Any, int]
     originals: Tuple[Any, ...]
     parents: Tuple[Optional[Tuple[int, str]], ...]
-    cut_states: Tuple[Tuple[int, int], ...]
+    cut_states: Tuple[Tuple[int, int, Tuple[int, ...], bool, int], ...]
     pending_coverage: Tuple[str, ...]
     states_visited: int
     transitions: int
     attempts: int
     max_depth: int
-    executed_holes: frozenset
-    hole_paths: Optional[Tuple[frozenset, ...]] = None
+    executed_holes: int
+    hole_paths: Optional[Tuple[int, ...]] = None
 
 
 class FrontierStrategy:
@@ -206,18 +232,20 @@ class ExplorationKernel:
         limits: optional exploration caps.
         record_traces: keep parent pointers for trace reconstruction
             (disable to save memory on very large complete-system runs).
-        track_hole_paths: additionally record, per state, the set of holes
-            executed on its discovery path, and report a failure's
-            conflict holes in ``VerificationResult.failure_holes``; the
-            synthesis engine's conflict generalisation reads them (an
-            extension over the paper; see :mod:`repro.core.pruning`).
+        track_hole_paths: additionally record, per state, the mask of
+            holes executed on its discovery path, and report a failure's
+            conflict holes in ``VerificationResult.failure_mask`` (and its
+            ``failure_holes`` view); the synthesis engine's conflict
+            generalisation reads the mask (an extension over the paper;
+            see :mod:`repro.core.pruning`).
         capture_graph: optionally pass a :class:`repro.mc.graph.StateGraph`
             to receive every state and transition (for visualisation).
         resume_from: an :class:`ExplorationCheckpoint` from a run whose
             assignment this run's resolver extends; inherited states are
             not re-explored (see the module docstring).  The caller is
-            responsible for the extension relationship and for matching
-            ``record_traces``/``track_hole_paths``.
+            responsible for the extension relationship, for matching
+            ``record_traces``/``track_hole_paths`` and for a resolver
+            that numbers the prefix holes as the producer's did.
         collect_checkpoint: capture :attr:`checkpoint` when the frontier
             drains without truncation and without an invariant/deadlock
             failure; it stays ``None`` otherwise.  A COVERAGE failure —
@@ -315,9 +343,10 @@ class ExplorationKernel:
         checkpoint_acc = [0.0]
         parents: List[Optional[Tuple[int, str]]] = []
         originals: List[int] = []
-        hole_paths: List[frozenset] = []
+        hole_paths: List[int] = []
         pending_coverage = list(system.coverage)
-        cut_states: List[Tuple[int, int]] = []
+        cut_states: List[Tuple[int, int, Tuple[int, ...], bool, int]] = []
+        fire = rt.fire
 
         states_visited = 0
         transitions = 0
@@ -342,7 +371,7 @@ class ExplorationKernel:
             transitions = resume.transitions
             attempts = resume.attempts
             max_depth = resume.max_depth
-            ctx.run_executed_holes.update(resume.executed_holes)
+            ctx.run_executed |= resume.executed_holes
             if instrumented:
                 resume_acc[0] += clock() - resume_begin
 
@@ -352,7 +381,7 @@ class ExplorationKernel:
         frontier: deque = deque()
 
         def register(rid: int, parent: Optional[Tuple[int, str]], depth: int,
-                     path_holes: frozenset) -> Tuple[int, bool]:
+                     path_holes: int) -> Tuple[int, bool]:
             """Canonicalise, dedup, property-check, and enqueue a slab id.
 
             The visited set is keyed by the canonical slab id
@@ -454,33 +483,50 @@ class ExplorationKernel:
                 prefix_states_reused=states_reused,
             )
 
-        def failure(kind: FailureKind, message: str, sid: int,
-                    extra_holes: frozenset = frozenset()) -> VerificationResult:
-            relevant: Optional[frozenset] = None
-            if track:
-                relevant = hole_paths[sid] | extra_holes
+        holes_in = ctx.resolver.holes_in
+
+        def outcome(verdict: Verdict, failure_mask: Optional[int] = None,
+                    **fields: Any) -> VerificationResult:
+            """The run's result, with the hole views built from the masks."""
+            executed = ctx.run_executed
             return VerificationResult(
-                verdict=Verdict.FAILURE,
+                verdict=verdict,
+                stats=stats(),
+                executed_holes=holes_in(executed),
+                executed_mask=executed,
+                failure_holes=(
+                    None if failure_mask is None else holes_in(failure_mask)
+                ),
+                failure_mask=failure_mask,
+                **fields,
+            )
+
+        def failure(kind: FailureKind, message: str, sid: int,
+                    extra_holes: int = 0) -> VerificationResult:
+            return outcome(
+                Verdict.FAILURE,
+                failure_mask=(hole_paths[sid] | extra_holes) if track else None,
                 failure_kind=kind,
                 message=message,
                 trace=build_trace(sid),
-                stats=stats(),
                 wildcard_encountered=ctx.run_wildcard_encountered,
-                executed_holes=frozenset(ctx.run_executed_holes),
-                failure_holes=relevant,
             )
 
+        #: sid -> (cut rules, produced, dead-end holes) of an inherited cut
+        #: state still to re-expand (see ExplorationCheckpoint.cut_states)
+        seam: Dict[int, Tuple[Tuple[int, ...], bool, int]] = {}
         if resume is not None:
             # Inherited states already passed the invariants; only the
-            # wildcard-cut states need re-expansion (their classification
-            # depends on holes this run's resolver now assigns).
-            for sid, depth in resume.cut_states:
+            # wildcard-cut states need re-expansion, and only their cut
+            # rules re-fire (those resolve holes this run now assigns).
+            for sid, depth, cut_rules, produced, dead_ends in resume.cut_states:
+                seam[sid] = (cut_rules, produced, dead_ends)
                 frontier.append((originals[sid], sid, depth))
         else:
             # Seed with initial states (checking invariants on them too).
             for state in system.initial_states():
                 rid = rt.intern(state)
-                sid, is_new = register(rid, None, 0, frozenset())
+                sid, is_new = register(rid, None, 0, 0)
                 if not is_new:
                     continue
                 violated = rt.invariant_violation(rid)
@@ -509,44 +555,43 @@ class ExplorationKernel:
             if limits.max_depth is not None and depth >= limits.max_depth:
                 truncated = True
                 continue
-            produced_successor = False
-            cut_here = False
-            path_holes = hole_paths[sid] if track else frozenset()
-            holes_at_state: Set[Any] = set()
-
-            # The guard verdicts are memoised per interned state, so
-            # re-visits skip the guard calls.
-            entry = rt.enabled_entry(rid)
-            if order_ascending:
-                enabled: Sequence[int] = entry[1]
-            elif order_descending:
-                enabled = entry[1][::-1]
+            path_holes = hole_paths[sid] if track else 0
+            if seam and sid in seam:
+                enabled, produced_successor, holes_at_state = seam.pop(sid)
             else:
-                guard_mask = entry[0]
-                enabled = [
-                    index for index in ordered_indices
-                    if (guard_mask >> index) & 1
-                ]
+                produced_successor = False
+                holes_at_state = 0
+                # The guard verdicts are memoised per interned state, so
+                # re-visits skip the guard calls.
+                entry = rt.enabled_entry(rid)
+                if order_ascending:
+                    enabled = entry[1]
+                elif order_descending:
+                    enabled = entry[1][::-1]
+                else:
+                    guard_mask = entry[0]
+                    enabled = tuple(
+                        index for index in ordered_indices
+                        if (guard_mask >> index) & 1
+                    )
+            cut_rules: Tuple[int, ...] = ()
 
             if instrumented:
                 expand_begin = clock()
             for index in enabled:
                 attempts += 1
-                ctx.begin_firing()
-                try:
-                    successors = rt.fire(rid, index, ctx)
-                except WildcardEncountered:
-                    cut_here = True
-                    wildcard_cuts += 1
+                successors = fire(rid, index, ctx)
+                if successors is None:
+                    cut_rules += (index,)
                     continue
                 firing_holes = path_holes
                 if track:
-                    executed = ctx.firing_executed_holes
+                    executed = ctx.firing_executed
                     if not successors:
                         # Only successor-less firings matter for a
                         # deadlock here.
                         holes_at_state |= executed
-                    elif not executed <= path_holes:
+                    else:
                         firing_holes = path_holes | executed
                 if successors:
                     produced_successor = True
@@ -570,14 +615,17 @@ class ExplorationKernel:
             if instrumented:
                 expand_acc[0] += clock() - expand_begin
 
-            if cut_here:
-                cut_states.append((sid, depth))
+            if cut_rules:
+                wildcard_cuts += len(cut_rules)
+                cut_states.append(
+                    (sid, depth, cut_rules, produced_successor, holes_at_state)
+                )
             elif not produced_successor and rt.is_deadlock(rid):
                 return failure(
                     FailureKind.DEADLOCK,
                     "deadlock: no enabled transitions",
                     sid,
-                    extra_holes=frozenset(holes_at_state),
+                    extra_holes=holes_at_state,
                 )
 
         if self.collect_checkpoint and not truncated:
@@ -594,7 +642,7 @@ class ExplorationKernel:
                 transitions=transitions,
                 attempts=attempts,
                 max_depth=max_depth,
-                executed_holes=frozenset(ctx.run_executed_holes),
+                executed_holes=ctx.run_executed,
                 hole_paths=tuple(hole_paths) if track else None,
             )
             if instrumented:
@@ -602,34 +650,21 @@ class ExplorationKernel:
 
         unmet = tuple(prop.name for prop in pending_coverage)
         if unmet and not ctx.run_wildcard_encountered and not truncated:
-            return VerificationResult(
-                verdict=Verdict.FAILURE,
+            return outcome(
+                Verdict.FAILURE,
+                failure_mask=ctx.run_executed if track else None,
                 failure_kind=FailureKind.COVERAGE,
                 message=f"coverage not met: {', '.join(unmet)}",
-                trace=None,
-                stats=stats(),
-                wildcard_encountered=False,
-                executed_holes=frozenset(ctx.run_executed_holes),
-                failure_holes=(
-                    frozenset(ctx.run_executed_holes) if track else None
-                ),
                 unmet_coverage=unmet,
             )
         if ctx.run_wildcard_encountered or truncated:
-            return VerificationResult(
-                verdict=Verdict.UNKNOWN,
+            return outcome(
+                Verdict.UNKNOWN,
                 message="truncated exploration" if truncated else "wildcards encountered",
-                stats=stats(),
                 wildcard_encountered=ctx.run_wildcard_encountered,
-                executed_holes=frozenset(ctx.run_executed_holes),
                 unmet_coverage=unmet,
             )
-        return VerificationResult(
-            verdict=Verdict.SUCCESS,
-            stats=stats(),
-            wildcard_encountered=False,
-            executed_holes=frozenset(ctx.run_executed_holes),
-        )
+        return outcome(Verdict.SUCCESS)
 
     def visited_representatives(self) -> List[Any]:
         """The visited set as state objects, one orbit member per state."""

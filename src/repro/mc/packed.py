@@ -480,16 +480,23 @@ class PackedSpec:
 
 
 class _TrieNode:
-    """An interior memo node: resolve ``hole``, follow the action edge.
+    """An interior memo node: look up ``hole``'s digit, follow its edge.
 
-    A node with no edge for the resolved action (or none at all — the
-    wildcard terminal) sends the caller to the cold path / re-raises.
+    ``edges`` maps a digit (the resolver's memo edge key, normally an
+    action index) to the next node.  ``space``/``position`` cache the
+    hole's position in the last position space that walked the node; a
+    walk under another space (a dist worker's registry numbers holes in
+    its own discovery order) rebinds them.  A node whose digit is
+    ``None`` under the walking resolver is a wildcard cut; a digit with
+    no edge sends the caller to a real firing.
     """
 
-    __slots__ = ("hole", "edges")
+    __slots__ = ("hole", "space", "position", "edges")
 
-    def __init__(self, hole: Any) -> None:
+    def __init__(self, hole: Any, space: Any, position: int) -> None:
         self.hole = hole
+        self.space = space
+        self.position = position
         self.edges: Dict[Any, Any] = {}
 
 
@@ -688,64 +695,91 @@ class PackedRuntime:
 
     # -- firing memo --------------------------------------------------------
 
-    def fire(self, rid: int, rule_index: int, ctx: Any) -> Tuple[int, ...]:
-        """Successor slab ids of firing one rule, memoised per resolution path.
+    def fire(self, rid: int, rule_index: int, ctx: Any) -> Optional[Tuple[int, ...]]:
+        """Successor slab ids of firing one rule, or ``None`` for a wildcard cut.
 
-        The memo is a per-``(state, rule)`` trie over hole resolutions:
-        interior nodes replay ``ctx.resolve`` (identical side effects —
-        executed-hole tracking and wildcard propagation — to a real
-        firing, because handler resolution order is deterministic), leaves
-        hold successor ids.  Unseen resolution branches fall through to a
-        real ``rule.fire`` whose resolution path is recorded and inserted.
+        The memo is a per-``(state, rule)`` trie over hole resolutions.
+        A hit walks it on positions: each interior node reads the
+        resolver's digit at its hole's position and follows that edge,
+        leaving the same side effects on ``ctx`` as a real firing (the
+        firing's executed-position mask, the run mask, the wildcard
+        flags), because handler resolution order is deterministic.
+        Leaves hold successor ids.  A digit with no edge (an unseen
+        branch, or an index the hole's domain does not have) falls
+        through to a real ``rule.fire``, whose resolution path is recorded
+        and inserted; a wildcard cut there is caught and returned as
+        ``None`` too, so no cut leaves this method as an exception.
         """
         key = rid * self._stride + rule_index
         node = self._fire.get(key)
         if node is not None:
+            resolver = ctx.resolver
+            space = resolver.space
+            digits = resolver.digits
+            width = len(digits)
+            mask = 0
             while node.__class__ is _TrieNode:
-                action = ctx.resolve(node.hole)  # may raise WildcardEncountered
-                node = node.edges.get(action)
+                if node.space is not space:
+                    node.position = resolver.position_of(node.hole)
+                    node.space = space
+                    width = len(digits)
+                position = node.position
+                digit = digits[position] if position < width else resolver.beyond
+                if digit is None:
+                    self.fire_memo_hits += 1
+                    ctx.firing_executed = mask
+                    ctx.run_executed |= mask
+                    ctx.firing_hit_wildcard = True
+                    ctx.run_wildcard_encountered = True
+                    return None
+                node = node.edges.get(digit)
                 if node is None:
                     break
-            if node is not None:
+                mask |= 1 << position
+            else:
                 self.fire_memo_hits += 1
+                ctx.firing_executed = mask
+                ctx.run_executed |= mask
+                ctx.firing_hit_wildcard = False
                 return node.ids
         self.fire_memo_misses += 1
         rule = self._rules[rule_index]
         state = self.state_of(rid)
+        ctx.begin_firing()
         ctx.begin_recording()
         try:
             successors = rule.fire(state, ctx)
         except WildcardEncountered:
-            self._insert(key, ctx.end_recording(), None)
-            raise
+            self._insert(key, ctx.end_recording(), None, ctx.resolver.space)
+            return None
         path = ctx.end_recording()
         ids = tuple(self.intern(successor) for successor in successors)
-        self._insert(key, path, ids)
+        self._insert(key, path, ids, ctx.resolver.space)
         return ids
 
-    def _insert(self, key: int, path: List[Tuple[Any, Any]],
-                ids: Optional[Tuple[int, ...]]) -> None:
-        wildcard = bool(path) and path[-1][1] is None
+    def _insert(self, key: int, path: List[Tuple[Any, int, Any]],
+                ids: Optional[Tuple[int, ...]], space: Any) -> None:
+        wildcard = bool(path) and path[-1][2] is None
         steps = path[:-1] if wildcard else path
         with self._lock:
             container: Any = self._fire
             edge: Any = key
-            for hole, action in steps:
+            for hole, position, digit in steps:
                 node = container.get(edge)
                 if node is None:
-                    node = _TrieNode(hole)
+                    node = _TrieNode(hole, space, position)
                     container[edge] = node
                 elif node.__class__ is not _TrieNode or node.hole is not hole:
                     raise ModelError(
                         "packed firing memo: non-deterministic hole "
                         f"resolution at rule memo for hole {hole!r}"
                     )
-                container, edge = node.edges, action
+                container, edge = node.edges, digit
             existing = container.get(edge)
             if wildcard:
-                hole = path[-1][0]
+                hole, position, _ = path[-1]
                 if existing is None:
-                    container[edge] = _TrieNode(hole)
+                    container[edge] = _TrieNode(hole, space, position)
                 elif existing.__class__ is not _TrieNode or existing.hole is not hole:
                     raise ModelError(
                         "packed firing memo: non-deterministic wildcard "

@@ -48,7 +48,10 @@ class RunStats:
     prefix-exploration checkpoint instead of re-exploring (0 for cold
     runs; see :class:`~repro.mc.kernel.ExplorationCheckpoint`).  They are
     included in ``states_visited``, which therefore matches a from-scratch
-    run of the same candidate.
+    run of the same candidate, and so does ``transitions_fired`` on a
+    complete run: a resumed run re-fires only the rules that were cut.
+    ``rules_attempted`` and ``wildcard_cuts`` count those re-tried cut
+    rules a second time.
     """
 
     states_visited: int = 0
@@ -85,11 +88,14 @@ class VerificationResult:
         stats: exploration statistics.
         wildcard_encountered: whether any wildcard cut occurred.
         executed_holes: all holes resolved (non-wildcard) during the run.
+        executed_mask: the same holes as a mask over the resolver's
+            positions (see :mod:`repro.mc.context`).
         failure_holes: holes relevant to the failure — for INVARIANT and
             DEADLOCK, those executed on the minimal error path (plus, for
             deadlocks, during firings attempted at the final state); for
             COVERAGE, every hole executed in the run.  Only populated when
-            the explorer was asked to track hole paths; conflict
+            the explorer was asked to track hole paths.
+        failure_mask: the same holes as a position mask; conflict
             generalisation reads it.
         unmet_coverage: names of coverage properties never satisfied.
         stored_pattern: the generalised failure pattern already computed
@@ -107,7 +113,9 @@ class VerificationResult:
     stats: RunStats = field(default_factory=RunStats)
     wildcard_encountered: bool = False
     executed_holes: FrozenSet[Any] = frozenset()
+    executed_mask: int = 0
     failure_holes: Optional[FrozenSet[Any]] = None
+    failure_mask: Optional[int] = None
     unmet_coverage: Tuple[str, ...] = ()
     stored_pattern: Optional[Tuple[Tuple[int, int], ...]] = None
 

@@ -1,7 +1,6 @@
 """Small generic utilities shared across the library."""
 
 from repro.util.itertools2 import (
-    MixedRadixCounter,
     mixed_radix_decode,
     mixed_radix_encode,
     product_size,
@@ -9,7 +8,6 @@ from repro.util.itertools2 import (
 from repro.util.timing import Stopwatch
 
 __all__ = [
-    "MixedRadixCounter",
     "Stopwatch",
     "mixed_radix_decode",
     "mixed_radix_encode",

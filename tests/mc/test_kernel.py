@@ -405,3 +405,186 @@ class TestCoverageCheckpointing:
         assert resumed.failure_kind is FailureKind.COVERAGE
         assert resumed.stats.states_visited == result.stats.states_visited
         assert resumed.stats.prefix_states_reused == result.stats.states_visited
+
+
+class TestSeamExactness:
+    """A resumed candidate run equals a fresh run of the same digits.
+
+    The seam re-fires only the rules cut at each inherited state, so every
+    counter a complete run reports — ``transitions_fired`` included — must
+    match a from-scratch exploration on the same registry.
+    """
+
+    @staticmethod
+    def _resumed_and_fresh(name, limit, monkeypatch):
+        from repro.core import engine as engine_module
+        from repro.core.engine import SynthesisConfig, SynthesisEngine
+        from repro.protocols.catalog import SKELETON_BUILDERS
+
+        pairs = []
+        evaluate = engine_module.SynthesisCore.evaluate
+
+        def compare_with_fresh(core, vector):
+            result, explorer = evaluate(core, vector)
+            if (
+                explorer.resume_from is not None
+                and not result.is_failure
+                and (limit is None or len(pairs) < limit)
+            ):
+                fresh = ExplorationKernel(
+                    core.system,
+                    resolver=core.make_resolver(vector),
+                    strategy=core.config.explorer,
+                    track_hole_paths=core.config.generalise_active,
+                ).run()
+                pairs.append((result, fresh))
+            return result, explorer
+
+        monkeypatch.setattr(
+            engine_module.SynthesisCore, "evaluate", compare_with_fresh
+        )
+        SynthesisEngine(SKELETON_BUILDERS[name](2), SynthesisConfig()).run()
+        return pairs
+
+    @pytest.mark.parametrize("name, limit", [("msi-tiny", None), ("msi-small", 200)])
+    def test_resumed_runs_match_fresh_runs(self, name, limit, monkeypatch):
+        pairs = self._resumed_and_fresh(name, limit, monkeypatch)
+        assert pairs and (limit is None or len(pairs) == limit)
+        for resumed, fresh in pairs:
+            assert resumed.verdict is fresh.verdict
+            assert resumed.stats.states_visited == fresh.stats.states_visited
+            assert resumed.stats.transitions_fired == fresh.stats.transitions_fired
+            assert resumed.executed_holes == fresh.executed_holes
+            assert resumed.executed_mask == fresh.executed_mask
+            assert resumed.wildcard_encountered == fresh.wildcard_encountered
+
+    def test_checkpoint_records_the_cut_rules(self):
+        from repro.core.candidate import CandidateVector
+        from repro.core.discovery import CandidateResolver, HoleRegistry
+        from repro.protocols.toy import build_figure2_skeleton
+
+        system = build_figure2_skeleton()
+        explorer = ExplorationKernel(
+            system,
+            resolver=CandidateResolver(HoleRegistry(), CandidateVector.empty()),
+            collect_checkpoint=True,
+            track_hole_paths=True,
+        )
+        explorer.run()
+        checkpoint = explorer.checkpoint
+        assert checkpoint.cut_states
+        rule_count = len(system.rules)
+        for sid, depth, cut_rules, produced, dead_ends in checkpoint.cut_states:
+            assert cut_rules and all(0 <= i < rule_count for i in cut_rules)
+            assert isinstance(produced, bool)
+            assert dead_ends == 0  # the empty candidate executes no holes
+
+
+class TestWarmMemoMatchesCold:
+    """Memo hits read digits by position and leave a real firing's effects."""
+
+    @staticmethod
+    def _run(system, registry, digits, **kwargs):
+        from repro.core.candidate import CandidateVector
+        from repro.core.discovery import CandidateResolver
+
+        return ExplorationKernel(
+            system,
+            resolver=CandidateResolver(registry, CandidateVector(digits)),
+            track_hole_paths=True,
+            **kwargs,
+        ).run()
+
+    @staticmethod
+    def _same(first, second):
+        assert first.verdict is second.verdict
+        assert first.failure_kind == second.failure_kind
+        assert first.stats == second.stats
+        assert first.wildcard_encountered == second.wildcard_encountered
+        assert first.executed_holes == second.executed_holes
+        assert first.failure_holes == second.failure_holes
+
+    @pytest.mark.parametrize(
+        "skeleton, digits",
+        [
+            ("figure2", ()),
+            ("figure2", (0,)),
+            ("figure2", (1, 0)),
+            ("figure2", (1, 0, 1, 1)),
+            ("figure2", (1, 1, 0, 0)),
+            ("msi-tiny", ()),
+            ("msi-tiny", (0, 0)),
+            ("msi-tiny", (2, 1)),
+        ],
+    )
+    def test_second_run_is_all_hits_and_identical(self, skeleton, digits):
+        from repro.core.discovery import HoleRegistry
+        from repro.protocols.catalog import SKELETON_BUILDERS
+        from repro.protocols.toy import build_figure2_skeleton
+
+        system = (
+            build_figure2_skeleton()
+            if skeleton == "figure2"
+            else SKELETON_BUILDERS[skeleton](2)
+        )
+        registry = HoleRegistry()
+        runtime = system.packed_runtime()
+        cold = self._run(system, registry, digits)
+        misses = runtime.fire_memo_misses
+        hits = runtime.fire_memo_hits
+        warm = self._run(system, registry, digits)
+        assert runtime.fire_memo_misses == misses
+        assert runtime.fire_memo_hits > hits
+        self._same(cold, warm)
+        assert cold.executed_mask == warm.executed_mask
+        assert cold.failure_mask == warm.failure_mask
+
+    def test_out_of_range_index_raises_on_the_hit_path(self):
+        from repro.core.discovery import HoleRegistry
+        from repro.errors import SynthesisError
+        from repro.protocols.toy import build_figure2_skeleton
+
+        system = build_figure2_skeleton()
+        registry = HoleRegistry()
+        self._run(system, registry, (1, 0, 1, 1))  # fills every trie level
+        runtime = system.packed_runtime()
+        hits = runtime.fire_memo_hits
+        with pytest.raises(SynthesisError, match="action index 7"):
+            self._run(system, registry, (1, 0, 1, 7))
+        assert runtime.fire_memo_hits > hits
+
+    def test_each_registry_resolves_its_own_positions(self):
+        from repro.core.action import Action
+        from repro.core.discovery import HoleRegistry
+        from repro.core.hole import Hole
+        from repro.protocols.toy import build_figure2_skeleton
+
+        system = build_figure2_skeleton()
+        forward = HoleRegistry()
+        digits = (1, 0, 1, 1)
+        first = self._run(system, forward, digits)
+        holes = forward.holes
+        assert len(holes) == len(digits)
+        # A second registry discovered the holes in the reverse order, as
+        # a dist worker's registry may: same candidate, permuted digits.
+        backward = HoleRegistry()
+        for hole in reversed(holes):
+            backward.reserve(
+                Hole(hole.name, tuple(Action(a.name) for a in hole.domain))
+            )
+        runtime = system.packed_runtime()
+        misses = runtime.fire_memo_misses
+        for _ in range(2):
+            reverse = self._run(system, backward, tuple(reversed(digits)))
+            again = self._run(system, forward, digits)
+            self._same(first, again)
+            assert reverse.verdict is first.verdict
+            assert reverse.stats == first.stats
+            assert reverse.executed_holes == first.executed_holes
+            width = len(digits)
+            assert reverse.executed_mask == sum(
+                1 << (width - 1 - position)
+                for position in range(width)
+                if (first.executed_mask >> position) & 1
+            )
+        assert runtime.fire_memo_misses == misses

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.itertools2 import (
-    MixedRadixCounter,
     mixed_radix_decode,
     mixed_radix_encode,
     product_size,
@@ -74,40 +73,4 @@ class TestEncodeDecode:
         expected = list(itertools.product(*(range(r) for r in radices)))
         actual = [mixed_radix_decode(i, radices) for i in range(product_size(radices))]
         assert actual == expected
-
-
-class TestMixedRadixCounter:
-    def test_iterates_full_product(self):
-        counter = MixedRadixCounter([3, 2])
-        assert list(counter) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-
-    def test_empty_radices_yield_single_empty(self):
-        assert list(MixedRadixCounter([])) == [()]
-
-    def test_skip_suffix(self):
-        counter = MixedRadixCounter([3, 2, 2])
-        counter.skip_suffix(0)  # skip everything starting with digit 0
-        assert counter.digits == (1, 0, 0)
-
-    def test_skip_suffix_at_last_digit_is_advance(self):
-        counter = MixedRadixCounter([2, 2])
-        counter.skip_suffix(1)
-        assert counter.digits == (0, 1)
-
-    def test_skip_suffix_exhausts(self):
-        counter = MixedRadixCounter([2])
-        counter.skip_suffix(0)
-        counter.skip_suffix(0)
-        assert counter.exhausted
-
-    def test_skip_suffix_bad_position(self):
-        with pytest.raises(IndexError):
-            MixedRadixCounter([2]).skip_suffix(5)
-
-    @given(radices_strategy.filter(lambda r: r))
-    def test_counter_matches_decode(self, radices):
-        expected = [
-            mixed_radix_decode(i, radices) for i in range(product_size(radices))
-        ]
-        assert list(MixedRadixCounter(radices)) == expected
 
