@@ -38,8 +38,8 @@ import pytest
 
 from benchmarks.conftest import record_enabled, run_once, small_enabled
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.bfs import BfsExplorer
 from repro.mc.context import FixedResolver
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.protocols.catalog import build_skeleton
 from repro.protocols.msi.skeleton import msi_small
@@ -115,7 +115,7 @@ def _workload_payload(protocol_factory, skeleton_name, benchmark):
     verify_rows = []
     for replicas in (2, 3):
         start = time.perf_counter()
-        result = BfsExplorer(protocol_factory(replicas)).run()
+        result = ExplorationKernel(protocol_factory(replicas)).run()
         seconds = time.perf_counter() - start
         assert result.verdict is Verdict.SUCCESS
         verify_rows.append(
@@ -169,8 +169,8 @@ def test_telemetry_overhead(benchmark, tmp_path):
     Single-threaded, MSI-small at 3 replicas with the reference
     completion, the ``single_candidate`` shape.  Three sides
     alternate on one warm system for ``TELEMETRY_TRIALS`` trials: the
-    plain kernel (``BfsExplorer``, the ``single_candidate`` shape), the
-    telemetry-plumbed factory with telemetry off, and the full bundle
+    plain kernel (``ExplorationKernel``, the ``single_candidate`` shape), the
+    kernel handed an explicit ``telemetry=None``, and the full bundle
     (metrics registry, kernel phase timings, a JSONL trace on disk).
 
     The ceilings are asserted on medians of this session's paired ratios.
@@ -182,7 +182,6 @@ def test_telemetry_overhead(benchmark, tmp_path):
     Correctness gates the measurement: all sides must visit identical
     state counts (telemetry is pure observation).
     """
-    from repro.mc.kernel import make_explorer
     from repro.obs import Telemetry
 
     skel, system = make_system()
@@ -204,15 +203,15 @@ def test_telemetry_overhead(benchmark, tmp_path):
             gc.enable()
 
     def plain():
-        return BfsExplorer(system, resolver=resolver)
+        return ExplorationKernel(system, resolver=resolver)
 
     def factory_off():
-        return make_explorer("bfs", system, resolver=resolver)
+        return ExplorationKernel(system, resolver=resolver, telemetry=None)
 
     tele = Telemetry.create(trace_path=str(tmp_path / "bench.jsonl"))
 
     def factory_on():
-        return make_explorer("bfs", system, resolver=resolver, telemetry=tele)
+        return ExplorationKernel(system, resolver=resolver, telemetry=tele)
 
     timed_checks(plain)  # warm the packed memos for every side alike
     plain_samples, off_samples, on_samples = [], [], []

@@ -11,7 +11,7 @@ facility the paper argues is cheap in explicit-state tools.
 import pytest
 
 from benchmarks.conftest import bench_caches, run_once
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.protocols.msi.system import build_msi_system
 from repro.protocols.mutex import build_mutex_system
@@ -21,7 +21,7 @@ from repro.protocols.vi import build_vi_system
 @pytest.mark.parametrize("n_caches", [1, 2, 3])
 def test_msi_reference_exploration(benchmark, n_caches):
     result = run_once(
-        benchmark, lambda: BfsExplorer(build_msi_system(n_caches)).run()
+        benchmark, lambda: ExplorationKernel(build_msi_system(n_caches)).run()
     )
     assert result.verdict is Verdict.SUCCESS
     benchmark.extra_info.update(
@@ -40,7 +40,7 @@ def test_msi_symmetry_ablation(benchmark, symmetry):
     n_caches = max(bench_caches(), 3)
     result = run_once(
         benchmark,
-        lambda: BfsExplorer(build_msi_system(n_caches, symmetry=symmetry)).run(),
+        lambda: ExplorationKernel(build_msi_system(n_caches, symmetry=symmetry)).run(),
     )
     assert result.verdict is Verdict.SUCCESS
     benchmark.extra_info.update(
@@ -55,8 +55,8 @@ def test_msi_symmetry_ablation(benchmark, symmetry):
 
 def test_msi_symmetry_state_reduction_shape():
     """The reduction factor approaches n! as replicas grow."""
-    reduced = BfsExplorer(build_msi_system(3, symmetry=True)).run()
-    full = BfsExplorer(build_msi_system(3, symmetry=False)).run()
+    reduced = ExplorationKernel(build_msi_system(3, symmetry=True)).run()
+    full = ExplorationKernel(build_msi_system(3, symmetry=False)).run()
     factor = full.stats.states_visited / reduced.stats.states_visited
     assert factor > 2.0  # n! = 6 is the ceiling; transients keep it below
 
@@ -66,7 +66,7 @@ def test_msi_symmetry_state_reduction_shape():
     [("vi", build_vi_system), ("mutex", build_mutex_system)],
 )
 def test_dsl_protocol_exploration(benchmark, name, factory):
-    result = run_once(benchmark, lambda: BfsExplorer(factory(3)).run())
+    result = run_once(benchmark, lambda: ExplorationKernel(factory(3)).run())
     assert result.verdict is Verdict.SUCCESS
     benchmark.extra_info.update(
         {"protocol": name, "procs": 3, "states": result.stats.states_visited}
@@ -76,7 +76,7 @@ def test_dsl_protocol_exploration(benchmark, name, factory):
 @pytest.mark.parametrize("evictions", [False, True])
 def test_msi_eviction_extension_exploration(benchmark, evictions):
     result = run_once(
-        benchmark, lambda: BfsExplorer(build_msi_system(3, evictions=evictions)).run()
+        benchmark, lambda: ExplorationKernel(build_msi_system(3, evictions=evictions)).run()
     )
     assert result.verdict is Verdict.SUCCESS
     benchmark.extra_info.update(
@@ -88,7 +88,7 @@ def test_msi_eviction_extension_exploration(benchmark, evictions):
 def test_mesi_exploration(benchmark):
     from repro.protocols.mesi import build_mesi_system
 
-    result = run_once(benchmark, lambda: BfsExplorer(build_mesi_system(3)).run())
+    result = run_once(benchmark, lambda: ExplorationKernel(build_mesi_system(3)).run())
     assert result.verdict is Verdict.SUCCESS
     benchmark.extra_info.update(
         {"protocol": "mesi", "caches": 3, "states": result.stats.states_visited}

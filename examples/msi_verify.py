@@ -11,7 +11,7 @@ Run:  python examples/msi_verify.py [n_caches]
 
 import sys
 
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.protocols.msi import defs
 from repro.protocols.msi.defs import format_state
 from repro.protocols.msi.cache import make_reference_completion, reference_cache_table
@@ -24,7 +24,7 @@ def verify_reference(n_caches: int) -> None:
     for symmetry in (True, False):
         system = build_msi_system(n_caches, symmetry=symmetry)
         with Stopwatch() as watch:
-            result = BfsExplorer(system).run()
+            result = ExplorationKernel(system).run()
         label = "with symmetry   " if symmetry else "without symmetry"
         print(
             f"  {label}: {result.verdict.value:7s} "
@@ -41,7 +41,7 @@ def demonstrate_bug(n_caches: int) -> None:
         "send_dataack", "goto_IM_D"
     )
     system = build_msi_system(n_caches, cache_table=table, name="msi-buggy")
-    result = BfsExplorer(system).run()
+    result = ExplorationKernel(system).run()
     print(f"  verdict: {result.summary()}")
     if result.trace is not None:
         print("  minimal counterexample:")

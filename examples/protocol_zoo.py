@@ -13,7 +13,7 @@ Run:  python examples/protocol_zoo.py
 """
 
 from repro.core import SynthesisEngine
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.protocols.catalog import (
     PROTOCOL_CATALOG,
     SKELETON_CATALOG,
@@ -32,7 +32,7 @@ FAST_SKELETONS = (
 def main() -> None:
     print("== verify: every complete protocol at 2 replicas ==")
     for name in sorted(PROTOCOL_CATALOG):
-        result = BfsExplorer(build_protocol(name, 2)).run()
+        result = ExplorationKernel(build_protocol(name, 2)).run()
         assert result.is_success, f"{name}: {result.summary()}"
         print(f"  {name:8s} {result.summary()}")
 
@@ -53,7 +53,7 @@ def main() -> None:
         ("german stale-shared-grant",
          build_german_system(2, bug="stale-shared-grant")),
     ):
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.is_failure, f"{label} was not caught"
         print(f"  {label}: caught ({result.message})")
 

@@ -44,10 +44,8 @@ from repro.core import (
     WILDCARD,
 )
 from repro.mc import (
-    BfsExplorer,
     CoverageProperty,
     DeadlockPolicy,
-    DfsExplorer,
     ExplorationKernel,
     ExplorationLimits,
     Invariant,
@@ -56,7 +54,6 @@ from repro.mc import (
     ScalarSet,
     TransitionSystem,
     Verdict,
-    make_explorer,
     ruleset,
 )
 
@@ -64,10 +61,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "BfsExplorer",
     "CoverageProperty",
     "DeadlockPolicy",
-    "DfsExplorer",
     "ExplorationKernel",
     "ExplorationLimits",
     "Hole",
@@ -82,7 +77,6 @@ __all__ = [
     "Verdict",
     "WILDCARD",
     "__version__",
-    "make_explorer",
     "open_store",
     "ruleset",
     "synthesize",

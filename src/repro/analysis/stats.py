@@ -110,8 +110,8 @@ def sample_candidate_cost(skeleton, samples: int = 25, seed: int = 0) -> dict:
     import random
     import time
 
-    from repro.mc.bfs import BfsExplorer
     from repro.mc.context import FixedResolver
+    from repro.mc.kernel import ExplorationKernel
 
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -122,6 +122,8 @@ def sample_candidate_cost(skeleton, samples: int = 25, seed: int = 0) -> dict:
             hole: hole.domain[rng.randrange(hole.arity)] for hole in skeleton.holes
         }
         start = time.perf_counter()
-        BfsExplorer(skeleton.system, resolver=FixedResolver(assignment)).run()
+        ExplorationKernel(
+            skeleton.system, resolver=FixedResolver(assignment)
+        ).run()
         total += time.perf_counter() - start
     return {"samples": samples, "mean_seconds": total / samples}

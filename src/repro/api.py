@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.core.engine import SynthesisConfig, SynthesisEngine
 from repro.core.report import SynthesisReport
 from repro.errors import SynthesisError
-from repro.mc.kernel import ExplorationLimits, make_explorer
+from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.mc.result import VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.store import VerdictStore
@@ -57,7 +57,6 @@ def verify(
     *,
     evictions: bool = False,
     symmetry: bool = True,
-    explorer: str = "bfs",
     max_states: Optional[int] = None,
 ) -> VerificationResult:
     """Model check one complete protocol.
@@ -71,8 +70,6 @@ def verify(
             has them (ignored for built systems).
         symmetry: canonicalise states under replica symmetry (catalog
             builds only).
-        explorer: frontier strategy, ``"bfs"`` (minimal traces) or
-            ``"dfs"``.
         max_states: optional exploration cap.
 
     Returns:
@@ -93,10 +90,8 @@ def verify(
         )
     else:
         system = protocol
-    return make_explorer(
-        explorer,
-        system,
-        limits=ExplorationLimits(max_states=max_states),
+    return ExplorationKernel(
+        system, limits=ExplorationLimits(max_states=max_states)
     ).run()
 
 

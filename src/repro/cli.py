@@ -52,7 +52,7 @@ from repro.experiments import (
     load_preset,
     preset_names,
 )
-from repro.mc.kernel import EXPLORER_STRATEGIES, ExplorationLimits, make_explorer
+from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.obs import Telemetry, load_events, render_stats
 from repro.protocols.catalog import (
     PROTOCOL_BUILDERS,
@@ -172,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--caches", "--procs", dest="replicas", type=int, default=2)
     verify.add_argument("--evictions", action="store_true")
     verify.add_argument("--no-symmetry", action="store_true")
-    verify.add_argument(
-        "--explorer", choices=sorted(EXPLORER_STRATEGIES), default=None,
-        help="frontier strategy (default: bfs, whose traces are minimal)",
-    )
-    verify.add_argument("--dfs", action="store_true",
-                        help="shorthand for --explorer dfs")
     verify.add_argument("--max-states", type=int, default=None)
     _add_telemetry_flags(verify)
 
@@ -192,12 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument("--workers", type=int, default=4,
                        help="worker processes for the processes backend")
-    synth.add_argument(
-        "--explorer", choices=sorted(EXPLORER_STRATEGIES), default="bfs",
-        help="model-checker frontier strategy for candidate evaluation "
-             "(bfs yields minimal traces, which prune best; dfs is the "
-             "ablation)",
-    )
     synth.add_argument("--naive", action="store_true", help="disable pruning")
     synth.add_argument(
         "--no-generalise", action="store_true",
@@ -330,25 +318,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """``verify``: model check one complete protocol."""
     if args.replicas < 1:
         raise CliError(f"--caches/--procs must be >= 1, got {args.replicas}")
-    if args.dfs and args.explorer not in (None, "dfs"):
-        raise CliError(
-            f"conflicting flags: --dfs contradicts --explorer {args.explorer}"
-        )
     system = PROTOCOLS[args.protocol](
         args.replicas, evictions=args.evictions, symmetry=not args.no_symmetry
     )
-    strategy = args.explorer or ("dfs" if args.dfs else "bfs")
     limits = ExplorationLimits(max_states=args.max_states)
     tele = _build_telemetry(args)
-    explorer = make_explorer(
-        strategy, system, limits=limits, telemetry=tele,
-    )
+    kernel = ExplorationKernel(system, limits=limits, telemetry=tele)
     if tele is not None:
         with tele.span(
             "verify", protocol=args.protocol, replicas=args.replicas,
-            explorer=strategy,
         ) as span:
-            result = explorer.run()
+            result = kernel.run()
             span.set(
                 verdict=result.verdict.value,
                 states=result.stats.states_visited,
@@ -370,7 +350,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         _finish_telemetry(tele, args)
     else:
-        result = explorer.run()
+        result = kernel.run()
     print(f"{system.name}: {result.summary()}")
     if result.trace is not None:
         formatter = format_state if args.protocol == "msi" else repr
@@ -393,7 +373,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         solution_limit=args.solution_limit,
         max_evaluations=args.max_evaluations,
         compute_fingerprints=args.groups,
-        explorer=args.explorer,
         store_path=args.store,
         # The config mirrors the CLI telemetry so worker *processes* (which
         # only see the config) open their own per-worker sinks.

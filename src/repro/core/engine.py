@@ -46,11 +46,9 @@ from repro.core.pruning import (
 from repro.core.report import Solution, SynthesisReport
 from repro.errors import SynthesisError
 from repro.mc.kernel import (
-    EXPLORER_STRATEGIES,
     ExplorationCheckpoint,
     ExplorationKernel,
     ExplorationLimits,
-    make_explorer,
 )
 from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
@@ -145,12 +143,6 @@ class SynthesisConfig:
         max_passes: cap on enumeration passes.
         compute_fingerprints: fingerprint each solution's visited-state set
             (enables behavioural grouping; costs one pass over the states).
-        record_traces: keep error traces (disable to save memory).
-        explorer: frontier strategy for candidate model checking — a name
-            registered in :data:`repro.mc.kernel.EXPLORER_STRATEGIES`
-            (``"bfs"``, the default and the paper's choice because minimal
-            traces prune best, or ``"dfs"``).  Shared verbatim with the
-            process backend.
         telemetry: enable the observability layer (:mod:`repro.obs`) —
             metrics registry, trace spans, kernel phase attribution —
             even without a trace file (metrics land in the report and
@@ -184,8 +176,6 @@ class SynthesisConfig:
     max_evaluations: Optional[int] = None
     max_passes: Optional[int] = None
     compute_fingerprints: bool = False
-    record_traces: bool = True
-    explorer: str = "bfs"
     telemetry: bool = False
     trace_path: Optional[str] = None
     progress: bool = False
@@ -193,11 +183,6 @@ class SynthesisConfig:
     store_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.explorer not in EXPLORER_STRATEGIES:
-            raise SynthesisError(
-                f"unknown explorer {self.explorer!r}; available: "
-                f"{', '.join(sorted(EXPLORER_STRATEGIES))}"
-            )
         for knob in ("solution_limit", "max_evaluations", "max_passes"):
             value = getattr(self, knob)
             if value is not None and value < 0:
@@ -596,12 +581,10 @@ class SynthesisCore:
                 collect = True
             else:
                 resume = self._resume_checkpoint(vector.entries, cache)
-        explorer = make_explorer(
-            self.config.explorer,
+        explorer = ExplorationKernel(
             self.system,
             resolver=self.make_resolver(vector),
             limits=self.config.limits,
-            record_traces=self.config.record_traces,
             track_hole_paths=self.config.generalise_active,
             resume_from=resume,
             collect_checkpoint=collect,
@@ -792,12 +775,10 @@ class SynthesisCore:
             else nullcontext()
         )
         with span:
-            explorer = make_explorer(
-                self.config.explorer,
+            explorer = ExplorationKernel(
                 self.system,
                 resolver=self.make_resolver(CandidateVector.from_digits(prefix)),
                 limits=self.config.limits,
-                record_traces=self.config.record_traces,
                 track_hole_paths=self.config.generalise_active,
                 resume_from=resume,
                 collect_checkpoint=True,
@@ -1069,7 +1050,6 @@ class SynthesisEngine:
             pruning=config.pruning,
             threads=1,
             backend="sequential",
-            explorer=config.explorer,
         )
         watch = Stopwatch.started()
         try:

@@ -65,8 +65,6 @@ class SynthesisReport:
     #: after the paper's Table I column) is its worker count: 1 for
     #: ``sequential``, the worker-process count for ``processes``.
     backend: str = "sequential"
-    #: frontier strategy the model checker ran with (``bfs``/``dfs``)
-    explorer: str = "bfs"
     holes: List[Hole] = field(default_factory=list)
     passes: int = 0
     evaluated: int = 0
@@ -168,8 +166,7 @@ class SynthesisReport:
         lines = [
             f"system:            {self.system_name}",
             f"mode:              {'pruning' if self.pruning else 'naive'}"
-            f", {self.backend} backend, {self.threads} worker(s)"
-            f", {self.explorer} explorer",
+            f", {self.backend} backend, {self.threads} worker(s)",
             f"holes discovered:  {self.hole_count}"
             f" ({', '.join(h.name for h in self.holes)})",
             f"candidate space:   {self.naive_candidate_space:,}"

@@ -315,7 +315,6 @@ class DistributedSynthesisEngine:
             pruning=self.config.pruning,
             threads=self.workers,
             backend="processes",
-            explorer=self.config.explorer,
         )
         watch = Stopwatch.started()
         tele = self.telemetry
@@ -379,7 +378,6 @@ class DistributedSynthesisEngine:
             hole_specs=tuple(HoleSpec.from_hole(hole) for hole in holes),
             fail_patterns=core.fail_table.constraints_since(),
             success_patterns=core.success_table.constraints_since(),
-            explorer=config.explorer,
         )
         # PassStart goes on the control queues *before* any task enters
         # the shared queue: each control queue is FIFO, so a worker that

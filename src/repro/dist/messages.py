@@ -112,12 +112,7 @@ class PassStart:
 
     Carries the canonical hole order (the pass enumerates over the prefix
     ``hole_specs``, first-discovered hole most significant) and a full
-    snapshot of both pattern tables.  ``explorer`` names the frontier
-    strategy the coordinator model checks with; the worker's own config
-    (shipped at process spawn) must agree — the field exists as a
-    cross-process consistency tripwire, since a worker silently checking
-    candidates with a different strategy than the coordinator's initial
-    run would still merge cleanly but report misleading labels.
+    snapshot of both pattern tables.
     """
 
     pass_index: int
@@ -125,7 +120,6 @@ class PassStart:
     hole_specs: Tuple[HoleSpec, ...]
     fail_patterns: Tuple[Constraints, ...]
     success_patterns: Tuple[Constraints, ...]
-    explorer: str = "bfs"
 
 
 @dataclass(frozen=True)

@@ -161,11 +161,6 @@ class BatchRunner:
 
     def start_pass(self, msg: PassStart) -> None:
         """Reset the pass-local core from the coordinator's snapshot."""
-        if msg.explorer != self._config.explorer:
-            raise SynthesisError(
-                f"coordinator runs the {msg.explorer!r} explorer but this "
-                f"worker was configured with {self._config.explorer!r}"
-            )
         core = SynthesisCore(
             self.system,
             replace(self._config),

@@ -32,7 +32,7 @@ from repro.core import SynthesisConfig, SynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import ExperimentError
 from repro.experiments.spec import CellSpec, MatrixSpec, expand_matrix, make_cell
-from repro.mc.kernel import ExplorationLimits, make_explorer
+from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.obs import NULL_TELEMETRY
 from repro.protocols.catalog import build_protocol, build_skeleton_with_holes
 
@@ -61,7 +61,6 @@ def _synthesis_config(cell: CellSpec) -> SynthesisConfig:
         prefix_reuse=cell.prefix_reuse,
         solution_limit=cell.solution_limit,
         max_evaluations=cell.max_evaluations,
-        explorer=cell.explorer,
         store_path=cell.store,
     )
 
@@ -108,8 +107,8 @@ def _run_verify_cell(cell: CellSpec, telemetry=None) -> Dict[str, Any]:
         telemetry if telemetry is not None and telemetry.enabled else None
     )
     start = time.perf_counter()
-    result = make_explorer(
-        cell.explorer, system, limits=limits, telemetry=kernel_telemetry,
+    result = ExplorationKernel(
+        system, limits=limits, telemetry=kernel_telemetry
     ).run()
     elapsed = time.perf_counter() - start
     return {

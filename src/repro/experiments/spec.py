@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.api import BACKENDS
 from repro.errors import ExperimentError
-from repro.mc.kernel import EXPLORER_STRATEGIES
 from repro.protocols.catalog import PROTOCOL_CATALOG, SKELETON_CATALOG
 
 MODES = ("synth", "verify")
@@ -58,7 +57,6 @@ class CellSpec:
     replicas: int = 2
     backend: str = "sequential"
     workers: int = 1
-    explorer: str = "bfs"
     pruning: bool = True
     generalise: bool = True
     prefix_reuse: bool = True
@@ -101,8 +99,6 @@ def derive_cell_id(values: Dict[str, Any]) -> str:
     ]
     if values.get("workers", 1) != 1:
         parts.append(f"w{values['workers']}")
-    if values.get("explorer", "bfs") != "bfs":
-        parts.append(str(values["explorer"]))
     for name, tagged_value, tag in _FLAG_TAGS:
         if values.get(name, not tagged_value) == tagged_value:
             parts.append(tag)
@@ -138,8 +134,6 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
             f"cell {cell.id!r}: unknown backend {cell.backend!r}; "
             f"known: {', '.join(BACKENDS)}"
         )
-    if cell.explorer not in EXPLORER_STRATEGIES:
-        raise ExperimentError(f"cell {cell.id!r}: unknown explorer {cell.explorer!r}")
     if not _is_count(cell.replicas):
         raise ExperimentError(f"cell {cell.id!r}: replicas must be an int >= 1")
     if not _is_count(cell.workers):

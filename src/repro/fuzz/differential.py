@@ -1,18 +1,18 @@
 """The differential oracle: one spec against the configuration lattice.
 
 Every generated protocol is pushed through a lattice of configurations —
-{symmetry, prefix reuse, generalise} x {bfs, dfs} x
-{sequential, processes}, plus a ``wholestate`` run with the spec's codec
-removed — and the runs are compared against each other under the
-*promises each mode actually makes*:
+{symmetry, prefix reuse, generalise} x {sequential, processes}, plus a
+``wholestate`` run with the spec's codec removed — and the runs are
+compared against each other under the *promises each mode actually
+makes*:
 
 * **verdicts** are compared across every configuration, always: the
   reference completion must verify and the seeded bug completion must
   fail everywhere (and its counterexample must replay step by step);
 * **state/transition/attempt counts** are compared within groups that
-  promise count-exactness — codec on/off (``wholestate``) and bfs/dfs
-  agree on complete explorations, but symmetry-off visits more, so it
-  forms its own group;
+  promise count-exactness — codec on/off (``wholestate``) agree on
+  complete and failing explorations alike, but symmetry-off visits more,
+  so it forms its own group;
 * **solution sets** (as hole-name -> action-name assignment sets) are
   compared across every synthesis configuration, always;
 * **solution fingerprints** (visited-set hashes) are compared within
@@ -51,7 +51,7 @@ from repro.fuzz.spec import (
     spec_payload,
 )
 from repro.mc.context import ExecutionContext
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import VerificationResult
 
 # -- lattice configurations ---------------------------------------------------
@@ -62,21 +62,15 @@ class KernelConfig:
     """One verify/bug-replay configuration (kernel level, no backend)."""
 
     name: str
-    explorer: str = "bfs"
     #: run with the spec's codec removed (the derived whole-state codec)
     wholestate: bool = False
     symmetry: bool = True
 
     @property
     def counts_group(self) -> str:
-        """Configs sharing a group promise identical complete-run counts."""
+        """Configs sharing a group promise identical run counts, on
+        complete explorations and at a failure stop alike."""
         return "sym" if self.symmetry else "nosym"
-
-    @property
-    def failure_group(self) -> str:
-        """Counts at a *failure* stop depend on visit order, so groups
-        additionally pin the frontier strategy."""
-        return f"{self.explorer}:{self.counts_group}"
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class SynthLatticeConfig:
     name: str
     backend: str = "sequential"
     workers: int = 2
-    explorer: str = "bfs"
     #: run with the spec's codec removed (sequential backend only: worker
     #: processes rebuild the system from the spec)
     wholestate: bool = False
@@ -109,13 +102,12 @@ class SynthLatticeConfig:
         """Whether ``report.evaluated`` must equal the reference's.
 
         Only the ``wholestate`` and prefix-reuse toggles promise this: a
-        different explorer or backend changes hole-discovery and
-        pattern-arrival order, and disabling generalisation changes the
-        patterns themselves.
+        different backend changes hole-discovery and pattern-arrival
+        order, and disabling generalisation changes the patterns
+        themselves.
         """
         return (
             self.backend == "sequential"
-            and self.explorer == "bfs"
             and self.symmetry
             and self.generalise
         )
@@ -141,7 +133,7 @@ class Lattice:
     """A named set of kernel and synthesis configurations.
 
     The first entry of each list is the comparison reference and must be
-    the all-promises configuration (bfs, with the spec's codec, symmetric).
+    the all-promises configuration (with the spec's codec, symmetric).
     """
 
     name: str
@@ -158,20 +150,15 @@ def ablation_lattice() -> Lattice:
         verify=(
             KernelConfig("ref"),
             KernelConfig("wholestate", wholestate=True),
-            KernelConfig("dfs", explorer="dfs"),
             KernelConfig("nosym", symmetry=False),
         ),
         synth=(
             SynthLatticeConfig("ref"),
             SynthLatticeConfig("wholestate", wholestate=True),
-            SynthLatticeConfig("dfs", explorer="dfs"),
             SynthLatticeConfig("processes", backend="processes"),
             SynthLatticeConfig("nosym", symmetry=False),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
             SynthLatticeConfig("nogen", generalise=False),
-            SynthLatticeConfig(
-                "processes-dfs", backend="processes", explorer="dfs"
-            ),
             # The verdict store: a cold recording run must behave
             # exactly like the reference, and the same-tag run after it
             # replays warm — still pinned against every promise above.
@@ -188,24 +175,17 @@ def ablation_lattice() -> Lattice:
 
 
 def full_lattice() -> Lattice:
-    """The cartesian corners: every backend x explorer (x symmetry for
-    the kernel side), plus the sequential ``wholestate`` oracle.  Opt in
-    for small ``--count`` runs; the ablation lattice covers the same
-    promises at a fraction of the cost."""
+    """The corners: every backend (x symmetry for the kernel side), plus
+    the sequential ``wholestate`` oracle.  Opt in for small ``--count``
+    runs; the ablation lattice covers the same promises at a fraction of
+    the cost."""
     verify = [
-        KernelConfig(
-            f"{explorer}{'' if sym else '-nosym'}",
-            explorer=explorer, symmetry=sym,
-        )
-        for sym in (True, False)
-        for explorer in ("bfs", "dfs")
-    ] + [KernelConfig("wholestate", wholestate=True)]
+        KernelConfig("ref"),
+        KernelConfig("nosym", symmetry=False),
+        KernelConfig("wholestate", wholestate=True),
+    ]
     synth = [
-        SynthLatticeConfig(
-            f"{backend}-{explorer}", backend=backend, explorer=explorer,
-        )
-        for backend in BACKENDS
-        for explorer in ("bfs", "dfs")
+        SynthLatticeConfig(backend, backend=backend) for backend in BACKENDS
     ] + [
         SynthLatticeConfig("wholestate", wholestate=True),
         SynthLatticeConfig("nosym", symmetry=False),
@@ -223,12 +203,10 @@ def tier1_lattice() -> Lattice:
         verify=(
             KernelConfig("ref"),
             KernelConfig("wholestate", wholestate=True),
-            KernelConfig("dfs", explorer="dfs"),
         ),
         synth=(
             SynthLatticeConfig("ref"),
             SynthLatticeConfig("wholestate", wholestate=True),
-            SynthLatticeConfig("dfs", explorer="dfs"),
             SynthLatticeConfig("noreuse", prefix_reuse=False),
         ),
     )
@@ -562,7 +540,7 @@ class DifferentialRunner:
                     check.divergences.append(Divergence(
                         "bug", "trace-replay", kc.name, "", problem
                     ))
-            group = kc.failure_group
+            group = kc.counts_group
             entry = (kc.name, _result_counts(result), kind)
             if group not in group_baseline:
                 group_baseline[group] = entry
@@ -689,7 +667,7 @@ class DifferentialRunner:
         system = _without_codec(
             build_reference_system(spec, symmetry=kc.symmetry), kc.wholestate
         )
-        core = SynthesisCore(system, SynthesisConfig(explorer=kc.explorer))
+        core = SynthesisCore(system, SynthesisConfig())
         result, _explorer = core.evaluate(CandidateVector.empty())
         return result
 
@@ -698,12 +676,9 @@ class DifferentialRunner:
     ) -> VerificationResult:
         system, holes = build_skeleton_from_spec(spec, symmetry=kc.symmetry)
         resolver = resolver_for_assignment(holes, spec.bug_assignment)
-        explorer = make_explorer(
-            kc.explorer,
-            _without_codec(system, kc.wholestate),
-            resolver=resolver,
-        )
-        return explorer.run()
+        return ExplorationKernel(
+            _without_codec(system, kc.wholestate), resolver=resolver
+        ).run()
 
     def _replay_bug_trace(
         self, spec: ProtocolSpec, kc: KernelConfig, result: VerificationResult
@@ -718,7 +693,6 @@ class DifferentialRunner:
         self, spec: ProtocolSpec, sc: SynthLatticeConfig, store_root: str
     ):
         config = SynthesisConfig(
-            explorer=sc.explorer,
             prefix_reuse=sc.prefix_reuse,
             generalise_conflicts=sc.generalise,
             compute_fingerprints=True,

@@ -1,9 +1,8 @@
 """Optional capture of the explored state graph.
 
-Pass a :class:`StateGraph` as ``capture_graph`` to any explorer — the
-kernel, :class:`~repro.mc.bfs.BfsExplorer`, or
-:class:`~repro.mc.dfs.DfsExplorer` — to record every visited state and
-transition.  Used by the Figure 2 walkthrough example and by debugging
+Pass a :class:`StateGraph` as ``capture_graph`` to
+:class:`~repro.mc.kernel.ExplorationKernel` to record every visited state
+and transition.  Used by the Figure 2 walkthrough example and by debugging
 workflows (GraphViz export).
 """
 

@@ -1,16 +1,16 @@
-"""The unified exploration kernel (DESIGN: shared verdict semantics).
+"""The exploration kernel (DESIGN: shared verdict semantics).
 
-Every search strategy in this package — breadth-first
-(:class:`~repro.mc.bfs.BfsExplorer`), depth-first
-(:class:`~repro.mc.dfs.DfsExplorer`) — is one :class:`ExplorationKernel`
-parameterised by a :class:`FrontierStrategy`.  The kernel owns everything
-the strategies used to duplicate: state interning and canonicalisation on
-the system's :class:`~repro.mc.packed.PackedRuntime`, invariant and
-coverage evaluation, the parent/trace store, wildcard bookkeeping,
-deadlock classification, optional hole-path tracking and graph capture,
-and :class:`~repro.mc.result.RunStats`.  A strategy contributes exactly
-two decisions: which end of the frontier to pop (FIFO = BFS, LIFO = DFS)
-and in which order to try rules at a state.
+:class:`ExplorationKernel` is the package's one explorer: a breadth-first
+search over a FIFO frontier, with rules tried at each state in declaration
+order.  It owns state interning and canonicalisation on the system's
+:class:`~repro.mc.packed.PackedRuntime`, invariant and coverage
+evaluation, the parent/trace store, wildcard bookkeeping, deadlock
+classification, optional hole-path tracking and graph capture, and
+:class:`~repro.mc.result.RunStats`.
+
+Breadth-first order is what makes counterexample traces *minimal*
+(footnote 1 of the paper: minimality matters because a short trace
+touches few holes, which is what makes candidate pruning effective).
 
 There is one exploration path.  Every state the loop touches is a slab id
 of the system's packed runtime (:meth:`TransitionSystem.packed_runtime
@@ -19,8 +19,8 @@ when it has one, and otherwise a whole-state codec derived from its
 ``canonicalize``.  Rule firing, traces and counterexample replay still go
 through real state objects (``PackedRuntime.state_of``).
 
-Verdict semantics pinned down here (shared by *all* strategies; the
-synthesis layer depends on every clause):
+Verdict semantics pinned down here (the synthesis layer depends on every
+clause):
 
 * Invariants are checked on every state as it is generated (including
   initial states); a violation stops exploration with a FAILURE and trace.
@@ -35,16 +35,7 @@ synthesis layer depends on every clause):
   wildcard-free and not truncated; with wildcards the verdict is UNKNOWN.
 * Hitting an exploration limit (``max_states`` at a pop, ``max_depth`` at
   an expansion) marks the run truncated and yields UNKNOWN — unless a
-  definite failure was found first.  Truncation semantics are strategy-
-  independent: BFS and DFS report the identical ``truncated`` flag for the
-  same limits on the same system.
-
-Trace shape is the one semantic left to the strategy: FIFO discovery
-order makes counterexample traces *minimal* (the property the paper's
-candidate pruning leans on — a short trace touches few holes), while LIFO
-traces may be longer.  The synthesis engines therefore default to the
-FIFO strategy; LIFO is available everywhere (``SynthesisConfig.explorer``,
-CLI ``--explorer dfs``) for verification workloads and ablations.
+  definite failure was found first.
 
 Prefix checkpoints (the synthesis layer's exploration cache)
 ------------------------------------------------------------
@@ -92,7 +83,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.mc.context import ExecutionContext
@@ -122,8 +113,7 @@ class ExplorationCheckpoint:
             run interned (all of which passed the invariants).
         originals: state id -> slab id of the state as first discovered.
         parents: state id -> ``(parent_sid, rule_name)`` discovery edge, or
-            ``None`` for initial states (and everything, when the producing
-            run had ``record_traces=False``).
+            ``None`` for initial states.
         cut_states: ``(sid, depth, cut_rules, produced, dead_end_holes)``
             for every state where a rule firing was wildcard-cut, in
             ascending depth order.  These are the only inherited states a
@@ -168,70 +158,14 @@ class ExplorationCheckpoint:
     hole_paths: Optional[Tuple[int, ...]] = None
 
 
-class FrontierStrategy:
-    """How the kernel schedules its frontier and orders rule trials."""
-
-    #: strategy name; also the ``SynthesisConfig.explorer`` / CLI spelling
-    name: str = "?"
-
-    def pop(self, frontier: deque) -> Tuple[Any, int, int]:
-        """Remove and return the next ``(slab id, sid, depth)`` entry."""
-        raise NotImplementedError
-
-    def order_rules(self, rules: Sequence) -> Tuple:
-        """The order in which rules are tried at each expanded state."""
-        return tuple(rules)
-
-
-class FifoFrontier(FrontierStrategy):
-    """Breadth-first scheduling: pop the oldest entry (a queue)."""
-
-    name = "bfs"
-
-    def pop(self, frontier: deque) -> Tuple[Any, int, int]:
-        """Pop the oldest frontier entry (queue order)."""
-        return frontier.popleft()
-
-
-class LifoFrontier(FrontierStrategy):
-    """Depth-first scheduling: pop the newest entry (a stack).
-
-    Rules are tried in reverse declaration order so that the *first*
-    declared rule's successors end up on top of the stack and are explored
-    deepest-first — the historical DfsExplorer order.
-    """
-
-    name = "dfs"
-
-    def pop(self, frontier: deque) -> Tuple[Any, int, int]:
-        """Pop the newest frontier entry (stack order)."""
-        return frontier.pop()
-
-    def order_rules(self, rules: Sequence) -> Tuple:
-        """Reverse declaration order (historical DFS trial order)."""
-        return tuple(reversed(rules))
-
-
-#: explorer name -> strategy class (the single registry all layers share:
-#: SynthesisConfig validation, the CLI choices, and make_explorer)
-EXPLORER_STRATEGIES: Dict[str, type] = {
-    FifoFrontier.name: FifoFrontier,
-    LifoFrontier.name: LifoFrontier,
-}
-
-
 class ExplorationKernel:
-    """One-shot explicit-state explorer for a transition system.
+    """One-shot breadth-first explorer for a transition system.
 
     Args:
         system: the transition system to explore.
         resolver: hole resolver handed to the execution context; ``None``
             means the system must be hole-free.
-        strategy: a :class:`FrontierStrategy` instance or registered name
-            (default ``"bfs"``).
         limits: optional exploration caps.
-        record_traces: keep parent pointers for trace reconstruction
-            (disable to save memory on very large complete-system runs).
         track_hole_paths: additionally record, per state, the mask of
             holes executed on its discovery path, and report a failure's
             conflict holes in ``VerificationResult.failure_mask`` (and its
@@ -244,7 +178,7 @@ class ExplorationKernel:
             assignment this run's resolver extends; inherited states are
             not re-explored (see the module docstring).  The caller is
             responsible for the extension relationship, for matching
-            ``record_traces``/``track_hole_paths`` and for a resolver
+            ``track_hole_paths`` and for a resolver
             that numbers the prefix holes as the producer's did.
         collect_checkpoint: capture :attr:`checkpoint` when the frontier
             drains without truncation and without an invariant/deadlock
@@ -261,30 +195,18 @@ class ExplorationKernel:
         self,
         system: TransitionSystem,
         resolver: Any = None,
-        strategy: Any = "bfs",
         limits: Optional[ExplorationLimits] = None,
-        record_traces: bool = True,
         track_hole_paths: bool = False,
         capture_graph: Any = None,
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
         telemetry: Any = None,
     ) -> None:
-        if isinstance(strategy, str):
-            try:
-                strategy = EXPLORER_STRATEGIES[strategy]()
-            except KeyError:
-                raise ModelError(
-                    f"unknown explorer strategy {strategy!r}; available: "
-                    f"{', '.join(sorted(EXPLORER_STRATEGIES))}"
-                ) from None
         self.system = system
-        self.strategy = strategy
         #: the system's shared :class:`~repro.mc.packed.PackedRuntime`
         self.packed_runtime = system.packed_runtime()
         self.ctx = ExecutionContext(resolver)
         self.limits = limits or ExplorationLimits()
-        self.record_traces = record_traces
         self.track_hole_paths = track_hole_paths
         self.capture_graph = capture_graph
         if (
@@ -319,18 +241,6 @@ class ExplorationKernel:
         rt = self.packed_runtime
         track = self.track_hole_paths
         all_rules = tuple(system.rules)
-        #: rule indices in the strategy's firing order (system indexing,
-        #: so they line up with the packed runtime's guard bitmask)
-        ordered_indices = tuple(
-            self.strategy.order_rules(tuple(range(len(all_rules))))
-        )
-        #: when the strategy's order is ascending (BFS) or descending (DFS)
-        #: the packed runtime's memoised enabled tuple can be reused verbatim
-        #: instead of re-filtering the guard bitmask at every expansion
-        order_ascending = ordered_indices == tuple(range(len(all_rules)))
-        order_descending = ordered_indices == tuple(
-            reversed(range(len(all_rules)))
-        )
         tele = self.telemetry
         instrumented = tele is not None and tele.enabled
         clock = time.perf_counter
@@ -404,7 +314,7 @@ class ExplorationKernel:
             sid = len(originals)
             visited[canon] = sid
             originals.append(rid)
-            parents.append(parent if self.record_traces else None)
+            parents.append(parent)
             if track:
                 hole_paths.append(path_holes)
             states_visited += 1
@@ -420,9 +330,7 @@ class ExplorationKernel:
             frontier.append((rid, sid, depth))
             return sid, True
 
-        def build_trace(sid: int) -> Optional[Trace]:
-            if not self.record_traces:
-                return None
+        def build_trace(sid: int) -> Trace:
             steps: List[TraceStep] = []
             cursor: Optional[int] = sid
             while cursor is not None:
@@ -547,7 +455,7 @@ class ExplorationKernel:
             if limits.max_states is not None and states_visited >= limits.max_states:
                 truncated = True
                 break
-            rid, sid, depth = self.strategy.pop(frontier)
+            rid, sid, depth = frontier.popleft()
             if tick is not None:
                 tick(states=states_visited, frontier=len(frontier), depth=depth)
             if depth > max_depth:
@@ -561,19 +469,10 @@ class ExplorationKernel:
             else:
                 produced_successor = False
                 holes_at_state = 0
-                # The guard verdicts are memoised per interned state, so
-                # re-visits skip the guard calls.
-                entry = rt.enabled_entry(rid)
-                if order_ascending:
-                    enabled = entry[1]
-                elif order_descending:
-                    enabled = entry[1][::-1]
-                else:
-                    guard_mask = entry[0]
-                    enabled = tuple(
-                        index for index in ordered_indices
-                        if (guard_mask >> index) & 1
-                    )
+                # The enabled rule indices (ascending, i.e. declaration
+                # order) are memoised per interned state, so re-visits
+                # skip the guard calls.
+                enabled = rt.enabled_rules(rid)
             cut_rules: Tuple[int, ...] = ()
 
             if instrumented:
@@ -681,35 +580,3 @@ class ExplorationKernel:
         """
         return self.packed_runtime.fingerprint_set(self.visited_states)
 
-
-def make_explorer(
-    strategy: str,
-    system: TransitionSystem,
-    resolver: Any = None,
-    limits: Optional[ExplorationLimits] = None,
-    record_traces: bool = True,
-    track_hole_paths: bool = False,
-    capture_graph: Any = None,
-    resume_from: Optional[ExplorationCheckpoint] = None,
-    collect_checkpoint: bool = False,
-    telemetry: Any = None,
-) -> ExplorationKernel:
-    """Build a kernel for a registered strategy name (``bfs``/``dfs``).
-
-    This is the factory every layer above the model checker goes through:
-    :meth:`SynthesisCore.evaluate <repro.core.engine.SynthesisCore.evaluate>`
-    (and therefore the sequential and process backends) and the
-    CLI ``verify`` command.
-    """
-    return ExplorationKernel(
-        system,
-        resolver=resolver,
-        strategy=strategy,
-        limits=limits,
-        record_traces=record_traces,
-        track_hole_paths=track_hole_paths,
-        capture_graph=capture_graph,
-        resume_from=resume_from,
-        collect_checkpoint=collect_checkpoint,
-        telemetry=telemetry,
-    )

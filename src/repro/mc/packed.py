@@ -541,7 +541,7 @@ class PackedRuntime:
         self._codes: List[Tuple[int, ...]] = []
         self._states: List[Any] = []
         self._canon: List[int] = []
-        self._enabled: List[Optional[Tuple[int, Tuple[int, ...]]]] = []
+        self._enabled: List[Optional[Tuple[int, ...]]] = []
         self._inv: List[Any] = []
         self._cov: List[Optional[frozenset]] = []
         self._dead: List[Optional[bool]] = []
@@ -625,20 +625,17 @@ class PackedRuntime:
             self._canon[rid] = cid
         return cid
 
-    def enabled_entry(self, rid: int) -> Tuple[int, Tuple[int, ...]]:
-        """``(guard bitmask, ascending enabled rule indices)`` for a state."""
-        entry = self._enabled[rid]
-        if entry is None:
+    def enabled_rules(self, rid: int) -> Tuple[int, ...]:
+        """Indices of the rules enabled at a state, in ascending order."""
+        indices = self._enabled[rid]
+        if indices is None:
             state = self.state_of(rid)
-            mask = 0
-            indices: List[int] = []
-            for index, rule in enumerate(self._rules):
-                if rule.guard(state):
-                    mask |= 1 << index
-                    indices.append(index)
-            entry = (mask, tuple(indices))
-            self._enabled[rid] = entry
-        return entry
+            indices = tuple([
+                index for index, rule in enumerate(self._rules)
+                if rule.guard(state)
+            ])
+            self._enabled[rid] = indices
+        return indices
 
     def invariant_violation(self, rid: int) -> Optional[str]:
         """Name of the first violated invariant, or None (memoised)."""

@@ -62,19 +62,6 @@ class RunStats:
     truncated: bool = False
     prefix_states_reused: int = 0
 
-    def merged_with(self, other: "RunStats") -> "RunStats":
-        """Combine two runs' statistics (sums, maxima, or-flags)."""
-        return RunStats(
-            states_visited=self.states_visited + other.states_visited,
-            transitions_fired=self.transitions_fired + other.transitions_fired,
-            rules_attempted=self.rules_attempted + other.rules_attempted,
-            wildcard_cuts=self.wildcard_cuts + other.wildcard_cuts,
-            max_depth=max(self.max_depth, other.max_depth),
-            truncated=self.truncated or other.truncated,
-            prefix_states_reused=self.prefix_states_reused
-            + other.prefix_states_reused,
-        )
-
 
 @dataclass(frozen=True)
 class VerificationResult:

@@ -2,12 +2,10 @@
 
 A trace is the sequence of states from an initial state to the state where
 a property was violated, each step labelled with the rule that produced it.
-Trace *shape* depends on how the exploration kernel was scheduled: under
-the FIFO frontier strategy ("bfs", the synthesis default) traces are
-minimal — no shorter sequence of transitions reaches the violation (paper,
-Section II, footnote 1: minimality makes pruning effective, since a short
-trace touches few holes and conflict generalisation replays exactly those).
-Under the LIFO strategy ("dfs"), or through the inherited parent edges of a
+The exploration kernel's breadth-first order makes traces minimal — no
+shorter sequence of transitions reaches the violation (paper, Section II,
+footnote 1: minimality makes pruning effective, since a short trace
+touches few holes).  Through the inherited parent edges of a
 prefix-resumed run, traces are valid but not necessarily depth-minimal.
 """
 

@@ -70,13 +70,6 @@ class Skeleton:
         full = reference_solution_assignment()
         return {hole.name: full[hole.name] for hole in self.holes}
 
-    def reference_digits(self, holes_in_discovery_order: List[Hole]) -> Tuple[int, ...]:
-        """The reference solution as action indices over the given hole order."""
-        assignment = self.reference_assignment()
-        return tuple(
-            hole.index_of(assignment[hole.name]) for hole in holes_in_discovery_order
-        )
-
 
 def _cache_rule_label(key: Tuple[int, str]) -> str:
     return f"{defs.CACHE_STATE_NAMES[key[0]]}+{key[1]}"

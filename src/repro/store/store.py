@@ -15,11 +15,10 @@ Keys (:func:`candidate_key`) are content hashes over three components:
   state count, optional hooks).  Two differently-shaped systems never
   share verdicts even under the same name.
 * **flags signature** — every configuration knob that can change a
-  *verdict or its stored side effects* (pruning, default action index,
-  explorer, conflict generalisation).
-  Knobs that only change performance or reporting (prefix reuse, trace
-  recording, telemetry) are excluded so runs can share verdicts across
-  them.
+  *verdict or its stored side effects* (pruning, conflict
+  generalisation).
+  Knobs that only change performance or reporting (prefix reuse,
+  telemetry) are excluded so runs can share verdicts across them.
 * **candidate assignment** — *name-keyed* ``(hole name, action index)``
   pairs, sorted by name.  Hole discovery order differs across backends
   and schedules; names do not.
@@ -98,7 +97,6 @@ def flags_signature(config: Any) -> str:
 
     payload = {
         "pruning": bool(getattr(config, "pruning", True)),
-        "explorer": str(getattr(config, "explorer", "bfs")),
         "generalise": bool(getattr(config, "generalise_active", False)),
     }
     return _digest(payload)

@@ -25,21 +25,15 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         SynthesisConfig()
 
-    def test_explorer_strategies_accepted(self):
-        assert SynthesisConfig(explorer="bfs").explorer == "bfs"
-        assert SynthesisConfig(explorer="dfs").explorer == "dfs"
-
-    def test_unknown_explorer_rejected(self):
-        with pytest.raises(SynthesisError, match="explorer"):
-            SynthesisConfig(explorer="best-first")
-
     # Partial-order reduction, family synthesis, flat matching, pattern
-    # subsumption and the two single-value knobs were removed; their
-    # knobs must not be silently accepted.  The first is spelled
-    # indirectly so a search for the removed name finds no live use.
+    # subsumption, the two single-value knobs, the frontier-strategy
+    # choice and the trace switch were removed; their knobs must not be
+    # silently accepted.  The first is spelled indirectly so a search for
+    # the removed name finds no live use.
     @pytest.mark.parametrize("removed", [
         "_".join(("partial", "order")), "family", "naive_match",
         "subsumption", "default_action_index", "prefix_cache_capacity",
+        "explorer", "record_traces",
     ])
     def test_removed_knobs_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):

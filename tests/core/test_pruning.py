@@ -317,14 +317,14 @@ class TestGeneraliseFailure:
         return system, registry
 
     @staticmethod
-    def _run(system, registry, digits, **kernel_args):
+    def _run(system, registry, digits):
         from repro.core.candidate import CandidateVector
         from repro.core.discovery import CandidateResolver
         from repro.mc.kernel import ExplorationKernel
 
         resolver = CandidateResolver(registry, CandidateVector.from_digits(digits))
         result = ExplorationKernel(
-            system, resolver=resolver, track_hole_paths=True, **kernel_args
+            system, resolver=resolver, track_hole_paths=True
         ).run()
         assert result.is_failure
         return result
@@ -441,15 +441,16 @@ class TestGeneraliseFailure:
         assert pattern is not None and pattern.is_empty
 
     def test_missing_trace_still_generalises(self):
-        # Hole paths are tracked whether or not the trace is recorded, so
-        # a trace-less failure gets the same conflict as a traced one.
+        # A failure replayed from the verdict store carries no trace; the
+        # conflict comes from the hole masks, so it is the traced one.
+        from dataclasses import replace
+
         from repro.core.pruning import generalise_failure
         from tests.replay_oracle import replay_conflict
 
         system, registry = self._fork_setup()
         digits = (0, 0, 1)
-        result = self._run(system, registry, digits, record_traces=False)
-        assert result.trace is None
+        result = replace(self._run(system, registry, digits), trace=None)
         assert replay_conflict(system, registry, digits, result) is None
         pattern = generalise_failure(registry, digits, result)
         assert pattern.constraints == ((0, 0), (1, 0))

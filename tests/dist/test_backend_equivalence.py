@@ -58,33 +58,6 @@ class TestPruningEquivalence:
         )
 
 
-@pytest.mark.parametrize("explorer", ["bfs", "dfs"])
-class TestExplorerStrategyEquivalence:
-    """Both frontier strategies must find the same solutions on every
-    backend; only trace shapes (and hence generalised patterns) may differ."""
-
-    def test_backends_agree_per_strategy(self, explorer):
-        sequential = run_backend(
-            "sequential", "msi-tiny", SynthesisConfig(explorer=explorer)
-        )
-        assert sequential.solutions
-        assert sequential.explorer == explorer
-        report = run_backend(
-            "processes", "msi-tiny", SynthesisConfig(explorer=explorer)
-        )
-        assert report.explorer == explorer
-        assert solution_view(report) == solution_view(sequential)
-        assert registry_view(report) == registry_view(sequential)
-
-    def test_strategies_agree_with_each_other(self, explorer):
-        report = run_backend(
-            "sequential", "mutex", SynthesisConfig(explorer=explorer)
-        )
-        baseline = run_backend("sequential", "mutex")
-        assert solution_view(report) == solution_view(baseline)
-        assert registry_view(report) == registry_view(baseline)
-
-
 @pytest.mark.parametrize("name", SKELETONS)
 class TestNaiveEquivalence:
     def test_backends_agree_without_pruning(self, name):

@@ -12,7 +12,7 @@ from repro.dsl.builder import (
 from repro.dsl.network import Message, UnorderedNetwork
 from repro.dsl.process import ProcessArray
 from repro.errors import ModelError
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.properties import DeadlockPolicy
 from repro.mc.result import Verdict
 
@@ -52,27 +52,27 @@ def ping_pong_builder(n_procs=2):
 
 class TestBuilder:
     def test_builds_and_verifies(self):
-        result = BfsExplorer(ping_pong_builder().build()).run()
+        result = ExplorationKernel(ping_pong_builder().build()).run()
         assert result.verdict is Verdict.SUCCESS
 
     def test_coverage_and_invariants_wired(self):
         builder = ping_pong_builder()
         builder.add_invariant("server-counts", lambda s: s[1] <= 2)
         builder.add_coverage("someone-done", lambda s: "done" in list(s[0]))
-        result = BfsExplorer(builder.build()).run()
+        result = ExplorationKernel(builder.build()).run()
         assert result.verdict is Verdict.SUCCESS
 
     def test_invariant_violation_detected(self):
         builder = ping_pong_builder()
         builder.add_invariant("server-never-counts", lambda s: s[1] == 0)
-        result = BfsExplorer(builder.build()).run()
+        result = ExplorationKernel(builder.build()).run()
         assert result.verdict is Verdict.FAILURE
 
     def test_symmetry_reduction_active(self):
-        reduced = BfsExplorer(ping_pong_builder(3).build()).run()
+        reduced = ExplorationKernel(ping_pong_builder(3).build()).run()
         builder = ping_pong_builder(3)
         builder.symmetry = False
-        full = BfsExplorer(builder.build()).run()
+        full = ExplorationKernel(builder.build()).run()
         assert reduced.stats.states_visited < full.stats.states_visited
 
     def test_requires_controllers(self):
@@ -107,7 +107,7 @@ class TestBuilder:
             Message("M", GLOBAL, 0, "yes")
         )
         system._initial_states = [(procs, glob, net)]
-        explorer = BfsExplorer(system)
+        explorer = ExplorationKernel(system)
         result = explorer.run()
         assert result.verdict is Verdict.SUCCESS
         states = {tuple(state[0]) for state in explorer.visited_representatives()}

@@ -46,20 +46,26 @@ class TestSpecParsing:
     def test_axes_product_in_declaration_order(self):
         spec = spec_from(
             defaults={"mode": "synth"},
-            axes={"target": ["figure2", "mutex"], "explorer": ["bfs", "dfs"]},
+            axes={
+                "target": ["figure2", "mutex"],
+                "backend": ["sequential", "processes"],
+            },
         )
         cells = expand_matrix(spec)
-        assert [(c.target, c.explorer) for c in cells] == [
-            ("figure2", "bfs"),
-            ("figure2", "dfs"),
-            ("mutex", "bfs"),
-            ("mutex", "dfs"),
+        assert [(c.target, c.backend) for c in cells] == [
+            ("figure2", "sequential"),
+            ("figure2", "processes"),
+            ("mutex", "sequential"),
+            ("mutex", "processes"),
         ]
 
     def test_exclude_drops_matching_product_cells(self):
         spec = spec_from(
-            axes={"target": ["figure2", "mutex"], "explorer": ["bfs", "dfs"]},
-            exclude=[{"target": "mutex", "explorer": "dfs"}],
+            axes={
+                "target": ["figure2", "mutex"],
+                "backend": ["sequential", "processes"],
+            },
+            exclude=[{"target": "mutex", "backend": "processes"}],
         )
         assert len(expand_matrix(spec)) == 3
 
@@ -126,6 +132,14 @@ class TestSpecParsing:
             make_cell({"target": "msi-tiny", "packed": False})
         with pytest.raises(ExperimentError, match=r"unknown axis 'packed'"):
             spec_from(axes={"packed": [True, False]})
+
+    def test_explorer_cell_field_rejected(self):
+        """Every cell explores breadth-first; a spec that still names the
+        retired ``explorer`` field fails before any cell runs."""
+        with pytest.raises(ExperimentError, match=r"unknown cell field.*'explorer'"):
+            make_cell({"target": "figure2", "explorer": "dfs"})
+        with pytest.raises(ExperimentError, match=r"unknown axis 'explorer'"):
+            spec_from(axes={"explorer": ["bfs", "dfs"]})
 
     def test_unknown_targets_rejected(self):
         with pytest.raises(ExperimentError, match="unknown skeleton"):

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from repro.core.engine import SynthesisConfig, SynthesisEngine
 from repro.fuzz import build_reference_system, build_skeleton_from_spec, generate_spec
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.packed import WholeStateCodec
 
 #: seed 3 generates a codec="none" spec (see its corpus note); seed 0 is
@@ -88,11 +88,11 @@ def test_codec_control_reports_pack_metrics():
 
 
 def test_kernel_level_counts_match_the_opaque_codec():
-    """The same contract one layer down, via make_explorer directly."""
+    """The same contract one layer down, on the kernel directly."""
     results = []
     for spec in _codecless_and_opaque():
         system = build_reference_system(spec)
-        results.append(make_explorer("bfs", system).run())
+        results.append(ExplorationKernel(system).run())
     codecless, opaque = results
     assert codecless.is_success and opaque.is_success
     assert codecless.stats == opaque.stats

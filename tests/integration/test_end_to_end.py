@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.grouping import group_solutions
 from repro.analysis.stats import compare_reports
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.bfs import ExplorationLimits
+from repro.mc.kernel import ExplorationLimits
 from repro.protocols.msi import msi_tiny
 from repro.protocols.mutex import build_mutex_skeleton
 from repro.protocols.vi import build_vi_skeleton
@@ -46,28 +46,6 @@ class TestEnginesAgree:
         make = systems[key]
         naive = SynthesisEngine(make(), SynthesisConfig(pruning=False)).run()
         assert naive.evaluated == naive.naive_candidate_space
-
-
-class TestUntracedPruning:
-    """Conflicts come from the kernel's hole paths, not from the recorded
-    counterexample, so dropping traces changes no pruning decision."""
-
-    def test_untraced_run_keeps_solutions(self):
-        base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        untraced = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(record_traces=False)
-        ).run()
-        assert {s.digits for s in untraced.solutions} == {
-            s.digits for s in base.solutions
-        }
-
-    def test_untraced_run_evaluates_the_same(self):
-        base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        untraced = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(record_traces=False)
-        ).run()
-        assert untraced.evaluated == base.evaluated
-        assert untraced.failure_patterns == base.failure_patterns
 
 
 class TestLimitsIntegration:

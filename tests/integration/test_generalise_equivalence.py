@@ -112,14 +112,6 @@ class TestFeatureIndependence:
                     reference = view
                 assert view == reference, (generalise, reuse)
 
-    def test_dfs_explorer_agrees_too(self, name):
-        baseline = run_backend(
-            "sequential", name, SynthesisConfig(explorer="dfs", **BASELINE)
-        )
-        generalised = run_backend("sequential", name, SynthesisConfig(explorer="dfs"))
-        assert solution_view(generalised) == solution_view(baseline)
-        assert registry_view(generalised) == registry_view(baseline)
-
 
 class TestLimitsStandDown:
     def test_limits_restore_exact_baseline_behaviour(self):

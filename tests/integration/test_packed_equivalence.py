@@ -30,7 +30,7 @@ from repro.core.engine import SynthesisObserver
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.context import ExecutionContext
 from repro.mc.hashing import fingerprint_state_set
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 from repro.protocols.german import build_german_system
 from repro.protocols.moesi import build_moesi_system
@@ -63,18 +63,15 @@ SKELETONS = [
 ]
 
 
-def reference_explore(system, strategy="bfs"):
-    """Plain explicit-state search with the kernel's verdict semantics.
+def reference_explore(system):
+    """Plain breadth-first search with the kernel's verdict semantics.
 
     Invariants are checked on each new state as it is generated, and
     coverage once the frontier drains.  A state that produced no
-    successor is a deadlock unless the policy accepts it.  ``dfs`` pops
-    the newest entry and tries rules in reverse declaration order, as
-    the kernel's LIFO strategy does.  Returns ``(failure kind or None,
-    counts, canonical visited set)``.
+    successor is a deadlock unless the policy accepts it.  Returns
+    ``(failure kind or None, counts, canonical visited set)``.
     """
-    lifo = strategy == "dfs"
-    rules = list(reversed(system.rules)) if lifo else list(system.rules)
+    rules = list(system.rules)
     ctx = ExecutionContext()
     visited = set()
     frontier = deque()
@@ -96,7 +93,7 @@ def reference_explore(system, strategy="bfs"):
         if add(state):
             return "invariant", counts, visited
     while frontier:
-        state = frontier.pop() if lifo else frontier.popleft()
+        state = frontier.popleft()
         produced = False
         for rule in rules:
             if not rule.guard(state):
@@ -167,14 +164,13 @@ def executed_view(report):
     return sorted((sorted(s.assignment), s.executed_holes) for s in report.solutions)
 
 
-@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
 @pytest.mark.parametrize("label,builder", VERIFY_SYSTEMS,
                          ids=[label for label, _ in VERIFY_SYSTEMS])
-def test_verify_runs_match_the_reference(label, builder, strategy):
-    kind, counts, _visited = reference_explore(builder(), strategy)
+def test_verify_runs_match_the_reference(label, builder):
+    kind, counts, _visited = reference_explore(builder())
     system = builder()
     assert system.packed_spec is not None
-    result = make_explorer(strategy, system).run()
+    result = ExplorationKernel(system).run()
     assert (result.failure_kind.value if result.failure_kind else None) == kind
     assert result.is_success == (kind is None)
     stats = result.stats
@@ -195,7 +191,7 @@ def test_fingerprints_match_the_reference(label):
     _kind, _counts, visited = reference_explore(builder())
     expected = fingerprint_state_set(visited)
     for system in (builder(), without_codec(builder())):
-        explorer = make_explorer("bfs", system)
+        explorer = ExplorationKernel(system)
         explorer.run()
         assert explorer.fingerprint_visited() == expected
 
@@ -246,7 +242,6 @@ def test_synthesis_backends_match(name):
     dict(prefix_reuse=False),
     dict(pruning=False),
     dict(success_patterns=False),
-    dict(explorer="dfs"),
 ])
 def test_synthesis_flag_combinations_match(flags):
     """Codec on/off agree under every other acceleration toggle too."""

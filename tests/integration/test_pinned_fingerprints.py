@@ -14,7 +14,7 @@ import pytest
 
 from repro.fuzz import generate_spec
 from repro.fuzz.spec import build_reference_system
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.protocols.catalog import PROTOCOL_BUILDERS
 
 #: (label, builder, visited states, fingerprint_visited)
@@ -37,7 +37,7 @@ FUZZ_PINS = [
 
 
 def _fingerprint(builder):
-    explorer = make_explorer("bfs", builder())
+    explorer = ExplorationKernel(builder())
     result = explorer.run()
     assert result.is_success
     return result.stats.states_visited, explorer.fingerprint_visited()

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.core.action import Action
 from repro.core.hole import Hole
-from repro.mc.bfs import BfsExplorer
 from repro.mc.context import FixedResolver
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.properties import DeadlockPolicy, Invariant
 from repro.mc.rule import Rule
 from repro.mc.result import Verdict
@@ -77,7 +77,7 @@ def ground_truth(system_factory, holes) -> set:
         assignment = {
             hole.name: hole.domain[digit] for hole, digit in zip(holes, combo)
         }
-        result = BfsExplorer(
+        result = ExplorationKernel(
             system_factory(), resolver=FixedResolver(assignment)
         ).run()
         if result.verdict is Verdict.SUCCESS:

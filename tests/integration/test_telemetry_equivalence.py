@@ -27,7 +27,7 @@ import pytest
 from repro.api import BACKENDS
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.obs import Telemetry, build_stats, load_events
 from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 from repro.protocols.german import build_german_system
@@ -82,26 +82,25 @@ def assert_balanced_trace(path):
 @pytest.mark.parametrize("label,builder", VERIFY_SYSTEMS,
                          ids=[label for label, _ in VERIFY_SYSTEMS])
 def test_verify_identical_with_telemetry(label, builder, tmp_path):
-    for strategy in ("bfs", "dfs"):
-        off = make_explorer(strategy, builder()).run()
-        trace = tmp_path / f"{strategy}.jsonl"
-        tele = Telemetry.create(trace_path=str(trace))
-        on = make_explorer(strategy, builder(), telemetry=tele).run()
-        tele.close()
-        assert on.verdict == off.verdict, strategy
-        assert on.failure_kind == off.failure_kind, strategy
-        # Pure observation: exactly the same exploration.
-        assert on.stats.states_visited == off.stats.states_visited
-        assert on.stats.transitions_fired == off.stats.transitions_fired
-        assert on.stats.max_depth == off.stats.max_depth
-        if on.trace is not None:
-            assert [s.rule_name for s in on.trace.steps] == [
-                s.rule_name for s in off.trace.steps
-            ]
-        events = assert_balanced_trace(trace)
-        phase_names = {e["name"] for e in events if e["type"] == "phase"}
-        assert "canonicalise" in phase_names
-        assert "expand" in phase_names
+    off = ExplorationKernel(builder()).run()
+    trace = tmp_path / "verify.jsonl"
+    tele = Telemetry.create(trace_path=str(trace))
+    on = ExplorationKernel(builder(), telemetry=tele).run()
+    tele.close()
+    assert on.verdict == off.verdict
+    assert on.failure_kind == off.failure_kind
+    # Pure observation: exactly the same exploration.
+    assert on.stats.states_visited == off.stats.states_visited
+    assert on.stats.transitions_fired == off.stats.transitions_fired
+    assert on.stats.max_depth == off.stats.max_depth
+    if on.trace is not None:
+        assert [s.rule_name for s in on.trace.steps] == [
+            s.rule_name for s in off.trace.steps
+        ]
+    events = assert_balanced_trace(trace)
+    phase_names = {e["name"] for e in events if e["type"] == "phase"}
+    assert "canonicalise" in phase_names
+    assert "expand" in phase_names
 
 
 def test_verify_kernel_phases_are_exactly_canonicalise_and_expand(tmp_path):
@@ -109,7 +108,7 @@ def test_verify_kernel_phases_are_exactly_canonicalise_and_expand(tmp_path):
     per-state phases and nothing else."""
     trace = tmp_path / "verify.jsonl"
     tele = Telemetry.create(trace_path=str(trace))
-    make_explorer("bfs", PROTOCOL_BUILDERS["moesi"](2), telemetry=tele).run()
+    ExplorationKernel(PROTOCOL_BUILDERS["moesi"](2), telemetry=tele).run()
     tele.close()
     events = load_events(trace)
     phase_names = {e["name"] for e in events if e["type"] == "phase"}
@@ -210,7 +209,7 @@ def test_kernel_without_telemetry_takes_zero_overhead_branch():
     """No telemetry -> the kernel must not install the canonicalise
     timing shim or accumulate phase timings (the disabled path costs one
     setup-time branch, not per-state work)."""
-    explorer = make_explorer("bfs", PROTOCOL_BUILDERS["msi"](2))
+    explorer = ExplorationKernel(PROTOCOL_BUILDERS["msi"](2))
     result = explorer.run()
     assert result.is_success
     assert explorer.phase_seconds == {}

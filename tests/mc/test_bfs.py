@@ -3,9 +3,9 @@
 
 from repro.core.action import Action
 from repro.core.hole import Hole
-from repro.mc.bfs import BfsExplorer, ExplorationLimits
 from repro.mc.context import FixedResolver
 from repro.mc.graph import StateGraph
+from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
 from repro.mc.result import FailureKind, Verdict
 from repro.mc.rule import Rule
@@ -29,13 +29,13 @@ def counter_system(limit=5, invariants=(), coverage=(), deadlock=None):
 
 class TestVerdicts:
     def test_success_on_clean_system(self):
-        result = BfsExplorer(counter_system()).run()
+        result = ExplorationKernel(counter_system()).run()
         assert result.verdict is Verdict.SUCCESS
         assert result.stats.states_visited == 6
 
     def test_invariant_failure(self):
         system = counter_system(invariants=[Invariant("small", lambda s: s < 3)])
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.verdict is Verdict.FAILURE
         assert result.failure_kind is FailureKind.INVARIANT
         assert "small" in result.message
@@ -47,7 +47,7 @@ class TestVerdicts:
             rules=[Rule("noop", guard=lambda s: True, apply=lambda s, ctx: [s])],
             invariants=[Invariant("not-99", lambda s: s != 99)],
         )
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.is_failure
         assert len(result.trace) == 0  # violation in the initial state itself
 
@@ -57,7 +57,7 @@ class TestVerdicts:
             initial_states=[0],
             rules=[Rule("inc", guard=lambda s: s < 2, apply=lambda s, ctx: [s + 1])],
         )
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.verdict is Verdict.FAILURE
         assert result.failure_kind is FailureKind.DEADLOCK
         assert result.trace.final_state == 2
@@ -69,7 +69,7 @@ class TestVerdicts:
             rules=[Rule("inc", guard=lambda s: s < 2, apply=lambda s, ctx: [s + 1])],
             deadlock=DeadlockPolicy.fail(quiescent=lambda s: s == 2),
         )
-        assert BfsExplorer(system).run().verdict is Verdict.SUCCESS
+        assert ExplorationKernel(system).run().verdict is Verdict.SUCCESS
 
     def test_deadlock_allow_policy(self):
         system = TransitionSystem(
@@ -78,15 +78,15 @@ class TestVerdicts:
             rules=[Rule("inc", guard=lambda s: s < 2, apply=lambda s, ctx: [s + 1])],
             deadlock=DeadlockPolicy.allow(),
         )
-        assert BfsExplorer(system).run().verdict is Verdict.SUCCESS
+        assert ExplorationKernel(system).run().verdict is Verdict.SUCCESS
 
     def test_coverage_met(self):
         system = counter_system(coverage=[CoverageProperty("reaches-5", lambda s: s == 5)])
-        assert BfsExplorer(system).run().verdict is Verdict.SUCCESS
+        assert ExplorationKernel(system).run().verdict is Verdict.SUCCESS
 
     def test_coverage_unmet_is_failure_without_wildcards(self):
         system = counter_system(coverage=[CoverageProperty("reaches-9", lambda s: s == 9)])
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.verdict is Verdict.FAILURE
         assert result.failure_kind is FailureKind.COVERAGE
         assert result.unmet_coverage == ("reaches-9",)
@@ -108,22 +108,16 @@ class TestMinimalTraces:
             ],
             invariants=[Invariant("not-ten", lambda s: s != 10)],
         )
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.is_failure
         assert len(result.trace) == 1
         assert result.trace.rule_names == ["jump"]
 
     def test_trace_states_form_a_path(self):
         system = counter_system(invariants=[Invariant("small", lambda s: s < 4)])
-        trace = BfsExplorer(system).run().trace
+        trace = ExplorationKernel(system).run().trace
         states = [step.state for step in trace]
         assert states == [0, 1, 2, 3, 4]
-
-    def test_traces_disabled(self):
-        system = counter_system(invariants=[Invariant("small", lambda s: s < 4)])
-        result = BfsExplorer(system, record_traces=False).run()
-        assert result.is_failure
-        assert result.trace is None
 
 
 class TestWildcards:
@@ -147,7 +141,7 @@ class TestWildcards:
 
     def test_wildcard_yields_unknown(self):
         system, _hole = self.make_holed_system()
-        result = BfsExplorer(system, resolver=FixedResolver({}, strict=False)).run()
+        result = ExplorationKernel(system, resolver=FixedResolver({}, strict=False)).run()
         assert result.verdict is Verdict.UNKNOWN
         assert result.wildcard_encountered
         assert result.stats.wildcard_cuts >= 1
@@ -156,27 +150,27 @@ class TestWildcards:
         system, _hole = self.make_holed_system()
         # The initial state's only rule is wildcard-cut: must be UNKNOWN,
         # not a deadlock failure.
-        result = BfsExplorer(system, resolver=FixedResolver({}, strict=False)).run()
+        result = ExplorationKernel(system, resolver=FixedResolver({}, strict=False)).run()
         assert result.verdict is Verdict.UNKNOWN
 
     def test_assigned_hole_explores_fully(self):
         system, hole = self.make_holed_system()
         resolver = FixedResolver({hole: hole.domain[0]})
-        result = BfsExplorer(system, resolver=resolver).run()
+        result = ExplorationKernel(system, resolver=resolver).run()
         assert result.verdict is Verdict.SUCCESS
         assert result.executed_holes == frozenset({hole})
 
     def test_unmet_coverage_with_wildcards_is_unknown(self):
         system, _hole = self.make_holed_system()
         system.coverage.append(CoverageProperty("reach-2", lambda s: s == 2))
-        result = BfsExplorer(system, resolver=FixedResolver({}, strict=False)).run()
+        result = ExplorationKernel(system, resolver=FixedResolver({}, strict=False)).run()
         assert result.verdict is Verdict.UNKNOWN
         assert result.unmet_coverage == ("reach-2",)
 
 
 class TestLimitsAndCanonicalisation:
     def test_max_states_truncates_to_unknown(self):
-        result = BfsExplorer(
+        result = ExplorationKernel(
             counter_system(limit=1000),
             limits=ExplorationLimits(max_states=10),
         ).run()
@@ -184,7 +178,7 @@ class TestLimitsAndCanonicalisation:
         assert result.stats.truncated
 
     def test_max_depth_truncates_to_unknown(self):
-        result = BfsExplorer(
+        result = ExplorationKernel(
             counter_system(limit=1000),
             limits=ExplorationLimits(max_depth=3),
         ).run()
@@ -194,7 +188,7 @@ class TestLimitsAndCanonicalisation:
         system = counter_system(
             limit=1000, invariants=[Invariant("tiny", lambda s: s < 2)]
         )
-        result = BfsExplorer(system, limits=ExplorationLimits(max_states=500)).run()
+        result = ExplorationKernel(system, limits=ExplorationLimits(max_states=500)).run()
         assert result.verdict is Verdict.FAILURE
 
     def test_canonicalisation_merges_states(self):
@@ -209,13 +203,13 @@ class TestLimitsAndCanonicalisation:
             ],
             canonicalize=abs,
         )
-        result = BfsExplorer(system).run()
+        result = ExplorationKernel(system).run()
         assert result.verdict is Verdict.SUCCESS
         assert result.stats.states_visited == 5  # 0..4 instead of -4..4
 
     def test_graph_capture(self):
         graph = StateGraph()
-        BfsExplorer(counter_system(limit=3), capture_graph=graph).run()
+        ExplorationKernel(counter_system(limit=3), capture_graph=graph).run()
         assert graph.num_states == 4
         assert (3, 3, "stay") in graph.edges
         assert "digraph" in graph.to_dot()

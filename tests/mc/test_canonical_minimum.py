@@ -17,7 +17,7 @@ import pytest
 
 from repro import api
 from repro.fuzz import build_reference_system, generate_spec
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.packed import (
     AtomSlot,
     Block,
@@ -218,7 +218,7 @@ def test_msi4_compares_far_fewer_images_than_the_group_size():
     sorted-block restriction must stay well under 23 on average."""
     system = build_protocol("msi", 4)
     telemetry = Telemetry()
-    result = make_explorer("bfs", system, telemetry=telemetry).run()
+    result = ExplorationKernel(system, telemetry=telemetry).run()
     assert result.is_success
     snapshot = telemetry.metrics.snapshot()
 

@@ -1,19 +1,10 @@
-"""Tests for the unified exploration kernel and its strategy shells."""
+"""Tests for the exploration kernel."""
 
 import pytest
 
 from repro.errors import ModelError
-from repro.mc.bfs import BfsExplorer
-from repro.mc.dfs import DfsExplorer
 from repro.mc.graph import StateGraph
-from repro.mc.kernel import (
-    EXPLORER_STRATEGIES,
-    ExplorationKernel,
-    ExplorationLimits,
-    FifoFrontier,
-    LifoFrontier,
-    make_explorer,
-)
+from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.mc.properties import Invariant
 from repro.mc.result import Verdict
 from repro.mc.rule import Rule
@@ -33,7 +24,7 @@ def counter_system(limit=5, invariants=()):
 
 
 def branching_system(depth=6):
-    """A binary tree of states, so BFS and DFS schedules genuinely differ."""
+    """A binary tree of states, ``depth`` levels deep."""
     return TransitionSystem(
         name="tree",
         initial_states=[(0, 0)],
@@ -57,78 +48,46 @@ def branching_system(depth=6):
     )
 
 
-class TestFactory:
-    def test_registry_names(self):
-        assert set(EXPLORER_STRATEGIES) == {"bfs", "dfs"}
-
-    @pytest.mark.parametrize("name", ["bfs", "dfs"])
-    def test_make_explorer_runs(self, name):
-        result = make_explorer(name, counter_system()).run()
-        assert result.verdict is Verdict.SUCCESS
-        assert result.stats.states_visited == 6
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ModelError, match="unknown explorer"):
-            make_explorer("idfs", counter_system())
-
-    def test_shells_are_kernels(self):
-        assert isinstance(BfsExplorer(counter_system()), ExplorationKernel)
-        assert isinstance(DfsExplorer(counter_system()), ExplorationKernel)
-        assert isinstance(BfsExplorer(counter_system()).strategy, FifoFrontier)
-        assert isinstance(DfsExplorer(counter_system()).strategy, LifoFrontier)
-
-
-class TestTruncationParity:
-    """Regression: BFS and DFS must report identical ``truncated`` flags.
+class TestTruncation:
+    """Regression: the ``truncated`` flag for both limit kinds.
 
     BFS historically carried a redundant ``and queue`` in its max_states
-    guard; the shared kernel removed it.  These tests pin the strategy-
-    independent truncation semantics for both limit kinds.
+    guard; the kernel removed it.  These tests pin the truncation
+    semantics for both limit kinds.
     """
 
     @pytest.mark.parametrize("max_depth", [0, 1, 3])
-    def test_max_depth_truncation_identical(self, max_depth):
+    def test_max_depth_truncation(self, max_depth):
         limits = ExplorationLimits(max_depth=max_depth)
-        bfs = BfsExplorer(branching_system(), limits=limits).run()
-        dfs = DfsExplorer(branching_system(), limits=limits).run()
-        assert bfs.verdict is Verdict.UNKNOWN
-        assert dfs.verdict == bfs.verdict
-        assert bfs.stats.truncated is True
-        assert dfs.stats.truncated is True
-        assert bfs.message == dfs.message == "truncated exploration"
+        result = ExplorationKernel(branching_system(), limits=limits).run()
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.stats.truncated is True
+        assert result.message == "truncated exploration"
 
     def test_max_depth_not_truncated_when_limit_not_reached(self):
         limits = ExplorationLimits(max_depth=100)
-        bfs = BfsExplorer(counter_system(), limits=limits).run()
-        dfs = DfsExplorer(counter_system(), limits=limits).run()
-        assert bfs.stats.truncated is False
-        assert dfs.stats.truncated is False
+        result = ExplorationKernel(counter_system(), limits=limits).run()
+        assert result.stats.truncated is False
 
     @pytest.mark.parametrize("max_states", [1, 10])
-    def test_max_states_truncation_identical(self, max_states):
+    def test_max_states_truncation(self, max_states):
         limits = ExplorationLimits(max_states=max_states)
-        bfs = BfsExplorer(branching_system(), limits=limits).run()
-        dfs = DfsExplorer(branching_system(), limits=limits).run()
-        assert bfs.verdict is Verdict.UNKNOWN
-        assert dfs.verdict is Verdict.UNKNOWN
-        assert bfs.stats.truncated is True
-        assert dfs.stats.truncated is True
+        result = ExplorationKernel(branching_system(), limits=limits).run()
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.stats.truncated is True
         # The cap is checked at pop time, so registration may overshoot by
-        # at most one expansion's successors — identically for both.
-        assert bfs.stats.states_visited <= max_states + 2
-        assert dfs.stats.states_visited <= max_states + 2
+        # at most one expansion's successors.
+        assert result.stats.states_visited <= max_states + 2
 
 
-class TestDfsGainsKernelFeatures:
-    """DFS inherited graph capture and hole-path tracking from the kernel."""
-
-    def test_dfs_graph_capture(self):
+class TestKernelFeatures:
+    def test_graph_capture(self):
         graph = StateGraph()
-        DfsExplorer(counter_system(limit=3), capture_graph=graph).run()
+        ExplorationKernel(counter_system(limit=3), capture_graph=graph).run()
         assert graph.num_states == 4
         assert (3, 3, "stay") in graph.edges
 
-    def test_dfs_track_hole_paths_on_failure(self):
+    def test_track_hole_paths_on_failure(self):
         from repro.core.action import Action
         from repro.core.hole import Hole
         from repro.mc.context import FixedResolver
@@ -148,7 +107,7 @@ class TestDfsGainsKernelFeatures:
             ],
             invariants=[Invariant("lt2", lambda s: s < 2)],
         )
-        result = DfsExplorer(
+        result = ExplorationKernel(
             system,
             resolver=FixedResolver({hole: hole.domain[0]}),
             track_hole_paths=True,
@@ -156,22 +115,12 @@ class TestDfsGainsKernelFeatures:
         assert result.is_failure
         assert result.failure_holes == frozenset({hole})
 
-
-class TestStatsParity:
-    def test_full_exploration_stats_match(self):
-        bfs = BfsExplorer(branching_system()).run()
-        dfs = DfsExplorer(branching_system()).run()
-        assert bfs.verdict is Verdict.SUCCESS
-        assert dfs.stats.states_visited == bfs.stats.states_visited
-        assert dfs.stats.transitions_fired == bfs.stats.transitions_fired
-        assert dfs.stats.max_depth == bfs.stats.max_depth
-
     def test_codecless_system_shares_one_derived_runtime(self):
         from repro.mc.packed import WholeStateCodec
 
         system = counter_system()
-        first = BfsExplorer(system)
-        second = DfsExplorer(system)
+        first = ExplorationKernel(system)
+        second = ExplorationKernel(system)
         assert isinstance(first.packed_runtime.codec, WholeStateCodec)
         assert second.packed_runtime is first.packed_runtime
         assert first.run().stats.states_visited == second.run().stats.states_visited
@@ -434,7 +383,6 @@ class TestSeamExactness:
                 fresh = ExplorationKernel(
                     core.system,
                     resolver=core.make_resolver(vector),
-                    strategy=core.config.explorer,
                     track_hole_paths=core.config.generalise_active,
                 ).run()
                 pairs.append((result, fresh))

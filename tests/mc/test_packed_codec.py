@@ -135,11 +135,11 @@ def test_slab_cap_names_the_cap_and_the_exploration_bound(monkeypatch):
     the cap and the ``--max-states`` bound."""
     from repro.errors import ModelError
     from repro.mc import packed
-    from repro.mc.kernel import make_explorer
+    from repro.mc.kernel import ExplorationKernel
 
     monkeypatch.setattr(packed, "MAX_SLAB_ENTRIES", 10)
     with pytest.raises(ModelError) as excinfo:
-        make_explorer("bfs", build_protocol("mutex", 3)).run()
+        ExplorationKernel(build_protocol("mutex", 3)).run()
     message = str(excinfo.value)
     assert "MAX_SLAB_ENTRIES=10" in message
     assert "--max-states" in message

@@ -11,9 +11,8 @@ import itertools
 
 import pytest
 
-from repro.mc.bfs import BfsExplorer
 from repro.mc.context import FixedResolver
-from repro.mc.dfs import DfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.multiset import Multiset
 from repro.mc.result import Verdict
 from repro.mc.symmetry import Permuter, ScalarSet
@@ -49,7 +48,6 @@ def tiny_resolver(skeleton):
 class TestVerdictEquivalence:
     """Same verdict/failure-kind with and without canonicalisation."""
 
-    @pytest.mark.parametrize("explorer_cls", [BfsExplorer, DfsExplorer])
     @pytest.mark.parametrize(
         "builder",
         [
@@ -60,9 +58,9 @@ class TestVerdictEquivalence:
         ],
         ids=["mutex-2", "mutex-3", "msi-2", "mesi-2"],
     )
-    def test_complete_protocols(self, builder, explorer_cls):
-        reduced = explorer_cls(builder(True)).run()
-        full = explorer_cls(builder(False)).run()
+    def test_complete_protocols(self, builder):
+        reduced = ExplorationKernel(builder(True)).run()
+        full = ExplorationKernel(builder(False)).run()
         assert reduced.verdict == full.verdict
         assert reduced.failure_kind == full.failure_kind
         assert reduced.unmet_coverage == full.unmet_coverage
@@ -71,10 +69,10 @@ class TestVerdictEquivalence:
     def test_msi_tiny_skeleton_reference_completion(self):
         reduced_skel = tiny_skeleton(symmetry=True)
         full_skel = tiny_skeleton(symmetry=False)
-        reduced = BfsExplorer(
+        reduced = ExplorationKernel(
             reduced_skel.system, resolver=tiny_resolver(reduced_skel)
         ).run()
-        full = BfsExplorer(
+        full = ExplorationKernel(
             full_skel.system, resolver=tiny_resolver(full_skel)
         ).run()
         assert reduced.verdict is Verdict.SUCCESS
@@ -94,10 +92,10 @@ class TestVerdictEquivalence:
 
         reduced_skel = tiny_skeleton(symmetry=True)
         full_skel = tiny_skeleton(symmetry=False)
-        reduced = BfsExplorer(
+        reduced = ExplorationKernel(
             reduced_skel.system, resolver=bad_resolver(reduced_skel)
         ).run()
-        full = BfsExplorer(full_skel.system, resolver=bad_resolver(full_skel)).run()
+        full = ExplorationKernel(full_skel.system, resolver=bad_resolver(full_skel)).run()
         assert reduced.verdict is Verdict.FAILURE
         assert full.verdict == reduced.verdict
         assert reduced.failure_kind == full.failure_kind
@@ -161,24 +159,22 @@ class TestDerivedCodecMemo:
     def test_canonicalize_runs_once_per_interned_state(self):
         calls = []
         system = self.counting_system(calls)
-        first = BfsExplorer(system).run()
+        first = ExplorationKernel(system).run()
         assert calls
         assert len(calls) == len(set(calls))
         cold_calls = len(calls)
         # A second run reuses the system's runtime: every canonical id is
         # memoised, so the object canonicaliser is not called again.
-        second = BfsExplorer(system).run()
+        second = ExplorationKernel(system).run()
         assert len(calls) == cold_calls
         assert second.stats == first.stats
 
     def test_derived_codec_honours_canonicalize(self):
         """Without its codec, msi@3 explores on the codec derived from its
         ``canonicalize`` and lands on the codec's pinned numbers."""
-        from repro.mc.kernel import make_explorer
-
         system = build_msi_system(3)
         system.packed_spec = None
-        explorer = make_explorer("bfs", system)
+        explorer = ExplorationKernel(system)
         stats = explorer.run().stats
         assert (stats.states_visited, stats.transitions_fired) == (311, 884)
         assert explorer.fingerprint_visited() == 15288679981033395436
@@ -188,7 +184,7 @@ class TestDerivedCodecMemo:
 
         calls = []
         system = self.counting_system(calls)
-        explorer = BfsExplorer(system)
+        explorer = ExplorationKernel(system)
         explorer.run()
         before = len(calls)
         value = explorer.fingerprint_visited()

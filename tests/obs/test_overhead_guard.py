@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.kernel import make_explorer
+from repro.mc.kernel import ExplorationKernel
 from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 
 BENCH_PATH = os.path.join(
@@ -32,7 +32,7 @@ BENCH_PATH = os.path.join(
 
 class TestStructuralZeroOverhead:
     def test_kernel_without_telemetry_has_no_instrumentation(self):
-        explorer = make_explorer("bfs", PROTOCOL_BUILDERS["msi"](2))
+        explorer = ExplorationKernel(PROTOCOL_BUILDERS["msi"](2))
         result = explorer.run()
         assert result.is_success
         assert explorer.telemetry is None

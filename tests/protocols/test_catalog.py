@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.hole import Hole
-from repro.mc.bfs import BfsExplorer
 from repro.mc.context import FixedResolver
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.system import TransitionSystem
 from repro.protocols.catalog import (
     PROTOCOL_CATALOG,
@@ -65,7 +65,7 @@ class TestSkeletonCatalog:
         resolver = FixedResolver(
             {hole: hole.action_named(solution[hole.name]) for hole in holes}
         )
-        result = BfsExplorer(system, resolver=resolver).run()
+        result = ExplorationKernel(system, resolver=resolver).run()
         assert result.is_success
 
     def test_register_and_unregister_roundtrip(self):
@@ -101,7 +101,7 @@ class TestProtocolCatalog:
     def test_every_protocol_verifies_at_minimum_replicas(self, name):
         entry = PROTOCOL_CATALOG[name]
         system = build_protocol(name, entry.replicas[0])
-        assert BfsExplorer(system).run().is_success
+        assert ExplorationKernel(system).run().is_success
 
     def test_kwargs_are_accepted_everywhere(self):
         # Builders must tolerate the shared keyword surface.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols.german import (
@@ -22,12 +22,12 @@ from repro.protocols.german import (
 class TestReference:
     @pytest.mark.parametrize("n_clients", [1, 2, 3])
     def test_verifies(self, n_clients):
-        result = BfsExplorer(build_german_system(n_clients)).run()
+        result = ExplorationKernel(build_german_system(n_clients)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_known_state_counts(self):
         counts = {
-            n: BfsExplorer(build_german_system(n)).run().stats.states_visited
+            n: ExplorationKernel(build_german_system(n)).run().stats.states_visited
             for n in (1, 2, 3)
         }
         assert counts == {1: 10, 2: 122, 3: 900}
@@ -39,8 +39,8 @@ class TestReference:
             assert outcome.violated_invariant is None
 
     def test_symmetry_reduces(self):
-        reduced = BfsExplorer(build_german_system(3)).run()
-        full = BfsExplorer(build_german_system(3, symmetry=False)).run()
+        reduced = ExplorationKernel(build_german_system(3)).run()
+        full = ExplorationKernel(build_german_system(3, symmetry=False)).run()
         assert reduced.stats.states_visited < full.stats.states_visited
         assert full.verdict is Verdict.SUCCESS
 
@@ -49,7 +49,7 @@ class TestDataSemantics:
     def test_writeback_path_reachable(self):
         """The directory really collects dirty data: both grant-wait
         states and both data values are exercised."""
-        explorer = BfsExplorer(build_german_system(2))
+        explorer = ExplorationKernel(build_german_system(2))
         explorer.run()
         states = explorer.visited_representatives()
         assert any(s[1].st == GS_W for s in states)
@@ -60,7 +60,7 @@ class TestDataSemantics:
     def test_upgrade_race_reachable(self):
         """A client invalidated mid-upgrade lands in IE_W — the transient
         the german-small skeleton synthesises."""
-        explorer = BfsExplorer(build_german_system(2))
+        explorer = ExplorationKernel(build_german_system(2))
         explorer.run()
         races = [
             s
@@ -72,7 +72,7 @@ class TestDataSemantics:
     def test_sharers_always_see_last_write(self):
         # The data-integrity invariant holds in every reachable state by
         # construction; double-check it structurally here.
-        explorer = BfsExplorer(build_german_system(2))
+        explorer = ExplorationKernel(build_german_system(2))
         result = explorer.run()
         assert result.verdict is Verdict.SUCCESS
         for state in explorer.visited_representatives():
@@ -84,7 +84,7 @@ class TestDataSemantics:
 
 class TestSeededBug:
     def test_stale_shared_grant_is_caught(self):
-        result = BfsExplorer(
+        result = ExplorationKernel(
             build_german_system(2, bug="stale-shared-grant")
         ).run()
         assert result.verdict is Verdict.FAILURE

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols import mesi
@@ -19,12 +19,12 @@ from repro.protocols.mesi import (
 class TestReference:
     @pytest.mark.parametrize("n_caches", [1, 2, 3])
     def test_verifies(self, n_caches):
-        result = BfsExplorer(build_mesi_system(n_caches)).run()
+        result = ExplorationKernel(build_mesi_system(n_caches)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_known_state_counts(self):
         counts = {
-            n: BfsExplorer(build_mesi_system(n)).run().stats.states_visited
+            n: ExplorationKernel(build_mesi_system(n)).run().stats.states_visited
             for n in (1, 2, 3)
         }
         assert counts == {1: 9, 2: 70, 3: 335}
@@ -33,8 +33,8 @@ class TestReference:
         # The Exclusive state adds behaviour over MSI at the same size.
         from repro.protocols.msi.system import build_msi_system
 
-        mesi_states = BfsExplorer(build_mesi_system(2)).run().stats.states_visited
-        msi_states = BfsExplorer(build_msi_system(2)).run().stats.states_visited
+        mesi_states = ExplorationKernel(build_mesi_system(2)).run().stats.states_visited
+        msi_states = ExplorationKernel(build_msi_system(2)).run().stats.states_visited
         assert mesi_states > msi_states
 
     def test_random_walks(self):
@@ -44,8 +44,8 @@ class TestReference:
             assert outcome.violated_invariant is None
 
     def test_symmetry_reduces(self):
-        reduced = BfsExplorer(build_mesi_system(3)).run()
-        full = BfsExplorer(build_mesi_system(3, symmetry=False)).run()
+        reduced = ExplorationKernel(build_mesi_system(3)).run()
+        full = ExplorationKernel(build_mesi_system(3, symmetry=False)).run()
         assert reduced.stats.states_visited < full.stats.states_visited
         assert full.verdict is Verdict.SUCCESS
 
@@ -54,7 +54,7 @@ class TestExclusiveSemantics:
     def test_silent_upgrade_exists(self):
         """Some reachable state has a cache in M while the directory never
         saw a GetM from it (the silent E->M upgrade)."""
-        explorer = BfsExplorer(build_mesi_system(1))
+        explorer = ExplorationKernel(build_mesi_system(1))
         explorer.run()
         states = explorer.visited_representatives()
         assert any(mesi.C_E in s[0] for s in states)

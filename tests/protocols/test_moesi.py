@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols import moesi
@@ -19,12 +19,12 @@ from repro.protocols.moesi import (
 class TestReference:
     @pytest.mark.parametrize("n_caches", [1, 2, 3])
     def test_verifies(self, n_caches):
-        result = BfsExplorer(build_moesi_system(n_caches)).run()
+        result = ExplorationKernel(build_moesi_system(n_caches)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_known_state_counts(self):
         counts = {
-            n: BfsExplorer(build_moesi_system(n)).run().stats.states_visited
+            n: ExplorationKernel(build_moesi_system(n)).run().stats.states_visited
             for n in (1, 2, 3)
         }
         assert counts == {1: 9, 2: 83, 3: 613}
@@ -33,8 +33,8 @@ class TestReference:
         # The Owned state adds behaviour over MESI at the same size.
         from repro.protocols.mesi import build_mesi_system
 
-        moesi_states = BfsExplorer(build_moesi_system(2)).run().stats.states_visited
-        mesi_states = BfsExplorer(build_mesi_system(2)).run().stats.states_visited
+        moesi_states = ExplorationKernel(build_moesi_system(2)).run().stats.states_visited
+        mesi_states = ExplorationKernel(build_mesi_system(2)).run().stats.states_visited
         assert moesi_states > mesi_states
 
     def test_random_walks(self):
@@ -44,8 +44,8 @@ class TestReference:
             assert outcome.violated_invariant is None
 
     def test_symmetry_reduces(self):
-        reduced = BfsExplorer(build_moesi_system(3)).run()
-        full = BfsExplorer(build_moesi_system(3, symmetry=False)).run()
+        reduced = ExplorationKernel(build_moesi_system(3)).run()
+        full = ExplorationKernel(build_moesi_system(3, symmetry=False)).run()
         assert reduced.stats.states_visited < full.stats.states_visited
         assert full.verdict is Verdict.SUCCESS
 
@@ -54,7 +54,7 @@ class TestOwnedSemantics:
     def test_dirty_sharing_reachable(self):
         """Some reachable state has an Owned cache coexisting with a
         Shared one — the dirty-sharing configuration MESI cannot express."""
-        explorer = BfsExplorer(build_moesi_system(2))
+        explorer = ExplorationKernel(build_moesi_system(2))
         explorer.run()
         states = explorer.visited_representatives()
         assert any(
@@ -92,7 +92,7 @@ class TestOwnedSemantics:
 class TestSeededBug:
     def test_no_owner_inv_bug_is_caught(self):
         """Skipping the owner invalidation on a GetM in O violates SWMR."""
-        result = BfsExplorer(build_moesi_system(2, bug="no-owner-inv")).run()
+        result = ExplorationKernel(build_moesi_system(2, bug="no-owner-inv")).run()
         assert result.verdict is Verdict.FAILURE
         assert "swmr" in (result.message or "")
 

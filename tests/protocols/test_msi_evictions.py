@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SynthesisEngine
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols.msi import defs
@@ -15,25 +15,25 @@ from repro.protocols.msi.system import build_msi_system
 class TestEvictionReference:
     @pytest.mark.parametrize("n_caches", [1, 2, 3])
     def test_verifies(self, n_caches):
-        result = BfsExplorer(build_msi_system(n_caches, evictions=True)).run()
+        result = ExplorationKernel(build_msi_system(n_caches, evictions=True)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_eviction_grows_state_space(self):
-        base = BfsExplorer(build_msi_system(2)).run()
-        evict = BfsExplorer(build_msi_system(2, evictions=True)).run()
+        base = ExplorationKernel(build_msi_system(2)).run()
+        evict = ExplorationKernel(build_msi_system(2, evictions=True)).run()
         assert evict.stats.states_visited > base.stats.states_visited
 
     def test_known_state_counts(self):
         # Regression pins (recorded in EXPERIMENTS.md).
         counts = {
-            n: BfsExplorer(build_msi_system(n, evictions=True)).run().stats.states_visited
+            n: ExplorationKernel(build_msi_system(n, evictions=True)).run().stats.states_visited
             for n in (1, 2)
         }
         assert counts[1] == 16
         assert counts[2] == 209
 
     def test_base_protocol_unchanged_by_extension_code(self):
-        result = BfsExplorer(build_msi_system(2, evictions=False)).run()
+        result = ExplorationKernel(build_msi_system(2, evictions=False)).run()
         assert result.stats.states_visited == 59
 
     def test_random_walks(self):

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols.msi import defs
@@ -19,7 +19,7 @@ from repro.protocols.msi.system import build_msi_system
 class TestReferenceVerifies:
     @pytest.mark.parametrize("n_caches", [1, 2, 3])
     def test_complete_protocol_is_correct(self, n_caches):
-        result = BfsExplorer(build_msi_system(n_caches=n_caches)).run()
+        result = ExplorationKernel(build_msi_system(n_caches=n_caches)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_known_state_counts(self):
@@ -27,20 +27,20 @@ class TestReferenceVerifies:
         # protocol (recorded in EXPERIMENTS.md).
         counts = {}
         for n_caches in (1, 2, 3):
-            result = BfsExplorer(build_msi_system(n_caches=n_caches)).run()
+            result = ExplorationKernel(build_msi_system(n_caches=n_caches)).run()
             counts[n_caches] = result.stats.states_visited
         assert counts[1] == 10
         assert counts[2] == 59
         assert counts[3] == 311
 
     def test_symmetry_reduces_state_count(self):
-        with_symmetry = BfsExplorer(build_msi_system(2, symmetry=True)).run()
-        without = BfsExplorer(build_msi_system(2, symmetry=False)).run()
+        with_symmetry = ExplorationKernel(build_msi_system(2, symmetry=True)).run()
+        without = ExplorationKernel(build_msi_system(2, symmetry=False)).run()
         assert with_symmetry.stats.states_visited < without.stats.states_visited
         assert without.verdict is Verdict.SUCCESS
 
     def test_coverage_disabled_still_succeeds(self):
-        result = BfsExplorer(build_msi_system(2, coverage=False)).run()
+        result = ExplorationKernel(build_msi_system(2, coverage=False)).run()
         assert result.verdict is Verdict.SUCCESS
 
     def test_random_walks_respect_invariants(self):

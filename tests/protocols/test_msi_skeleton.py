@@ -6,7 +6,7 @@ from repro.core import SynthesisEngine
 from repro.core.candidate import CandidateVector
 from repro.core.discovery import CandidateResolver, HoleRegistry
 from repro.errors import SynthesisError
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.protocols.msi import (
     msi_large,
@@ -69,7 +69,7 @@ class TestReferenceAssignmentVerifies:
         digits = ()
         # Iterate discovery: run, extend assignment, until stable.
         for _round in range(20):
-            result = BfsExplorer(
+            result = ExplorationKernel(
                 skeleton.system,
                 resolver=CandidateResolver(
                     registry, CandidateVector.from_digits(digits)
@@ -86,7 +86,7 @@ class TestReferenceAssignmentVerifies:
     def test_wrong_completion_fails(self):
         skeleton = msi_tiny(n_caches=2)
         registry = HoleRegistry()
-        BfsExplorer(
+        ExplorationKernel(
             skeleton.system,
             resolver=CandidateResolver(registry, CandidateVector.empty()),
         ).run()
@@ -96,7 +96,7 @@ class TestReferenceAssignmentVerifies:
         # Respond with an invalidation ack instead of the data ack: the
         # directory sees an unexpected InvAck.
         digits = (response_hole.index_of("send_invack"),)
-        result = BfsExplorer(
+        result = ExplorationKernel(
             skeleton.system,
             resolver=CandidateResolver(registry, CandidateVector.from_digits(digits)),
         ).run()

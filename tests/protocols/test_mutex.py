@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols.mutex import (
@@ -17,7 +17,7 @@ from repro.protocols.mutex import (
 class TestReference:
     @pytest.mark.parametrize("n_clients", [1, 2, 3])
     def test_verifies(self, n_clients):
-        result = BfsExplorer(build_mutex_system(n_clients)).run()
+        result = ExplorationKernel(build_mutex_system(n_clients)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_random_walks(self):

@@ -3,7 +3,7 @@
 
 from repro.core.candidate import CandidateVector
 from repro.core.discovery import CandidateResolver, HoleRegistry
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.protocols.toy import (
     DECISION_STATES,
@@ -38,7 +38,7 @@ def test_correct_assignment_verifies():
     # instead, build the digits in hole construction order (same thing here).
     holes = build_figure2_holes()
     # The skeleton creates its own hole objects; fetch them via a probe run.
-    probe = BfsExplorer(
+    probe = ExplorationKernel(
         system, resolver=CandidateResolver(registry, CandidateVector.empty())
     ).run()
     assert probe.verdict is Verdict.UNKNOWN
@@ -47,7 +47,7 @@ def test_correct_assignment_verifies():
         digits.append(hole.index_of(solution[hole.name]))
     # Iterate: each run discovers the next hole.
     while True:
-        result = BfsExplorer(
+        result = ExplorationKernel(
             system,
             resolver=CandidateResolver(
                 registry, CandidateVector.from_digits(tuple(digits))
@@ -64,12 +64,12 @@ def test_correct_assignment_verifies():
 def test_wrong_assignment_fails():
     system = build_figure2_skeleton()
     registry = HoleRegistry()
-    BfsExplorer(
+    ExplorationKernel(
         system, resolver=CandidateResolver(registry, CandidateVector.empty())
     ).run()
     (hole1,) = registry.holes
     digits = (hole1.index_of("A"),)  # A leads straight to the error state
-    result = BfsExplorer(
+    result = ExplorationKernel(
         system,
         resolver=CandidateResolver(registry, CandidateVector.from_digits(digits)),
     ).run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SynthesisEngine
-from repro.mc.bfs import BfsExplorer
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols.vi import (
@@ -16,12 +16,12 @@ from repro.protocols.vi import (
 class TestReference:
     @pytest.mark.parametrize("n_clients", [1, 2, 3])
     def test_verifies(self, n_clients):
-        result = BfsExplorer(build_vi_system(n_clients)).run()
+        result = ExplorationKernel(build_vi_system(n_clients)).run()
         assert result.verdict is Verdict.SUCCESS, result.summary()
 
     def test_symmetry_reduces(self):
-        reduced = BfsExplorer(build_vi_system(3)).run()
-        full = BfsExplorer(build_vi_system(3, symmetry=False)).run()
+        reduced = ExplorationKernel(build_vi_system(3)).run()
+        full = ExplorationKernel(build_vi_system(3, symmetry=False)).run()
         assert reduced.stats.states_visited < full.stats.states_visited
         assert full.verdict is Verdict.SUCCESS
 

@@ -9,7 +9,7 @@ failures the conflict also includes every hole executed by the
 (successor-less) firings attempted at the final state.
 
 :func:`replay_conflict` returns ``None`` when there is nothing to replay
-(COVERAGE failures, ``record_traces=False``) or the replay does not
+(COVERAGE failures, store replays) or the replay does not
 reproduce the trace; an empty pattern means the trace executed no holes.
 """
 

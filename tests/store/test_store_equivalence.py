@@ -80,8 +80,8 @@ class TestStandDown:
         assert "limits" in status["store"].reason
 
     def test_different_flags_never_share_verdicts(self, tmp_path):
-        run_sequential(str(tmp_path))  # bfs verdicts
-        other = run_sequential(str(tmp_path), explorer="dfs")
+        run_sequential(str(tmp_path))  # generalised verdicts
+        other = run_sequential(str(tmp_path), generalise_conflicts=False)
         assert other.store_hits == 0
         assert other.store_writes == other.evaluated
 

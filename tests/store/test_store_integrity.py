@@ -176,8 +176,8 @@ class TestKeys:
 
     def test_flags_signature_separates_verdict_affecting_knobs(self):
         base = flags_signature(SynthesisConfig())
-        assert flags_signature(SynthesisConfig(explorer="dfs")) != base
         assert flags_signature(SynthesisConfig(pruning=False)) != base
+        assert flags_signature(SynthesisConfig(generalise_conflicts=False)) != base
         # Performance-only knobs share verdicts.
         assert flags_signature(SynthesisConfig(prefix_reuse=False)) == base
         assert flags_signature(SynthesisConfig(compute_fingerprints=True)) == base
@@ -187,7 +187,6 @@ class TestKeys:
         # key set is pinned; the default config hashes exactly these.
         expected = {
             "pruning": True,
-            "explorer": "bfs",
             "generalise": True,
         }
         assert flags_signature(SynthesisConfig()) == _digest(expected)
@@ -223,10 +222,15 @@ class TestKeys:
 
     def test_mismatched_flags_are_never_consulted(self, tmp_path):
         store = VerdictStore(str(tmp_path))
-        bfs_flags = flags_signature(SynthesisConfig())
-        dfs_flags = flags_signature(SynthesisConfig(explorer="dfs"))
-        store.record(candidate_key(SYS, bfs_flags, (("h", 0),)), stored())
-        assert store.lookup(candidate_key(SYS, dfs_flags, (("h", 0),))) is None
+        default_flags = flags_signature(SynthesisConfig())
+        full_width_flags = flags_signature(
+            SynthesisConfig(generalise_conflicts=False)
+        )
+        store.record(candidate_key(SYS, default_flags, (("h", 0),)), stored())
+        assert (
+            store.lookup(candidate_key(SYS, full_width_flags, (("h", 0),)))
+            is None
+        )
         store.close()
 
     def test_system_signature_separates_shapes(self):

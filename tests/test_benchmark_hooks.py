@@ -5,7 +5,8 @@
 rename in ``src/`` makes ``layers.install`` raise ``AttributeError`` and
 fails every traced benchmark repeat; this test fails first.  It imports
 the module read-only, in a fresh interpreter so the wrappers never touch
-this process, and runs one small synthesis under them.
+this process, and runs one small synthesis and one ``api.verify`` (the
+verify-zoo workload's path to the kernel) under them.
 """
 
 import json
@@ -24,9 +25,15 @@ layers.install(tracer, sys.argv[3])
 from repro.core import SynthesisEngine
 from repro.protocols.catalog import build_skeleton
 report = SynthesisEngine(build_skeleton("msi-tiny")).run()
+synth_spans = sorted({span[0] for span in tracer.spans})
+tracer.reset()
+from repro import api
+result = api.verify("mutex")
 print(json.dumps({
     "solutions": len(report.solutions),
-    "spans": sorted({span[0] for span in tracer.spans}),
+    "spans": synth_spans,
+    "verified": result.is_success,
+    "verify_spans": sorted({span[0] for span in tracer.spans}),
 }))
 """
 
@@ -51,3 +58,5 @@ def test_layers_install_wraps_every_hook(tmp_path):
     for span in ("engine.evaluate", "pruning.generalise", "pruning.matcher",
                  "pruning.table_add", "kernel.run"):
         assert span in outcome["spans"], span
+    assert outcome["verified"]
+    assert "kernel.run" in outcome["verify_spans"]

@@ -16,12 +16,8 @@ class TestVerify:
     def test_verify_with_evictions(self, capsys):
         assert main(["verify", "msi", "--caches", "2", "--evictions"]) == 0
 
-    def test_verify_dfs(self, capsys):
-        assert main(["verify", "vi", "--procs", "2", "--dfs"]) == 0
-        assert "success" in capsys.readouterr().out
-
-    def test_verify_explorer_flag(self, capsys):
-        assert main(["verify", "vi", "--procs", "2", "--explorer", "dfs"]) == 0
+    def test_verify_vi(self, capsys):
+        assert main(["verify", "vi", "--procs", "2"]) == 0
         assert "success" in capsys.readouterr().out
 
     def test_verify_no_symmetry(self, capsys):
@@ -78,16 +74,6 @@ class TestSynth:
         out = capsys.readouterr().out
         assert f"{backend} backend" in out
         assert "solutions:         1" in out
-
-    def test_synth_explorer_dfs(self, capsys):
-        assert main(["synth", "mutex", "--explorer", "dfs"]) == 0
-        out = capsys.readouterr().out
-        assert "dfs explorer" in out
-        assert "solutions:         1" in out
-
-    def test_synth_explorer_default_is_bfs(self, capsys):
-        assert main(["synth", "figure2"]) == 0
-        assert "bfs explorer" in capsys.readouterr().out
 
     def test_synth_groups(self, capsys):
         assert main(["synth", "msi-tiny", "--groups"]) == 0

@@ -75,16 +75,6 @@ class TestBadWorkerCounts:
 
 
 class TestConflictingFlags:
-    def test_dfs_contradicts_explicit_bfs(self, capsys):
-        run_expect_usage_error(
-            capsys,
-            ["verify", "vi", "--dfs", "--explorer", "bfs"],
-            "conflicting flags",
-        )
-
-    def test_dfs_with_matching_explorer_is_fine(self, capsys):
-        assert main(["verify", "vi", "--dfs", "--explorer", "dfs"]) == 0
-
     @pytest.mark.parametrize("argv", [
         ["verify", "moesi", "--por"],
         ["synth", "figure2", "--family"],
@@ -93,8 +83,11 @@ class TestConflictingFlags:
         ["synth", "msi-tiny", "--packed"],
         ["matrix", "--preset", "smoke", "--no-packed"],
         ["synth", "msi-tiny", "--refined"],
+        ["synth", "mutex", "--explorer", "dfs"],
+        ["verify", "vi", "--dfs"],
     ], ids=["por", "family", "no-family", "verify-no-packed",
-            "synth-packed", "matrix-no-packed", "refined"])
+            "synth-packed", "matrix-no-packed", "refined", "synth-explorer",
+            "verify-dfs"])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
