@@ -3,24 +3,22 @@
 Every exploration runs on packed encodings, so the kernel is checked
 against two baselines that share none of its machinery:
 
-* a test-local plain search (:func:`reference_explore`) over object
+* the plain breadth-first search of :mod:`tests.bfs_oracle` over object
   states — ``rule.guard``/``rule.fire``, ``system.canonicalize``, the
   invariants and the deadlock policy, with no codec and no memo.  On
   every catalog protocol (seeded bugs, the eviction extension and
-  symmetry off included), under both frontier strategies, the kernel
-  must report the same verdict, failure kind and
-  state/transition/attempt counts, and any counterexample trace must
-  *replay* as real firings.  Its visited set also fixes the solution
-  fingerprint: the kernel's ``fingerprint_visited`` must equal
-  ``fingerprint_state_set`` over the reference's canonical states;
+  symmetry off included), the kernel must report the same verdict,
+  failure kind, state/transition/attempt counts, depth and trace, and
+  any counterexample trace must *replay* as real firings.  Its visited
+  set also fixes the solution fingerprint: the kernel's
+  ``fingerprint_visited`` must equal ``fingerprint_state_set`` over the
+  reference's canonical states;
 * for synthesis, the same skeleton with its codec removed, which
   explores on the whole-state codec derived from ``canonicalize``: the
   solution sets, per-candidate verdicts, fingerprints and ``evaluated``
   counts must match under every acceleration toggle and on the process
   backend.
 """
-
-from collections import deque
 
 import pytest
 
@@ -34,6 +32,8 @@ from repro.mc.kernel import ExplorationKernel
 from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 from repro.protocols.german import build_german_system
 from repro.protocols.moesi import build_moesi_system
+
+from tests.bfs_oracle import assert_matches_reference, reference_bfs
 
 VERIFY_SYSTEMS = [
     ("mutex", lambda: PROTOCOL_BUILDERS["mutex"](2)),
@@ -61,53 +61,6 @@ SKELETONS = [
     "moesi-small",
     "german-small",
 ]
-
-
-def reference_explore(system):
-    """Plain breadth-first search with the kernel's verdict semantics.
-
-    Invariants are checked on each new state as it is generated, and
-    coverage once the frontier drains.  A state that produced no
-    successor is a deadlock unless the policy accepts it.  Returns
-    ``(failure kind or None, counts, canonical visited set)``.
-    """
-    rules = list(system.rules)
-    ctx = ExecutionContext()
-    visited = set()
-    frontier = deque()
-    pending = list(system.coverage)
-    counts = {"states": 0, "transitions": 0, "attempts": 0}
-
-    def add(state):
-        """Dedup and enqueue; True if a new state violates an invariant."""
-        canon = system.canonicalize(state)
-        if canon in visited:
-            return False
-        visited.add(canon)
-        counts["states"] += 1
-        pending[:] = [prop for prop in pending if not prop.satisfied_by(state)]
-        frontier.append(state)
-        return any(not inv.holds(state) for inv in system.invariants)
-
-    for state in system.initial_states():
-        if add(state):
-            return "invariant", counts, visited
-    while frontier:
-        state = frontier.popleft()
-        produced = False
-        for rule in rules:
-            if not rule.guard(state):
-                continue
-            counts["attempts"] += 1
-            successors = rule.fire(state, ctx)
-            produced = produced or bool(successors)
-            for successor in successors:
-                counts["transitions"] += 1
-                if add(successor):
-                    return "invariant", counts, visited
-        if not produced and system.deadlock.is_deadlock(state):
-            return "deadlock", counts, visited
-    return ("coverage" if pending else None), counts, visited
 
 
 def replay_trace(system, trace):
@@ -167,16 +120,11 @@ def executed_view(report):
 @pytest.mark.parametrize("label,builder", VERIFY_SYSTEMS,
                          ids=[label for label, _ in VERIFY_SYSTEMS])
 def test_verify_runs_match_the_reference(label, builder):
-    kind, counts, _visited = reference_explore(builder())
+    reference = reference_bfs(builder())
     system = builder()
     assert system.packed_spec is not None
     result = ExplorationKernel(system).run()
-    assert (result.failure_kind.value if result.failure_kind else None) == kind
-    assert result.is_success == (kind is None)
-    stats = result.stats
-    assert stats.states_visited == counts["states"]
-    assert stats.transitions_fired == counts["transitions"]
-    assert stats.rules_attempted == counts["attempts"]
+    assert_matches_reference(result, reference)
     if result.trace is not None:
         # Traces are decoded back to object states, so they must replay
         # as real firings on a fresh system.
@@ -188,8 +136,7 @@ def test_fingerprints_match_the_reference(label):
     """The kernel's fingerprint memo hashes exactly the reference's
     canonical visited set, with the codec and without it."""
     builder = dict(VERIFY_SYSTEMS)[label]
-    _kind, _counts, visited = reference_explore(builder())
-    expected = fingerprint_state_set(visited)
+    expected = fingerprint_state_set(reference_bfs(builder()).visited)
     for system in (builder(), without_codec(builder())):
         explorer = ExplorationKernel(system)
         explorer.run()
