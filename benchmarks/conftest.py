@@ -8,7 +8,7 @@ Conventions:
   ``benchmark.extra_info``;
 * expensive configurations are opt-in through environment variables:
   ``VERC3_BENCH_SMALL=0`` skips the minute-scale MSI-small rows,
-  ``VERC3_BENCH_LARGE=1`` enables the MSI-large rows (tens of minutes),
+  ``VERC3_BENCH_LARGE=1`` enables the MSI-large rows (about 10 s each),
   ``VERC3_BENCH_CACHES`` overrides the cache count (default 2; the paper's
   testbed used more but CPython pays ~5x per extra cache);
 * results land in the tracked ``BENCH_*.json`` and ``table1_output.txt``

@@ -48,12 +48,8 @@ REPLICAS = 3
 #: candidate checks per configuration; >1 exercises the cross-run memo
 #: reuse every synthesis pass gets for free
 REPEATS = 4
-#: alternating samples behind the telemetry-off ceiling; the ratio it
-#: gates is ~1.0 by construction, so it needs many samples
-TELEMETRY_TRIALS = 41
-#: disabled-telemetry single-candidate checks must stay within 3% of the
-#: plain kernel's (median over one session's trials)
-OVERHEAD_CEILING = 1.03
+#: alternating on/off samples behind the telemetry-on bound
+TELEMETRY_TRIALS = 9
 
 
 def update_bench_json(section: str, payload: dict) -> None:
@@ -167,19 +163,20 @@ def test_telemetry_overhead(benchmark, tmp_path):
     observability PR).
 
     Single-threaded, MSI-small at 3 replicas with the reference
-    completion, the ``single_candidate`` shape.  Three sides
-    alternate on one warm system for ``TELEMETRY_TRIALS`` trials: the
-    plain kernel (``ExplorationKernel``, the ``single_candidate`` shape), the
-    kernel handed an explicit ``telemetry=None``, and the full bundle
-    (metrics registry, kernel phase timings, a JSONL trace on disk).
+    completion, the ``single_candidate`` shape.  Two sides alternate on
+    one warm system for ``TELEMETRY_TRIALS`` trials: the kernel handed an
+    explicit ``telemetry=None`` and the full bundle (metrics registry,
+    kernel phase timings, a JSONL trace on disk).  The disabled path is
+    the plain kernel itself, so it has no timing ceiling of its own: it is
+    pinned structurally by ``tests/obs/test_overhead_guard.py``.
 
-    The ceilings are asserted on medians of this session's paired ratios.
+    The bound is asserted on the median of this session's paired ratios.
     Samples are process CPU seconds with the collector paused, as in
     ``timeit``: the question is how much work the plumbing adds, and on a
-    shared host wall-clock ratios of two identical ~20 ms checks swing by
-    more than the 3% being gated.
+    shared host wall-clock ratios of two identical ~20 ms checks swing
+    widely.
 
-    Correctness gates the measurement: all sides must visit identical
+    Correctness gates the measurement: both sides must visit identical
     state counts (telemetry is pure observation).
     """
     from repro.obs import Telemetry
@@ -202,9 +199,6 @@ def test_telemetry_overhead(benchmark, tmp_path):
         finally:
             gc.enable()
 
-    def plain():
-        return ExplorationKernel(system, resolver=resolver)
-
     def factory_off():
         return ExplorationKernel(system, resolver=resolver, telemetry=None)
 
@@ -213,41 +207,31 @@ def test_telemetry_overhead(benchmark, tmp_path):
     def factory_on():
         return ExplorationKernel(system, resolver=resolver, telemetry=tele)
 
-    timed_checks(plain)  # warm the packed memos for every side alike
-    plain_samples, off_samples, on_samples = [], [], []
-    off_ratios, on_ratios = [], []
+    timed_checks(factory_off)  # warm the packed memos for both sides alike
+    off_samples, on_samples, on_ratios = [], [], []
     for trial in range(TELEMETRY_TRIALS):
         # Alternate which side goes first so drift hits both equally.
         if trial % 2:
-            plain_seconds, plain_results = timed_checks(plain)
             off_seconds, off_results = timed_checks(factory_off)
-        else:
-            off_seconds, off_results = timed_checks(factory_off)
-            plain_seconds, plain_results = timed_checks(plain)
         if trial == TELEMETRY_TRIALS - 1:
             on_seconds, on_results = run_once(
                 benchmark, lambda: timed_checks(factory_on)
             )
         else:
             on_seconds, on_results = timed_checks(factory_on)
-        plain_samples.append(plain_seconds)
+        if not trial % 2:
+            off_seconds, off_results = timed_checks(factory_off)
         off_samples.append(off_seconds)
         on_samples.append(on_seconds)
-        off_ratios.append(off_seconds / plain_seconds if plain_seconds else 1.0)
         on_ratios.append(on_seconds / off_seconds if off_seconds else 1.0)
     trace_events = tele.events_written
     tele.close()
 
-    for plain_res, off_res, on_res in zip(
-        plain_results, off_results, on_results
-    ):
-        assert plain_res.verdict is Verdict.SUCCESS
+    for off_res, on_res in zip(off_results, on_results):
         assert off_res.verdict is Verdict.SUCCESS
         assert on_res.verdict is Verdict.SUCCESS
-        assert off_res.stats.states_visited == plain_res.stats.states_visited
         assert on_res.stats.states_visited == off_res.stats.states_visited
 
-    off_vs_plain = statistics.median(off_ratios)
     on_vs_off = statistics.median(on_ratios)
     off_seconds = statistics.median(off_samples)
     on_seconds = statistics.median(on_samples)
@@ -258,13 +242,7 @@ def test_telemetry_overhead(benchmark, tmp_path):
         "trials": TELEMETRY_TRIALS,
         "clock": "process_time",
         "skeleton": "msi-small",
-        "off_vs_plain_median": round(off_vs_plain, 4),
         "rows": [
-            {
-                "config": "plain kernel",
-                "seconds": round(statistics.median(plain_samples), 4),
-                "states_per_check": plain_results[0].stats.states_visited,
-            },
             {
                 "config": "telemetry-off",
                 "seconds": round(off_seconds, 4),
@@ -283,13 +261,11 @@ def test_telemetry_overhead(benchmark, tmp_path):
     sys.__stdout__.write(
         f"\nBENCH_mc: telemetry overhead {overhead:+.1%} "
         f"({off_seconds:.3f}s off -> {on_seconds:.3f}s on over "
-        f"{REPEATS} checks), off vs plain kernel {off_vs_plain:.3f}x\n"
+        f"{REPEATS} checks)\n"
     )
     sys.__stdout__.flush()
     benchmark.extra_info.update(payload)
 
-    # The disabled path must stay free: within 3% of the plain kernel.
-    assert off_vs_plain <= OVERHEAD_CEILING, off_ratios
     # Tracing every span/phase of a sub-second check is allowed to cost
     # real percentage points; it must not multiply the run.
     assert on_vs_off < 2.0, on_ratios

@@ -147,7 +147,7 @@ class TestMsiSmall:
 
 @pytest.mark.skipif(not large_enabled(), reason="set VERC3_BENCH_LARGE=1 to run")
 class TestMsiLarge:
-    """The paper's MSI-large: 12 holes (tens of minutes in CPython)."""
+    """The paper's MSI-large: 12 holes (about 10 s sequential with pruning)."""
 
     def test_large_one_thread_pruning(self, benchmark, table1_rows):
         report = run_once(benchmark, lambda: synth(msi_large(bench_caches()).system))

@@ -7,9 +7,9 @@ Sizes:
 
 * ``tiny``  — 1 cache rule, 2 holes (seconds);
 * ``small`` — 2 directory + 1 cache rules, 8 holes; the paper's MSI-small,
-  candidate space 231,525 (about a minute with 2 caches);
+  candidate space 231,525 (about a second with 2 caches);
 * ``large`` — 2 directory + 3 cache rules, 12 holes; the paper's
-  MSI-large, candidate space 102,102,525 (tens of minutes).
+  MSI-large, candidate space 102,102,525 (about 10 s with 2 caches).
 
 Run:  python examples/msi_synthesis.py [tiny|small|large] [n_caches]
 """

@@ -13,9 +13,7 @@ import sys
 
 from repro.mc.kernel import ExplorationKernel
 from repro.protocols.msi import defs
-from repro.protocols.msi.defs import format_state
-from repro.protocols.msi.cache import make_reference_completion, reference_cache_table
-from repro.protocols.msi.system import build_msi_system
+from repro.protocols.msi.system import MSI, build_msi_system
 from repro.util.timing import Stopwatch
 
 
@@ -36,16 +34,14 @@ def verify_reference(n_caches: int) -> None:
 
 def demonstrate_bug(n_caches: int) -> None:
     print(f"\n== injected bug: IM_D+Data acks but stays in IM_D ==")
-    table = reference_cache_table()
-    table[(defs.C_IM_D, defs.DATA)] = make_reference_completion(
-        "send_dataack", "goto_IM_D"
-    )
+    table = MSI.reference_cache_table()
+    table[(defs.C_IM_D, defs.DATA)] = MSI.cache_completion("send_dataack", "goto_IM_D")
     system = build_msi_system(n_caches, cache_table=table, name="msi-buggy")
     result = ExplorationKernel(system).run()
     print(f"  verdict: {result.summary()}")
     if result.trace is not None:
         print("  minimal counterexample:")
-        for line in result.trace.format(format_state).splitlines():
+        for line in result.trace.format(MSI.format_state).splitlines():
             print("   ", line)
 
 

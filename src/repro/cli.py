@@ -27,7 +27,6 @@ Examples::
     python -m repro matrix --preset smoke
     python -m repro matrix --preset table1 --out matrix-runs/table1
     python -m repro fuzz --seed 0 --count 50
-    python -m repro fuzz --count 5 --lattice full --no-shrink
 
 The full flag reference lives in ``docs/cli.md``; the matrix-spec format
 in ``docs/experiments.md``.
@@ -61,7 +60,7 @@ from repro.protocols.catalog import (
     SKELETON_CATALOG,
     build_skeleton_with_holes,
 )
-from repro.protocols.msi.defs import format_state
+from repro.protocols.msi.system import MSI
 
 #: complete protocols: name -> builder(n, **kwargs) — the catalog registry
 PROTOCOLS: Dict[str, Callable] = PROTOCOL_BUILDERS
@@ -264,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of consecutive seeds to sweep "
                            "(default: 20)")
     fuzz.add_argument(
-        "--lattice", choices=("ablation", "full", "tier1"),
+        "--lattice", choices=("ablation", "tier1"),
         default="ablation",
         help="configuration lattice to sweep: 'ablation' (default) pins "
-             "every acceleration against a shared reference, 'full' runs "
-             "the cartesian corners, 'tier1' is the fast sequential-only "
-             "set the checked-in corpus replays",
+             "every acceleration and backend against a shared reference, "
+             "'tier1' is the fast sequential-only set the checked-in "
+             "corpus replays",
     )
     shrink_group = fuzz.add_mutually_exclusive_group()
     shrink_group.add_argument(
@@ -353,7 +352,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         result = kernel.run()
     print(f"{system.name}: {result.summary()}")
     if result.trace is not None:
-        formatter = format_state if args.protocol == "msi" else repr
+        formatter = MSI.format_state if args.protocol == "msi" else repr
         print("counterexample:")
         print(result.trace.format(formatter))
     return 0 if result.is_success else 1

@@ -930,6 +930,8 @@ class SynthesisCore:
                 ),
             )
             self.solutions.append(solution)
+            if handles is not None:
+                handles["solutions"].inc()
             self.observer.on_solution(solution, holes)
             if self.config.pruning and self.config.success_patterns:
                 self.success_table.add(PruningPattern.from_candidate(vector))

@@ -28,7 +28,6 @@ from repro.fuzz.differential import (
     SpecCheck,
     SynthLatticeConfig,
     ablation_lattice,
-    full_lattice,
     replay_trace,
     tier1_lattice,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "build_reference_system",
     "build_skeleton_from_spec",
     "build_system_from_payload",
-    "full_lattice",
     "generate_spec",
     "load_corpus",
     "load_entry",

@@ -40,7 +40,6 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import BACKENDS
 from repro.core.candidate import CandidateVector
 from repro.core.engine import SynthesisConfig, SynthesisCore, SynthesisEngine
 from repro.fuzz.spec import (
@@ -174,27 +173,6 @@ def ablation_lattice() -> Lattice:
     )
 
 
-def full_lattice() -> Lattice:
-    """The corners: every backend (x symmetry for the kernel side), plus
-    the sequential ``wholestate`` oracle.  Opt in for small ``--count``
-    runs; the ablation lattice covers the same promises at a fraction of
-    the cost."""
-    verify = [
-        KernelConfig("ref"),
-        KernelConfig("nosym", symmetry=False),
-        KernelConfig("wholestate", wholestate=True),
-    ]
-    synth = [
-        SynthLatticeConfig(backend, backend=backend) for backend in BACKENDS
-    ] + [
-        SynthLatticeConfig("wholestate", wholestate=True),
-        SynthLatticeConfig("nosym", symmetry=False),
-        SynthLatticeConfig("noreuse", prefix_reuse=False),
-        SynthLatticeConfig("nogen", generalise=False),
-    ]
-    return Lattice("full", tuple(verify), tuple(synth))
-
-
 def tier1_lattice() -> Lattice:
     """The corpus-replay lattice: sequential-only, seconds per spec, so the
     checked-in corpus fits tier-1's time guard."""
@@ -214,7 +192,6 @@ def tier1_lattice() -> Lattice:
 
 LATTICES: Dict[str, Callable[[], Lattice]] = {
     "ablation": ablation_lattice,
-    "full": full_lattice,
     "tier1": tier1_lattice,
 }
 

@@ -14,7 +14,7 @@ counterexample replay:
   schemas the DSL carries (:mod:`repro.dsl.fields` — ``IdField`` /
   ``IdSetField`` rename hooks say exactly which slots are replica-indexed)
   or, for hand-written protocols, from a discovery spec over their field
-  tables (:func:`repro.protocols.msi.defs.packed_spec`).  A system with
+  tables (:func:`repro.protocols.dirfamily.packed_spec`).  A system with
   neither gets a derived :class:`WholeStateCodec`: whole states interned
   in one slot, canonicalised by the system's own ``canonicalize``.  Every
   exploration therefore runs on this module.

@@ -13,9 +13,8 @@ transient structure:
 * shared grants (``DataS``) need no acknowledgement;
 * invalidating "the owner" must work for owners in E *or* M.
 
-State layout is identical to the MSI module::
-
-    (caches, dirst, owner, sharers, req, acks, net)
+The state layout, rule compiler and hole builder are the directory
+family's (:mod:`repro.protocols.dirfamily`); this module is MESI's tables.
 
 Cache states: I, S, E, M, IS_D, IM_D, SM_D, IS_D_I.
 Directory states: I, S, EM, IE_A, SM_A, ES_A, EM_A.
@@ -24,21 +23,14 @@ Messages: GetS, GetM, DataS, DataE, Inv, InvAck, DataAck.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.action import Action
 from repro.core.hole import Hole
-from repro.errors import SynthesisError
-from repro.mc.multiset import Multiset
-from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
-from repro.mc.rule import Rule
-from repro.mc.symmetry import Permuter, ScalarSet
+from repro.mc.properties import CoverageProperty, Invariant
 from repro.mc.system import TransitionSystem
-
-# The MESI state tuple has byte-for-byte the same layout as MSI's
-# ``(caches, dirst, owner, sharers, req, acks, net)``, so the sorted-replica
-# fast-path projection is shared rather than duplicated.
-from repro.protocols.msi.defs import packed_spec, replica_keys
+from repro.protocols import dirfamily
+from repro.protocols.dirfamily import Handler, View
 
 # -- states ---------------------------------------------------------------------
 
@@ -65,75 +57,17 @@ DIR_EXPECTS = {
     DATAACK: frozenset({D_IE_A}),
 }
 
+#: what a cache waiting in each transient state is entitled to wait for
+WAIT_EXPECTATIONS = {
+    C_IS_D: (GETS, DATAS, DATAE, INV),
+    C_IS_D_I: (GETS, DATAS, DATAE),
+    C_IM_D: (GETM, DATAE, INV),
+    C_SM_D: (GETM, DATAE, INV),
+}
+
 LOAD, STORE = "Load", "Store"
-_SPONTANEOUS = frozenset({LOAD, STORE})
-
-State = Tuple
-
-
-def initial_state(n_caches: int) -> State:
-    """All caches invalid, directory invalid, empty network."""
-    return ((C_I,) * n_caches, D_I, -1, frozenset(), -1, 0, Multiset())
-
-
-class View:
-    """Mutable per-firing scratch copy (same shape as the MSI module's)."""
-
-    __slots__ = ("caches", "dirst", "owner", "sharers", "req", "acks", "net")
-
-    def __init__(self, state: State) -> None:
-        caches, dirst, owner, sharers, req, acks, net = state
-        self.caches = list(caches)
-        self.dirst = dirst
-        self.owner = owner
-        self.sharers = sharers
-        self.req = req
-        self.acks = acks
-        self.net = net
-
-    def send(self, mtype: str, cache: int) -> None:
-        """Put a message addressed to (or tagged with) ``cache`` in flight."""
-        self.net = self.net.add((mtype, cache))
-
-    def consume(self, mtype: str, cache: int) -> None:
-        """Remove one in-flight message."""
-        self.net = self.net.remove((mtype, cache))
-
-    def goto_dir(self, code: int) -> None:
-        """Move the directory; stable states clear transaction state."""
-        self.dirst = code
-        if code in DIR_STABLE:
-            self.req = -1
-            self.acks = 0
-
-    def freeze(self) -> State:
-        """Back to the immutable tuple representation."""
-        return (
-            tuple(self.caches), self.dirst, self.owner, self.sharers,
-            self.req, self.acks, self.net,
-        )
-
-
-def permute_state(state: State, mapping: Tuple[int, ...]) -> State:
-    """Rename cache indices throughout one state (symmetry support)."""
-    caches, dirst, owner, sharers, req, acks, net = state
-    new_caches = list(caches)
-    for old_index, cache_state in enumerate(caches):
-        new_caches[mapping[old_index]] = cache_state
-    return (
-        tuple(new_caches),
-        dirst,
-        -1 if owner < 0 else mapping[owner],
-        frozenset(mapping[s] for s in sharers),
-        -1 if req < 0 else mapping[req],
-        acks,
-        net.map(lambda msg: (msg[0], mapping[msg[1]])),
-    )
-
 
 # -- cache controller --------------------------------------------------------------
-
-Handler = Callable[[View, int, object], None]
 
 #: holeable transient completions: (response action, next state) by name
 REFERENCE_CACHE_COMPLETIONS: Dict[Tuple[int, str], Tuple[str, str]] = {
@@ -186,64 +120,46 @@ def cache_next_domain() -> List[Action]:
     ]
 
 
-def _completion_handler(response_name: str, next_name: str) -> Handler:
-    response = {a.name: a for a in cache_response_domain()}[response_name]
-    next_state = {a.name: a for a in cache_next_domain()}[next_name]
-
-    def handler(view: View, cache: int, ctx: object) -> None:
-        response.fn(view, cache)
-        view.caches[cache] = next_state.payload
-
-    return handler
+def _load(view: View, cache: int, ctx: object) -> None:
+    view.send(GETS, cache)
+    view.caches[cache] = C_IS_D
 
 
-def _holed_handler(response_hole: Hole, next_hole: Hole) -> Handler:
-    def handler(view: View, cache: int, ctx) -> None:
-        ctx.resolve(response_hole).fn(view, cache)
-        view.caches[cache] = ctx.resolve(next_hole).payload
-
-    return handler
+def _store_i(view: View, cache: int, ctx: object) -> None:
+    view.send(GETM, cache)
+    view.caches[cache] = C_IM_D
 
 
-def reference_cache_table() -> Dict[Tuple[int, str], Handler]:
-    """The complete cache controller (transients from the reference table)."""
-    def load(view, cache, ctx):
-        view.send(GETS, cache)
-        view.caches[cache] = C_IS_D
+def _store_s(view: View, cache: int, ctx: object) -> None:
+    view.send(GETM, cache)
+    view.caches[cache] = C_SM_D
 
-    def store_i(view, cache, ctx):
-        view.send(GETM, cache)
-        view.caches[cache] = C_IM_D
 
-    def store_s(view, cache, ctx):
-        view.send(GETM, cache)
-        view.caches[cache] = C_SM_D
+def _store_e(view: View, cache: int, ctx: object) -> None:
+    # The MESI hallmark: silent upgrade, no directory traffic.
+    view.caches[cache] = C_M
 
-    def store_e(view, cache, ctx):
-        # The MESI hallmark: silent upgrade, no directory traffic.
-        view.caches[cache] = C_M
 
-    def inv_ack_to_i(view, cache, ctx):
-        view.send(INVACK, cache)
-        view.caches[cache] = C_I
+def _inv_ack_to_i(view: View, cache: int, ctx: object) -> None:
+    view.send(INVACK, cache)
+    view.caches[cache] = C_I
 
-    def inv_stale(view, cache, ctx):
-        view.send(INVACK, cache)
 
-    table: Dict[Tuple[int, str], Handler] = {
-        (C_I, LOAD): load,
-        (C_I, STORE): store_i,
-        (C_S, STORE): store_s,
-        (C_E, STORE): store_e,
-        (C_S, INV): inv_ack_to_i,
-        (C_E, INV): inv_ack_to_i,
-        (C_M, INV): inv_ack_to_i,
-        (C_I, INV): inv_stale,
-    }
-    for key, names in REFERENCE_CACHE_COMPLETIONS.items():
-        table[key] = _completion_handler(*names)
-    return table
+def _inv_stale(view: View, cache: int, ctx: object) -> None:
+    view.send(INVACK, cache)
 
+
+#: the designer-written stable entries
+CACHE_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (C_I, LOAD): _load,
+    (C_I, STORE): _store_i,
+    (C_S, STORE): _store_s,
+    (C_E, STORE): _store_e,
+    (C_S, INV): _inv_ack_to_i,
+    (C_E, INV): _inv_ack_to_i,
+    (C_M, INV): _inv_ack_to_i,
+    (C_I, INV): _inv_stale,
+}
 
 # -- directory controller --------------------------------------------------------------
 
@@ -328,90 +244,56 @@ def dir_track_domain() -> List[Action]:
     ]
 
 
-_DIR_RESPONSES = {a.name: a for a in dir_response_domain()}
-_DIR_TRACKS = {a.name: a for a in dir_track_domain()}
-_DIR_NEXTS = {a.name: a for a in dir_next_domain()}
+_dir_triple = dirfamily.action_triple(
+    dir_response_domain(), dir_track_domain(), dir_next_domain()
+)
 
 
-def _dir_triple(view: View, cache: int, response: str, nxt: str, track: str) -> None:
-    _DIR_RESPONSES[response].fn(view, cache)
-    _DIR_TRACKS[track].fn(view, cache)
-    view.goto_dir(_DIR_NEXTS[nxt].payload)
+def _gets_in_i(view: View, cache: int, ctx: object) -> None:
+    # No other copy exists: grant *exclusive* (the E optimisation) and
+    # serialise until the grantee acks.
+    view.req = cache
+    _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
 
-def _dir_completion_handler(key, response: str, nxt: str, track: str) -> Handler:
-    counts_acks = key in ACK_COUNTING
-
-    def handler(view: View, cache: int, ctx: object) -> None:
-        if counts_acks:
-            view.acks -= 1
-            if view.acks > 0:
-                return
-        _dir_triple(view, cache, response, nxt, track)
-
-    return handler
+def _getm_in_i(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
 
-def _dir_holed_handler(key, holes: Tuple[Hole, Hole, Hole]) -> Handler:
-    response_hole, next_hole, track_hole = holes
-    counts_acks = key in ACK_COUNTING
-
-    def handler(view: View, cache: int, ctx) -> None:
-        if counts_acks:
-            view.acks -= 1
-            if view.acks > 0:
-                return
-        ctx.resolve(response_hole).fn(view, cache)
-        ctx.resolve(track_hole).fn(view, cache)
-        view.goto_dir(ctx.resolve(next_hole).payload)
-
-    return handler
+def _gets_in_s(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_data_shared", "goto_S", "add_req_sharer")
 
 
-def reference_dir_table() -> Dict[Tuple[int, str], Handler]:
-    """The complete directory controller."""
-    def gets_in_i(view, cache, ctx):
-        # No other copy exists: grant *exclusive* (the E optimisation) and
-        # serialise until the grantee acks.
-        view.req = cache
+def _getm_in_s(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    targets = view.sharers - {cache}
+    if targets:
+        _dir_triple(view, cache, "send_inv_sharers", "goto_SM_A", "none")
+    else:
         _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
-    def getm_in_i(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
-    def gets_in_s(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_data_shared", "goto_S", "add_req_sharer")
+def _gets_in_em(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_inv_owner", "goto_ES_A", "none")
 
-    def getm_in_s(view, cache, ctx):
-        view.req = cache
-        targets = view.sharers - {cache}
-        if targets:
-            _dir_triple(view, cache, "send_inv_sharers", "goto_SM_A", "none")
-        else:
-            _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
-    def gets_in_em(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_inv_owner", "goto_ES_A", "none")
+def _getm_in_em(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_inv_owner", "goto_EM_A", "none")
 
-    def getm_in_em(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_inv_owner", "goto_EM_A", "none")
 
-    table: Dict[Tuple[int, str], Handler] = {
-        (D_I, GETS): gets_in_i,
-        (D_I, GETM): getm_in_i,
-        (D_S, GETS): gets_in_s,
-        (D_S, GETM): getm_in_s,
-        (D_EM, GETS): gets_in_em,
-        (D_EM, GETM): getm_in_em,
-    }
-    for key, names in REFERENCE_DIR_COMPLETIONS.items():
-        table[key] = _dir_completion_handler(key, *names)
-    return table
-
+#: the designer-written stable entries
+DIR_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (D_I, GETS): _gets_in_i,
+    (D_I, GETM): _getm_in_i,
+    (D_S, GETS): _gets_in_s,
+    (D_S, GETM): _getm_in_s,
+    (D_EM, GETS): _gets_in_em,
+    (D_EM, GETM): _getm_in_em,
+}
 
 # -- properties -----------------------------------------------------------------------
 
@@ -428,20 +310,6 @@ def _mesi_swmr(state) -> bool:
     return not (exclusive == 1 and readers > 1)
 
 
-def _no_unexpected_message(state) -> bool:
-    caches, dirst, _owner, _sharers, _req, _acks, net = state
-    for mtype, cache in net.distinct():
-        expected_cache = CACHE_EXPECTS.get(mtype)
-        if expected_cache is not None:
-            if caches[cache] not in expected_cache:
-                return False
-            continue
-        expected_dir = DIR_EXPECTS.get(mtype)
-        if expected_dir is not None and dirst not in expected_dir:
-            return False
-    return True
-
-
 def _dir_bookkeeping(state) -> bool:
     _caches, dirst, owner, sharers, _req, _acks, _net = state
     if dirst == D_EM and owner < 0:
@@ -451,46 +319,14 @@ def _dir_bookkeeping(state) -> bool:
     return True
 
 
-_WAIT_EXPECTATIONS = {
-    C_IS_D: (GETS, DATAS, DATAE, INV),
-    C_IS_D_I: (GETS, DATAS, DATAE),
-    C_IM_D: (GETM, DATAE, INV),
-    C_SM_D: (GETM, DATAE, INV),
-}
-
-
-def _no_orphaned_wait(state) -> bool:
-    caches, dirst, _owner, _sharers, req, _acks, net = state
-    for index, cache_state in enumerate(caches):
-        expected = _WAIT_EXPECTATIONS.get(cache_state)
-        if expected is None:
-            continue
-        if req == index and dirst not in DIR_STABLE:
-            continue
-        if any((mtype, index) in net for mtype in expected):
-            continue
-        return False
-    return True
-
-
-def _quiescent(state) -> bool:
-    caches, dirst, _owner, _sharers, _req, _acks, net = state
-    if net:
-        return False
-    if dirst not in DIR_STABLE:
-        return False
-    return all(c in CACHE_STABLE for c in caches)
-
-
 def mesi_invariants(n_caches: int) -> List[Invariant]:
     """Safety property set: coherence plus message/bookkeeping integrity."""
-    bound = 2 * n_caches + 2
     return [
         Invariant("swmr", _mesi_swmr),
-        Invariant("no-unexpected-message", _no_unexpected_message),
+        dirfamily.no_unexpected_message(CACHE_EXPECTS, DIR_EXPECTS),
         Invariant("dir-bookkeeping", _dir_bookkeeping),
-        Invariant("no-orphaned-wait", _no_orphaned_wait),
-        Invariant("network-bounded", lambda s, _b=bound: len(s[6]) <= _b),
+        dirfamily.no_orphaned_wait(WAIT_EXPECTATIONS, DIR_STABLE),
+        dirfamily.network_bounded(2 * n_caches + 2),
     ]
 
 
@@ -514,98 +350,47 @@ def mesi_coverage(n_caches: int) -> List[CoverageProperty]:
 
 # -- assembly -------------------------------------------------------------------------
 
-
-def _cache_rule(c: int, state_code: int, event: str, handler: Handler) -> Rule:
-    state_name = CACHE_STATE_NAMES[state_code]
-    if event in _SPONTANEOUS:
-        def guard(state, _c=c, _code=state_code):
-            return state[0][_c] == _code
-    else:
-        def guard(state, _c=c, _code=state_code, _ev=event):
-            return state[0][_c] == _code and (_ev, _c) in state[6]
-
-    def apply(state, ctx, _c=c, _ev=event, _handler=handler):
-        view = View(state)
-        if _ev not in _SPONTANEOUS:
-            view.consume(_ev, _c)
-        _handler(view, _c, ctx)
-        return [view.freeze()]
-
-    return Rule(f"cache{c}:{state_name}+{event}", guard, apply, params={"c": c})
-
-
-def _dir_rule(c: int, state_code: int, event: str, handler: Handler) -> Rule:
-    state_name = DIR_STATE_NAMES[state_code]
-
-    def guard(state, _c=c, _code=state_code, _ev=event):
-        return state[1] == _code and (_ev, _c) in state[6]
-
-    def apply(state, ctx, _c=c, _ev=event, _handler=handler):
-        view = View(state)
-        view.consume(_ev, _c)
-        _handler(view, _c, ctx)
-        return [view.freeze()]
-
-    return Rule(f"dir:{state_name}+{event}[c={c}]", guard, apply, params={"c": c})
+MESI = dirfamily.DirectoryProtocol(
+    hole_prefix="mesi.",
+    cache_states=CACHE_STATE_NAMES,
+    dir_states=DIR_STATE_NAMES,
+    view=dirfamily.view_class(DIR_STABLE),
+    spontaneous=frozenset({LOAD, STORE}),
+    cache_order=CACHE_TABLE_ORDER,
+    dir_order=DIR_TABLE_ORDER,
+    cache_handlers=CACHE_HANDLERS,
+    dir_handlers=DIR_HANDLERS,
+    cache_completions=REFERENCE_CACHE_COMPLETIONS,
+    dir_completions=REFERENCE_DIR_COMPLETIONS,
+    ack_counting=ACK_COUNTING,
+    cache_response_domain=cache_response_domain,
+    cache_next_domain=cache_next_domain,
+    dir_response_domain=dir_response_domain,
+    dir_next_domain=dir_next_domain,
+    dir_track_domain=dir_track_domain,
+    invariants=mesi_invariants,
+    coverage=mesi_coverage,
+    quiescent=dirfamily.quiescence(CACHE_STABLE, DIR_STABLE),
+)
 
 
 def build_mesi_system(
     n_caches: int = 2,
-    cache_table: Optional[Dict] = None,
-    dir_table: Optional[Dict] = None,
+    cache_table: Optional[dirfamily.Table] = None,
+    dir_table: Optional[dirfamily.Table] = None,
     name: str = "mesi",
     symmetry: bool = True,
     coverage: bool = True,
 ) -> TransitionSystem:
     """The complete MESI protocol (or a skeleton when tables are passed)."""
-    if n_caches < 1:
-        raise ValueError("n_caches must be >= 1")
-    cache_table = cache_table if cache_table is not None else reference_cache_table()
-    dir_table = dir_table if dir_table is not None else reference_dir_table()
-
-    rules = []
-    for c in range(n_caches):
-        for key in CACHE_TABLE_ORDER:
-            if key in cache_table:
-                rules.append(_cache_rule(c, key[0], key[1], cache_table[key]))
-    for key in DIR_TABLE_ORDER:
-        if key in dir_table:
-            for c in range(n_caches):
-                rules.append(_dir_rule(c, key[0], key[1], dir_table[key]))
-
-    canonicalize = None
-    if symmetry and n_caches > 1:
-        permuter = Permuter.for_single(
-            ScalarSet("cache", n_caches), permute_state,
-            replica_keys=replica_keys,
-        )
-        canonicalize = permuter.canonicalize
-
-    return TransitionSystem(
-        name=f"{name}-{n_caches}c",
-        initial_states=[initial_state(n_caches)],
-        rules=rules,
-        invariants=mesi_invariants(n_caches),
-        coverage=mesi_coverage(n_caches) if coverage else [],
-        deadlock=DeadlockPolicy.fail(quiescent=_quiescent),
-        canonicalize=canonicalize,
-        # MESI shares the MSI 7-tuple layout, so the discovery spec is shared.
-        packed_spec=packed_spec(n_caches, symmetry=symmetry),
+    return MESI.system(
+        n_caches,
+        cache_table,
+        dir_table,
+        name=name,
+        symmetry=symmetry,
+        coverage=coverage,
     )
-
-
-# -- skeletons -------------------------------------------------------------------------
-
-REFERENCE_ASSIGNMENT_NAMES: Dict[str, str] = {}
-for (code, event), (resp, nxt) in REFERENCE_CACHE_COMPLETIONS.items():
-    _rule = f"{CACHE_STATE_NAMES[code]}+{event}"
-    REFERENCE_ASSIGNMENT_NAMES[f"mesi.cache.{_rule}.response"] = resp
-    REFERENCE_ASSIGNMENT_NAMES[f"mesi.cache.{_rule}.next"] = nxt
-for (code, event), (resp, nxt, track) in REFERENCE_DIR_COMPLETIONS.items():
-    _rule = f"{DIR_STATE_NAMES[code]}+{event}"
-    REFERENCE_ASSIGNMENT_NAMES[f"mesi.dir.{_rule}.response"] = resp
-    REFERENCE_ASSIGNMENT_NAMES[f"mesi.dir.{_rule}.next"] = nxt
-    REFERENCE_ASSIGNMENT_NAMES[f"mesi.dir.{_rule}.track"] = track
 
 
 def build_mesi_skeleton(
@@ -620,41 +405,15 @@ def build_mesi_skeleton(
     cache take E, and must it acknowledge?  Only (send_dataack, goto_E)
     satisfies the coverage property that some cache actually reaches E.
     """
-    cache_table = reference_cache_table()
-    dir_table = reference_dir_table()
-    holes: List[Hole] = []
-
-    for key in cache_rules:
-        if key not in REFERENCE_CACHE_COMPLETIONS:
-            raise SynthesisError(f"cache rule {key} is not holeable")
-        rule = f"{CACHE_STATE_NAMES[key[0]]}+{key[1]}"
-        response = Hole(f"mesi.cache.{rule}.response", cache_response_domain())
-        next_state = Hole(f"mesi.cache.{rule}.next", cache_next_domain())
-        cache_table[key] = _holed_handler(response, next_state)
-        holes.extend([response, next_state])
-
-    for key in dir_rules:
-        if key not in REFERENCE_DIR_COMPLETIONS:
-            raise SynthesisError(f"directory rule {key} is not holeable")
-        rule = f"{DIR_STATE_NAMES[key[0]]}+{key[1]}"
-        triple = (
-            Hole(f"mesi.dir.{rule}.response", dir_response_domain()),
-            Hole(f"mesi.dir.{rule}.next", dir_next_domain()),
-            Hole(f"mesi.dir.{rule}.track", dir_track_domain()),
-        )
-        dir_table[key] = _dir_holed_handler(key, triple)
-        holes.extend(triple)
-
-    system = build_mesi_system(
+    return MESI.skeleton(
+        cache_rules,
+        dir_rules,
         n_caches=n_caches,
-        cache_table=cache_table,
-        dir_table=dir_table,
         name="mesi-skeleton",
         coverage=coverage,
     )
-    return system, holes
 
 
 def reference_assignment_for(holes: List[Hole]) -> Dict[str, str]:
-    """Restrict the full reference assignment to the given holes."""
-    return {hole.name: REFERENCE_ASSIGNMENT_NAMES[hole.name] for hole in holes}
+    """Hole name -> reference action name, for the given holes."""
+    return MESI.reference_assignment(holes)

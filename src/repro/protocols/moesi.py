@@ -14,9 +14,8 @@ changes the directory's shape:
   sharers) in addition to MESI's ``EM``, and a ``GetM`` arriving in ``O``
   must invalidate the sharers *and* the owner before granting.
 
-State layout is byte-for-byte the MSI/MESI tuple::
-
-    (caches, dirst, owner, sharers, req, acks, net)
+The state layout, rule compiler and hole builder are the directory
+family's (:mod:`repro.protocols.dirfamily`); this module is MOESI's tables.
 
 Cache states: I, S, E, O, M, IS_D, IM_D, SM_D, OM_A, IS_D_I.
 Directory states: I, S, EM, O, IE_A, SM_A, EM_A, EO_A, OM_AD.
@@ -34,19 +33,15 @@ without invalidating the owner and is caught by the coherence invariant.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import dataclasses
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.action import Action
 from repro.core.hole import Hole
-from repro.errors import SynthesisError
-from repro.mc.multiset import Multiset
-from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
-from repro.mc.rule import Rule
-from repro.mc.symmetry import Permuter, ScalarSet
+from repro.mc.properties import CoverageProperty, Invariant
 from repro.mc.system import TransitionSystem
-
-# Same 7-tuple layout as MSI/MESI, so the sorted-replica fast path is shared.
-from repro.protocols.msi.defs import packed_spec, replica_keys
+from repro.protocols import dirfamily
+from repro.protocols.dirfamily import Handler, View
 
 # -- states ---------------------------------------------------------------------
 
@@ -90,78 +85,21 @@ DIR_EXPECTS = {
     ACKS: frozenset({D_EO_A}),
 }
 
-LOAD, STORE = "Load", "Store"
-_SPONTANEOUS = frozenset({LOAD, STORE})
+#: what a cache waiting in each transient state is entitled to wait for
+WAIT_EXPECTATIONS = {
+    C_IS_D: (GETS, DATAS, DATAE, INV),
+    C_IS_D_I: (GETS, DATAS, DATAE),
+    C_IM_D: (GETM, DATAE, INV),
+    C_SM_D: (GETM, DATAE, INV),
+    C_OM_A: (GETM, DATAE, INV),
+}
 
-State = Tuple
+LOAD, STORE = "Load", "Store"
 
 #: seeded-bug names accepted by :func:`build_moesi_system`
 BUGS = ("no-owner-inv",)
 
-
-def initial_state(n_caches: int) -> State:
-    """All caches invalid, directory invalid, empty network."""
-    return ((C_I,) * n_caches, D_I, -1, frozenset(), -1, 0, Multiset())
-
-
-class View:
-    """Mutable per-firing scratch copy (same shape as the MESI module's)."""
-
-    __slots__ = ("caches", "dirst", "owner", "sharers", "req", "acks", "net")
-
-    def __init__(self, state: State) -> None:
-        caches, dirst, owner, sharers, req, acks, net = state
-        self.caches = list(caches)
-        self.dirst = dirst
-        self.owner = owner
-        self.sharers = sharers
-        self.req = req
-        self.acks = acks
-        self.net = net
-
-    def send(self, mtype: str, cache: int) -> None:
-        """Put a message addressed to (or tagged with) ``cache`` in flight."""
-        self.net = self.net.add((mtype, cache))
-
-    def consume(self, mtype: str, cache: int) -> None:
-        """Remove one in-flight message."""
-        self.net = self.net.remove((mtype, cache))
-
-    def goto_dir(self, code: int) -> None:
-        """Move the directory; entering a stable state clears transaction state."""
-        self.dirst = code
-        if code in DIR_STABLE:
-            self.req = -1
-            self.acks = 0
-
-    def freeze(self) -> State:
-        """Back to the immutable tuple representation."""
-        return (
-            tuple(self.caches), self.dirst, self.owner, self.sharers,
-            self.req, self.acks, self.net,
-        )
-
-
-def permute_state(state: State, mapping: Tuple[int, ...]) -> State:
-    """Rename cache indices throughout one state (symmetry support)."""
-    caches, dirst, owner, sharers, req, acks, net = state
-    new_caches = list(caches)
-    for old_index, cache_state in enumerate(caches):
-        new_caches[mapping[old_index]] = cache_state
-    return (
-        tuple(new_caches),
-        dirst,
-        -1 if owner < 0 else mapping[owner],
-        frozenset(mapping[s] for s in sharers),
-        -1 if req < 0 else mapping[req],
-        acks,
-        net.map(lambda msg: (msg[0], mapping[msg[1]])),
-    )
-
-
 # -- cache controller --------------------------------------------------------------
-
-Handler = Callable[[View, int, object], None]
 
 #: holeable transient completions: (response action, next state) by name
 REFERENCE_CACHE_COMPLETIONS: Dict[Tuple[int, str], Tuple[str, str]] = {
@@ -248,72 +186,54 @@ def cache_next_domain() -> List[Action]:
     ]
 
 
-def _completion_handler(response_name: str, next_name: str) -> Handler:
-    response = {a.name: a for a in cache_response_domain()}[response_name]
-    next_state = {a.name: a for a in cache_next_domain()}[next_name]
-
-    def handler(view: View, cache: int, ctx: object) -> None:
-        response.fn(view, cache)
-        view.caches[cache] = next_state.payload
-
-    return handler
+def _load(view: View, cache: int, ctx: object) -> None:
+    view.send(GETS, cache)
+    view.caches[cache] = C_IS_D
 
 
-def _holed_handler(response_hole: Hole, next_hole: Hole) -> Handler:
-    def handler(view: View, cache: int, ctx) -> None:
-        ctx.resolve(response_hole).fn(view, cache)
-        view.caches[cache] = ctx.resolve(next_hole).payload
-
-    return handler
+def _store_i(view: View, cache: int, ctx: object) -> None:
+    view.send(GETM, cache)
+    view.caches[cache] = C_IM_D
 
 
-def reference_cache_table() -> Dict[Tuple[int, str], Handler]:
-    """The complete cache controller (transients from the reference table)."""
+def _store_s(view: View, cache: int, ctx: object) -> None:
+    view.send(GETM, cache)
+    view.caches[cache] = C_SM_D
 
-    def load(view, cache, ctx):
-        view.send(GETS, cache)
-        view.caches[cache] = C_IS_D
 
-    def store_i(view, cache, ctx):
-        view.send(GETM, cache)
-        view.caches[cache] = C_IM_D
+def _store_e(view: View, cache: int, ctx: object) -> None:
+    # Inherited MESI hallmark: silent upgrade, no directory traffic.
+    view.caches[cache] = C_M
 
-    def store_s(view, cache, ctx):
-        view.send(GETM, cache)
-        view.caches[cache] = C_SM_D
 
-    def store_e(view, cache, ctx):
-        # Inherited MESI hallmark: silent upgrade, no directory traffic.
-        view.caches[cache] = C_M
+def _store_o(view: View, cache: int, ctx: object) -> None:
+    # An owner cannot upgrade silently — sharers must be invalidated.
+    view.send(GETM, cache)
+    view.caches[cache] = C_OM_A
 
-    def store_o(view, cache, ctx):
-        # An owner cannot upgrade silently — sharers must be invalidated.
-        view.send(GETM, cache)
-        view.caches[cache] = C_OM_A
 
-    def inv_ack_to_i(view, cache, ctx):
-        view.send(INVACK, cache)
-        view.caches[cache] = C_I
+def _inv_ack_to_i(view: View, cache: int, ctx: object) -> None:
+    view.send(INVACK, cache)
+    view.caches[cache] = C_I
 
-    def inv_stale(view, cache, ctx):
-        view.send(INVACK, cache)
 
-    table: Dict[Tuple[int, str], Handler] = {
-        (C_I, LOAD): load,
-        (C_I, STORE): store_i,
-        (C_S, STORE): store_s,
-        (C_E, STORE): store_e,
-        (C_O, STORE): store_o,
-        (C_S, INV): inv_ack_to_i,
-        (C_E, INV): inv_ack_to_i,
-        (C_O, INV): inv_ack_to_i,
-        (C_M, INV): inv_ack_to_i,
-        (C_I, INV): inv_stale,
-    }
-    for key, names in REFERENCE_CACHE_COMPLETIONS.items():
-        table[key] = _completion_handler(*names)
-    return table
+def _inv_stale(view: View, cache: int, ctx: object) -> None:
+    view.send(INVACK, cache)
 
+
+#: the designer-written stable entries
+CACHE_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (C_I, LOAD): _load,
+    (C_I, STORE): _store_i,
+    (C_S, STORE): _store_s,
+    (C_E, STORE): _store_e,
+    (C_O, STORE): _store_o,
+    (C_S, INV): _inv_ack_to_i,
+    (C_E, INV): _inv_ack_to_i,
+    (C_O, INV): _inv_ack_to_i,
+    (C_M, INV): _inv_ack_to_i,
+    (C_I, INV): _inv_stale,
+}
 
 # -- directory controller --------------------------------------------------------------
 
@@ -418,98 +338,65 @@ def dir_track_domain() -> List[Action]:
     ]
 
 
-_DIR_RESPONSES = {a.name: a for a in dir_response_domain()}
-_DIR_TRACKS = {a.name: a for a in dir_track_domain()}
-_DIR_NEXTS = {a.name: a for a in dir_next_domain()}
+_dir_triple = dirfamily.action_triple(
+    dir_response_domain(), dir_track_domain(), dir_next_domain()
+)
 
 
-def _dir_triple(view: View, cache: int, response: str, nxt: str, track: str) -> None:
-    _DIR_RESPONSES[response].fn(view, cache)
-    _DIR_TRACKS[track].fn(view, cache)
-    view.goto_dir(_DIR_NEXTS[nxt].payload)
+def _gets_in_i(view: View, cache: int, ctx: object) -> None:
+    # No other copy exists: grant exclusive (the E optimisation) and
+    # serialise until the grantee acks.
+    view.req = cache
+    _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
 
-def _dir_completion_handler(key, response: str, nxt: str, track: str) -> Handler:
-    counts_acks = key in ACK_COUNTING
-
-    def handler(view: View, cache: int, ctx: object) -> None:
-        if counts_acks:
-            view.acks -= 1
-            if view.acks > 0:
-                return
-        _dir_triple(view, cache, response, nxt, track)
-
-    return handler
+def _getm_in_i(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
 
-def _dir_holed_handler(key, holes: Tuple[Hole, Hole, Hole]) -> Handler:
-    response_hole, next_hole, track_hole = holes
-    counts_acks = key in ACK_COUNTING
-
-    def handler(view: View, cache: int, ctx) -> None:
-        if counts_acks:
-            view.acks -= 1
-            if view.acks > 0:
-                return
-        ctx.resolve(response_hole).fn(view, cache)
-        ctx.resolve(track_hole).fn(view, cache)
-        view.goto_dir(ctx.resolve(next_hole).payload)
-
-    return handler
+def _gets_in_s(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_data_shared", "goto_S", "add_req_sharer")
 
 
-def reference_dir_table(bug: Optional[str] = None) -> Dict[Tuple[int, str], Handler]:
-    """The complete directory controller.
+def _getm_in_s(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    targets = view.sharers - {cache}
+    if targets:
+        _dir_triple(view, cache, "send_inv_sharers", "goto_SM_A", "none")
+    else:
+        _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
-    ``bug="no-owner-inv"`` seeds the classic write-serialisation bug: a
-    ``GetM`` arriving while the line is Owned grants exclusive access after
-    collecting sharer acks but never invalidates the *owner*, so requester
-    and owner end up writable/readable together (caught by ``swmr``).
+
+def _gets_forwarded(view: View, cache: int, ctx: object) -> None:
+    # MOESI divergence from MESI: the owner (in EM or O) is *forwarded to*,
+    # not invalidated — it answers the reader itself.
+    view.req = cache
+    _dir_triple(view, cache, "send_fwd_gets", "goto_EO_A", "none")
+
+
+def _getm_in_em(view: View, cache: int, ctx: object) -> None:
+    view.req = cache
+    _dir_triple(view, cache, "send_inv_owner", "goto_EM_A", "none")
+
+
+def _getm_in_o(invalidate_owner: bool) -> Handler:
+    """A ``GetM`` while the line is Owned: invalidate sharers and owner.
+
+    ``invalidate_owner=False`` seeds the classic write-serialisation bug:
+    exclusive access is granted after collecting sharer acks but the
+    *owner* is never invalidated, so requester and owner end up
+    writable/readable together (caught by ``swmr``).
     """
 
-    def gets_in_i(view, cache, ctx):
-        # No other copy exists: grant exclusive (the E optimisation) and
-        # serialise until the grantee acks.
-        view.req = cache
-        _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
-
-    def getm_in_i(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
-
-    def gets_in_s(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_data_shared", "goto_S", "add_req_sharer")
-
-    def getm_in_s(view, cache, ctx):
-        view.req = cache
-        targets = view.sharers - {cache}
-        if targets:
-            _dir_triple(view, cache, "send_inv_sharers", "goto_SM_A", "none")
-        else:
-            _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
-
-    def gets_in_em(view, cache, ctx):
-        # MOESI divergence from MESI: the owner is *forwarded to*, not
-        # invalidated — it answers the reader itself.
-        view.req = cache
-        _dir_triple(view, cache, "send_fwd_gets", "goto_EO_A", "none")
-
-    def getm_in_em(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_inv_owner", "goto_EM_A", "none")
-
-    def gets_in_o(view, cache, ctx):
-        view.req = cache
-        _dir_triple(view, cache, "send_fwd_gets", "goto_EO_A", "none")
-
-    def getm_in_o(view, cache, ctx):
+    def handler(view: View, cache: int, ctx: object) -> None:
         view.req = cache
         targets = view.sharers - {cache}
         for target in sorted(targets):
             view.send(INV, target)
         acks = len(targets)
-        if bug != "no-owner-inv" and view.owner != cache:
+        if invalidate_owner and view.owner != cache:
             view.send(INV, view.owner)
             acks += 1
         view.acks = acks
@@ -520,20 +407,20 @@ def reference_dir_table(bug: Optional[str] = None) -> Dict[Tuple[int, str], Hand
             # bug, which skips the owner): grant immediately.
             _dir_triple(view, cache, "send_data_excl", "goto_IE_A", "owner_is_req")
 
-    table: Dict[Tuple[int, str], Handler] = {
-        (D_I, GETS): gets_in_i,
-        (D_I, GETM): getm_in_i,
-        (D_S, GETS): gets_in_s,
-        (D_S, GETM): getm_in_s,
-        (D_EM, GETS): gets_in_em,
-        (D_EM, GETM): getm_in_em,
-        (D_O, GETS): gets_in_o,
-        (D_O, GETM): getm_in_o,
-    }
-    for key, names in REFERENCE_DIR_COMPLETIONS.items():
-        table[key] = _dir_completion_handler(key, *names)
-    return table
+    return handler
 
+
+#: the designer-written stable entries
+DIR_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (D_I, GETS): _gets_in_i,
+    (D_I, GETM): _getm_in_i,
+    (D_S, GETS): _gets_in_s,
+    (D_S, GETM): _getm_in_s,
+    (D_EM, GETS): _gets_forwarded,
+    (D_EM, GETM): _getm_in_em,
+    (D_O, GETS): _gets_forwarded,
+    (D_O, GETM): _getm_in_o(invalidate_owner=True),
+}
 
 # -- properties -----------------------------------------------------------------------
 
@@ -550,20 +437,6 @@ def _moesi_swmr(state) -> bool:
     if owners > 1:
         return False
     return not (exclusive == 1 and readers > 1)
-
-
-def _no_unexpected_message(state) -> bool:
-    caches, dirst, _owner, _sharers, _req, _acks, net = state
-    for mtype, cache in net.distinct():
-        expected_cache = CACHE_EXPECTS.get(mtype)
-        if expected_cache is not None:
-            if caches[cache] not in expected_cache:
-                return False
-            continue
-        expected_dir = DIR_EXPECTS.get(mtype)
-        if expected_dir is not None and dirst not in expected_dir:
-            return False
-    return True
 
 
 def _dir_bookkeeping(state) -> bool:
@@ -600,48 +473,15 @@ def _owner_holds_data(state) -> bool:
     return True
 
 
-_WAIT_EXPECTATIONS = {
-    C_IS_D: (GETS, DATAS, DATAE, INV),
-    C_IS_D_I: (GETS, DATAS, DATAE),
-    C_IM_D: (GETM, DATAE, INV),
-    C_SM_D: (GETM, DATAE, INV),
-    C_OM_A: (GETM, DATAE, INV),
-}
-
-
-def _no_orphaned_wait(state) -> bool:
-    caches, dirst, _owner, _sharers, req, _acks, net = state
-    for index, cache_state in enumerate(caches):
-        expected = _WAIT_EXPECTATIONS.get(cache_state)
-        if expected is None:
-            continue
-        if req == index and dirst not in DIR_STABLE:
-            continue
-        if any((mtype, index) in net for mtype in expected):
-            continue
-        return False
-    return True
-
-
-def _quiescent(state) -> bool:
-    caches, dirst, _owner, _sharers, _req, _acks, net = state
-    if net:
-        return False
-    if dirst not in DIR_STABLE:
-        return False
-    return all(c in CACHE_STABLE for c in caches)
-
-
 def moesi_invariants(n_caches: int) -> List[Invariant]:
     """Safety property set: coherence, message/bookkeeping/data integrity."""
-    bound = 2 * n_caches + 3
     return [
         Invariant("swmr", _moesi_swmr),
-        Invariant("no-unexpected-message", _no_unexpected_message),
+        dirfamily.no_unexpected_message(CACHE_EXPECTS, DIR_EXPECTS),
         Invariant("dir-bookkeeping", _dir_bookkeeping),
         Invariant("owner-holds-data", _owner_holds_data),
-        Invariant("no-orphaned-wait", _no_orphaned_wait),
-        Invariant("network-bounded", lambda s, _b=bound: len(s[6]) <= _b),
+        dirfamily.no_orphaned_wait(WAIT_EXPECTATIONS, DIR_STABLE),
+        dirfamily.network_bounded(2 * n_caches + 3),
     ]
 
 
@@ -668,101 +508,57 @@ def moesi_coverage(n_caches: int) -> List[CoverageProperty]:
 
 # -- assembly -------------------------------------------------------------------------
 
+MOESI = dirfamily.DirectoryProtocol(
+    hole_prefix="moesi.",
+    cache_states=CACHE_STATE_NAMES,
+    dir_states=DIR_STATE_NAMES,
+    view=dirfamily.view_class(DIR_STABLE),
+    spontaneous=frozenset({LOAD, STORE}),
+    cache_order=CACHE_TABLE_ORDER,
+    dir_order=DIR_TABLE_ORDER,
+    cache_handlers=CACHE_HANDLERS,
+    dir_handlers=DIR_HANDLERS,
+    cache_completions=REFERENCE_CACHE_COMPLETIONS,
+    dir_completions=REFERENCE_DIR_COMPLETIONS,
+    ack_counting=ACK_COUNTING,
+    cache_response_domain=cache_response_domain,
+    cache_next_domain=cache_next_domain,
+    dir_response_domain=dir_response_domain,
+    dir_next_domain=dir_next_domain,
+    dir_track_domain=dir_track_domain,
+    invariants=moesi_invariants,
+    coverage=moesi_coverage,
+    quiescent=dirfamily.quiescence(CACHE_STABLE, DIR_STABLE),
+)
 
-def _cache_rule(c: int, state_code: int, event: str, handler: Handler) -> Rule:
-    state_name = CACHE_STATE_NAMES[state_code]
-    if event in _SPONTANEOUS:
-        def guard(state, _c=c, _code=state_code):
-            return state[0][_c] == _code
-    else:
-        def guard(state, _c=c, _code=state_code, _ev=event):
-            return state[0][_c] == _code and (_ev, _c) in state[6]
-
-    def apply(state, ctx, _c=c, _ev=event, _handler=handler):
-        view = View(state)
-        if _ev not in _SPONTANEOUS:
-            view.consume(_ev, _c)
-        _handler(view, _c, ctx)
-        return [view.freeze()]
-
-    return Rule(f"cache{c}:{state_name}+{event}", guard, apply, params={"c": c})
-
-
-def _dir_rule(c: int, state_code: int, event: str, handler: Handler) -> Rule:
-    state_name = DIR_STATE_NAMES[state_code]
-
-    def guard(state, _c=c, _code=state_code, _ev=event):
-        return state[1] == _code and (_ev, _c) in state[6]
-
-    def apply(state, ctx, _c=c, _ev=event, _handler=handler):
-        view = View(state)
-        view.consume(_ev, _c)
-        _handler(view, _c, ctx)
-        return [view.freeze()]
-
-    return Rule(f"dir:{state_name}+{event}[c={c}]", guard, apply, params={"c": c})
+#: MOESI with the ``no-owner-inv`` seeded bug
+MOESI_NO_OWNER_INV = dataclasses.replace(
+    MOESI,
+    dir_handlers={**DIR_HANDLERS, (D_O, GETM): _getm_in_o(invalidate_owner=False)},
+)
 
 
 def build_moesi_system(
     n_caches: int = 2,
-    cache_table: Optional[Dict] = None,
-    dir_table: Optional[Dict] = None,
+    cache_table: Optional[dirfamily.Table] = None,
+    dir_table: Optional[dirfamily.Table] = None,
     name: str = "moesi",
     symmetry: bool = True,
     coverage: bool = True,
     bug: Optional[str] = None,
 ) -> TransitionSystem:
     """The complete MOESI protocol (or a skeleton when tables are passed)."""
-    if n_caches < 1:
-        raise ValueError("n_caches must be >= 1")
     if bug is not None and bug not in BUGS:
         raise ValueError(f"unknown seeded bug {bug!r}; available: {', '.join(BUGS)}")
-    cache_table = cache_table if cache_table is not None else reference_cache_table()
-    dir_table = dir_table if dir_table is not None else reference_dir_table(bug=bug)
-
-    rules = []
-    for c in range(n_caches):
-        for key in CACHE_TABLE_ORDER:
-            if key in cache_table:
-                rules.append(_cache_rule(c, key[0], key[1], cache_table[key]))
-    for key in DIR_TABLE_ORDER:
-        if key in dir_table:
-            for c in range(n_caches):
-                rules.append(_dir_rule(c, key[0], key[1], dir_table[key]))
-
-    canonicalize = None
-    if symmetry and n_caches > 1:
-        permuter = Permuter.for_single(
-            ScalarSet("cache", n_caches), permute_state,
-            replica_keys=replica_keys,
-        )
-        canonicalize = permuter.canonicalize
-
-    return TransitionSystem(
-        name=f"{name}-{n_caches}c",
-        initial_states=[initial_state(n_caches)],
-        rules=rules,
-        invariants=moesi_invariants(n_caches),
-        coverage=moesi_coverage(n_caches) if coverage else [],
-        deadlock=DeadlockPolicy.fail(quiescent=_quiescent),
-        canonicalize=canonicalize,
-        # MOESI shares the MSI 7-tuple layout, so the discovery spec is shared.
-        packed_spec=packed_spec(n_caches, symmetry=symmetry),
+    protocol = MOESI if bug is None else MOESI_NO_OWNER_INV
+    return protocol.system(
+        n_caches,
+        cache_table,
+        dir_table,
+        name=name,
+        symmetry=symmetry,
+        coverage=coverage,
     )
-
-
-# -- skeletons -------------------------------------------------------------------------
-
-REFERENCE_ASSIGNMENT_NAMES: Dict[str, str] = {}
-for (code, event), (resp, nxt) in REFERENCE_CACHE_COMPLETIONS.items():
-    _rule = f"{CACHE_STATE_NAMES[code]}+{event}"
-    REFERENCE_ASSIGNMENT_NAMES[f"moesi.cache.{_rule}.response"] = resp
-    REFERENCE_ASSIGNMENT_NAMES[f"moesi.cache.{_rule}.next"] = nxt
-for (code, event), (resp, nxt, track) in REFERENCE_DIR_COMPLETIONS.items():
-    _rule = f"{DIR_STATE_NAMES[code]}+{event}"
-    REFERENCE_ASSIGNMENT_NAMES[f"moesi.dir.{_rule}.response"] = resp
-    REFERENCE_ASSIGNMENT_NAMES[f"moesi.dir.{_rule}.next"] = nxt
-    REFERENCE_ASSIGNMENT_NAMES[f"moesi.dir.{_rule}.track"] = track
 
 
 def build_moesi_skeleton(
@@ -779,41 +575,15 @@ def build_moesi_skeleton(
     (``fwd_data_keep``, ``goto_O``) both serves the reader and actually
     reaches the Owned state.
     """
-    cache_table = reference_cache_table()
-    dir_table = reference_dir_table()
-    holes: List[Hole] = []
-
-    for key in cache_rules:
-        if key not in REFERENCE_CACHE_COMPLETIONS:
-            raise SynthesisError(f"cache rule {key} is not holeable")
-        rule = f"{CACHE_STATE_NAMES[key[0]]}+{key[1]}"
-        response = Hole(f"moesi.cache.{rule}.response", cache_response_domain())
-        next_state = Hole(f"moesi.cache.{rule}.next", cache_next_domain())
-        cache_table[key] = _holed_handler(response, next_state)
-        holes.extend([response, next_state])
-
-    for key in dir_rules:
-        if key not in REFERENCE_DIR_COMPLETIONS:
-            raise SynthesisError(f"directory rule {key} is not holeable")
-        rule = f"{DIR_STATE_NAMES[key[0]]}+{key[1]}"
-        triple = (
-            Hole(f"moesi.dir.{rule}.response", dir_response_domain()),
-            Hole(f"moesi.dir.{rule}.next", dir_next_domain()),
-            Hole(f"moesi.dir.{rule}.track", dir_track_domain()),
-        )
-        dir_table[key] = _dir_holed_handler(key, triple)
-        holes.extend(triple)
-
-    system = build_moesi_system(
+    return MOESI.skeleton(
+        cache_rules,
+        dir_rules,
         n_caches=n_caches,
-        cache_table=cache_table,
-        dir_table=dir_table,
         name="moesi-skeleton",
         coverage=coverage,
     )
-    return system, holes
 
 
 def reference_assignment_for(holes: List[Hole]) -> Dict[str, str]:
-    """Restrict the full reference assignment to the given holes."""
-    return {hole.name: REFERENCE_ASSIGNMENT_NAMES[hole.name] for hole in holes}
+    """Hole name -> reference action name, for the given holes."""
+    return MOESI.reference_assignment(holes)

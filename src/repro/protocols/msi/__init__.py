@@ -5,22 +5,26 @@ single line, as is standard); each cache controller sends GetS/GetM requests
 to a central directory over an *unordered* interconnect, which is what
 forces the transient states this case study synthesises.
 
-Module map:
+The state layout, rule compiler, hole builder and generic invariants are
+the directory family's (:mod:`repro.protocols.dirfamily`); this package
+holds MSI's tables.  Module map:
 
-* :mod:`repro.protocols.msi.defs` — state codes, message types, the mutable
-  state view, and the permutation function for symmetry reduction.
+* :mod:`repro.protocols.msi.defs` — state codes, message types, the
+  expect and wait tables, and MSI's ``View`` class.
 * :mod:`repro.protocols.msi.actions` — the designer's action library
   (response / next-state / track), sized exactly as in the paper
   (5 x 7 x 3 per directory rule, 3 x 7 per cache rule).
 * :mod:`repro.protocols.msi.cache` / :mod:`~repro.protocols.msi.directory`
-  — reference (complete) controller tables.
-* :mod:`repro.protocols.msi.system` — assembles a
-  :class:`~repro.mc.system.TransitionSystem` for N caches.
+  — the controller tables: rule order, designer-written stable handlers,
+  and the reference completions of the holeable transients.
+* :mod:`repro.protocols.msi.properties` — SWMR, directory bookkeeping,
+  the network bound and stable-state coverage.
+* :mod:`repro.protocols.msi.system` — the tables as
+  :class:`~repro.protocols.dirfamily.DirectoryProtocol` objects (``MSI``
+  and ``MSI_EVICTIONS``) and ``build_msi_system`` for N caches.
 * :mod:`repro.protocols.msi.skeleton` — skeletons with holes:
   ``msi_tiny`` (2 holes), ``msi_small`` (8 holes = 2 directory + 1 cache
   rules), ``msi_large`` (12 holes = 2 directory + 3 cache rules).
-* :mod:`repro.protocols.msi.properties` — SWMR, unexpected-message safety,
-  stable-state coverage.
 """
 
 from repro.protocols.msi.skeleton import (

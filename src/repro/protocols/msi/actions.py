@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.action import Action
-from repro.core.hole import Hole
 from repro.protocols.msi import defs
 from repro.protocols.msi.defs import View
 
@@ -74,10 +73,6 @@ def cache_next_domain(extended: bool = False) -> List[Action]:
         Action(f"goto_{name}", payload=code)
         for code, name in enumerate(defs.CACHE_STATE_NAMES[:limit])
     ]
-
-
-def apply_cache_next(view: View, cache: int, code: int) -> None:
-    view.caches[cache] = code
 
 
 # -- directory response actions (5) ----------------------------------------------
@@ -161,48 +156,3 @@ def dir_next_domain() -> List[Action]:
         Action(f"goto_{name}", payload=code)
         for code, name in enumerate(defs.DIR_STATE_NAMES)
     ]
-
-
-def apply_dir_next(view: View, code: int) -> None:
-    """Move the directory; entering a stable state clears pending-request
-    bookkeeping (req/acks), which keeps the state space canonical."""
-    view.dirst = code
-    if code in defs.DIR_STABLE:
-        view.req = -1
-        view.acks = 0
-
-
-# -- hole construction helpers ----------------------------------------------------------
-
-
-class CacheHoles:
-    """The (response, next-state) hole pair of one cache transition rule."""
-
-    __slots__ = ("response", "next_state")
-
-    def __init__(self, rule_name: str, extended: bool = False) -> None:
-        self.response = Hole(
-            f"cache.{rule_name}.response", cache_response_domain(extended)
-        )
-        self.next_state = Hole(
-            f"cache.{rule_name}.next", cache_next_domain(extended)
-        )
-
-    @property
-    def holes(self) -> List[Hole]:
-        return [self.response, self.next_state]
-
-
-class DirHoles:
-    """The (response, next-state, track) hole triple of one directory rule."""
-
-    __slots__ = ("response", "next_state", "track")
-
-    def __init__(self, rule_name: str) -> None:
-        self.response = Hole(f"dir.{rule_name}.response", dir_response_domain())
-        self.next_state = Hole(f"dir.{rule_name}.next", dir_next_domain())
-        self.track = Hole(f"dir.{rule_name}.track", dir_track_domain())
-
-    @property
-    def holes(self) -> List[Hole]:
-        return [self.response, self.next_state, self.track]

@@ -13,23 +13,17 @@ Two kinds of table entries:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
+from repro.protocols.dirfamily import Handler, View
 from repro.protocols.msi import defs
-from repro.protocols.msi.actions import (
-    CacheHoles,
-    apply_cache_next,
-    cache_next_domain,
-    cache_response_domain,
-)
-from repro.protocols.msi.defs import View
 
 LOAD = "Load"
 STORE = "Store"
 EVICT = "Evict"
 
-#: handler signature: (view, cache_index, execution_context) -> None
-Handler = Callable[[View, int, object], None]
+#: cache events that consume no message
+SPONTANEOUS = frozenset({LOAD, STORE, EVICT})
 
 #: the (state, event) keys of cache transition rules eligible for holes,
 #: with the reference (response, next_state) action names.
@@ -134,47 +128,18 @@ def _evict_shared(view: View, cache: int, ctx: object) -> None:
     view.caches[cache] = defs.C_I
 
 
-def make_reference_completion(response_name: str, next_name: str) -> Handler:
-    """Build a transient handler from fixed action names (the complete protocol)."""
-    # Look actions up in the extended domains (a superset by name), so the
-    # same constructor serves base and eviction-variant tables.
-    response = {a.name: a for a in cache_response_domain(extended=True)}[response_name]
-    next_state = {a.name: a for a in cache_next_domain(extended=True)}[next_name]
+#: the designer-written stable entries
+CACHE_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (defs.C_I, LOAD): _load_from_i,
+    (defs.C_I, STORE): _store_from_i,
+    (defs.C_S, STORE): _store_from_s,
+    (defs.C_S, defs.INV): _inv_in_s,
+    (defs.C_M, defs.INV): _inv_in_m,
+    (defs.C_I, defs.INV): _inv_in_i,
+}
 
-    def handler(view: View, cache: int, ctx: object) -> None:
-        response.fn(view, cache)
-        apply_cache_next(view, cache, next_state.payload)
-
-    return handler
-
-
-def make_holed_completion(holes: CacheHoles) -> Handler:
-    """Build a transient handler that resolves its actions from holes."""
-
-    def handler(view: View, cache: int, ctx) -> None:
-        response = ctx.resolve(holes.response)
-        response.fn(view, cache)
-        next_state = ctx.resolve(holes.next_state)
-        apply_cache_next(view, cache, next_state.payload)
-
-    return handler
-
-
-def reference_cache_table(evictions: bool = False) -> Dict[Tuple[int, str], Handler]:
-    """The complete (hole-free) cache controller."""
-    table: Dict[Tuple[int, str], Handler] = {
-        (defs.C_I, LOAD): _load_from_i,
-        (defs.C_I, STORE): _store_from_i,
-        (defs.C_S, STORE): _store_from_s,
-        (defs.C_S, defs.INV): _inv_in_s,
-        (defs.C_M, defs.INV): _inv_in_m,
-        (defs.C_I, defs.INV): _inv_in_i,
-    }
-    for key, (response_name, next_name) in REFERENCE_CACHE_COMPLETIONS.items():
-        table[key] = make_reference_completion(response_name, next_name)
-    if evictions:
-        table[(defs.C_M, EVICT)] = _evict_modified
-        table[(defs.C_S, EVICT)] = _evict_shared
-        for key, (response_name, next_name) in EVICTION_CACHE_COMPLETIONS.items():
-            table[key] = make_reference_completion(response_name, next_name)
-    return table
+#: the stable entries of the eviction extension
+EVICTION_CACHE_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (defs.C_M, EVICT): _evict_modified,
+    (defs.C_S, EVICT): _evict_shared,
+}

@@ -16,19 +16,15 @@ the interesting decision is due).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
+from repro.protocols.dirfamily import Handler, View, action_triple
 from repro.protocols.msi import defs
 from repro.protocols.msi.actions import (
-    DirHoles,
-    apply_dir_next,
     dir_next_domain,
     dir_response_domain,
     dir_track_domain,
 )
-from repro.protocols.msi.defs import View
-
-Handler = Callable[[View, int, object], None]
 
 #: the (state, event) keys of directory rules eligible for holes, with the
 #: reference (response, next_state, track) action names.
@@ -65,17 +61,10 @@ EVICTION_DIR_TABLE_ORDER: Tuple[Tuple[int, str], ...] = (
     (defs.D_M, defs.PUTM),
 )
 
-_RESPONSES = {a.name: a for a in dir_response_domain()}
-_TRACKS = {a.name: a for a in dir_track_domain()}
-_NEXTS = {a.name: a for a in dir_next_domain()}
-
-
-def _apply_triple(view: View, cache: int, response_name: str, next_name: str,
-                  track_name: str) -> None:
-    """Apply a (response, track, next-state) completion in canonical order."""
-    _RESPONSES[response_name].fn(view, cache)
-    _TRACKS[track_name].fn(view, cache)
-    apply_dir_next(view, _NEXTS[next_name].payload)
+#: apply(view, cache, response, next, track) by action name
+_apply_triple = action_triple(
+    dir_response_domain(), dir_track_domain(), dir_next_domain()
+)
 
 
 def _gets_in_i(view: View, cache: int, ctx: object) -> None:
@@ -125,60 +114,20 @@ def _putm(view: View, cache: int, ctx: object) -> None:
     view.send(defs.PUTACK, cache)
     if view.dirst == defs.D_M and view.owner == cache:
         view.owner = -1
-        apply_dir_next(view, defs.D_I)
+        view.goto_dir(defs.D_I)
 
 
-def make_reference_completion(
-    key: Tuple[int, str],
-    response_name: str,
-    next_name: str,
-    track_name: str,
-) -> Handler:
-    """Build a transient handler with fixed actions (the complete protocol)."""
-    counts_acks = key in ACK_COUNTING
+#: the designer-written stable entries
+DIR_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    (defs.D_I, defs.GETS): _gets_in_i,
+    (defs.D_I, defs.GETM): _getm_in_i,
+    (defs.D_S, defs.GETS): _gets_in_s,
+    (defs.D_S, defs.GETM): _getm_in_s,
+    (defs.D_M, defs.GETS): _gets_in_m,
+    (defs.D_M, defs.GETM): _getm_in_m,
+}
 
-    def handler(view: View, cache: int, ctx: object) -> None:
-        if counts_acks:
-            view.acks -= 1
-            if view.acks > 0:
-                return
-        _apply_triple(view, cache, response_name, next_name, track_name)
-
-    return handler
-
-
-def make_holed_completion(key: Tuple[int, str], holes: DirHoles) -> Handler:
-    """Build a transient handler that resolves its completion from holes."""
-    counts_acks = key in ACK_COUNTING
-
-    def handler(view: View, cache: int, ctx) -> None:
-        if counts_acks:
-            view.acks -= 1
-            if view.acks > 0:
-                return
-        response = ctx.resolve(holes.response)
-        response.fn(view, cache)
-        track = ctx.resolve(holes.track)
-        track.fn(view, cache)
-        next_state = ctx.resolve(holes.next_state)
-        apply_dir_next(view, next_state.payload)
-
-    return handler
-
-
-def reference_dir_table(evictions: bool = False) -> Dict[Tuple[int, str], Handler]:
-    """The complete (hole-free) directory controller."""
-    table: Dict[Tuple[int, str], Handler] = {
-        (defs.D_I, defs.GETS): _gets_in_i,
-        (defs.D_I, defs.GETM): _getm_in_i,
-        (defs.D_S, defs.GETS): _gets_in_s,
-        (defs.D_S, defs.GETM): _getm_in_s,
-        (defs.D_M, defs.GETS): _gets_in_m,
-        (defs.D_M, defs.GETM): _getm_in_m,
-    }
-    for key, names in REFERENCE_DIR_COMPLETIONS.items():
-        table[key] = make_reference_completion(key, *names)
-    if evictions:
-        for key in EVICTION_DIR_TABLE_ORDER:
-            table[key] = _putm
-    return table
+#: the stable entries of the eviction extension
+EVICTION_DIR_HANDLERS: Dict[Tuple[int, str], Handler] = {
+    key: _putm for key in EVICTION_DIR_TABLE_ORDER
+}

@@ -5,11 +5,13 @@
   reader or writer.
 * ``no-unexpected-message`` — every in-flight message must be acceptable to
   its destination's current state (or stallable, like GetS/GetM at a busy
-  directory).  This is the explicit-state analogue of a SLICC table's
-  "unhandled event" error and makes faulty candidates fail with short
-  traces.
+  directory); built by :func:`repro.protocols.dirfamily.no_unexpected_message`
+  from :data:`~repro.protocols.msi.defs.CACHE_EXPECTS` and ``DIR_EXPECTS``.
 * ``dir-bookkeeping`` — a directory claiming M must know an owner; a
   directory claiming S must have sharers.
+* ``no-orphaned-wait`` — every waiting cache has a live reason to wait
+  (:data:`~repro.protocols.msi.defs.WAIT_EXPECTATIONS`).
+* ``network-bounded`` — at most :func:`network_bound` messages in flight.
 * Stable-state coverage — "all stable states must be visited at least
   once": the property the paper added after discovering that without it the
   synthesiser produces correct-but-useless protocols (e.g. caches that
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.mc.properties import CoverageProperty, Invariant
+from repro.protocols import dirfamily
 from repro.protocols.msi import defs
 
 
@@ -34,69 +37,12 @@ def _swmr(state) -> bool:
     return not (writers == 1 and readers > 1)
 
 
-def _no_unexpected_message(state) -> bool:
-    caches, dirst, _owner, _sharers, _req, _acks, net = state
-    for mtype, cache in net.distinct():
-        expected_cache_states = defs.CACHE_EXPECTS.get(mtype)
-        if expected_cache_states is not None:
-            if caches[cache] not in expected_cache_states:
-                return False
-            continue
-        expected_dir_states = defs.DIR_EXPECTS.get(mtype)
-        if expected_dir_states is not None and dirst not in expected_dir_states:
-            return False
-    return True
-
-
-#: what a cache waiting in each transient state is entitled to wait for:
-#: either its own request/writeback is still queued, or the response (or a
-#: crossing invalidation) is in flight, or the directory is busy serving it.
-_WAIT_EXPECTATIONS = {
-    defs.C_IS_D: (defs.GETS, defs.DATA, defs.INV),
-    # IS_D_I usually waits for in-flight data to drop, but an invalidation
-    # can also land while the GetS is still queued (e.g. after a silent
-    # S-eviction made the directory's sharer entry stale), so the queued
-    # request is an acceptable reason to wait too.
-    defs.C_IS_D_I: (defs.GETS, defs.DATA),
-    defs.C_IM_D: (defs.GETM, defs.DATA, defs.INV),
-    defs.C_SM_D: (defs.GETM, defs.DATA, defs.INV),
-    defs.C_MI_A: (defs.PUTM, defs.PUTACK, defs.INV),
-    defs.C_II_A: (defs.PUTM, defs.PUTACK),
-}
-
-
-def _no_orphaned_wait(state) -> bool:
-    """Every waiting cache has a live reason to wait.
-
-    Global deadlock detection cannot flag one cache stuck forever while
-    other caches keep issuing requests (the system as a whole stays live).
-    This safety invariant closes that hole: a cache in a transient state
-    with no matching message in flight and no pending service at the
-    directory will never make progress — the explicit-state analogue of
-    the liveness properties the paper cites from McMillan & Schwalbe.
-    """
-    caches, dirst, _owner, _sharers, req, _acks, net = state
-    for index, cache_state in enumerate(caches):
-        expected = _WAIT_EXPECTATIONS.get(cache_state)
-        if expected is None:
-            continue
-        if req == index and dirst not in defs.DIR_STABLE:
-            continue  # the directory is mid-transaction on this cache's behalf
-        if any((mtype, index) in net for mtype in expected):
-            continue
-        return False
-    return True
-
-
 def network_bound(n_caches: int) -> int:
     """Finite interconnect capacity.
 
     The reference protocol never has more than ``n_caches + 1`` messages in
     flight; ``2n + 2`` leaves room for valid-but-different completions while
-    still making *every* candidate's state space finite.  Without a bound, a
-    faulty candidate that drops data and re-requests forever would make the
-    explicit-state exploration diverge — the same reason Murphi models use
-    bounded channels.
+    still making *every* candidate's state space finite.
     """
     return 2 * n_caches + 2
 
@@ -111,35 +57,21 @@ def _dir_bookkeeping(state) -> bool:
 
 
 def msi_invariants(n_caches: int = 0) -> List[Invariant]:
+    """The safety properties; ``network-bounded`` needs ``n_caches > 0``."""
     invariants = [
         Invariant("swmr", _swmr),
-        Invariant("no-unexpected-message", _no_unexpected_message),
+        dirfamily.no_unexpected_message(defs.CACHE_EXPECTS, defs.DIR_EXPECTS),
         Invariant("dir-bookkeeping", _dir_bookkeeping),
-        Invariant("no-orphaned-wait", _no_orphaned_wait),
+        dirfamily.no_orphaned_wait(defs.WAIT_EXPECTATIONS, defs.DIR_STABLE),
     ]
     if n_caches > 0:
-        bound = network_bound(n_caches)
-        invariants.append(
-            Invariant("network-bounded", lambda s, _b=bound: len(s[6]) <= _b)
-        )
+        invariants.append(dirfamily.network_bounded(network_bound(n_caches)))
     return invariants
 
 
-def msi_quiescent(state) -> bool:
-    """States allowed to have no outgoing transitions.
-
-    A state is quiescent when the network is drained, the directory is
-    stable, and every cache is stable — e.g. one cache holds M and the
-    others are I: every issued request has been fully served.  A terminal
-    state that is *not* quiescent (say, a cache parked in IS_D waiting for
-    data that never comes) is a protocol deadlock.
-    """
-    caches, dirst, _owner, _sharers, _req, _acks, net = state
-    if net:
-        return False
-    if dirst not in defs.DIR_STABLE:
-        return False
-    return all(c in defs.CACHE_STABLE for c in caches)
+#: the states allowed to have no outgoing transitions: network drained,
+#: directory and every cache stable (e.g. one cache holds M, the others I)
+msi_quiescent = dirfamily.quiescence(defs.CACHE_STABLE, defs.DIR_STABLE)
 
 
 def msi_coverage(include: bool = True) -> List[CoverageProperty]:

@@ -18,22 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.hole import Hole
-from repro.errors import SynthesisError
 from repro.mc.system import TransitionSystem
 from repro.protocols.msi import defs
-from repro.protocols.msi.actions import CacheHoles, DirHoles
-from repro.protocols.msi.cache import (
-    EVICTION_CACHE_COMPLETIONS,
-    REFERENCE_CACHE_COMPLETIONS,
-    make_holed_completion as make_holed_cache,
-    reference_cache_table,
-)
-from repro.protocols.msi.directory import (
-    REFERENCE_DIR_COMPLETIONS,
-    make_holed_completion as make_holed_dir,
-    reference_dir_table,
-)
-from repro.protocols.msi.system import build_msi_system, reference_solution_assignment
+from repro.protocols.msi.system import MSI, MSI_EVICTIONS
 
 
 @dataclass
@@ -67,49 +54,19 @@ class Skeleton:
 
     def reference_assignment(self) -> Dict[str, str]:
         """Hole name -> reference action name (the known-good completion)."""
-        full = reference_solution_assignment()
-        return {hole.name: full[hole.name] for hole in self.holes}
-
-
-def _cache_rule_label(key: Tuple[int, str]) -> str:
-    return f"{defs.CACHE_STATE_NAMES[key[0]]}+{key[1]}"
-
-
-def _dir_rule_label(key: Tuple[int, str]) -> str:
-    return f"{defs.DIR_STATE_NAMES[key[0]]}+{key[1]}"
+        return MSI_EVICTIONS.reference_assignment(self.holes)
 
 
 def msi_skeleton(spec: SkeletonSpec) -> Skeleton:
     """Build the skeleton system for a spec."""
-    cache_table = reference_cache_table(spec.evictions)
-    dir_table = reference_dir_table(spec.evictions)
-    holes: List[Hole] = []
-
-    holeable_cache = dict(REFERENCE_CACHE_COMPLETIONS)
-    if spec.evictions:
-        holeable_cache.update(EVICTION_CACHE_COMPLETIONS)
-    for key in spec.cache_rules:
-        if key not in holeable_cache:
-            raise SynthesisError(f"cache rule {key} is not holeable")
-        hole_group = CacheHoles(_cache_rule_label(key), extended=spec.evictions)
-        cache_table[key] = make_holed_cache(hole_group)
-        holes.extend(hole_group.holes)
-
-    for key in spec.dir_rules:
-        if key not in REFERENCE_DIR_COMPLETIONS:
-            raise SynthesisError(f"directory rule {key} is not holeable")
-        hole_group = DirHoles(_dir_rule_label(key))
-        dir_table[key] = make_holed_dir(key, hole_group)
-        holes.extend(hole_group.holes)
-
-    system = build_msi_system(
+    protocol = MSI_EVICTIONS if spec.evictions else MSI
+    system, holes = protocol.skeleton(
+        spec.cache_rules,
+        spec.dir_rules,
         n_caches=spec.n_caches,
-        cache_table=cache_table,
-        dir_table=dir_table,
         name=spec.name,
         symmetry=spec.symmetry,
         coverage=spec.coverage,
-        evictions=spec.evictions,
     )
     return Skeleton(spec=spec, system=system, holes=holes)
 

@@ -20,9 +20,8 @@ from repro.fuzz import (
     load_entry,
     replay_entry,
     run_campaign,
-    shrink_spec,
 )
-from repro.fuzz.differential import LATTICES, full_lattice
+from repro.fuzz.differential import LATTICES, ablation_lattice
 from repro.mc.packed import StateCodec
 
 SEEDS = range(3)
@@ -43,8 +42,8 @@ def test_lattice_backends_are_api_backends(name):
     assert {config.backend for config in LATTICES[name]().synth} <= set(BACKENDS)
 
 
-def test_full_lattice_covers_every_backend_corner():
-    backends = {config.backend for config in full_lattice().synth}
+def test_ablation_lattice_covers_every_backend():
+    backends = {config.backend for config in ablation_lattice().synth}
     assert backends == set(BACKENDS)
 
 

@@ -21,7 +21,7 @@ import pytest
 from repro.mc.simulate import simulate
 from repro.protocols import german, mutex, vi
 from repro.protocols.catalog import PROTOCOL_CATALOG, build_protocol
-from repro.protocols.msi.defs import permute_state
+from repro.protocols.dirfamily import permute_state
 
 CASES = [
     (name, replicas)

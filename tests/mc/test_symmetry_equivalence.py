@@ -16,6 +16,7 @@ from repro.mc.kernel import ExplorationKernel
 from repro.mc.multiset import Multiset
 from repro.mc.result import Verdict
 from repro.mc.symmetry import Permuter, ScalarSet
+from repro.protocols.dirfamily import permute_state, replica_keys
 from repro.protocols.mesi import build_mesi_system
 from repro.protocols.msi import defs
 from repro.protocols.msi.skeleton import SkeletonSpec, msi_skeleton
@@ -250,10 +251,10 @@ class TestSortedReplicaFastPath:
         """The bundled MSI replica_keys must partition orbits exactly like
         the full orbit search on real protocol states."""
         fast = Permuter.for_single(
-            ScalarSet("cache", 3), defs.permute_state,
-            replica_keys=defs.replica_keys,
+            ScalarSet("cache", 3), permute_state,
+            replica_keys=replica_keys,
         )
-        slow = Permuter.for_single(ScalarSet("cache", 3), defs.permute_state)
+        slow = Permuter.for_single(ScalarSet("cache", 3), permute_state)
         system = build_msi_system(3, symmetry=False)
         seen = []
         frontier = system.initial_states()
@@ -269,7 +270,7 @@ class TestSortedReplicaFastPath:
         for state in seen:
             fast_canon = fast.canonicalize(state)
             for mapping in itertools.permutations(range(3)):
-                permuted = defs.permute_state(state, mapping)
+                permuted = permute_state(state, mapping)
                 assert fast.canonicalize(permuted) == fast_canon
             # Fast and slow agree on whether two states share an orbit.
             assert (fast_canon == fast.canonicalize(seen[0])) == (

@@ -7,11 +7,10 @@ from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols import mesi
+from repro.protocols.dirfamily import initial_state, permute_state
 from repro.protocols.mesi import (
     build_mesi_skeleton,
     build_mesi_system,
-    initial_state,
-    permute_state,
     reference_assignment_for,
 )
 

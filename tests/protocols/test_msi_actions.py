@@ -2,19 +2,17 @@
 
 import pytest
 
+from repro.protocols.dirfamily import initial_state
 from repro.protocols.msi import defs
 from repro.protocols.msi.actions import (
-    CacheHoles,
-    DirHoles,
-    apply_cache_next,
-    apply_dir_next,
     cache_next_domain,
     cache_response_domain,
     dir_next_domain,
     dir_response_domain,
     dir_track_domain,
 )
-from repro.protocols.msi.defs import View, initial_state
+from repro.protocols.msi.defs import View
+from repro.protocols.msi.system import MSI
 
 
 def fresh_view(n=2, **overrides):
@@ -156,31 +154,35 @@ class TestTrackActions:
 class TestNextStateApplication:
     def test_cache_next(self):
         view = fresh_view()
-        apply_cache_next(view, 1, defs.C_M)
+        MSI.cache_completion("none", "goto_M")(view, 1, None)
         assert view.caches == [defs.C_I, defs.C_M]
 
     def test_dir_next_to_transient_keeps_bookkeeping(self):
         view = fresh_view(req=1, acks=2)
-        apply_dir_next(view, defs.D_SM_A)
+        view.goto_dir(defs.D_SM_A)
         assert (view.req, view.acks) == (1, 2)
 
     @pytest.mark.parametrize("stable", [defs.D_I, defs.D_S, defs.D_M])
     def test_dir_next_to_stable_clears_pending(self, stable):
         view = fresh_view(req=1, acks=2)
-        apply_dir_next(view, stable)
+        view.goto_dir(stable)
         assert (view.req, view.acks) == (-1, 0)
 
 
 class TestHoleGroups:
+    def holes(self, cache_rules=(), dir_rules=()):
+        return MSI.skeleton(cache_rules, dir_rules, n_caches=2, name="holes")[1]
+
     def test_cache_holes_naming(self):
-        group = CacheHoles("IM_D+Data")
-        assert group.response.name == "cache.IM_D+Data.response"
-        assert group.next_state.name == "cache.IM_D+Data.next"
-        assert [h.arity for h in group.holes] == [3, 7]
+        holes = self.holes(cache_rules=((defs.C_IM_D, defs.DATA),))
+        assert [h.name for h in holes] == [
+            "cache.IM_D+Data.response", "cache.IM_D+Data.next",
+        ]
+        assert [h.arity for h in holes] == [3, 7]
 
     def test_dir_holes_naming(self):
-        group = DirHoles("IM_A+DataAck")
-        assert [h.name.split(".")[-1] for h in group.holes] == [
+        holes = self.holes(dir_rules=((defs.D_IM_A, defs.DATAACK),))
+        assert [h.name.split(".")[-1] for h in holes] == [
             "response", "next", "track",
         ]
-        assert [h.arity for h in group.holes] == [5, 7, 3]
+        assert [h.arity for h in holes] == [5, 7, 3]

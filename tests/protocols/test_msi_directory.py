@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro.protocols.dirfamily import initial_state
 from repro.protocols.msi import defs
-from repro.protocols.msi.defs import View, initial_state
+from repro.protocols.msi.defs import View
 from repro.protocols.msi.directory import (
     ACK_COUNTING,
     REFERENCE_DIR_COMPLETIONS,
     _putm,
-    make_reference_completion,
-    reference_dir_table,
 )
+from repro.protocols.msi.system import MSI, MSI_EVICTIONS
 
 
 def fresh_view(n=2, **overrides):
@@ -23,7 +23,7 @@ def fresh_view(n=2, **overrides):
 class TestStableHandlers:
     @pytest.fixture
     def table(self):
-        return reference_dir_table()
+        return MSI.reference_dir_table()
 
     def test_gets_in_i_grants_and_shares(self, table):
         view = fresh_view()
@@ -77,7 +77,7 @@ class TestStableHandlers:
 
 class TestTransientCompletions:
     def run_completion(self, key, **view_overrides):
-        handler = make_reference_completion(key, *REFERENCE_DIR_COMPLETIONS[key])
+        handler = MSI.dir_completion(key, *REFERENCE_DIR_COMPLETIONS[key])
         view = fresh_view(n=3, **view_overrides)
         handler(view, 0, None)
         return view
@@ -148,8 +148,8 @@ class TestWritebacks:
         assert (defs.PUTACK, 0) in view.net
 
     def test_eviction_table_contains_putm_entries(self):
-        table = reference_dir_table(evictions=True)
+        table = MSI_EVICTIONS.reference_dir_table()
         for state in (defs.D_I, defs.D_S, defs.D_M):
             assert (state, defs.PUTM) in table
-        base = reference_dir_table(evictions=False)
+        base = MSI.reference_dir_table()
         assert (defs.D_I, defs.PUTM) not in base

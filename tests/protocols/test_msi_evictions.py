@@ -55,7 +55,8 @@ class TestExtendedDomains:
         assert "goto_MI_A" in names and "goto_II_A" in names
 
     def test_putm_action_sends_writeback(self):
-        from repro.protocols.msi.defs import View, initial_state
+        from repro.protocols.dirfamily import initial_state
+        from repro.protocols.msi.defs import View
 
         putm = {a.name: a for a in cache_response_domain(extended=True)}["send_putm"]
         view = View(initial_state(2))

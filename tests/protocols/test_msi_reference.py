@@ -7,13 +7,14 @@ from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
 from repro.mc.simulate import simulate
 from repro.protocols.msi import defs
-from repro.protocols.msi.defs import View, format_state, initial_state, permute_state
+from repro.protocols.dirfamily import initial_state, permute_state
+from repro.protocols.msi.defs import View
 from repro.protocols.msi.properties import (
     msi_coverage,
     msi_invariants,
     msi_quiescent,
 )
-from repro.protocols.msi.system import build_msi_system
+from repro.protocols.msi.system import MSI, build_msi_system
 
 
 class TestReferenceVerifies:
@@ -104,7 +105,7 @@ class TestStateHelpers:
         assert (defs.INV, 1) in net
 
     def test_format_state_readable(self):
-        text = format_state(initial_state(2))
+        text = MSI.format_state(initial_state(2))
         assert "caches[I,I]" in text
         assert "dir=I" in text
 

@@ -167,6 +167,7 @@ class TestTelemetry:
         assert sum(
             data["synth_candidates_evaluated"]["series"].values()
         ) == 10
+        assert sum(data["synth_solutions_found"]["series"].values()) == 1
 
     def test_verify_trace_and_metrics(self, tmp_path, capsys):
         trace = tmp_path / "v.jsonl"
