@@ -7,7 +7,8 @@ Conventions:
   scale) and attaches the paper's Table I counters via
   ``benchmark.extra_info``;
 * expensive configurations are opt-in through environment variables:
-  ``VERC3_BENCH_SMALL=0`` skips the minute-scale MSI-small rows,
+  ``VERC3_BENCH_SMALL=0`` skips the MSI-small rows (seconds in all; the
+  whole directory runs in about 10 s on a 2-vCPU host),
   ``VERC3_BENCH_LARGE=1`` enables the MSI-large rows (about 10 s each),
   ``VERC3_BENCH_CACHES`` overrides the cache count (default 2; the paper's
   testbed used more but CPython pays ~5x per extra cache);

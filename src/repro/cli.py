@@ -60,6 +60,8 @@ from repro.protocols.catalog import (
     SKELETON_CATALOG,
     build_skeleton_with_holes,
 )
+from repro.protocols.mesi import MESI
+from repro.protocols.moesi import MOESI
 from repro.protocols.msi.system import MSI
 
 #: complete protocols: name -> builder(n, **kwargs) — the catalog registry
@@ -67,6 +69,14 @@ PROTOCOLS: Dict[str, Callable] = PROTOCOL_BUILDERS
 
 #: skeletons: name -> builder(n) returning a TransitionSystem
 SKELETONS: Dict[str, Callable] = SKELETON_BUILDERS
+
+#: counterexample state printers of the directory-protocol family; the
+#: other protocols' states print as ``repr``
+STATE_FORMATTERS: Dict[str, Callable] = {
+    "msi": MSI.format_state,
+    "mesi": MESI.format_state,
+    "moesi": MOESI.format_state,
+}
 
 #: accelerations the synth command can request explicitly, mapped to
 #: (flag, consequence-of-standing-down); the warning's *reason* comes
@@ -352,7 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         result = kernel.run()
     print(f"{system.name}: {result.summary()}")
     if result.trace is not None:
-        formatter = MSI.format_state if args.protocol == "msi" else repr
+        formatter = STATE_FORMATTERS.get(args.protocol, repr)
         print("counterexample:")
         print(result.trace.format(formatter))
     return 0 if result.is_success else 1

@@ -1,4 +1,4 @@
-"""Durable cross-run verdict store (CQRS: journal + SQLite projection).
+"""Durable cross-run verdict store: one journal and a key index over it.
 
 Synthesis re-verifies the same candidates over and over: repeated CLI
 runs, overlapping matrix cells, warm benchmark passes, and distributed
@@ -6,13 +6,12 @@ workers all dispatch model-checker runs whose verdicts were already
 computed somewhere.  This package memoises those verdicts *durably*:
 
 * :mod:`repro.store.journal` — an append-only ``journal.jsonl`` is the
-  source of truth.  Appends are atomic under an advisory file lock, a
-  torn trailing line (a killed writer) is detected and repaired, and the
-  journal is the only artifact that must survive.
-* :mod:`repro.store.projection` — a SQLite table projected *from* the
-  journal gives O(1) key lookup.  The projection is disposable: it can
-  be deleted (or corrupted) at any time and is rebuilt by replaying the
-  journal.
+  store's only file.  Appends are atomic under an advisory file lock,
+  and a torn trailing line (a killed writer) is detected and repaired.
+* :mod:`repro.store.projection` — :class:`JournalIndex`, an in-memory
+  map from key to the byte span of its latest journal line, built when
+  a store opens and grown by appends and catch-ups.  A lookup is a dict
+  probe plus one read of that span.
 * :mod:`repro.store.store` — :class:`VerdictStore` front end: verdicts
   are keyed by ``(system signature, flags signature, candidate
   assignment)`` where the assignment is *name-keyed* (hole name ->
@@ -25,7 +24,7 @@ nothing about transition systems beyond their signature surface.
 """
 
 from repro.store.journal import VerdictJournal
-from repro.store.projection import SqliteProjection
+from repro.store.projection import JournalIndex
 from repro.store.store import (
     StoredRun,
     VerdictStore,
@@ -36,7 +35,7 @@ from repro.store.store import (
 )
 
 __all__ = [
-    "SqliteProjection",
+    "JournalIndex",
     "StoredRun",
     "VerdictJournal",
     "VerdictStore",

@@ -1,4 +1,4 @@
-"""Append-only JSONL journal — the verdict store's source of truth.
+"""Append-only JSONL journal — the verdict store's only on-disk artifact.
 
 One record per line, appended atomically under an advisory ``flock``.
 A writer killed mid-append leaves a *torn* trailing line; the journal
@@ -29,8 +29,11 @@ class VerdictJournal:
         if parent:
             os.makedirs(parent, exist_ok=True)
         # "a+b": writes always append (O_APPEND) while the handle stays
-        # readable for the torn-tail check.
+        # readable for the torn-tail check and span reads.
         self._handle: Optional[IO[bytes]] = open(self.path, "a+b")
+        # Where this handle's last append ended: while the file still ends
+        # there, no other writer can have left a torn tail.
+        self._end: Optional[int] = None
 
     # ------------------------------------------------------------------ write
 
@@ -49,27 +52,21 @@ class VerdictJournal:
         handle = self._handle
         self._lock(handle)
         try:
-            self._repair_torn_tail(handle)
-            handle.seek(0, os.SEEK_END)
+            start = handle.seek(0, os.SEEK_END)
+            # A torn line (writer killed mid-append) means the file does not
+            # end with a newline.  Terminate it so the garbage stays confined
+            # to one line that readers skip, instead of merging with this
+            # record.  Only another writer can have torn it since our last
+            # append, and only by changing the size.
+            if start != self._end and start and self.read(start - 1, start) != b"\n":
+                handle.write(b"\n")
+                start += 1
             handle.write(data)
             handle.flush()
-            end = handle.tell()
-            return end - len(data), end
+            self._end = start + len(data)
+            return start, self._end
         finally:
             self._unlock(handle)
-
-    def _repair_torn_tail(self, handle: IO[bytes]) -> None:
-        # A torn line (writer killed mid-append) means the file does not end
-        # with a newline.  Terminate it so the garbage stays confined to one
-        # line that readers skip, instead of merging with the next record.
-        size = handle.seek(0, os.SEEK_END)
-        if size == 0:
-            return
-        handle.seek(size - 1)
-        if handle.read(1) != b"\n":
-            handle.seek(0, os.SEEK_END)
-            handle.write(b"\n")
-            handle.flush()
 
     @staticmethod
     def _lock(handle: IO[bytes]) -> None:
@@ -89,16 +86,20 @@ class VerdictJournal:
         except OSError:
             return 0
 
-    def replay(self, offset: int = 0) -> Iterator[Tuple[int, str, dict]]:
-        """Yield ``(end_offset, line, record)`` for each intact record past *offset*.
+    def read(self, start: int, end: int) -> bytes:
+        """The journal bytes in ``[start, end)``, read without seeking."""
 
-        ``line`` is the record's text as stored, without its newline.
+        if self._handle is None:
+            raise ValueError("journal is closed")
+        return os.pread(self._handle.fileno(), end - start, start)
 
-        A torn trailing line (no newline terminator yet) is left alone — its
-        offset is not consumed, so a later replay picks it up once the
-        repairing writer terminates it.  Unparseable *complete* lines (the
-        repaired remains of a torn write) are skipped but their bytes are
-        consumed.
+    def lines(self, offset: int = 0) -> Iterator[Tuple[int, int, bytes]]:
+        """Yield ``(start, end, line)`` for each complete line past *offset*.
+
+        ``line`` is the raw bytes, newline included; ``end`` is where the
+        next line starts.  A torn trailing line (no newline terminator yet)
+        is not yielded, so a caller resuming from the last ``end`` picks it
+        up once the repairing writer terminates it.
         """
 
         try:
@@ -107,21 +108,13 @@ class VerdictJournal:
             return
         with reader:
             reader.seek(offset)
-            position = offset
+            start = offset
             for raw in reader:
-                position += len(raw)
                 if not raw.endswith(b"\n"):
                     return  # torn tail: not yet terminated, do not consume
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                try:
-                    line = stripped.decode("utf-8")
-                    record = json.loads(line)
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue  # repaired torn line: consume and ignore
-                if isinstance(record, dict):
-                    yield position, line, record
+                end = start + len(raw)
+                yield start, end, raw
+                start = end
 
     # ---------------------------------------------------------------- cleanup
 

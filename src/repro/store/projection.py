@@ -1,122 +1,74 @@
-"""SQLite read projection over the verdict journal.
+"""In-memory key index over the verdict journal.
 
-The projection is a *disposable* materialised view: a ``verdicts`` table
-keyed by candidate key, plus a ``meta`` row remembering how many journal
-bytes have been applied.  ``catch_up`` replays any new journal suffix
-inside a single ``BEGIN IMMEDIATE`` transaction, so concurrent readers
-in other processes either see the old offset or the new one — never a
-half-applied batch.  If the SQLite file is deleted or corrupted it is
-rebuilt from the journal (see :meth:`rebuild` and
-``VerdictStore.__init__``).
+:class:`JournalIndex` maps each candidate key to the byte span of its
+latest journal line, so a lookup is a dict probe plus one read of that
+span.  It holds offsets, never parsed records, and is rebuilt from the
+journal whenever a store opens: there is nothing on disk to go stale.
+``catch_up`` resumes from the last complete line it scanned, so another
+writer's appends cost one incremental scan.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
+import re
 from typing import Optional
 
 from repro.store.journal import VerdictJournal
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS verdicts (
-    key TEXT PRIMARY KEY,
-    record TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS meta (
-    id INTEGER PRIMARY KEY CHECK (id = 1),
-    journal_offset INTEGER NOT NULL
-);
-INSERT OR IGNORE INTO meta (id, journal_offset) VALUES (1, 0);
-"""
+#: How the journal's canonical JSON (sorted keys, compact separators)
+#: spells a store key.  A JSON string escapes every ``"`` it contains, so
+#: this cannot match inside a string value.
+_CANONICAL_KEY = re.compile(rb',"key":"([0-9a-f]{64})"')
 
 
-class SqliteProjection:
-    """O(1) key -> record lookup, projected from a :class:`VerdictJournal`."""
+def _key_of(line: bytes) -> Optional[str]:
+    """The ``key`` of one journal line, or ``None`` when it has none."""
 
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
-        # The journal is the source of truth; losing the projection on a
-        # crash only costs a rebuild, so trade durability for speed.
-        self._conn.execute("PRAGMA synchronous=OFF")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+    match = _CANONICAL_KEY.search(line)
+    if match is not None:
+        return match.group(1).decode("ascii")
+    # Legacy and hand-written lines: parse them fully.
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None  # repaired torn line: skip it
+    key = record.get("key") if isinstance(record, dict) else None
+    return key if isinstance(key, str) else None
 
-    # ------------------------------------------------------------------- read
 
-    def applied_offset(self) -> int:
-        row = self._conn.execute(
-            "SELECT journal_offset FROM meta WHERE id = 1"
-        ).fetchone()
-        return int(row[0]) if row else 0
+class JournalIndex(dict):
+    """Key -> ``(start, end)`` span of the key's latest line in the journal.
 
-    def get(self, key: str) -> Optional[dict]:
-        row = self._conn.execute(
-            "SELECT record FROM verdicts WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        record = json.loads(row[0])
-        return record if isinstance(record, dict) else None
+    A span only says where to look: a line torn right after its key is
+    indexed too, so readers must parse the span and check its key.
+    """
 
-    def count(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(*) FROM verdicts").fetchone()[0])
+    def __init__(self) -> None:
+        super().__init__()
+        #: end of the last complete line scanned (or appended in sequence)
+        self.offset = 0
 
-    # ------------------------------------------------------------------ write
+    def catch_up(self, journal: VerdictJournal) -> None:
+        """Index every complete journal line past :attr:`offset`."""
 
-    def catch_up(self, journal: VerdictJournal) -> int:
-        """Apply any journal suffix not yet projected; returns records applied."""
+        for start, end, line in journal.lines(self.offset):
+            key = _key_of(line)
+            if key is not None:
+                self[key] = (start, end)
+            self.offset = end
 
-        applied = 0
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            offset = self.applied_offset()
-            for end_offset, line, record in journal.replay(offset):
-                key = record.get("key")
-                if isinstance(key, str):
-                    # The journal writes canonical JSON (sorted keys, compact
-                    # separators), so its line is stored as read.
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO verdicts (key, record) VALUES (?, ?)",
-                        (key, line),
-                    )
-                    applied += 1
-                offset = end_offset
-            self._conn.execute(
-                "UPDATE meta SET journal_offset = ? WHERE id = 1", (offset,)
-            )
-            self._conn.commit()
-        except BaseException:
-            self._conn.rollback()
-            raise
-        return applied
+    def add(self, key: str, start: int, end: int) -> None:
+        """Index a line this process appended at ``[start, end)``."""
 
-    def rebuild(self, journal: VerdictJournal) -> int:
-        """Discard the projected state and re-apply the journal from byte 0."""
+        self[key] = (start, end)
+        # Appended right where the scan stopped: nothing foreign lies in
+        # between.  Otherwise the next catch-up scans the gap, this line
+        # included, so the latest line still wins.
+        if start == self.offset:
+            self.offset = end
 
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            self._conn.execute("DELETE FROM verdicts")
-            self._conn.execute("UPDATE meta SET journal_offset = 0 WHERE id = 1")
-            self._conn.commit()
-        except BaseException:
-            self._conn.rollback()
-            raise
-        return self.catch_up(journal)
 
-    # ---------------------------------------------------------------- cleanup
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "SqliteProjection":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+# The name the store's per-layer benchmark hooks wrap (``catch_up``):
+# the index replaced a SQLite projection that carried it.
+SqliteProjection = JournalIndex

@@ -1,10 +1,11 @@
 """The durable verdict store front end.
 
-``VerdictStore`` combines the append-only journal (source of truth) and
-the SQLite projection (fast lookup) behind two operations:
+``VerdictStore`` combines the append-only journal (its only on-disk
+artifact) and an in-memory key index built from it behind two
+operations:
 
-* ``lookup(key)`` — O(1) check whether an identically-configured run
-  already verified this candidate.
+* ``lookup(key)`` — a dict probe for whether an identically-configured
+  run already verified this candidate, then one read of its line.
 * ``record(key, run)`` — durably append the outcome of one model-checker
   run.
 
@@ -35,17 +36,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sqlite3
 import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.store.journal import VerdictJournal
-from repro.store.projection import SqliteProjection
+from repro.store.projection import JournalIndex
 
 JOURNAL_NAME = "journal.jsonl"
-PROJECTION_NAME = "store.sqlite"
 
 Assignment = Tuple[Tuple[str, int], ...]
 
@@ -185,81 +184,50 @@ class StoredRun:
 
 
 class VerdictStore:
-    """Durable candidate-verdict memo: journal + projection + recency cache."""
+    """Durable candidate-verdict memo: the journal plus a key index over it."""
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
         os.makedirs(self.path, exist_ok=True)
-        # One mutex serialises lookups and records: the SQLite connection
-        # may be shared across threads, and the journal handle's
+        # One mutex serialises lookups and records: the journal handle's
         # seek/write sequence must not interleave within a process
         # (cross-process interleaving is handled by flock).
         self._mutex = threading.Lock()
         self.journal = VerdictJournal(os.path.join(self.path, JOURNAL_NAME))
-        self.projection = self._open_projection()
-        # Journal bytes whose records are projected or held in ``_recent``
-        # (this store's own appends).  Only another writer can grow the
-        # journal past it, and only then is the projection stale.
-        self._seen_size = 0
-        self._recent: Dict[str, StoredRun] = {}
-        with self._mutex:
-            self._catch_up()
-
-    # ------------------------------------------------------------- projection
-
-    def _open_projection(self) -> SqliteProjection:
-        projection_path = os.path.join(self.path, PROJECTION_NAME)
-        try:
-            return SqliteProjection(projection_path)
-        except sqlite3.Error:
-            # Corrupt projection file: it is disposable — rebuild from scratch.
-            try:
-                os.unlink(projection_path)
-            except OSError:
-                pass
-            return SqliteProjection(projection_path)
-
-    def _catch_up(self) -> None:
-        # Sized *before* the replay: a record another writer appends during
-        # it stays unseen and triggers the next catch-up, rather than being
-        # marked seen unprojected.
-        size = self.journal.size()
-        try:
-            self.projection.catch_up(self.journal)
-        except sqlite3.Error:
-            self.projection.close()
-            self.projection = self._open_projection()
-            self.projection.catch_up(self.journal)
-        self._seen_size = size
+        self.index = JournalIndex()
+        self.index.catch_up(self.journal)
 
     # ------------------------------------------------------------------- read
 
     def lookup(self, key: str) -> Optional[StoredRun]:
         """The stored run under *key* (see :func:`candidate_key`), if any."""
 
-        hit = self._recent.get(key)
-        if hit is not None:
-            return hit
         with self._mutex:
-            # Own records are answered from ``_recent``; a cheap stat tells
+            span = self.index.get(key)
+            # The index holds this store's own records; a cheap stat tells
             # whether another writer has appended since the last catch-up.
-            if self.journal.size() > self._seen_size:
-                self._catch_up()
-            record = self.projection.get(key)
-            if record is None:
+            if span is None and self.journal.size() > self.index.offset:
+                self.index.catch_up(self.journal)
+                span = self.index.get(key)
+            if span is None:
                 return None
-            run = StoredRun.from_record(record)
-            self._recent[key] = run
-            return run
+            line = self.journal.read(*span)
+        # A span whose line is torn or holds another key is a miss, never
+        # a wrong verdict: the candidate is checked and recorded again.
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(record, dict) or record.get("key") != key:
+            return None
+        return StoredRun.from_record(record)
 
     def __len__(self) -> int:
-        """Distinct keys in the journal, this store's own records included."""
+        """Distinct keys in the journal, other writers' records included."""
 
         with self._mutex:
-            # Own records are not projected until a catch-up, so always
-            # catch up here (``len`` is off the per-candidate path).
-            self._catch_up()
-            return self.projection.count()
+            self.index.catch_up(self.journal)
+            return len(self.index)
 
     # ------------------------------------------------------------------ write
 
@@ -270,21 +238,13 @@ class VerdictStore:
         record.update(run.to_record())
         with self._mutex:
             start, end = self.journal.append(record)
-            # Appended right where this store last looked: nothing foreign
-            # in between, and the new record is answered from ``_recent``.
-            if start == self._seen_size:
-                self._seen_size = end
-            self._recent[key] = run
+            self.index.add(key, start, end)
 
     # ---------------------------------------------------------------- cleanup
 
     def close(self) -> None:
         with self._mutex:
-            try:
-                self._catch_up()
-            finally:
-                self.projection.close()
-                self.journal.close()
+            self.journal.close()
 
     def __enter__(self) -> "VerdictStore":
         return self

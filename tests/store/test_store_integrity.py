@@ -1,21 +1,21 @@
-"""Durability mechanics of the verdict store: journal, projection, keys.
+"""Durability mechanics of the verdict store: journal, key index, keys.
 
-The journal is the source of truth (append-only JSONL, flock'd appends,
-torn-tail repair); the SQLite projection is a disposable read-optimised
-index rebuilt from the journal whenever it is missing, stale, or corrupt.
-These tests drive each failure mode directly.
+The journal is the store's only file (append-only JSONL, flock'd
+appends, torn-tail repair); the key index maps each key to its latest
+line's byte span and is rebuilt from the journal at every open.  These
+tests drive each failure mode directly.
 """
 
 import json
 import multiprocessing
 import os
-import sqlite3
+import shutil
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.store import (
-    SqliteProjection,
+    JournalIndex,
     StoredRun,
     VerdictJournal,
     VerdictStore,
@@ -24,16 +24,28 @@ from repro.store import (
     open_store,
     system_signature,
 )
-from repro.store.store import JOURNAL_NAME, PROJECTION_NAME, _digest
-from repro.core import SynthesisConfig
+from repro.store.store import JOURNAL_NAME, _digest
+from repro.core import SynthesisConfig, SynthesisEngine
 from repro.protocols.catalog import build_skeleton
 
 SYS = "a" * 64
 FLAGS = "b" * 64
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def stored(verdict="success", **kwargs):
     return StoredRun(verdict=verdict, stats={"states_visited": 7}, **kwargs)
+
+
+def parsed_keys(journal, offset=0):
+    """Keys of the journal's parseable complete lines past *offset*."""
+    keys = []
+    for _, _, line in journal.lines(offset):
+        try:
+            keys.append(json.loads(line)["key"])
+        except ValueError:
+            pass
+    return keys
 
 
 class TestJournal:
@@ -41,11 +53,10 @@ class TestJournal:
         journal = VerdictJournal(str(tmp_path / "j.jsonl"))
         _, offset = journal.append({"key": "k1", "verdict": "success"})
         journal.append({"key": "k2", "verdict": "failure"})
-        records = list(journal.replay())
-        assert [r["key"] for _, _, r in records] == ["k1", "k2"]
-        # Offsets are resumable: replaying from the first record's end
+        assert parsed_keys(journal) == ["k1", "k2"]
+        # Offsets are resumable: reading from the first record's end
         # yields only the second.
-        assert [r["key"] for _, _, r in journal.replay(offset)] == ["k2"]
+        assert parsed_keys(journal, offset) == ["k2"]
         journal.close()
 
     def test_torn_tail_is_recovered(self, tmp_path):
@@ -56,57 +67,111 @@ class TestJournal:
         # A writer killed mid-append leaves a partial line with no newline.
         with open(path, "ab") as handle:
             handle.write(b'{"key": "k2", "verd')
-        # Replay does not consume the torn tail (it may still be completed).
+        # Reading does not consume the torn tail (it may still be completed).
         journal = VerdictJournal(str(path))
-        assert [r["key"] for _, _, r in journal.replay()] == ["k1"]
+        assert parsed_keys(journal) == ["k1"]
         # The next locked append terminates the torn line, confining the
         # garbage to one skippable line; the new record is intact.
         journal.append({"key": "k3"})
-        assert [r["key"] for _, _, r in journal.replay()] == ["k1", "k3"]
+        assert parsed_keys(journal) == ["k1", "k3"]
+        journal.close()
+
+    def test_torn_tail_after_own_append_is_recovered(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = VerdictJournal(str(path))
+        journal.append({"key": "k1"})
+        # Another writer dies mid-append behind this handle's back.
+        with open(path, "ab") as handle:
+            handle.write(b'{"key": "k2", "verd')
+        start, end = journal.append({"key": "k3"})
+        assert journal.read(start, end) == b'{"key":"k3"}\n'
+        assert parsed_keys(journal) == ["k1", "k3"]
+        journal.close()
+
+    def test_torn_tail_check_runs_only_when_the_size_moved(self, tmp_path):
+        journal = VerdictJournal(str(tmp_path / "j.jsonl"))
+        journal.append({"key": "k0"})
+        reads = []
+        original = journal.read
+
+        def counting(start, end):
+            reads.append((start, end))
+            return original(start, end)
+
+        journal.read = counting
+        for index in range(1, 5):
+            journal.append({"key": f"k{index}"})
+        # The file still ended where this handle's last append did.
+        assert reads == []
+        other = VerdictJournal(journal.path)
+        other.append({"key": "foreign"})
+        other.close()
+        journal.append({"key": "k5"})
+        assert len(reads) == 1
         journal.close()
 
     def test_append_returns_offsets_and_replay_the_stored_line(self, tmp_path):
         journal = VerdictJournal(str(tmp_path / "j.jsonl"))
         assert journal.append({"key": "k1"}) == (0, 13)
         assert journal.append({"verdict": "x", "key": "k2"}) == (13, 40)
-        assert [line for _, line, _ in journal.replay()] == [
-            '{"key":"k1"}',
-            '{"key":"k2","verdict":"x"}',
+        assert list(journal.lines()) == [
+            (0, 13, b'{"key":"k1"}\n'),
+            (13, 40, b'{"key":"k2","verdict":"x"}\n'),
         ]
+        assert journal.read(13, 40) == b'{"key":"k2","verdict":"x"}\n'
         journal.close()
 
     def test_unparseable_complete_lines_are_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        path.write_text('{"key": "k1"}\nnot json at all\n{"key": "k2"}\n')
+        path.write_text('{"key": "k1"}\nnot json at all\n\n{"key": "k2"}\n')
         journal = VerdictJournal(str(path))
-        assert [r["key"] for _, _, r in journal.replay()] == ["k1", "k2"]
+        index = JournalIndex()
+        index.catch_up(journal)
+        assert index == {"k1": (0, 14), "k2": (31, 45)}
+        assert index.offset == path.stat().st_size
         journal.close()
 
 
-class TestProjectionRecovery:
-    def test_projection_rebuilds_from_journal_when_deleted(self, tmp_path):
+def key_of(index):
+    return candidate_key(SYS, FLAGS, (("h", index),))
+
+
+def append_raw(path, record, newline=True):
+    """Append one canonical record as another writer would, optionally torn."""
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    with open(path, "ab") as handle:
+        handle.write(line.encode() + (b"\n" if newline else b""))
+
+
+class TestIndexRecovery:
+    def test_index_is_rebuilt_from_the_journal_at_open(self, tmp_path):
         store = VerdictStore(str(tmp_path))
         store.record(candidate_key(SYS, FLAGS, (("h", 1),)), stored())
         store.close()
-        os.unlink(tmp_path / PROJECTION_NAME)
         reopened = VerdictStore(str(tmp_path))
         hit = reopened.lookup(candidate_key(SYS, FLAGS, (("h", 1),)))
         assert hit is not None and hit.verdict == "success"
         assert len(reopened) == 1
         reopened.close()
+        assert os.listdir(tmp_path) == [JOURNAL_NAME]
 
-    def test_corrupt_projection_is_discarded_and_rebuilt(self, tmp_path):
+    def test_leftover_sqlite_file_is_ignored(self, tmp_path):
+        """Stores once kept a SQLite projection next to the journal; a
+        leftover file is neither read nor touched."""
         store = VerdictStore(str(tmp_path))
-        store.record(candidate_key(SYS, FLAGS, (("h", 0),)), stored("failure"))
+        store.record(key_of(0), stored("failure"))
         store.close()
-        (tmp_path / PROJECTION_NAME).write_bytes(b"this is not sqlite")
+        leftover = tmp_path / "store.sqlite"
+        leftover.write_bytes(b"this is not sqlite")
         reopened = VerdictStore(str(tmp_path))
-        hit = reopened.lookup(candidate_key(SYS, FLAGS, (("h", 0),)))
+        hit = reopened.lookup(key_of(0))
         assert hit is not None and hit.verdict == "failure"
+        reopened.record(key_of(1), stored())
         reopened.close()
+        assert leftover.read_bytes() == b"this is not sqlite"
 
     def test_journal_is_the_source_of_truth(self, tmp_path):
-        """Records appended behind the projection's back (another process)
+        """Records appended behind the index's back (another process)
         are visible after the size check triggers a catch-up."""
         store = VerdictStore(str(tmp_path))
         store.record(candidate_key(SYS, FLAGS, (("h", 0),)), stored())
@@ -118,6 +183,80 @@ class TestProjectionRecovery:
         hit = store.lookup(candidate_key(SYS, FLAGS, (("h", 1),)))
         assert hit is not None and hit.verdict == "failure"
         store.close()
+
+    def test_line_torn_after_its_key_is_a_miss_until_recorded_again(
+        self, tmp_path
+    ):
+        journal = tmp_path / JOURNAL_NAME
+        record = {"key": key_of(0), **stored().to_record()}
+        append_raw(journal, {"key": key_of(1), **stored().to_record()})
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        torn = line[: line.index(key_of(0)) + 65]
+        assert torn.endswith(key_of(0) + '"')
+        # A killed writer's line, terminated by the next writer's repair.
+        with open(journal, "ab") as handle:
+            handle.write(torn.encode() + b"\n")
+        store = VerdictStore(str(tmp_path))
+        assert key_of(0) in store.index
+        assert store.lookup(key_of(0)) is None
+        assert store.lookup(key_of(1)) is not None
+        store.record(key_of(0), stored("failure"))
+        hit = store.lookup(key_of(0))
+        assert hit is not None and hit.verdict == "failure"
+        store.close()
+        reopened = VerdictStore(str(tmp_path))
+        hit = reopened.lookup(key_of(0))
+        assert hit is not None and hit.verdict == "failure"
+        reopened.close()
+
+    def test_unterminated_tail_is_not_indexed(self, tmp_path):
+        journal = tmp_path / JOURNAL_NAME
+        append_raw(journal, {"key": key_of(0), **stored().to_record()})
+        append_raw(journal, {"key": key_of(1), **stored().to_record()},
+                   newline=False)
+        store = VerdictStore(str(tmp_path))
+        assert store.lookup(key_of(0)) is not None
+        assert store.lookup(key_of(1)) is None
+        assert store.index.offset < journal.stat().st_size
+        store.close()
+
+    def test_hit_whose_parsed_key_differs_is_a_miss(self, tmp_path):
+        """A hand-written line can spell another key where the canonical
+        scan looks first; the parsed key decides, so it is a miss."""
+        line = (
+            '{"stats":{"states_visited":7,"key":"%s"},"key":"%s",'
+            '"verdict":"success"}\n' % (key_of(1), key_of(0))
+        )
+        (tmp_path / JOURNAL_NAME).write_text(line)
+        store = VerdictStore(str(tmp_path))
+        assert store.index == {key_of(1): (0, len(line))}
+        assert store.lookup(key_of(1)) is None
+        assert store.lookup(key_of(0)) is None
+        store.close()
+
+    def test_lookups_cache_no_parsed_record(self, tmp_path):
+        store = VerdictStore(str(tmp_path))
+        store.record(key_of(0), stored())
+        first, second = store.lookup(key_of(0)), store.lookup(key_of(0))
+        assert first == second == stored()
+        assert first is not second
+        store.close()
+
+    def test_journal_written_by_the_sqlite_store_replays_without_checks(
+        self, tmp_path
+    ):
+        """A journal recorded by the SQLite-backed store (msi-tiny, cold
+        sequential run) answers every candidate of a warm run."""
+        shutil.copy(os.path.join(DATA, "msi-tiny-journal.jsonl"),
+                    tmp_path / JOURNAL_NAME)
+        before = (tmp_path / JOURNAL_NAME).read_bytes()
+        report = SynthesisEngine(
+            build_skeleton("msi-tiny"), SynthesisConfig(store_path=str(tmp_path))
+        ).run()
+        assert len(report.solutions) == 3
+        assert report.store_hits == report.evaluated == 25
+        assert report.model_checks == 0
+        assert (tmp_path / JOURNAL_NAME).read_bytes() == before
 
 
 class TestLegacyRecords:
@@ -252,9 +391,9 @@ def _writer(path, worker, count, done):
 
 
 class TestConcurrentWriters:
-    def test_two_processes_do_not_corrupt_the_projection(self, tmp_path):
-        """Two writer processes interleave flock'd journal appends; a
-        fresh reader must see every record and a clean SQLite file."""
+    def test_two_processes_interleave_whole_lines(self, tmp_path):
+        """Two writer processes interleave flock'd journal appends; every
+        journal line must parse, and a fresh reader must see every record."""
         ctx = multiprocessing.get_context()
         done = ctx.Queue()
         count = 50
@@ -267,6 +406,9 @@ class TestConcurrentWriters:
         for proc in procs:
             proc.join(timeout=60)
             assert proc.exitcode == 0
+        lines = (tmp_path / JOURNAL_NAME).read_bytes().splitlines()
+        assert len(lines) == 2 * count
+        assert all(json.loads(line)["verdict"] == "success" for line in lines)
         reader = open_store(str(tmp_path))
         assert len(reader) == 2 * count
         for worker in range(2):
@@ -275,31 +417,25 @@ class TestConcurrentWriters:
                 key = candidate_key(SYS, flags, (("h", index),))
                 assert reader.lookup(key) is not None
         reader.close()
-        conn = sqlite3.connect(tmp_path / PROJECTION_NAME)
-        assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
-        conn.close()
-
-
-def key_of(index):
-    return candidate_key(SYS, FLAGS, (("h", index),))
 
 
 class TestCatchUpPolicy:
-    """The projection catches up at open, when another writer has grown
-    the journal, and at close; a store's own appends never trigger it."""
+    """The index catches up at open, when another writer has grown the
+    journal, and for ``len``; a store's own appends never trigger it, and
+    closing does not either."""
 
     def spy_catch_ups(self, monkeypatch):
         calls = []
-        original = SqliteProjection.catch_up
+        original = JournalIndex.catch_up
 
-        def counting(projection, journal):
+        def counting(index, journal):
             calls.append(journal.path)
-            return original(projection, journal)
+            original(index, journal)
 
-        monkeypatch.setattr(SqliteProjection, "catch_up", counting)
+        monkeypatch.setattr(JournalIndex, "catch_up", counting)
         return calls
 
-    def test_single_writer_catches_up_only_at_open_and_close(
+    def test_single_writer_catches_up_only_at_open(
         self, tmp_path, monkeypatch
     ):
         calls = self.spy_catch_ups(monkeypatch)
@@ -307,8 +443,9 @@ class TestCatchUpPolicy:
         for index in range(20):
             assert store.lookup(key_of(index)) is None
             store.record(key_of(index), stored())
+            assert store.lookup(key_of(index)) is not None
         store.close()
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_second_store_appends_are_seen(self, tmp_path):
         first = VerdictStore(str(tmp_path))
@@ -321,48 +458,61 @@ class TestCatchUpPolicy:
         first.close()
         second.close()
 
-    def test_len_counts_own_unprojected_records(self, tmp_path):
+    def test_len_counts_own_and_foreign_records(self, tmp_path):
         store = VerdictStore(str(tmp_path))
         for index in range(3):
             store.record(key_of(index), stored())
-        assert store.projection.count() == 0
-        assert len(store) == 3
+        assert len(store.index) == 3
+        append_raw(tmp_path / JOURNAL_NAME,
+                   {"key": key_of(3), **stored().to_record()})
+        assert len(store) == 4
         store.close()
 
     def test_store_dropped_without_close_reopens_complete(self, tmp_path):
         crashed = VerdictStore(str(tmp_path))
         for index in range(5):
             crashed.record(key_of(index), stored())
-        # No close(): the projection lags the journal, as after a kill.
-        assert crashed.projection.count() == 0
+        # No close(), as after a kill: every record is already flushed.
         reopened = VerdictStore(str(tmp_path))
         assert len(reopened) == 5
         for index in range(5):
             assert reopened.lookup(key_of(index)) is not None
         reopened.close()
         crashed.journal.close()
-        crashed.projection.close()
 
-    def test_append_racing_a_catch_up_is_projected_later(
+    def test_append_racing_a_catch_up_is_indexed_later(
         self, tmp_path, monkeypatch
     ):
         store = VerdictStore(str(tmp_path))
         other = VerdictJournal(str(tmp_path / JOURNAL_NAME))
-        original = SqliteProjection.catch_up
+        original = JournalIndex.catch_up
 
-        def racing(projection, journal):
-            applied = original(projection, journal)
-            # Another writer appends between the replay and anything the
+        def racing(index, journal):
+            original(index, journal)
+            # Another writer appends between the scan and anything the
             # store does after it.
-            monkeypatch.setattr(SqliteProjection, "catch_up", original)
+            monkeypatch.setattr(JournalIndex, "catch_up", original)
             other.append({"key": key_of(1), **stored("failure").to_record()})
-            return applied
 
-        monkeypatch.setattr(SqliteProjection, "catch_up", racing)
+        monkeypatch.setattr(JournalIndex, "catch_up", racing)
         # A foreign append makes the next lookup catch up (and race).
         other.append({"key": key_of(0), **stored().to_record()})
         assert store.lookup(key_of(0)) is not None
         hit = store.lookup(key_of(1))
         assert hit is not None and hit.verdict == "failure"
         other.close()
+        store.close()
+
+    def test_own_append_behind_a_foreign_one_keeps_the_latest_line(
+        self, tmp_path
+    ):
+        store = VerdictStore(str(tmp_path))
+        append_raw(tmp_path / JOURNAL_NAME,
+                   {"key": key_of(0), **stored("failure").to_record()})
+        store.record(key_of(0), stored())
+        # The foreign line is scanned after the store's own append was
+        # indexed; the store's later line must still win.
+        assert len(store) == 1
+        hit = store.lookup(key_of(0))
+        assert hit is not None and hit.verdict == "success"
         store.close()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.api import BACKENDS
 from repro.cli import main
+from repro.mc.properties import Invariant
 
 
 class TestVerify:
@@ -26,6 +28,26 @@ class TestVerify:
     def test_verify_truncated_is_nonzero(self, capsys):
         assert main(["verify", "msi", "--max-states", "5"]) == 1
         assert "unknown" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
+    def test_directory_counterexamples_print_named_states(
+        self, protocol, capsys, monkeypatch
+    ):
+        """Each directory protocol's trace uses its own state printer,
+        not the raw 7-tuple."""
+        build = cli.PROTOCOLS[protocol]
+
+        def failing(*args, **kwargs):
+            system = build(*args, **kwargs)
+            system.invariants.append(Invariant("never", lambda state: False))
+            return system
+
+        monkeypatch.setitem(cli.PROTOCOLS, protocol, failing)
+        assert main(["verify", protocol, "--caches", "2"]) == 1
+        out = capsys.readouterr().out
+        trace = out.split("counterexample:", 1)[1]
+        assert "caches[I,I] dir=I" in trace
+        assert "((0, 0)" not in trace
 
 
 class TestSynth:

@@ -2,7 +2,8 @@
 
 ``repro.dist`` pulls in ``multiprocessing`` and the protocol catalog;
 sequential synthesis and verification never need it, so the API and the
-CLI import it inside the functions that start a processes run.
+CLI import it inside the functions that start a processes run.  The
+verdict store keeps its index in memory, so no import loads ``sqlite3``.
 """
 
 import os
@@ -18,7 +19,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def test_import_leaves_dist_unloaded(module):
     script = (
         f"import sys, {module}\n"
-        "print(sorted(m for m in ('repro.dist', 'multiprocessing') "
+        "print(sorted(m for m in ('repro.dist', 'multiprocessing', 'sqlite3') "
         "if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
