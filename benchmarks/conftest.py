@@ -6,15 +6,14 @@ Conventions:
   (synthesis runs are long; statistical repetition is meaningless at this
   scale) and attaches the paper's Table I counters via
   ``benchmark.extra_info``;
-* expensive configurations are opt-in through environment variables:
+* expensive configurations are switched through environment variables:
   ``VERC3_BENCH_SMALL=0`` skips the MSI-small rows (seconds in all; the
   whole directory runs in about 10 s on a 2-vCPU host),
-  ``VERC3_BENCH_LARGE=1`` enables the MSI-large rows (about 10 s each),
   ``VERC3_BENCH_CACHES`` overrides the cache count (default 2; the paper's
   testbed used more but CPython pays ~5x per extra cache);
-* results land in the tracked ``BENCH_*.json`` and ``table1_output.txt``
-  only when ``VERC3_BENCH_RECORD=1``, so a plain test run never rewrites
-  the repository.
+* results land in the tracked ``BENCH_*.json`` only when
+  ``VERC3_BENCH_RECORD=1``, so a plain test run never rewrites the
+  repository.  Table I itself is regenerated by ``examples/table1.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import os
 
 import pytest
 
-from repro.analysis.stats import sample_candidate_cost  # noqa: F401 (re-export)
 from repro.core.report import SynthesisReport
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -56,10 +54,6 @@ def small_enabled() -> bool:
     return env_flag("VERC3_BENCH_SMALL", True)
 
 
-def large_enabled() -> bool:
-    return env_flag("VERC3_BENCH_LARGE", False)
-
-
 def record_enabled() -> bool:
     return env_flag("VERC3_BENCH_RECORD", False)
 
@@ -83,30 +77,6 @@ def attach_report(benchmark, report: SynthesisReport, configuration: str) -> Non
 def run_once(benchmark, fn):
     """Run a workload exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-@pytest.fixture(scope="session")
-def table1_rows():
-    """Session-collected Table I rows, printed at the end of the run.
-
-    The print bypasses pytest's capture (the fixture finalises before the
-    terminal summary); with ``VERC3_BENCH_RECORD=1`` the table is also
-    persisted next to the repo so EXPERIMENTS.md can reference a concrete
-    artefact.
-    """
-    rows = []
-    yield rows
-    if rows:
-        import sys
-
-        from repro.analysis.tables import format_table
-
-        text = "=== Table I (reproduced) ===\n" + format_table(rows) + "\n"
-        sys.__stdout__.write("\n\n" + text)
-        sys.__stdout__.flush()
-        if record_enabled():
-            with open("table1_output.txt", "w") as handle:
-                handle.write(text)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,7 @@
    "Departures from the paper").  The flat per-candidate matcher it was
    measured against is now a test oracle, and
    tests/integration/test_flat_matching_oracle.py pins their agreement.
-3. Success-pattern memoisation: avoids re-verifying known solutions'
-   don't-care extensions across passes.
-4. Coverage properties: dropping them admits degenerate protocols
+3. Coverage properties: dropping them admits degenerate protocols
    (the paper's Section III observation).
 """
 
@@ -47,18 +45,6 @@ class TestMatcherAblation:
             benchmark, lambda: run_config(msi_tiny(bench_caches()).system)
         )
         attach_report(benchmark, report, "MSI-tiny, subtree matcher")
-
-
-class TestSuccessMemoisation:
-    def test_success_patterns_reduce_reverification(self):
-        with_memo = run_config(build_vi_skeleton(2)[0], success_patterns=True)
-        without = run_config(build_vi_skeleton(2)[0], success_patterns=False)
-        # Identical solution sets either way...
-        assert {s.digits[: len(s.digits)] for s in with_memo.solutions} == {
-            s.digits[: len(s.digits)] for s in without.solutions
-        } or len(without.solutions) >= len(with_memo.solutions)
-        # ...but memoisation never evaluates more.
-        assert with_memo.evaluated <= without.evaluated
 
 
 class TestCoverageAblation:

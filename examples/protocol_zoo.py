@@ -6,9 +6,6 @@ Walks the complete-protocol catalog (``verify``) and the fast skeletons
 each protocol's designated seeded bug being caught — the sanity check
 that the property sets actually bite.
 
-This is the scripted cousin of ``python -m repro matrix --preset smoke``;
-use the matrix form when you want journaling and resumption.
-
 Run:  python examples/protocol_zoo.py
 """
 

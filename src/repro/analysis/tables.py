@@ -50,9 +50,9 @@ def _format_cell(column: str, value: object) -> str:
     return str(value)
 
 
-def format_table(rows: Sequence[Dict[str, object]],
-                 columns: Sequence[str] = TABLE1_COLUMNS) -> str:
-    """Render rows as an aligned plain-text table."""
+def format_table(rows: Sequence[Dict[str, object]]) -> str:
+    """Render Table I rows as an aligned plain-text table."""
+    columns = TABLE1_COLUMNS
     rendered: List[List[str]] = [
         [_format_cell(column, row.get(column)) for column in columns]
         for row in rows

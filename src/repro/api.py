@@ -45,9 +45,9 @@ if TYPE_CHECKING:
 
 __all__ = ["open_store", "synthesize", "verify"]
 
-#: The evaluation backends, the single list the CLI, the experiment matrix
-#: and the fuzz lattice share.  ``processes`` delivers real multi-core
-#: wall-clock speedups (see ``repro.dist``).
+#: The evaluation backends, the single list the CLI and the fuzz lattice
+#: share.  ``processes`` delivers real multi-core wall-clock speedups (see
+#: ``repro.dist``).
 BACKENDS = ("sequential", "processes")
 
 

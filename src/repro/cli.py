@@ -9,8 +9,6 @@ Commands:
   procedure plus both sound accelerations (conflict-generalised pruning,
   prefix-reuse search); ``--no-generalise`` / ``--no-prefix-reuse`` /
   ``--naive`` walk the ablation ladder back to the paper and beyond.
-* ``matrix`` — run a declarative experiment matrix (a preset or a JSON
-  spec) with a resumable journal; see :mod:`repro.experiments`.
 * ``fuzz`` — generate seeded random holed protocols and differential-test
   every acceleration/backend configuration against every other, shrinking
   divergences to corpus reproducers; see :mod:`repro.fuzz`.
@@ -24,18 +22,15 @@ Examples::
     python -m repro synth msi-small --backend processes --workers 4
     python -m repro synth msi-small --store runs/msi-store
     python -m repro synth german-small --no-generalise --no-prefix-reuse
-    python -m repro matrix --preset smoke
-    python -m repro matrix --preset table1 --out matrix-runs/table1
     python -m repro fuzz --seed 0 --count 50
 
-The full flag reference lives in ``docs/cli.md``; the matrix-spec format
-in ``docs/experiments.md``.
+The full flag reference lives in ``docs/cli.md``; Table I is regenerated
+by ``examples/table1.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -43,14 +38,6 @@ from repro.analysis.grouping import describe_groups
 from repro.api import BACKENDS
 from repro.errors import CliError
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.errors import ExperimentError
-from repro.experiments import (
-    MatrixRunner,
-    MatrixSpec,
-    expand_matrix,
-    load_preset,
-    preset_names,
-)
 from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.obs import Telemetry, load_events, render_stats
 from repro.protocols.catalog import (
@@ -87,23 +74,14 @@ _ACCELERATION_FLAGS: Dict[str, tuple] = {
 }
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser,
-                         optional_trace_value: bool = False) -> None:
-    """The shared observability flag group (verify / synth / matrix)."""
+def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
+    """The shared observability flag group (verify / synth)."""
     group = parser.add_argument_group("observability")
-    if optional_trace_value:
-        group.add_argument(
-            "--trace", metavar="FILE", nargs="?", const="", default=None,
-            help="write a structured JSONL trace; with no FILE, the trace "
-                 "lands at <out-dir>/trace.jsonl.  Summarise it with "
-                 "'repro stats FILE'",
-        )
-    else:
-        group.add_argument(
-            "--trace", metavar="FILE", default=None,
-            help="write a structured JSONL trace of the run to FILE "
-                 "(summarise it with 'repro stats FILE')",
-        )
+    group.add_argument(
+        "--trace", metavar="FILE", default=None,
+        help="write a structured JSONL trace of the run to FILE "
+             "(summarise it with 'repro stats FILE')",
+    )
     group.add_argument(
         "--metrics-out", metavar="FILE", default=None,
         help="write the run's aggregated metrics registry as JSON to FILE",
@@ -130,28 +108,22 @@ def _progress_requested(args: argparse.Namespace) -> bool:
     return bool(args.progress) or sys.stderr.isatty()
 
 
-def _build_telemetry(
-    args: argparse.Namespace, default_trace: Optional[str] = None
-) -> Optional[Telemetry]:
+def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     """The CLI-owned telemetry bundle, or None when every switch is off.
 
-    ``--trace`` with no value (matrix) arrives as ``""`` and resolves to
-    ``default_trace``.  ``--verbose`` routes through
-    :meth:`Telemetry.create`, which is the logging switchboard; when no
-    telemetry is active it is applied here so the flag still works alone.
+    ``--verbose`` routes through :meth:`Telemetry.create`, which is the
+    logging switchboard; when no telemetry is active it is applied here so
+    the flag still works alone.
     """
-    trace = args.trace
-    if trace == "":
-        trace = default_trace
     progress = _progress_requested(args)
-    if trace is None and args.metrics_out is None and not progress:
+    if args.trace is None and args.metrics_out is None and not progress:
         if args.verbose:
             from repro.util.logging import enable_verbose_logging
 
             enable_verbose_logging()
         return None
     return Telemetry.create(
-        trace_path=trace,
+        trace_path=args.trace,
         progress=progress,
         stream=sys.stderr,
         verbose=args.verbose,
@@ -225,38 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--groups", action="store_true",
                        help="fingerprint solutions and print behavioural groups")
     _add_telemetry_flags(synth)
-
-    matrix = sub.add_parser(
-        "matrix",
-        help="run a declarative experiment matrix (resumable)",
-        description="Run a protocol x backend x flags experiment matrix. "
-                    "Completed cells are journaled; re-running the same "
-                    "matrix against the same --out directory skips them.",
-    )
-    source = matrix.add_mutually_exclusive_group()
-    source.add_argument(
-        "--preset", choices=preset_names(), default=None,
-        help="a built-in matrix (table1 reproduces table1_output.txt; "
-             "smoke is the tiny CI matrix)",
-    )
-    source.add_argument(
-        "--spec", metavar="FILE", default=None,
-        help="path to a JSON matrix spec (format: docs/experiments.md)",
-    )
-    matrix.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="output directory for journal.jsonl / results.json / "
-             "report.md (default: matrix-runs/<matrix-name>)",
-    )
-    matrix.add_argument(
-        "--fresh", action="store_true",
-        help="discard an existing journal and re-run every cell",
-    )
-    matrix.add_argument(
-        "--list-presets", action="store_true",
-        help="print the built-in presets and exit",
-    )
-    _add_telemetry_flags(matrix, optional_trace_value=True)
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -440,58 +380,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0 if report.solutions else 1
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
-    """``matrix``: expand and run a declarative experiment matrix."""
-    if args.list_presets:
-        print("presets:")
-        for name in preset_names():
-            spec = load_preset(name)
-            print(f"  {name:8s}  {len(expand_matrix(spec))} cells")
-        return 0
-    try:
-        if args.spec is not None:
-            spec = MatrixSpec.from_json_file(args.spec)
-        elif args.preset is not None:
-            spec = load_preset(args.preset)
-        else:
-            print("matrix: one of --preset or --spec is required "
-                  "(or --list-presets)", file=sys.stderr)
-            return 2
-        out_dir = args.out or f"matrix-runs/{spec.name}"
-        if args.trace == "":
-            # The default trace lands inside the output directory, whose
-            # creation the runner normally owns — the sink opens first.
-            os.makedirs(out_dir, exist_ok=True)
-        tele = _build_telemetry(args, default_trace=f"{out_dir}/trace.jsonl")
-        runner = MatrixRunner(
-            spec, out_dir, fresh=args.fresh, log=print,
-            telemetry=tele,
-        )
-        try:
-            if tele is not None:
-                with tele.span(
-                    "matrix", matrix=spec.name, cells=len(runner.cells)
-                ) as span:
-                    result = runner.run()
-                    span.set(
-                        executed=result.executed, resumed=result.resumed,
-                        failed=len(result.failed),
-                    )
-            else:
-                result = runner.run()
-        finally:
-            _finish_telemetry(tele, args)
-    except ExperimentError as exc:
-        print(f"matrix: {exc}", file=sys.stderr)
-        return 2
-    print()
-    print(result.table_text())
-    print()
-    print(result.summary())
-    print(f"artifacts: {out_dir}/journal.jsonl, results.json, report.md")
-    return 0 if not result.failed else 1
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """``fuzz``: differential-test generated protocols over the lattice."""
     # Imported here: the fuzz package is the one CLI dependency most
@@ -579,7 +467,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "verify": cmd_verify,
         "synth": cmd_synth,
-        "matrix": cmd_matrix,
         "fuzz": cmd_fuzz,
         "stats": cmd_stats,
         "list": cmd_list,

@@ -97,12 +97,11 @@ def _candidate_label(vector: CandidateVector) -> str:
 def resolve_telemetry(config: "SynthesisConfig", telemetry):
     """Decide an engine's telemetry once, at construction.
 
-    Returns ``(telemetry, owns)``: a caller-supplied bundle (the CLI's,
-    or the matrix runner's) is used as-is and left open; otherwise one
-    is built when the config asks for it — and the engine owns it, i.e.
-    must close it when the run ends.  With neither, the shared
-    :data:`~repro.obs.NULL_TELEMETRY` keeps every instrumented call
-    site a no-op.
+    Returns ``(telemetry, owns)``: a caller-supplied bundle (the CLI's)
+    is used as-is and left open; otherwise one is built when the config
+    asks for it — and the engine owns it, i.e. must close it when the run
+    ends.  With neither, the shared :data:`~repro.obs.NULL_TELEMETRY`
+    keeps every instrumented call site a no-op.
     """
     if telemetry is not None:
         return telemetry, False
@@ -135,8 +134,6 @@ class SynthesisConfig:
             states.  Verdict-exact; automatically disabled when pruning is
             off or exploration ``limits`` are set (a truncated exploration
             depends on visit order, which resumption changes).
-        success_patterns: memoise solutions so later passes don't re-verify
-            extensions of a known solution whose extra holes are don't-cares.
         limits: per-run exploration caps (safety net).
         solution_limit: stop after this many solutions (None = exhaustive).
         max_evaluations: stop after this many model-checker runs.
@@ -158,9 +155,9 @@ class SynthesisConfig:
         store_path: directory of a durable cross-run verdict store
             (:mod:`repro.store`).  Every wildcard-free candidate
             evaluation consults the store before model checking and
-            records its outcome after; repeated runs, overlapping matrix
-            cells, and warm benchmark passes replay verdicts instead of
-            re-exploring.  ``None`` (default) disables the store.  Like
+            records its outcome after; repeated runs, overlapping
+            ablation runs, and warm benchmark passes replay verdicts
+            instead of re-exploring.  ``None`` (default) disables the store.  Like
             the other accelerations, the store stands down under
             exploration ``limits`` (see :attr:`store_active`): truncated
             verdicts depend on the limit values, which the store key
@@ -170,7 +167,6 @@ class SynthesisConfig:
     pruning: bool = True
     generalise_conflicts: bool = True
     prefix_reuse: bool = True
-    success_patterns: bool = True
     limits: Optional[ExplorationLimits] = None
     solution_limit: Optional[int] = None
     max_evaluations: Optional[int] = None
@@ -525,7 +521,7 @@ class SynthesisCore:
         #: this core's own cache counters on top)
         self.merged_prefix_counters = [0, 0, 0]  # hits, builds, states_reused
         #: largest visited-state count of any single candidate run (the
-        #: high-water mark the matrix journal and report surface)
+        #: high-water mark the report surfaces)
         self.peak_states = 0
         self.inherent_failure = False
         self.inherent_failure_message = ""
@@ -933,7 +929,7 @@ class SynthesisCore:
             if handles is not None:
                 handles["solutions"].inc()
             self.observer.on_solution(solution, holes)
-            if self.config.pruning and self.config.success_patterns:
+            if self.config.pruning:
                 self.success_table.add(PruningPattern.from_candidate(vector))
             if (
                 self.config.solution_limit is not None

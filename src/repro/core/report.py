@@ -83,7 +83,7 @@ class SynthesisReport:
     prefix_cache_builds: int = 0
     prefix_states_reused: int = 0
     #: largest visited-state count of any single candidate run — the
-    #: run's memory high-water mark (surfaced in the matrix journal)
+    #: run's memory high-water mark (printed in the summary)
     peak_states: int = 0
     #: durable verdict store (see repro.store): whether one was attached,
     #: its directory, evaluations replayed from it, and runs appended to

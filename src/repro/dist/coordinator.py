@@ -54,7 +54,6 @@ Design points:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import time
 from collections import deque
@@ -198,8 +197,6 @@ class DistributedSynthesisEngine:
         self.batches_per_worker = batches_per_worker
         self.min_batch_size = min_batch_size
         self.max_inflight = max_inflight
-        if start_method is None:
-            start_method = os.environ.get("REPRO_DIST_START_METHOD")
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"

@@ -37,10 +37,6 @@ class CliError(ReproError):
     the message and exits with status 2, like argparse errors."""
 
 
-class ExperimentError(ReproError):
-    """An experiment-matrix spec or journal is malformed or inconsistent."""
-
-
 class WildcardEncountered(ReproError):
     """Raised when a rule body resolves a hole assigned the wildcard action.
 

@@ -5,7 +5,7 @@ search over a FIFO frontier, with rules tried at each state in declaration
 order.  It owns state interning and canonicalisation on the system's
 :class:`~repro.mc.packed.PackedRuntime`, invariant and coverage
 evaluation, the parent/trace store, wildcard bookkeeping, deadlock
-classification, optional hole-path tracking and graph capture, and
+classification, optional hole-path tracking, and
 :class:`~repro.mc.result.RunStats`.
 
 Breadth-first order is what makes counterexample traces *minimal*
@@ -172,8 +172,6 @@ class ExplorationKernel:
             ``failure_holes`` view); the synthesis engine's conflict
             generalisation reads the mask (an extension over the paper;
             see :mod:`repro.core.pruning`).
-        capture_graph: optionally pass a :class:`repro.mc.graph.StateGraph`
-            to receive every state and transition (for visualisation).
         resume_from: an :class:`ExplorationCheckpoint` from a run whose
             assignment this run's resolver extends; inherited states are
             not re-explored (see the module docstring).  The caller is
@@ -197,7 +195,6 @@ class ExplorationKernel:
         resolver: Any = None,
         limits: Optional[ExplorationLimits] = None,
         track_hole_paths: bool = False,
-        capture_graph: Any = None,
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
         telemetry: Any = None,
@@ -208,7 +205,6 @@ class ExplorationKernel:
         self.ctx = ExecutionContext(resolver)
         self.limits = limits or ExplorationLimits()
         self.track_hole_paths = track_hole_paths
-        self.capture_graph = capture_graph
         if (
             resume_from is not None
             and track_hole_paths
@@ -308,8 +304,6 @@ class ExplorationKernel:
                 canon = rt.canon_id(rid)
             known = visited.get(canon)
             if known is not None:
-                if self.capture_graph is not None and parent is not None:
-                    self.capture_graph.add_edge(parent[0], known, parent[1])
                 return known, False
             sid = len(originals)
             visited[canon] = sid
@@ -323,10 +317,6 @@ class ExplorationKernel:
                 for prop in list(pending_coverage):
                     if prop.name in satisfied:
                         pending_coverage.remove(prop)
-            if self.capture_graph is not None:
-                self.capture_graph.add_state(sid, rt.state_of(rid), depth)
-                if parent is not None:
-                    self.capture_graph.add_edge(parent[0], sid, parent[1])
             frontier.append((rid, sid, depth))
             return sid, True
 

@@ -2,7 +2,7 @@
 
 The :class:`Telemetry` facade bundles the three concerns behind one
 handle that plumbs through every layer (kernel, engine, backends,
-matrix runner, CLI).  The disabled path is the :data:`NULL_TELEMETRY`
+CLI).  The disabled path is the :data:`NULL_TELEMETRY`
 singleton: ``enabled`` is False and every method is a no-op, so
 instrumented call sites decide once at setup time and the hot loops
 pay at most a predicate check per state.

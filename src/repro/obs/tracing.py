@@ -15,8 +15,8 @@ Event schema (one JSON object per line in the JSONL sink):
 * ``meta``: one-off annotations (command line, protocol, config).
 
 Spans nest per-thread via a thread-local stack.  The JSONL sink batches
-writes and fsyncs per batch — kill-safe in the same way as the
-experiments journal.
+writes and fsyncs per batch, so a kill loses at most one unflushed
+batch.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ class JsonlTraceSink:
 
     Events buffer in memory and hit disk every ``flush_every`` events
     (and on ``flush``/``close``); each disk write ends with an fsync so
-    a SIGKILL loses at most one unflushed batch, mirroring the matrix
-    runner's journal guarantees.
+    a SIGKILL loses at most one unflushed batch.
     """
 
     def __init__(self, path, flush_every: int = 128) -> None:

@@ -3,13 +3,14 @@
 The catalog is the single registry every consumer resolves protocol names
 through:
 
-* the CLI (``python -m repro verify/synth/list/matrix``),
+* the CLI (``python -m repro verify/synth/list``), and
 * the distributed backend (:mod:`repro.dist`), whose worker processes
   cannot receive a ``TransitionSystem`` by pickle (rule bodies are
   closures) and instead *rebuild* it from a
-  :class:`~repro.dist.messages.SystemSpec` naming a catalog entry, and
-* the experiment-matrix runner (:mod:`repro.experiments`), which resolves
-  every matrix cell's ``target`` here.
+  :class:`~repro.dist.messages.SystemSpec` naming a catalog entry.
+
+New protocols and skeletons go in the module-level tables below; there is
+no runtime registration.
 
 Each entry carries the metadata a human needs to pick a workload —
 hole count, supported replica range, a one-line summary — which
@@ -163,23 +164,6 @@ SKELETON_BUILDERS: Dict[str, Callable[[int], TransitionSystem]] = {
     name: (lambda n, _entry=entry: _entry.build(n)[0])
     for name, entry in SKELETON_CATALOG.items()
 }
-
-
-def register_skeleton(entry: SkeletonEntry) -> None:
-    """Add (or replace) a skeleton entry at runtime.
-
-    Keeps :data:`SKELETON_CATALOG` and the derived
-    :data:`SKELETON_BUILDERS` in sync.  Real protocols belong in the
-    module-level table; this hook exists for demos and tests.
-    """
-    SKELETON_CATALOG[entry.name] = entry
-    SKELETON_BUILDERS[entry.name] = lambda n, _entry=entry: _entry.build(n)[0]
-
-
-def unregister_skeleton(name: str) -> None:
-    """Remove a runtime-registered skeleton entry (missing names are fine)."""
-    SKELETON_CATALOG.pop(name, None)
-    SKELETON_BUILDERS.pop(name, None)
 
 
 def skeleton_names() -> Tuple[str, ...]:

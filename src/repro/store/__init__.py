@@ -1,7 +1,7 @@
 """Durable cross-run verdict store: one journal and a key index over it.
 
 Synthesis re-verifies the same candidates over and over: repeated CLI
-runs, overlapping matrix cells, warm benchmark passes, and distributed
+runs, overlapping ablation runs, warm benchmark passes, and distributed
 workers all dispatch model-checker runs whose verdicts were already
 computed somewhere.  This package memoises those verdicts *durably*:
 

@@ -27,13 +27,13 @@ class TestConfigValidation:
 
     # Partial-order reduction, family synthesis, flat matching, pattern
     # subsumption, the two single-value knobs, the frontier-strategy
-    # choice and the trace switch were removed; their knobs must not be
-    # silently accepted.  The first is spelled indirectly so a search for
+    # choice, the trace switch and the success-memoisation switch were
+    # removed; their knobs must not be silently accepted.  The first is spelled indirectly so a search for
     # the removed name finds no live use.
     @pytest.mark.parametrize("removed", [
         "_".join(("partial", "order")), "family", "naive_match",
         "subsumption", "default_action_index", "prefix_cache_capacity",
-        "explorer", "record_traces",
+        "explorer", "record_traces", "success_patterns",
     ])
     def test_removed_knobs_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):

@@ -188,7 +188,6 @@ def test_synthesis_backends_match(name):
     dict(generalise_conflicts=False),
     dict(prefix_reuse=False),
     dict(pruning=False),
-    dict(success_patterns=False),
 ])
 def test_synthesis_flag_combinations_match(flags):
     """Codec on/off agree under every other acceleration toggle too."""

@@ -4,12 +4,12 @@
 from repro.core.action import Action
 from repro.core.hole import Hole
 from repro.mc.context import FixedResolver
-from repro.mc.graph import StateGraph
 from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
 from repro.mc.result import FailureKind, Verdict
 from repro.mc.rule import Rule
 from repro.mc.system import TransitionSystem
+from tests.bfs_oracle import assert_matches_reference, reference_bfs
 
 
 def counter_system(limit=5, invariants=(), coverage=(), deadlock=None):
@@ -207,9 +207,10 @@ class TestLimitsAndCanonicalisation:
         assert result.verdict is Verdict.SUCCESS
         assert result.stats.states_visited == 5  # 0..4 instead of -4..4
 
-    def test_graph_capture(self):
-        graph = StateGraph()
-        ExplorationKernel(counter_system(limit=3), capture_graph=graph).run()
-        assert graph.num_states == 4
-        assert (3, 3, "stay") in graph.edges
-        assert "digraph" in graph.to_dot()
+    def test_self_loop_counts_as_transition(self):
+        """The final ``stay`` self-loop fires once and finds no new state:
+        3 ``inc`` firings plus 1 ``stay`` firing over 4 states."""
+        system = counter_system(limit=3)
+        reference = reference_bfs(system)
+        assert (reference.states, reference.transitions) == (4, 4)
+        assert_matches_reference(ExplorationKernel(system).run(), reference)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.mc.graph import StateGraph
 from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.mc.properties import Invariant
 from repro.mc.result import Verdict
 from repro.mc.rule import Rule
 from repro.mc.system import TransitionSystem
+from tests.bfs_oracle import assert_matches_reference, reference_bfs
 
 
 def counter_system(limit=5, invariants=()):
@@ -81,11 +81,11 @@ class TestTruncation:
 
 
 class TestKernelFeatures:
-    def test_graph_capture(self):
-        graph = StateGraph()
-        ExplorationKernel(counter_system(limit=3), capture_graph=graph).run()
-        assert graph.num_states == 4
-        assert (3, 3, "stay") in graph.edges
+    def test_counter_matches_reference_bfs(self):
+        system = counter_system(limit=3)
+        reference = reference_bfs(system)
+        assert reference.visited == {0, 1, 2, 3}
+        assert_matches_reference(ExplorationKernel(system).run(), reference)
 
     def test_track_hole_paths_on_failure(self):
         from repro.core.action import Action

@@ -18,10 +18,10 @@ import random
 
 import pytest
 
-from repro.mc.simulate import simulate
 from repro.protocols import german, mutex, vi
 from repro.protocols.catalog import PROTOCOL_CATALOG, build_protocol
 from repro.protocols.dirfamily import permute_state
+from tests.simulate import simulate
 
 CASES = [
     (name, replicas)

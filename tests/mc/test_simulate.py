@@ -1,9 +1,9 @@
-"""Tests for random simulation."""
+"""Tests for the random-walk helper in tests/simulate.py."""
 
 from repro.mc.properties import Invariant
 from repro.mc.rule import Rule
-from repro.mc.simulate import simulate
 from repro.mc.system import TransitionSystem
+from tests.simulate import simulate
 
 
 def chain_system(invariants=()):

@@ -10,14 +10,11 @@ from repro.protocols.catalog import (
     PROTOCOL_CATALOG,
     SKELETON_BUILDERS,
     SKELETON_CATALOG,
-    SkeletonEntry,
     build_protocol,
     build_skeleton,
     build_skeleton_with_holes,
     protocol_names,
-    register_skeleton,
     skeleton_names,
-    unregister_skeleton,
 )
 
 #: entries cheap enough to build in a metadata sweep
@@ -67,25 +64,6 @@ class TestSkeletonCatalog:
         )
         result = ExplorationKernel(system, resolver=resolver).run()
         assert result.is_success
-
-    def test_register_and_unregister_roundtrip(self):
-        entry = SkeletonEntry(
-            name="catalog-test-demo",
-            build=lambda n: build_skeleton_with_holes("figure2"),
-            holes=4,
-            replicas=(1, 1),
-            summary="test entry",
-        )
-        register_skeleton(entry)
-        try:
-            assert "catalog-test-demo" in skeleton_names()
-            assert build_skeleton("catalog-test-demo").name == "figure2-toy"
-            assert SKELETON_BUILDERS["catalog-test-demo"](1).name == "figure2-toy"
-        finally:
-            unregister_skeleton("catalog-test-demo")
-        assert "catalog-test-demo" not in skeleton_names()
-        assert "catalog-test-demo" not in SKELETON_BUILDERS
-        unregister_skeleton("catalog-test-demo")  # idempotent
 
 
 class TestProtocolCatalog:

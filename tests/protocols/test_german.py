@@ -5,7 +5,6 @@ import pytest
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
-from repro.mc.simulate import simulate
 from repro.protocols.german import (
     E,
     GE_W,
@@ -17,6 +16,7 @@ from repro.protocols.german import (
     build_german_skeleton,
     build_german_system,
 )
+from tests.simulate import simulate
 
 
 class TestReference:

@@ -5,7 +5,6 @@ import pytest
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
-from repro.mc.simulate import simulate
 from repro.protocols import mesi
 from repro.protocols.dirfamily import initial_state, permute_state
 from repro.protocols.mesi import (
@@ -13,6 +12,7 @@ from repro.protocols.mesi import (
     build_mesi_system,
     reference_assignment_for,
 )
+from tests.simulate import simulate
 
 
 class TestReference:

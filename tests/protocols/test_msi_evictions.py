@@ -5,11 +5,11 @@ import pytest
 from repro.core import SynthesisEngine
 from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
-from repro.mc.simulate import simulate
 from repro.protocols.msi import defs
 from repro.protocols.msi.actions import cache_next_domain, cache_response_domain
 from repro.protocols.msi.skeleton import msi_evict
 from repro.protocols.msi.system import build_msi_system
+from tests.simulate import simulate
 
 
 class TestEvictionReference:

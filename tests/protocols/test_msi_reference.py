@@ -5,7 +5,6 @@ import pytest
 
 from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
-from repro.mc.simulate import simulate
 from repro.protocols.msi import defs
 from repro.protocols.dirfamily import initial_state, permute_state
 from repro.protocols.msi.defs import View
@@ -15,6 +14,7 @@ from repro.protocols.msi.properties import (
     msi_quiescent,
 )
 from repro.protocols.msi.system import MSI, build_msi_system
+from tests.simulate import simulate
 
 
 class TestReferenceVerifies:

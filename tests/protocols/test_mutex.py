@@ -6,12 +6,12 @@ from repro.core import SynthesisConfig, SynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
-from repro.mc.simulate import simulate
 from repro.protocols.mutex import (
     REFERENCE_ASSIGNMENT,
     build_mutex_skeleton,
     build_mutex_system,
 )
+from tests.simulate import simulate
 
 
 class TestReference:

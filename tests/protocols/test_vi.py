@@ -5,12 +5,12 @@ import pytest
 from repro.core import SynthesisEngine
 from repro.mc.kernel import ExplorationKernel
 from repro.mc.result import Verdict
-from repro.mc.simulate import simulate
 from repro.protocols.vi import (
     REFERENCE_ASSIGNMENT,
     build_vi_skeleton,
     build_vi_system,
 )
+from tests.simulate import simulate
 
 
 class TestReference:

@@ -1,8 +1,9 @@
-"""Random simulation of transition systems.
+"""Random walks over transition systems, kept as a test helper.
 
-Not part of the paper's algorithm, but indispensable for a usable library:
-random walks sanity-check a model (and its invariants) quickly before paying
-for exhaustive exploration, and they power several of our tests.
+Not part of the paper's algorithm: the protocol tests use random walks to
+sanity-check a model and its invariants cheaply before paying for
+exhaustive exploration, and the packed-codec tests use them to reach raw,
+non-canonical states.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.errors import WildcardEncountered
 from repro.mc.context import ExecutionContext
 from repro.mc.system import TransitionSystem
 from repro.mc.trace import Trace, TraceStep
-from repro.errors import WildcardEncountered
 
 
 @dataclass

@@ -139,35 +139,6 @@ class TestNewWorkloads:
         assert "solutions:         1" in capsys.readouterr().out
 
 
-class TestMatrix:
-    def test_matrix_requires_a_source(self, capsys):
-        assert main(["matrix"]) == 2
-        assert "--preset or --spec" in capsys.readouterr().err
-
-    def test_matrix_list_presets(self, capsys):
-        assert main(["matrix", "--list-presets"]) == 0
-        out = capsys.readouterr().out
-        assert "table1" in out
-        assert "smoke" in out
-
-    def test_matrix_spec_runs_and_resumes(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(
-            '{"name": "cli-test", "include": [{"id": "a", "target": "figure2"}]}'
-        )
-        out_dir = tmp_path / "out"
-        assert main(["matrix", "--spec", str(spec), "--out", str(out_dir)]) == 0
-        assert "1 executed" in capsys.readouterr().out
-        assert main(["matrix", "--spec", str(spec), "--out", str(out_dir)]) == 0
-        assert "1 resumed" in capsys.readouterr().out
-
-    def test_matrix_bad_spec_is_a_clean_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text('{"name": "bad", "include": [{"target": "nope"}]}')
-        assert main(["matrix", "--spec", str(spec), "--out", str(tmp_path)]) == 2
-        assert "unknown skeleton" in capsys.readouterr().err
-
-
 class TestTelemetry:
     def test_synth_trace_writes_jsonl(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -216,17 +187,6 @@ class TestTelemetry:
     def test_progress_flags_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             main(["synth", "figure2", "--progress", "--no-progress"])
-
-    def test_matrix_bare_trace_defaults_into_out_dir(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(
-            '{"name": "t", "include": [{"target": "figure2"}]}'
-        )
-        out = tmp_path / "out"
-        assert main([
-            "matrix", "--spec", str(spec), "--out", str(out), "--trace",
-        ]) == 0
-        assert (out / "trace.jsonl").exists()
 
     def test_stats_renders_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

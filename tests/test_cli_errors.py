@@ -1,7 +1,6 @@
 """CLI error-path coverage: unknown targets, bad numeric flags, and
 conflicting flag combinations all exit with status 2 and a message."""
 
-import json
 
 import pytest
 
@@ -81,44 +80,21 @@ class TestConflictingFlags:
         ["synth", "figure2", "--no-family"],
         ["verify", "msi", "--no-packed"],
         ["synth", "msi-tiny", "--packed"],
-        ["matrix", "--preset", "smoke", "--no-packed"],
         ["synth", "msi-tiny", "--refined"],
         ["synth", "mutex", "--explorer", "dfs"],
         ["verify", "vi", "--dfs"],
     ], ids=["por", "family", "no-family", "verify-no-packed",
-            "synth-packed", "matrix-no-packed", "refined", "synth-explorer",
+            "synth-packed", "refined", "synth-explorer",
             "verify-dfs"])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
 
-    def test_matrix_preset_and_spec_mutually_exclusive(self, capsys):
+    def test_matrix_command_removed(self, capsys):
+        """The experiment-matrix runner was removed; Table I comes from
+        examples/table1.py and ``matrix`` is an unknown command."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["matrix", "--preset", "smoke", "--spec", "x.json"])
+            main(["matrix", "--preset", "smoke"])
         assert excinfo.value.code == 2
-
-
-class TestMatrixErrors:
-    def test_matrix_without_source(self, capsys):
-        assert main(["matrix"]) == 2
-        assert "--preset or --spec" in capsys.readouterr().err
-
-    def test_matrix_missing_spec_file(self, capsys, tmp_path):
-        assert main(["matrix", "--spec", str(tmp_path / "absent.json")]) == 2
-        assert "cannot read spec" in capsys.readouterr().err
-
-
-class TestMatrixRetiredPackedField:
-    def test_matrix_spec_with_packed_cell_is_rejected(self, tmp_path, capsys):
-        """Every cell runs on the packed kernel; a spec that still sets
-        the retired ``packed`` field fails before any cell runs."""
-        spec_path = tmp_path / "packed.json"
-        spec_path.write_text(json.dumps({
-            "name": "packed-field",
-            "include": [{"target": "figure2", "packed": False}],
-        }))
-        assert main(["matrix", "--spec", str(spec_path),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "'packed'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert "invalid choice: 'matrix'" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 """Smoke tests: every example script runs and prints what it promises.
 
-``table1.py`` is exercised with ``--help`` only (its full run measures the
-minute-scale MSI-small rows; the benchmark suite covers that path).
+``table1.py`` runs in full without ``--large`` (about 2 s); its
+deterministic columns are pinned here.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,7 +71,25 @@ def test_protocol_zoo():
     assert "german stale-shared-grant: caught" in proc.stdout
 
 
-def test_table1_help():
-    proc = run_example("table1.py", "--help")
+def test_table1():
+    proc = run_example("table1.py")
     assert proc.returncode == 0, proc.stderr
-    assert "--large" in proc.stdout
+    assert "[MSI-small] pruning, 4 processes ..." in proc.stderr
+    assert proc.stdout.startswith("=== Table I (reproduced) ===\n")
+    # Configuration -> (holes, candidates, patterns, evaluated, solutions);
+    # the time column and the processes row's evaluated/pattern counts
+    # depend on timing and are not pinned.
+    rows = {}
+    for line in proc.stdout.splitlines():
+        cells = re.split(r"\s{2,}", line.strip())
+        if len(cells) == 7 and cells[0].startswith("MSI-"):
+            rows[cells[0]] = tuple(cells[1:6])
+    assert rows["MSI-tiny 1 thread, no pruning"] == (
+        "2", "21", "N/A", "21", "3")
+    assert rows["MSI-tiny 1 thread, pruning"] == ("2", "32", "18", "25", "3")
+    assert rows["MSI-small 1 thread, pruning"] == (
+        "8", "1,179,648", "3,183", "4,249", "126")
+    assert rows["MSI-small 4 processes, pruning"][4] == "126"
+    assert rows["MSI-small 1 thread, no pruning (estimated)"] == (
+        "8", "231,525", "N/A", "231,525", "126")
+    assert len(rows) == 5
