@@ -1,4 +1,6 @@
-"""End-to-end tests of the synthesis engines on the Figure 2 toy system."""
+"""End-to-end tests of the synthesis engines, mostly on the Figure 2 toy system."""
+
+import itertools
 
 import pytest
 
@@ -6,9 +8,12 @@ from repro.core.action import Action
 from repro.core.engine import SynthesisConfig, SynthesisEngine, SynthesisObserver
 from repro.core.hole import Hole
 from repro.dist import DistributedSynthesisEngine, SystemSpec
+from repro.mc.context import FixedResolver
+from repro.mc.kernel import ExplorationKernel
 from repro.mc.properties import Invariant
 from repro.mc.rule import Rule
 from repro.mc.system import TransitionSystem
+from repro.protocols.catalog import build_skeleton, build_skeleton_with_holes
 from repro.protocols.toy import build_figure2_skeleton, build_figure2_solution
 
 from tests.flat_oracle import use_flat_matching
@@ -277,3 +282,37 @@ class TestFingerprints:
         report = SynthesisEngine(build_figure2_skeleton()).run()
         assert report.solutions[0].fingerprint is None
         assert report.solutions[0].states_visited > 0
+
+
+class TestSuccessMemo:
+    """Under pruning every solution is memoised as one success pattern,
+    and the don't-care extensions it skips are solutions themselves."""
+
+    @pytest.mark.parametrize("name", ["vi", "msi-tiny", "msi-evict"])
+    def test_one_success_pattern_per_solution(self, name):
+        report = SynthesisEngine(build_skeleton(name)).run()
+        assert report.solutions
+        assert report.success_patterns == len(report.solutions)
+
+    def test_skipped_extensions_are_solutions(self):
+        """msi-evict's partial solutions leave holes 5 and 6 unreached;
+        every completion of them verifies."""
+        system, holes = build_skeleton_with_holes("msi-evict")
+        report = SynthesisEngine(system).run()
+        assert report.skipped_success > 0
+        partial = [s for s in report.solutions if len(s.assignment) < len(holes)]
+        assert partial
+        for solution in partial:
+            assigned = solution.assignment_dict()
+            free = [hole for hole in holes if hole.name not in assigned]
+            for actions in itertools.product(*(hole.domain for hole in free)):
+                completion = dict(assigned)
+                completion.update(
+                    (hole.name, action.name) for hole, action in zip(free, actions)
+                )
+                resolver = FixedResolver({
+                    hole: hole.action_named(completion[hole.name])
+                    for hole in holes
+                })
+                result = ExplorationKernel(system, resolver=resolver).run()
+                assert result.is_success, completion

@@ -15,7 +15,11 @@ from repro.dist import DistributedSynthesisEngine, SystemSpec, coordinator
 from repro.errors import SynthesisError
 from repro.protocols.catalog import build_skeleton
 
-SKELETONS = ["msi-tiny", "mutex", "moesi-small", "german-small"]
+#: every catalog skeleton whose naive space runs in well under a second
+SKELETONS = [
+    "figure2", "mutex", "vi", "msi-tiny", "msi-read-tiny", "mesi",
+    "moesi-small", "german-small",
+]
 
 
 def run_backend(backend, name, config=None):
@@ -163,3 +167,10 @@ class TestDistributedSpecifics:
         report = DistributedSynthesisEngine(SystemSpec("mutex"), workers=2).run()
         assert report.backend == "processes"
         assert report.threads == 2
+
+    def test_start_method_parameter_selects_spawn(self):
+        sequential = SynthesisEngine(build_skeleton("figure2")).run()
+        report = DistributedSynthesisEngine(
+            SystemSpec("figure2"), workers=1, start_method="spawn"
+        ).run()
+        assert solution_view(report) == solution_view(sequential)

@@ -6,11 +6,17 @@ from repro.analysis.grouping import group_solutions
 from repro.analysis.stats import compare_reports
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.mc.kernel import ExplorationLimits
+from repro.protocols.catalog import build_skeleton
 from repro.protocols.msi import msi_tiny
-from repro.protocols.mutex import build_mutex_skeleton
 from repro.protocols.vi import build_vi_skeleton
 
 from tests.flat_oracle import use_flat_matching
+
+#: catalog skeletons whose naive space runs in well under a second
+CHEAP_SKELETONS = [
+    "msi-tiny", "vi", "mutex", "figure2", "msi-read-tiny", "mesi",
+    "moesi-small", "german-small",
+]
 
 
 class TestEnginesAgree:
@@ -21,12 +27,11 @@ class TestEnginesAgree:
     @pytest.fixture(scope="class")
     def systems(self):
         return {
-            "msi-tiny": lambda: msi_tiny(n_caches=2).system,
-            "vi": lambda: build_vi_skeleton(2)[0],
-            "mutex": lambda: build_mutex_skeleton(2)[0],
+            name: (lambda _name=name: build_skeleton(_name))
+            for name in CHEAP_SKELETONS
         }
 
-    @pytest.mark.parametrize("key", ["msi-tiny", "vi", "mutex"])
+    @pytest.mark.parametrize("key", CHEAP_SKELETONS)
     def test_all_engines_same_solutions(self, systems, key, monkeypatch):
         make = systems[key]
         sequential = SynthesisEngine(make()).run()
@@ -41,7 +46,7 @@ class TestEnginesAgree:
         assert solution_set(flat) == reference
         assert solution_set(naive) == reference
 
-    @pytest.mark.parametrize("key", ["msi-tiny", "vi", "mutex"])
+    @pytest.mark.parametrize("key", CHEAP_SKELETONS)
     def test_pruned_evaluates_no_more_than_naive_space(self, systems, key):
         make = systems[key]
         naive = SynthesisEngine(make(), SynthesisConfig(pruning=False)).run()

@@ -6,6 +6,7 @@ from repro import cli
 from repro.api import BACKENDS
 from repro.cli import main
 from repro.mc.properties import Invariant
+from repro.protocols.catalog import PROTOCOL_CATALOG, SKELETON_CATALOG
 
 
 class TestVerify:
@@ -139,6 +140,46 @@ class TestNewWorkloads:
         assert "solutions:         1" in capsys.readouterr().out
 
 
+#: fast skeleton -> (system name, solution count) at the default 2 replicas
+SYNTH_PINS = {
+    "figure2": ("figure2-toy", 1),
+    "mutex": ("mutex-skeleton-2p", 1),
+    "vi": ("vi-skeleton-2p", 2),
+    "msi-tiny": ("msi-tiny-2c", 3),
+    "msi-read-tiny": ("msi-read-tiny-2c", 1),
+    "msi-evict": ("msi-evict-2c", 14),
+    "mesi": ("mesi-skeleton-2c", 1),
+    "moesi-small": ("moesi-skeleton-2c", 1),
+    "german-small": ("german-skeleton-2p", 1),
+    "msi-small": ("msi-small-2c", 126),
+}
+
+
+class TestCatalogSmoke:
+    """Every catalog protocol verifies and every catalog skeleton but
+    msi-large synthesises through the CLI."""
+
+    @pytest.mark.parametrize("symmetry", [[], ["--no-symmetry"]],
+                             ids=["symmetry", "no-symmetry"])
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_CATALOG))
+    def test_verify_every_protocol(self, protocol, symmetry, capsys):
+        assert main(["verify", protocol, "--caches", "2", *symmetry]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{protocol}-2")
+        assert ": success | states=" in out
+
+    def test_every_skeleton_but_msi_large_is_pinned(self):
+        assert set(SYNTH_PINS) == set(SKELETON_CATALOG) - {"msi-large"}
+
+    @pytest.mark.parametrize("skeleton", sorted(SYNTH_PINS))
+    def test_synth_every_fast_skeleton(self, skeleton, capsys):
+        system_name, solutions = SYNTH_PINS[skeleton]
+        assert main(["synth", skeleton]) == 0
+        out = capsys.readouterr().out
+        assert f"system:            {system_name}\n" in out
+        assert f"solutions:         {solutions:,}\n" in out
+
+
 class TestTelemetry:
     def test_synth_trace_writes_jsonl(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -188,9 +229,14 @@ class TestTelemetry:
         with pytest.raises(SystemExit):
             main(["synth", "figure2", "--progress", "--no-progress"])
 
-    def test_stats_renders_trace(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["synth", "figure2"],
+        ["synth", "msi-tiny"],
+        ["synth", "msi-tiny", "--backend", "processes", "--workers", "2"],
+    ], ids=["figure2", "msi-tiny", "msi-tiny-processes"])
+    def test_stats_renders_trace(self, argv, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
-        assert main(["synth", "figure2", "--trace", str(trace)]) == 0
+        assert main([*argv, "--trace", str(trace)]) == 0
         capsys.readouterr()
         assert main(["stats", str(trace)]) == 0
         out = capsys.readouterr().out

@@ -91,6 +91,17 @@ class TestConflictingFlags:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "figure2", "--trace"],
+        ["verify", "mutex", "--trace"],
+    ], ids=["synth", "verify"])
+    def test_trace_requires_a_file(self, argv, capsys):
+        """``--trace`` takes a FILE; there is no default trace location."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--trace: expected one argument" in capsys.readouterr().err
+
     def test_matrix_command_removed(self, capsys):
         """The experiment-matrix runner was removed; Table I comes from
         examples/table1.py and ``matrix`` is an unknown command."""
