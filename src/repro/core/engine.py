@@ -30,7 +30,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.action import Action
 from repro.core.candidate import WILDCARD, CandidateVector
@@ -54,13 +54,11 @@ from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.store import (
-    StoredRun,
     VerdictStore,
-    candidate_key,
+    candidate_keyer,
     flags_signature,
     system_signature,
 )
-from repro.store.store import merge_assignment
 from repro.util.timing import Stopwatch
 
 FAIL_TAG = "failure"
@@ -70,11 +68,12 @@ _RUN_STATS_FIELDS = frozenset(f.name for f in dataclasses.fields(RunStats))
 
 
 class _StoredRunExplorer:
-    """Explorer stand-in for a verdict replayed from the store.
+    """Explorer stand-in for a run whose fingerprint is already known.
 
     :meth:`SynthesisCore.handle_result` only ever asks the explorer for a
-    solution fingerprint; a store hit answers with the recorded one
-    (store hits are gated on its presence when fingerprints are on).
+    solution fingerprint.  A store hit answers with the recorded one
+    (store hits are gated on its presence when fingerprints are on); a
+    recorded run answers with the one it computed for its record.
     """
 
     __slots__ = ("checkpoint", "_fingerprint")
@@ -85,6 +84,37 @@ class _StoredRunExplorer:
 
     def fingerprint_visited(self) -> Optional[str]:
         return self._fingerprint
+
+
+def _run_record(
+    result: VerificationResult,
+    fingerprint: Optional[int],
+    pattern: Optional[Tuple[Tuple[int, int], ...]],
+    new_holes: Sequence[Hole],
+) -> dict:
+    """The verdict-store record of one model-checker run.
+
+    Every value is JSON-ready as built (tuples write as arrays), so the
+    journal writes the record as it stands; ``SynthesisCore`` replays it
+    from the parsed line.
+    """
+    return {
+        "verdict": result.verdict.value,
+        "failure_kind": (
+            None if result.failure_kind is None else result.failure_kind.value
+        ),
+        "message": result.message,
+        "stats": vars(result.stats),
+        "wildcard_encountered": result.wildcard_encountered,
+        "executed": sorted(hole.name for hole in result.executed_holes),
+        "unmet_coverage": result.unmet_coverage,
+        "fingerprint": fingerprint,
+        "pattern": pattern,
+        "new_holes": [
+            (hole.name, [action.name for action in hole.domain])
+            for hole in new_holes
+        ],
+    }
 
 
 def _candidate_label(vector: CandidateVector) -> str:
@@ -510,6 +540,9 @@ class SynthesisCore:
         if self.store is not None:
             self._system_sig = system_signature(system)
             self._flags_sig = flags_signature(config)
+        #: candidate width -> its store keyer (:func:`candidate_keyer`); a
+        #: width's leading holes never change, as the registry only appends
+        self._keyers: Dict[int, Callable[[Sequence[int]], str]] = {}
         self.store_hits = 0
         self.store_writes = 0
         self.solutions: List[Solution] = []
@@ -552,20 +585,23 @@ class SynthesisCore:
         return result, explorer
 
     def _evaluate_inner(self, vector: CandidateVector) -> Tuple[VerificationResult, ExplorationKernel]:
-        concrete = not any(entry is WILDCARD for entry in vector.entries)
+        digits = vector.entries
+        concrete = WILDCARD not in digits
         key = None
-        holes_before: Optional[Tuple[Hole, ...]] = None
         if self.store is not None and concrete:
-            holes_before = self.registry.holes
-            key = candidate_key(
-                self._system_sig,
-                self._flags_sig,
-                merge_assignment(holes_before, vector.entries),
-            )
-            stored = self.store.lookup(key)
-            if stored is not None and self._stored_run_usable(stored):
+            keyer = self._keyers.get(len(digits))
+            if keyer is None:
+                keyer = self._keyers[len(digits)] = candidate_keyer(
+                    self._system_sig,
+                    self._flags_sig,
+                    self.registry.names()[: len(digits)],
+                )
+            key = keyer(digits)
+            record = self.store.lookup(key)
+            if record is not None and self._stored_run_usable(record):
                 self.store_hits += 1
-                return self._replay_stored_run(stored)
+                return self._replay_stored_run(record)
+            holes_before = len(self.registry)
         cache = self.prefix_cache
         resume: Optional[ExplorationCheckpoint] = None
         collect = False
@@ -576,7 +612,7 @@ class SynthesisCore:
                 # its checkpoint so pass-1 candidates resume from it.
                 collect = True
             else:
-                resume = self._resume_checkpoint(vector.entries, cache)
+                resume = self._resume_checkpoint(digits, cache)
         explorer = ExplorationKernel(
             self.system,
             resolver=self.make_resolver(vector),
@@ -592,127 +628,107 @@ class SynthesisCore:
         if resume is not None:
             cache.note_hit(result.stats.prefix_states_reused)
         if key is not None:
-            result = self._record_stored_run(
-                key, holes_before, vector.entries, result, explorer
+            return self._record_stored_run(
+                key, holes_before, digits, result, explorer
             )
         return result, explorer
 
     # -- verdict store ------------------------------------------------------
 
-    def _stored_run_usable(self, stored: StoredRun) -> bool:
+    def _stored_run_usable(self, record: dict) -> bool:
         """Whether a store hit satisfies everything this run must produce.
 
         A stored success without a fingerprint cannot serve a run that
         was asked to compute fingerprints — treat it as a miss and let
         the cold run re-record with one.
         """
-        if (
+        return not (
             self.config.compute_fingerprints
-            and stored.verdict == Verdict.SUCCESS.value
-            and stored.fingerprint is None
-        ):
-            return False
-        return True
+            and record.get("verdict") == Verdict.SUCCESS.value
+            and record.get("fingerprint") is None
+        )
 
     def _replay_stored_run(
-        self, stored: StoredRun
+        self, record: dict
     ) -> Tuple[VerificationResult, "_StoredRunExplorer"]:
-        """Rebuild a :class:`VerificationResult` from the store, sans model check.
+        """Build a :class:`VerificationResult` from a store record, sans model check.
 
         Holes the original run discovered are *reserved* (placeholder
         slots in discovery order); a later cold run binds the real hole
         objects by name (:meth:`HoleRegistry.reserve`).
         """
-        for name, action_names in stored.new_holes:
-            self.registry.reserve(
+        registry = self.registry
+        for name, action_names in record.get("new_holes", ()):
+            registry.reserve(
                 Hole(name, tuple(Action(action) for action in action_names))
             )
         executed = []
-        for name in stored.executed:
+        for name in record.get("executed", ()):
             try:
-                executed.append(self.registry.hole_named(name))
+                executed.append(registry.hole_named(name))
             except KeyError:
                 # The hole exists in the stored run but was never reserved
                 # nor discovered here — impossible for self-recorded runs,
                 # but tolerated for hand-edited journals.
                 executed.append(Hole(name, (Action(name),)))
-        stats_fields = {
-            key: value
-            for key, value in stored.stats.items()
-            if key in _RUN_STATS_FIELDS
-        }
+        stats = record.get("stats", {})
+        try:
+            run_stats = RunStats(**stats)
+        except TypeError:  # a field this version no longer has
+            run_stats = RunStats(**{
+                name: value
+                for name, value in stats.items()
+                if name in _RUN_STATS_FIELDS
+            })
+        failure_kind = record.get("failure_kind")
+        pattern = record.get("pattern")
         result = VerificationResult(
-            verdict=Verdict(stored.verdict),
-            failure_kind=(
-                FailureKind(stored.failure_kind)
-                if stored.failure_kind
-                else None
-            ),
-            message=stored.message,
-            trace=None,
-            stats=RunStats(**stats_fields),
-            wildcard_encountered=stored.wildcard_encountered,
+            verdict=Verdict(record["verdict"]),
+            failure_kind=FailureKind(failure_kind) if failure_kind else None,
+            message=str(record.get("message", "")),
+            stats=run_stats,
+            wildcard_encountered=bool(record.get("wildcard_encountered")),
             executed_holes=frozenset(executed),
-            failure_holes=None,
-            unmet_coverage=stored.unmet_coverage,
-            stored_pattern=stored.pattern,
+            unmet_coverage=tuple(record.get("unmet_coverage", ())),
+            stored_pattern=(
+                None if pattern is None else tuple(map(tuple, pattern))
+            ),
         )
-        return result, _StoredRunExplorer(stored.fingerprint)
+        return result, _StoredRunExplorer(record.get("fingerprint"))
 
     def _record_stored_run(
         self,
         key: str,
-        holes_before: Tuple[Hole, ...],
+        holes_before: int,
         digits: Tuple[int, ...],
         result: VerificationResult,
         explorer: ExplorationKernel,
-    ) -> VerificationResult:
+    ) -> Tuple[VerificationResult, ExplorationKernel]:
         """Append one cold run's outcome to the store.
 
-        The failure pattern is generalised *here*, once, and handed back
-        on the result (``stored_pattern``) so :meth:`handle_result` does
-        not generalise it a second time.
+        The failure pattern and the solution fingerprint are computed
+        *here*, once, and handed back — the pattern on the result
+        (``stored_pattern``), the fingerprint by an explorer stand-in —
+        so :meth:`handle_result` computes neither a second time.
         """
-        pattern_constraints = None
+        pattern = None
         if result.is_failure and self.config.pruning:
-            pattern = self._pattern_for_failure(digits, result)
-            pattern_constraints = tuple(pattern.constraints)
-            result = dataclasses.replace(
-                result, stored_pattern=pattern_constraints
-            )
+            pattern = self._pattern_for_failure(digits, result).constraints
+            result = dataclasses.replace(result, stored_pattern=pattern)
         fingerprint = None
         if result.is_success and self.config.compute_fingerprints:
             fingerprint = explorer.fingerprint_visited()
-        new_holes = tuple(
-            (
-                hole.name,
-                tuple(action.name for action in hole.domain),
-            )
-            for hole in self.registry.holes[len(holes_before):]
+            explorer = _StoredRunExplorer(fingerprint)
+        new_holes = (
+            self.registry.holes[holes_before:]
+            if len(self.registry) > holes_before
+            else ()
         )
-        stored = StoredRun(
-            verdict=result.verdict.value,
-            failure_kind=(
-                result.failure_kind.value
-                if result.failure_kind is not None
-                else None
-            ),
-            message=result.message,
-            stats={
-                name: getattr(result.stats, name) for name in _RUN_STATS_FIELDS
-            },
-            wildcard_encountered=result.wildcard_encountered,
-            executed=tuple(
-                sorted(hole.name for hole in result.executed_holes)
-            ),
-            unmet_coverage=result.unmet_coverage,
-            fingerprint=fingerprint,
-            pattern=pattern_constraints,
-            new_holes=new_holes,
+        self.store.record(
+            key, _run_record(result, fingerprint, pattern, new_holes)
         )
-        self.store.record(key, stored)
         self.store_writes += 1
-        return result
+        return result, explorer
 
     def close_store(self) -> None:
         """Flush and close a core-owned store (no-op for caller-owned ones)."""

@@ -41,13 +41,6 @@ class Hole:
         """Number of candidate actions (excluding the implicit wildcard)."""
         return len(self.domain)
 
-    def action_named(self, name: str) -> Action:
-        """The domain action with the given name (KeyError if absent)."""
-        for candidate in self.domain:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"hole {self.name!r} has no action named {name!r}")
-
     def index_of(self, name: str) -> int:
         """The domain position of the named action (KeyError if absent)."""
         for index, candidate in enumerate(self.domain):

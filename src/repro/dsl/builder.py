@@ -198,10 +198,10 @@ class ProtocolBuilder:
             UnorderedNetwork(),
         )
 
-    def _make_rule(self, spec: ControllerSpec, transition: Transition,
-                   proc: int) -> Rule:
+    def _make_rule(self, spec: ControllerSpec, index: int,
+                   transition: Transition, proc: int) -> Rule:
         label = f"{spec.name}{'' if proc == GLOBAL else proc}"
-        rule_name = f"{label}:{transition.state}+{transition.event}"
+        rule_name = f"{label}:{state_label(transition.state, index)}+{transition.event}"
         if proc != GLOBAL:
             rule_name = f"{rule_name}[p={proc}]"
 
@@ -247,9 +247,9 @@ class ProtocolBuilder:
         rules: List[Rule] = []
         for spec in self._controllers:
             procs = range(self.n_procs) if spec.replicated else [GLOBAL]
-            for transition in spec.transitions:
+            for index, transition in enumerate(spec.transitions):
                 for proc in procs:
-                    rules.append(self._make_rule(spec, transition, proc))
+                    rules.append(self._make_rule(spec, index, transition, proc))
 
         schema = self._global_schema
         global_rename = self._global_rename
@@ -314,6 +314,21 @@ class ProtocolBuilder:
                 n_procs, global_rename, symmetry=symmetry
             )
         )
+
+
+def state_label(state: Any, index: int) -> str:
+    """How a rule name spells its transition's state pattern.
+
+    A plain state is its ``str``.  A predicate is its ``__name__``, or
+    ``#<index>`` (its transition's position in the controller) when it is
+    a lambda or has no name: the default repr carries a memory address,
+    which would give every build new rule names and so a new verdict-store
+    signature.
+    """
+    if not callable(state):
+        return str(state)
+    name = getattr(state, "__name__", "<lambda>")
+    return f"#{index}" if name == "<lambda>" else name
 
 
 def local_matches(local_state: Any, pattern: Any) -> bool:

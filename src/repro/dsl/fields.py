@@ -129,12 +129,6 @@ class IdSetField(Field):
         return frozenset(mapping[member] for member in value)
 
 
-class BoolField(Field):
-    def validate(self, name: str, value: Any) -> None:
-        if not isinstance(value, bool):
-            raise ModelError(f"field {name!r}: {value!r} is not a bool")
-
-
 class Schema:
     """A validated record layout: field name -> :class:`Field`.
 

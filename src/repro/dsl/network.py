@@ -2,10 +2,6 @@
 
 :class:`UnorderedNetwork` is the interconnect model the paper's case study
 assumes ("all networks may be unordered"): a bag of in-flight messages.
-:class:`OrderedChannel` is a FIFO per (source, destination) pair — not used
-by the paper, but indispensable for experimenting with how much of the
-transient-state complexity is *caused* by unordered delivery (see the
-ablation benchmark).
 
 A :class:`Message` is hash-consed: each distinct message is built once
 and shared, with its hash and repr stored on it.  Sending, delivering and
@@ -169,44 +165,3 @@ class UnorderedNetwork:
 
     def __repr__(self) -> str:
         return f"UnorderedNetwork({list(self._bag)!r})"
-
-
-class OrderedChannel:
-    """An immutable FIFO of messages (point-to-point ordered delivery)."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Tuple[Message, ...] = ()) -> None:
-        self._items = tuple(items)
-
-    def send(self, message: Message) -> "OrderedChannel":
-        return OrderedChannel(self._items + (message,))
-
-    @property
-    def head(self) -> Optional[Message]:
-        return self._items[0] if self._items else None
-
-    def deliver_head(self) -> "OrderedChannel":
-        if not self._items:
-            raise IndexError("channel is empty")
-        return OrderedChannel(self._items[1:])
-
-    def renamed(self, mapping: Tuple[int, ...]) -> "OrderedChannel":
-        return OrderedChannel(tuple(m.renamed(mapping) for m in self._items))
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderedChannel):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __repr__(self) -> str:
-        return f"OrderedChannel({list(self._items)!r})"

@@ -555,11 +555,6 @@ class ExplorationKernel:
             )
         return outcome(Verdict.SUCCESS)
 
-    def visited_representatives(self) -> List[Any]:
-        """The visited set as state objects, one orbit member per state."""
-        state_of = self.packed_runtime.state_of
-        return [state_of(cid) for cid in self.visited_states]
-
     def fingerprint_visited(self) -> int:
         """Behaviour fingerprint of the visited set.
 

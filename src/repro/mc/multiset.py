@@ -133,16 +133,6 @@ class Multiset:
             counts[image] = counts.get(image, 0) + count
         return Multiset._from_sorted(_sorted_items(counts))
 
-    def filter(self, predicate) -> "Multiset":
-        """A new multiset keeping only elements the predicate accepts.
-
-        ``predicate`` runs once per distinct element; the kept pairs are
-        already in canonical order.
-        """
-        return Multiset._from_sorted(
-            tuple(pair for pair in self._items if predicate(pair[0]))
-        )
-
     def __contains__(self, item: object) -> bool:
         return self.count(item) > 0  # type: ignore[arg-type]
 

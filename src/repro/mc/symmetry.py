@@ -135,11 +135,6 @@ class Permuter:
             replica_keys=replica_keys,
         )
 
-    @property
-    def orbit_size(self) -> int:
-        """Number of permutation mappings applied per orbit scan."""
-        return len(self._mappings)
-
     def orbit(self, state: Any) -> List[Any]:
         """All images of ``state`` under the permutation group (with dups)."""
         return [self._permute(state, mappings) for mappings in self._mappings]

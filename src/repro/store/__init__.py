@@ -26,9 +26,9 @@ nothing about transition systems beyond their signature surface.
 from repro.store.journal import VerdictJournal
 from repro.store.projection import JournalIndex
 from repro.store.store import (
-    StoredRun,
     VerdictStore,
     candidate_key,
+    candidate_keyer,
     flags_signature,
     open_store,
     system_signature,
@@ -36,10 +36,10 @@ from repro.store.store import (
 
 __all__ = [
     "JournalIndex",
-    "StoredRun",
     "VerdictJournal",
     "VerdictStore",
     "candidate_key",
+    "candidate_keyer",
     "flags_signature",
     "open_store",
     "system_signature",

@@ -14,6 +14,22 @@ import json
 import os
 from typing import IO, Iterator, Optional, Tuple
 
+#: The canonical encoder, built once rather than once per line.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def record_line(record: dict) -> bytes:
+    """The journal line of *record*, newline included.
+
+    Byte for byte ``json.dumps(record, sort_keys=True, separators=(",",
+    ":"))`` plus ``"\n"``: store keys are looked up by that spelling
+    (:mod:`repro.store.projection`), and journals must stay comparable
+    across versions.
+    """
+
+    return _encode(record).encode("ascii") + b"\n"
+
+
 try:  # pragma: no cover - exercised only on platforms without fcntl
     import fcntl
 except ImportError:  # pragma: no cover
@@ -47,8 +63,7 @@ class VerdictJournal:
 
         if self._handle is None:
             raise ValueError("journal is closed")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        data = line.encode("utf-8") + b"\n"
+        data = record_line(record)
         handle = self._handle
         self._lock(handle)
         try:

@@ -5,9 +5,10 @@ artifact) and an in-memory key index built from it behind two
 operations:
 
 * ``lookup(key)`` — a dict probe for whether an identically-configured
-  run already verified this candidate, then one read of its line.
-* ``record(key, run)`` — durably append the outcome of one model-checker
-  run.
+  run already verified this candidate, then one read and one parse of
+  its line.
+* ``record(key, record)`` — durably append the outcome of one
+  model-checker run.
 
 Keys (:func:`candidate_key`) are content hashes over three components:
 
@@ -24,11 +25,14 @@ Keys (:func:`candidate_key`) are content hashes over three components:
   pairs, sorted by name.  Hole discovery order differs across backends
   and schedules; names do not.
 
-Records carry everything the engine needs to replay a verdict without a
-model check: the full run stats, executed holes, the generalised failure
-pattern (so pruning tables grow identically), holes discovered *during*
-the run (so lazy discovery replays), and the visited-state fingerprint
-when one was computed.
+A record is one JSON object per journal line, built and read by the
+engine (:mod:`repro.core.engine`).  It carries everything the engine
+needs to replay a verdict without a model check: the full run stats,
+executed holes, the generalised failure pattern (so pruning tables grow
+identically), holes discovered *during* the run (so lazy discovery
+replays), and the visited-state fingerprint when one was computed.
+The engine builds a key once per hole list (:func:`candidate_keyer`),
+not once per candidate.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.store.journal import VerdictJournal
 from repro.store.projection import JournalIndex
@@ -106,81 +110,49 @@ def candidate_key(system_sig: str, flags_sig: str, assignment: Assignment) -> st
 
     Hashes exactly the text ``_digest`` produces for ``{"system":
     system_sig, "flags": flags_sig, "assignment": [[name, digit], ...]}``
-    (sorted keys, compact separators, ASCII escapes), written out
-    directly: keys must stay byte-identical for existing stores to keep
-    hitting, and this runs once per candidate.
+    (sorted keys, compact separators, ASCII escapes): keys must stay
+    byte-identical for existing stores to keep hitting.
     """
 
-    pairs = ",".join(
-        f"[{_json_string(name)},{int(digit)}]" for name, digit in sorted(assignment)
+    pairs = sorted(assignment)
+    names = [name for name, _digit in pairs]
+    return candidate_keyer(system_sig, flags_sig, names)(
+        [digit for _name, digit in pairs]
     )
-    text = (
-        f'{{"assignment":[{pairs}],"flags":{_json_string(flags_sig)},'
-        f'"system":{_json_string(system_sig)}}}'
+
+
+def candidate_keyer(
+    system_sig: str, flags_sig: str, names: Sequence[str]
+) -> Callable[[Sequence[int]], str]:
+    """:func:`candidate_key` of digit vectors over holes named *names*.
+
+    ``keyer(digits)`` keys the candidate that gives ``names[i]`` action
+    ``digits[i]``.  The name sort, the escaped names and the fixed text
+    around the digits are worked out here, once per hole list, so a
+    candidate costs one ``%`` format and one hash.  Names are unique, as
+    a hole registry's are.
+    """
+
+    order = sorted(range(len(names)), key=names.__getitem__)
+
+    def quoted(text: str) -> str:
+        return _json_string(text).replace("%", "%%")
+
+    pairs = ",".join(f"[{quoted(names[position])},%d]" for position in order)
+    template = (
+        f'{{"assignment":[{pairs}],"flags":{quoted(flags_sig)},'
+        f'"system":{quoted(system_sig)}}}'
     )
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-@dataclass
-class StoredRun:
-    """The replayable outcome of one model-checker run."""
-
-    verdict: str
-    failure_kind: Optional[str] = None
-    message: str = ""
-    stats: Dict[str, Any] = field(default_factory=dict)
-    wildcard_encountered: bool = False
-    executed: Tuple[str, ...] = ()
-    unmet_coverage: Tuple[str, ...] = ()
-    fingerprint: Optional[str] = None
-    # Generalised failure pattern as (position, digit) constraints; None means
-    # "no pattern stored", () means the empty (inherent-failure) pattern.
-    pattern: Optional[Tuple[Tuple[int, int], ...]] = None
-    # Holes discovered during this run, in discovery order: (name, action names).
-    new_holes: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-
-    def to_record(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "failure_kind": self.failure_kind,
-            "message": self.message,
-            "stats": dict(self.stats),
-            "wildcard_encountered": self.wildcard_encountered,
-            "executed": list(self.executed),
-            "unmet_coverage": list(self.unmet_coverage),
-            "fingerprint": self.fingerprint,
-            "pattern": (
-                None
-                if self.pattern is None
-                else [[int(pos), int(digit)] for pos, digit in self.pattern]
-            ),
-            "new_holes": [
-                [name, list(actions)] for name, actions in self.new_holes
-            ],
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "StoredRun":
-        pattern = record.get("pattern")
-        return cls(
-            verdict=str(record.get("verdict", "")),
-            failure_kind=record.get("failure_kind"),
-            message=str(record.get("message", "")),
-            stats=dict(record.get("stats", {})),
-            wildcard_encountered=bool(record.get("wildcard_encountered", False)),
-            executed=tuple(record.get("executed", ())),
-            unmet_coverage=tuple(record.get("unmet_coverage", ())),
-            fingerprint=record.get("fingerprint"),
-            pattern=(
-                None
-                if pattern is None
-                else tuple((int(pos), int(digit)) for pos, digit in pattern)
-            ),
-            new_holes=tuple(
-                (str(name), tuple(str(action) for action in actions))
-                for name, actions in record.get("new_holes", ())
-            ),
-        )
+    sha256 = hashlib.sha256
+    if not order:
+        key = sha256((template % ()).encode("ascii")).hexdigest()
+        return lambda digits: key
+    # One position makes itemgetter return the bare digit, which ``%``
+    # formats as its only argument.
+    pick = itemgetter(*order)
+    return lambda digits: sha256(
+        (template % pick(digits)).encode("ascii")
+    ).hexdigest()
 
 
 class VerdictStore:
@@ -199,8 +171,12 @@ class VerdictStore:
 
     # ------------------------------------------------------------------- read
 
-    def lookup(self, key: str) -> Optional[StoredRun]:
-        """The stored run under *key* (see :func:`candidate_key`), if any."""
+    def lookup(self, key: str) -> Optional[Dict[str, Any]]:
+        """The record stored under *key* (see :func:`candidate_key`), if any.
+
+        The record is the journal line, parsed: the fields
+        :meth:`record` was given, plus ``key``.  Nothing parsed is kept.
+        """
 
         with self._mutex:
             span = self.index.get(key)
@@ -220,7 +196,7 @@ class VerdictStore:
             return None
         if not isinstance(record, dict) or record.get("key") != key:
             return None
-        return StoredRun.from_record(record)
+        return record
 
     def __len__(self) -> int:
         """Distinct keys in the journal, other writers' records included."""
@@ -231,13 +207,16 @@ class VerdictStore:
 
     # ------------------------------------------------------------------ write
 
-    def record(self, key: str, run: StoredRun) -> None:
-        """Durably append *run* under *key*; returns once it is flushed."""
+    def record(self, key: str, record: Dict[str, Any]) -> None:
+        """Durably append *record* under *key*; returns once it is flushed.
 
-        record = {"key": key}
-        record.update(run.to_record())
+        *record* holds JSON values (tuples write as arrays); the journal
+        line is the record with ``key`` added, in canonical form (see
+        :func:`~repro.store.journal.record_line`).
+        """
+
         with self._mutex:
-            start, end = self.journal.append(record)
+            start, end = self.journal.append({**record, "key": key})
             self.index.add(key, start, end)
 
     # ---------------------------------------------------------------- cleanup
@@ -257,14 +236,3 @@ def open_store(path: str) -> VerdictStore:
     """Open (creating if needed) the verdict store rooted at *path*."""
 
     return VerdictStore(path)
-
-
-def merge_assignment(
-    holes: Sequence[Any], digits: Iterable[int]
-) -> Assignment:
-    """Name-key a positional digit vector against a hole snapshot."""
-
-    pairs: List[Tuple[str, int]] = []
-    for position, digit in enumerate(digits):
-        pairs.append((holes[position].name, int(digit)))
-    return tuple(sorted(pairs))

@@ -12,6 +12,9 @@ step by step, the unmet coverage and the executed holes.
 
 Wildcards are not modelled: a resolver that leaves an executed hole
 unassigned makes the oracle raise ``WildcardEncountered``.
+
+:func:`visited_representatives` decodes a kernel's visited set for tests
+that check the states themselves.
 """
 
 from collections import deque
@@ -144,3 +147,9 @@ def assert_matches_reference(result, reference: ReferenceRun) -> None:
         got = tuple((step.rule_name, step.state) for step in result.trace)
         assert [name for name, _ in got] == [name for name, _ in reference.trace]
         assert got == reference.trace
+
+
+def visited_representatives(kernel) -> list:
+    """A kernel's visited set as state objects, one orbit member per state."""
+    state_of = kernel.packed_runtime.state_of
+    return [state_of(cid) for cid in kernel.visited_states]

@@ -41,13 +41,11 @@ class TestHole:
 
     def test_action_lookup(self):
         hole = Hole("h", [Action("a"), Action("b")])
-        assert hole.action_named("b") is hole.domain[1]
+        assert hole.index_of("b") == 1
         assert hole.index_of("a") == 0
 
     def test_missing_action(self):
         hole = Hole("h", [Action("a")])
-        with pytest.raises(KeyError):
-            hole.action_named("z")
         with pytest.raises(KeyError):
             hole.index_of("z")
 

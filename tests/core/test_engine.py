@@ -311,7 +311,7 @@ class TestSuccessMemo:
                     (hole.name, action.name) for hole, action in zip(free, actions)
                 )
                 resolver = FixedResolver({
-                    hole: hole.action_named(completion[hole.name])
+                    hole: hole.domain[hole.index_of(completion[hole.name])]
                     for hole in holes
                 })
                 result = ExplorationKernel(system, resolver=resolver).run()

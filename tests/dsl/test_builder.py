@@ -16,6 +16,8 @@ from repro.mc.kernel import ExplorationKernel
 from repro.mc.properties import DeadlockPolicy
 from repro.mc.result import Verdict
 
+from tests.bfs_oracle import visited_representatives
+
 
 def ping_pong_builder(n_procs=2):
     """Each process pings the server; the server pongs back."""
@@ -110,7 +112,7 @@ class TestBuilder:
         explorer = ExplorationKernel(system)
         result = explorer.run()
         assert result.verdict is Verdict.SUCCESS
-        states = {tuple(state[0]) for state in explorer.visited_representatives()}
+        states = {tuple(state[0]) for state in visited_representatives(explorer)}
         assert ("got",) in states
 
 

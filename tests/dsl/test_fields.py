@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dsl.fields import (
-    BoolField,
     EnumField,
     IdField,
     IdSetField,
@@ -86,13 +85,6 @@ class TestIdSetField:
     def test_rename(self):
         renamed = IdSetField(3).rename(frozenset({0, 1}), (2, 0, 1))
         assert renamed == frozenset({2, 0})
-
-
-class TestBoolField:
-    def test_bools_only(self):
-        BoolField().validate("f", True)
-        with pytest.raises(ModelError):
-            BoolField().validate("f", 1)
 
 
 class TestSchema:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dsl.network import Message, OrderedChannel, UnorderedNetwork
+from repro.dsl.network import Message, UnorderedNetwork
 
 
 def msg(mtype="Data", src=0, dst=1, payload=None):
@@ -134,23 +134,3 @@ class TestUnorderedNetwork:
         swap = (1, 0)
         assert net.renamed(swap).renamed(swap) == net
 
-
-class TestOrderedChannel:
-    def test_fifo_order(self):
-        channel = OrderedChannel().send(msg("A")).send(msg("B"))
-        assert channel.head.mtype == "A"
-        assert channel.deliver_head().head.mtype == "B"
-
-    def test_empty_head(self):
-        assert OrderedChannel().head is None
-        with pytest.raises(IndexError):
-            OrderedChannel().deliver_head()
-
-    def test_equality_is_order_sensitive(self):
-        first = OrderedChannel().send(msg("A")).send(msg("B"))
-        second = OrderedChannel().send(msg("B")).send(msg("A"))
-        assert first != second
-
-    def test_renamed(self):
-        channel = OrderedChannel().send(msg("A", 0, 1))
-        assert channel.renamed((1, 0)).head == Message("A", 1, 0)

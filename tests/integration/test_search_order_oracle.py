@@ -140,7 +140,7 @@ def test_solutions_match_the_reference(name):
         system, holes = build_skeleton_with_holes(name)
         named = dict(solution.assignment)
         assignment = {
-            hole: hole.action_named(named[hole.name])
+            hole: hole.domain[hole.index_of(named[hole.name])]
             for hole in holes
             if hole.name in named
         }

@@ -23,6 +23,8 @@ from repro.protocols.msi.skeleton import SkeletonSpec, msi_skeleton
 from repro.protocols.msi.system import build_msi_system
 from repro.protocols.mutex import build_mutex_system
 
+from tests.bfs_oracle import visited_representatives
+
 
 def tiny_skeleton(symmetry: bool):
     return msi_skeleton(
@@ -195,7 +197,7 @@ class TestDerivedCodecMemo:
         assert len(calls) == after
         objects = [
             system.canonicalize(state)
-            for state in explorer.visited_representatives()
+            for state in visited_representatives(explorer)
         ]
         assert fingerprint_state_set(objects) == value
 

@@ -60,7 +60,7 @@ class TestSkeletonCatalog:
 
         solution = build_figure2_solution()
         resolver = FixedResolver(
-            {hole: hole.action_named(solution[hole.name]) for hole in holes}
+            {hole: hole.domain[hole.index_of(solution[hole.name])] for hole in holes}
         )
         result = ExplorationKernel(system, resolver=resolver).run()
         assert result.is_success

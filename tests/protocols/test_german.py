@@ -16,6 +16,7 @@ from repro.protocols.german import (
     build_german_skeleton,
     build_german_system,
 )
+from tests.bfs_oracle import visited_representatives
 from tests.simulate import simulate
 
 
@@ -51,7 +52,7 @@ class TestDataSemantics:
         states and both data values are exercised."""
         explorer = ExplorationKernel(build_german_system(2))
         explorer.run()
-        states = explorer.visited_representatives()
+        states = visited_representatives(explorer)
         assert any(s[1].st == GS_W for s in states)
         assert any(s[1].st == GE_W for s in states)
         assert any(s[1].mem == 1 for s in states)
@@ -64,7 +65,7 @@ class TestDataSemantics:
         explorer.run()
         races = [
             s
-            for s in explorer.visited_representatives()
+            for s in visited_representatives(explorer)
             if any(p.st == IE_W for p in s[0]) and s[1].st == GE_W
         ]
         assert races
@@ -75,7 +76,7 @@ class TestDataSemantics:
         explorer = ExplorationKernel(build_german_system(2))
         result = explorer.run()
         assert result.verdict is Verdict.SUCCESS
-        for state in explorer.visited_representatives():
+        for state in visited_representatives(explorer):
             procs, glob, _net = state
             for proc in procs:
                 if proc.st in (S, SE_W, E):

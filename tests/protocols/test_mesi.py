@@ -12,6 +12,7 @@ from repro.protocols.mesi import (
     build_mesi_system,
     reference_assignment_for,
 )
+from tests.bfs_oracle import visited_representatives
 from tests.simulate import simulate
 
 
@@ -55,7 +56,7 @@ class TestExclusiveSemantics:
         saw a GetM from it (the silent E->M upgrade)."""
         explorer = ExplorationKernel(build_mesi_system(1))
         explorer.run()
-        states = explorer.visited_representatives()
+        states = visited_representatives(explorer)
         assert any(mesi.C_E in s[0] for s in states)
         assert any(mesi.C_M in s[0] for s in states)
 

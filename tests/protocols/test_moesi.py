@@ -12,6 +12,7 @@ from repro.protocols.moesi import (
     build_moesi_system,
     reference_assignment_for,
 )
+from tests.bfs_oracle import visited_representatives
 from tests.simulate import simulate
 
 
@@ -55,7 +56,7 @@ class TestOwnedSemantics:
         Shared one — the dirty-sharing configuration MESI cannot express."""
         explorer = ExplorationKernel(build_moesi_system(2))
         explorer.run()
-        states = explorer.visited_representatives()
+        states = visited_representatives(explorer)
         assert any(
             moesi.C_O in s[0] and moesi.C_S in s[0] for s in states
         )

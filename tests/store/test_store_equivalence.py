@@ -23,16 +23,19 @@ def solution_view(report):
     ]
 
 
-def run_sequential(store_path=None, **knobs):
+def run_sequential(store_path=None, skeleton="figure2", **knobs):
     config = SynthesisConfig(store_path=store_path, **knobs)
-    return SynthesisEngine(build_skeleton("figure2"), config).run()
+    return SynthesisEngine(build_skeleton(skeleton), config).run()
 
 
 class TestWarmEqualsCold:
-    def test_warm_run_replays_everything(self, tmp_path):
-        baseline = run_sequential()
-        cold = run_sequential(str(tmp_path))
-        warm = run_sequential(str(tmp_path))
+    # mutex and vi have predicate controller states: their rule names,
+    # hence store keys, must survive a rebuild of the skeleton.
+    @pytest.mark.parametrize("skeleton", ["figure2", "mutex", "vi"])
+    def test_warm_run_replays_everything(self, tmp_path, skeleton):
+        baseline = run_sequential(skeleton=skeleton)
+        cold = run_sequential(str(tmp_path), skeleton)
+        warm = run_sequential(str(tmp_path), skeleton)
         assert cold.store_writes == cold.evaluated
         assert cold.store_hits == 0
         assert warm.store_hits == warm.evaluated

@@ -11,12 +11,12 @@ import multiprocessing
 import os
 import shutil
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.store import (
     JournalIndex,
-    StoredRun,
     VerdictJournal,
     VerdictStore,
     candidate_key,
@@ -26,15 +26,49 @@ from repro.store import (
 )
 from repro.store.store import JOURNAL_NAME, _digest
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.protocols.catalog import build_skeleton
+from repro.core.engine import SynthesisCore
+from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 
 SYS = "a" * 64
 FLAGS = "b" * 64
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
-def stored(verdict="success", **kwargs):
-    return StoredRun(verdict=verdict, stats={"states_visited": 7}, **kwargs)
+def stored(verdict="success", **fields):
+    """A store record with every field the engine writes."""
+    record = {
+        "verdict": verdict,
+        "failure_kind": None,
+        "message": "",
+        "stats": {"states_visited": 7},
+        "wildcard_encountered": False,
+        "executed": [],
+        "unmet_coverage": [],
+        "fingerprint": None,
+        "pattern": None,
+        "new_holes": [],
+    }
+    record.update(fields)
+    return record
+
+
+def replayed(record):
+    """What the engine makes of *record*: the result's stored fields, the
+    holes it reserved (name, arity) and the fingerprint it answers with."""
+    core = SynthesisCore(build_skeleton("msi-tiny"), SynthesisConfig())
+    result, explorer = core._replay_stored_run(record)
+    view = (
+        result.verdict.value,
+        None if result.failure_kind is None else result.failure_kind.value,
+        result.message,
+        result.stats,
+        result.wildcard_encountered,
+        sorted(hole.name for hole in result.executed_holes),
+        result.unmet_coverage,
+        result.stored_pattern,
+    )
+    holes = tuple((hole.name, hole.arity) for hole in core.registry.holes)
+    return view, holes, explorer.fingerprint_visited()
 
 
 def parsed_keys(journal, offset=0):
@@ -150,7 +184,7 @@ class TestIndexRecovery:
         store.close()
         reopened = VerdictStore(str(tmp_path))
         hit = reopened.lookup(candidate_key(SYS, FLAGS, (("h", 1),)))
-        assert hit is not None and hit.verdict == "success"
+        assert hit is not None and hit["verdict"] == "success"
         assert len(reopened) == 1
         reopened.close()
         assert os.listdir(tmp_path) == [JOURNAL_NAME]
@@ -165,7 +199,7 @@ class TestIndexRecovery:
         leftover.write_bytes(b"this is not sqlite")
         reopened = VerdictStore(str(tmp_path))
         hit = reopened.lookup(key_of(0))
-        assert hit is not None and hit.verdict == "failure"
+        assert hit is not None and hit["verdict"] == "failure"
         reopened.record(key_of(1), stored())
         reopened.close()
         assert leftover.read_bytes() == b"this is not sqlite"
@@ -177,19 +211,19 @@ class TestIndexRecovery:
         store.record(candidate_key(SYS, FLAGS, (("h", 0),)), stored())
         # Simulate a second writer: raw append to the same journal file.
         key = candidate_key(SYS, FLAGS, (("h", 1),))
-        line = json.dumps({"key": key, **stored("failure").to_record()})
+        line = json.dumps({"key": key, **stored("failure")})
         with open(tmp_path / JOURNAL_NAME, "ab") as handle:
             handle.write(line.encode() + b"\n")
         hit = store.lookup(candidate_key(SYS, FLAGS, (("h", 1),)))
-        assert hit is not None and hit.verdict == "failure"
+        assert hit is not None and hit["verdict"] == "failure"
         store.close()
 
     def test_line_torn_after_its_key_is_a_miss_until_recorded_again(
         self, tmp_path
     ):
         journal = tmp_path / JOURNAL_NAME
-        record = {"key": key_of(0), **stored().to_record()}
-        append_raw(journal, {"key": key_of(1), **stored().to_record()})
+        record = {"key": key_of(0), **stored()}
+        append_raw(journal, {"key": key_of(1), **stored()})
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         torn = line[: line.index(key_of(0)) + 65]
         assert torn.endswith(key_of(0) + '"')
@@ -202,17 +236,17 @@ class TestIndexRecovery:
         assert store.lookup(key_of(1)) is not None
         store.record(key_of(0), stored("failure"))
         hit = store.lookup(key_of(0))
-        assert hit is not None and hit.verdict == "failure"
+        assert hit is not None and hit["verdict"] == "failure"
         store.close()
         reopened = VerdictStore(str(tmp_path))
         hit = reopened.lookup(key_of(0))
-        assert hit is not None and hit.verdict == "failure"
+        assert hit is not None and hit["verdict"] == "failure"
         reopened.close()
 
     def test_unterminated_tail_is_not_indexed(self, tmp_path):
         journal = tmp_path / JOURNAL_NAME
-        append_raw(journal, {"key": key_of(0), **stored().to_record()})
-        append_raw(journal, {"key": key_of(1), **stored().to_record()},
+        append_raw(journal, {"key": key_of(0), **stored()})
+        append_raw(journal, {"key": key_of(1), **stored()},
                    newline=False)
         store = VerdictStore(str(tmp_path))
         assert store.lookup(key_of(0)) is not None
@@ -238,7 +272,7 @@ class TestIndexRecovery:
         store = VerdictStore(str(tmp_path))
         store.record(key_of(0), stored())
         first, second = store.lookup(key_of(0)), store.lookup(key_of(0))
-        assert first == second == stored()
+        assert first == second == {**stored(), "key": key_of(0)}
         assert first is not second
         store.close()
 
@@ -282,29 +316,27 @@ class TestLegacyRecords:
         "wildcard_encountered": True,
     }
 
-    def test_from_record_ignores_the_dropped_field(self):
+    def test_replay_ignores_the_dropped_field(self):
         current = {
             key: value for key, value in self.LEGACY_LINE.items()
             if key != "_".join(("cut", "holes"))
         }
-        legacy = StoredRun.from_record(self.LEGACY_LINE)
-        assert legacy == StoredRun.from_record(current)
-        assert legacy.to_record() == current
+        assert replayed(self.LEGACY_LINE) == replayed(current)
 
     def test_store_replays_a_legacy_journal_line(self, tmp_path):
         key = candidate_key(SYS, FLAGS, (("h", 0),))
         line = json.dumps({"key": key, **self.LEGACY_LINE})
         (tmp_path / JOURNAL_NAME).write_text(line + "\n")
         store = VerdictStore(str(tmp_path))
-        run = store.lookup(candidate_key(SYS, FLAGS, (("h", 0),)))
+        record = store.lookup(candidate_key(SYS, FLAGS, (("h", 0),)))
         store.close()
-        assert run is not None and run.verdict == "unknown"
-        assert run.wildcard_encountered
-        assert run.stats["states_visited"] == 59
-        assert run.new_holes == (
-            ("cache.IM_D+Data.response", ("none", "send_invack", "send_dataack")),
-        )
-        assert set(run.to_record()) < set(self.LEGACY_LINE)
+        assert record == {"key": key, **self.LEGACY_LINE}
+        result, holes, fingerprint = replayed(record)
+        assert result[:2] == ("unknown", None)
+        assert result[3].states_visited == 59
+        assert result[4]  # wildcard_encountered
+        assert holes == (("cache.IM_D+Data.response", 3),)
+        assert fingerprint is None
 
 
 class TestKeys:
@@ -376,8 +408,18 @@ class TestKeys:
         figure2 = system_signature(build_skeleton("figure2"))
         mutex = system_signature(build_skeleton("mutex"))
         assert figure2 != mutex
-        # Deterministic across rebuilds of the same skeleton.
-        assert figure2 == system_signature(build_skeleton("figure2"))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_skeleton("figure2"),
+        # Predicate controller states (lambdas) must not leak their
+        # addresses into rule names.
+        lambda: build_skeleton("mutex"),
+        lambda: build_skeleton("vi"),
+        lambda: PROTOCOL_BUILDERS["mutex"](3),
+        lambda: PROTOCOL_BUILDERS["vi"](3),
+    ])
+    def test_system_signature_is_deterministic_across_builds(self, build):
+        assert system_signature(build()) == system_signature(build())
 
 
 def _writer(path, worker, count, done):
@@ -385,7 +427,7 @@ def _writer(path, worker, count, done):
     flags = f"w{worker}" * 8
     for index in range(count):
         key = candidate_key(SYS, flags, (("h", index),))
-        store.record(key, StoredRun(verdict="success"))
+        store.record(key, stored())
     store.close()
     done.put(worker)
 
@@ -453,7 +495,7 @@ class TestCatchUpPolicy:
         first.record(key_of(0), stored())
         second.record(key_of(1), stored("failure"))
         hit = first.lookup(key_of(1))
-        assert hit is not None and hit.verdict == "failure"
+        assert hit is not None and hit["verdict"] == "failure"
         assert second.lookup(key_of(0)) is not None
         first.close()
         second.close()
@@ -464,7 +506,7 @@ class TestCatchUpPolicy:
             store.record(key_of(index), stored())
         assert len(store.index) == 3
         append_raw(tmp_path / JOURNAL_NAME,
-                   {"key": key_of(3), **stored().to_record()})
+                   {"key": key_of(3), **stored()})
         assert len(store) == 4
         store.close()
 
@@ -492,14 +534,14 @@ class TestCatchUpPolicy:
             # Another writer appends between the scan and anything the
             # store does after it.
             monkeypatch.setattr(JournalIndex, "catch_up", original)
-            other.append({"key": key_of(1), **stored("failure").to_record()})
+            other.append({"key": key_of(1), **stored("failure")})
 
         monkeypatch.setattr(JournalIndex, "catch_up", racing)
         # A foreign append makes the next lookup catch up (and race).
-        other.append({"key": key_of(0), **stored().to_record()})
+        other.append({"key": key_of(0), **stored()})
         assert store.lookup(key_of(0)) is not None
         hit = store.lookup(key_of(1))
-        assert hit is not None and hit.verdict == "failure"
+        assert hit is not None and hit["verdict"] == "failure"
         other.close()
         store.close()
 
@@ -508,11 +550,11 @@ class TestCatchUpPolicy:
     ):
         store = VerdictStore(str(tmp_path))
         append_raw(tmp_path / JOURNAL_NAME,
-                   {"key": key_of(0), **stored("failure").to_record()})
+                   {"key": key_of(0), **stored("failure")})
         store.record(key_of(0), stored())
         # The foreign line is scanned after the store's own append was
         # indexed; the store's later line must still win.
         assert len(store) == 1
         hit = store.lookup(key_of(0))
-        assert hit is not None and hit.verdict == "success"
+        assert hit is not None and hit["verdict"] == "success"
         store.close()
