@@ -201,7 +201,8 @@ class ProtocolBuilder:
     def _make_rule(self, spec: ControllerSpec, index: int,
                    transition: Transition, proc: int) -> Rule:
         label = f"{spec.name}{'' if proc == GLOBAL else proc}"
-        rule_name = f"{label}:{state_label(transition.state, index)}+{transition.event}"
+        state_name = _state_label(transition.state, index)
+        rule_name = f"{label}:{state_name}+{transition.event}"
         if proc != GLOBAL:
             rule_name = f"{rule_name}[p={proc}]"
 
@@ -316,7 +317,7 @@ class ProtocolBuilder:
         )
 
 
-def state_label(state: Any, index: int) -> str:
+def _state_label(state: Any, index: int) -> str:
     """How a rule name spells its transition's state pattern.
 
     A plain state is its ``str``.  A predicate is its ``__name__``, or
