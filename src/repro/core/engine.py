@@ -807,9 +807,10 @@ class SynthesisCore:
         In naive mode the initial run *is* the all-defaults candidate; it is
         counted once here and deduplicated in later passes.
         """
-        result, explorer = self.evaluate(CandidateVector.empty())
+        vector = CandidateVector.empty()
+        result, explorer = self.evaluate(vector)
         self.evaluated += 1
-        self.handle_result((), result, explorer, run_index=self.evaluated)
+        self.handle_result(vector, result, explorer, run_index=self.evaluated)
 
     def process_candidate(
         self,
@@ -833,9 +834,10 @@ class SynthesisCore:
             self.observer.on_prune(digits, tag)
             return
         self.check_evaluation_budget()
-        result, explorer = self.evaluate(CandidateVector.from_digits(digits))
+        vector = CandidateVector.from_digits(digits)
+        result, explorer = self.evaluate(vector)
         self.evaluated += 1
-        self.handle_result(digits, result, explorer, run_index=self.evaluated)
+        self.handle_result(vector, result, explorer, run_index=self.evaluated)
 
     def finalize_report(self, report: "SynthesisReport") -> "SynthesisReport":
         """Copy the aggregate outcome into ``report`` (shared by all engines)."""
@@ -884,12 +886,13 @@ class SynthesisCore:
 
     def handle_result(
         self,
-        digits: Tuple[int, ...],
+        vector: CandidateVector,
         result: VerificationResult,
         explorer: ExplorationKernel,
         run_index: int,
     ) -> None:
         """Record patterns/solutions for one dispatched candidate."""
+        digits = vector.entries
         self.verdict_counts[result.verdict.value] += 1
         if result.stats.states_visited > self.peak_states:
             self.peak_states = result.stats.states_visited
@@ -911,7 +914,6 @@ class SynthesisCore:
                     self.prefix_cache.hits if self.prefix_cache is not None else 0
                 ),
             )
-        vector = CandidateVector.from_digits(digits)
         holes = self.registry.holes
         self.observer.on_run(run_index, vector, result, holes)
 

@@ -191,8 +191,8 @@ class VerdictStore:
         # A span whose line is torn or holds another key is a miss, never
         # a wrong verdict: the candidate is checked and recorded again.
         try:
-            record = json.loads(line)
-        except ValueError:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
             return None
         if not isinstance(record, dict) or record.get("key") != key:
             return None
