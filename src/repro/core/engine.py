@@ -719,11 +719,7 @@ class SynthesisCore:
         if result.is_success and self.config.compute_fingerprints:
             fingerprint = explorer.fingerprint_visited()
             explorer = _StoredRunExplorer(fingerprint)
-        new_holes = (
-            self.registry.holes[holes_before:]
-            if len(self.registry) > holes_before
-            else ()
-        )
+        new_holes = self.registry.holes[holes_before:]
         self.store.record(
             key, _run_record(result, fingerprint, pattern, new_holes)
         )
