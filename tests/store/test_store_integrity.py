@@ -323,6 +323,11 @@ class TestLegacyRecords:
         }
         assert replayed(self.LEGACY_LINE) == replayed(current)
 
+    def test_replay_ignores_a_dropped_stats_field(self):
+        stats = dict(self.LEGACY_LINE["stats"], backtracks=7)
+        line = {**self.LEGACY_LINE, "stats": stats}
+        assert replayed(line) == replayed(self.LEGACY_LINE)
+
     def test_store_replays_a_legacy_journal_line(self, tmp_path):
         key = candidate_key(SYS, FLAGS, (("h", 0),))
         line = json.dumps({"key": key, **self.LEGACY_LINE})
