@@ -72,12 +72,10 @@ def pattern_economy(report: SynthesisReport) -> float:
     """Candidates pruned per recorded failure pattern.
 
     The yield of the pattern table: how much of the candidate space each
-    failure "bought".  Full-width patterns (the paper's scheme) constrain
-    every assigned hole, so a pattern mostly prunes its own near-duplicates;
-    conflict-generalised patterns (``SynthesisConfig.generalise_conflicts``)
-    constrain only the replayed failure conflict and cut whole subtrees,
-    which raises this number while *lowering* the pattern count.  0.0 when
-    no patterns were recorded (naive mode, or no failures).
+    failure "bought".  Conflict-generalised patterns constrain only the
+    holes the failure executed and cut whole subtrees, where the paper's
+    full-width patterns would mostly prune their own near-duplicates.
+    0.0 when no patterns were recorded (naive mode, or no failures).
     """
     if report.failure_patterns == 0:
         return 0.0

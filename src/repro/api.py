@@ -111,9 +111,9 @@ def synthesize(
             :class:`~repro.mc.system.TransitionSystem` (``sequential``
             backend only), or a
             :class:`~repro.dist.SystemSpec`.
-        config: synthesis knobs; defaults to the paper's procedure plus
-            both sound accelerations (see
-            :class:`~repro.core.engine.SynthesisConfig`).
+        config: synthesis knobs; defaults to the paper's pruning
+            procedure with conflict-generalised patterns and prefix reuse
+            (see :class:`~repro.core.engine.SynthesisConfig`).
         replicas: replicated-component count for catalog builds.
         backend: ``"sequential"`` or ``"processes"`` (real multi-core
             speedups).

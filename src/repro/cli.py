@@ -6,11 +6,10 @@ Commands:
   verdict, state counts, and (on failure) the counterexample trace.
 * ``synth <skeleton>`` — run hole synthesis on a skeleton and print the
   report and behavioural solution groups.  Defaults to the paper's
-  procedure plus both sound accelerations (conflict-generalised pruning,
-  prefix-reuse search); ``--no-generalise`` / ``--no-prefix-reuse`` /
-  ``--naive`` walk the ablation ladder back to the paper and beyond.
+  pruning procedure with conflict-generalised patterns and prefix-reuse
+  search; ``--naive`` runs the paper's naive baseline.
 * ``fuzz`` — generate seeded random holed protocols and differential-test
-  every acceleration/backend configuration against every other, shrinking
+  every codec/symmetry/backend/store configuration against every other, shrinking
   divergences to corpus reproducers; see :mod:`repro.fuzz`.
 * ``list`` — list available protocols and skeletons with their hole
   counts and supported replica ranges.
@@ -21,7 +20,7 @@ Examples::
     python -m repro verify german --procs 2
     python -m repro synth msi-small --backend processes --workers 4
     python -m repro synth msi-small --store runs/msi-store
-    python -m repro synth german-small --no-generalise --no-prefix-reuse
+    python -m repro synth german-small --naive
     python -m repro fuzz --seed 0 --count 50
 
 The full flag reference lives in ``docs/cli.md``; Table I is regenerated
@@ -36,7 +35,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.grouping import describe_groups
 from repro.api import BACKENDS
-from repro.errors import CliError
+from repro.errors import CliError, ModelError
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.obs import Telemetry, load_events, render_stats
@@ -63,14 +62,6 @@ STATE_FORMATTERS: Dict[str, Callable] = {
     "msi": MSI.format_state,
     "mesi": MESI.format_state,
     "moesi": MOESI.format_state,
-}
-
-#: accelerations the synth command can request explicitly, mapped to
-#: (flag, consequence-of-standing-down); the warning's *reason* comes
-#: from SynthesisConfig.resolved_accelerations(), the single stand-down
-#: table
-_ACCELERATION_FLAGS: Dict[str, tuple] = {
-    "store": ("--store", "verdicts will be neither recorded nor replayed"),
 }
 
 
@@ -169,28 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the processes backend")
     synth.add_argument("--naive", action="store_true", help="disable pruning")
     synth.add_argument(
-        "--no-generalise", action="store_true",
-        help="record full-width failure patterns (the paper's behaviour) "
-             "instead of minimal conflict patterns (the holes the failure "
-             "executed, tracked by the model checker)",
-    )
-    synth.add_argument(
-        "--no-prefix-reuse", action="store_true",
-        help="re-explore every candidate from the initial states instead "
-             "of resuming from cached shared-prefix explorations",
-    )
-    synth_store = synth.add_mutually_exclusive_group()
-    synth_store.add_argument(
         "--store", metavar="DIR", default=None,
         help="durable cross-run verdict store directory: verdicts are "
              "recorded on first evaluation and replayed on later runs "
              "with the same protocol and verdict-affecting flags, so a "
              "warm re-run model checks almost nothing (see "
              "docs/distributed.md)",
-    )
-    synth_store.add_argument(
-        "--no-store", action="store_true",
-        help="explicitly run without a verdict store (the default)",
     )
     synth.add_argument("--solution-limit", type=int, default=None)
     synth.add_argument("--max-evaluations", type=int, default=None)
@@ -202,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="generate random protocols and differential-test the lattice",
         description="Generate seeded random holed protocols and sweep each "
-                    "through the acceleration/backend configuration lattice, "
+                    "through the codec/symmetry/backend/store lattice, "
                     "asserting every promise the modes make against each "
                     "other.  Divergent specs are shrunk to minimal "
                     "reproducers and written as corpus files.",
@@ -216,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lattice", choices=("ablation", "tier1"),
         default="ablation",
         help="configuration lattice to sweep: 'ablation' (default) pins "
-             "every acceleration and backend against a shared reference, "
+             "the codec, symmetry, both backends and the verdict store "
+             "against a shared reference, "
              "'tier1' is the fast sequential-only set the checked-in "
              "corpus replays",
     )
@@ -267,10 +243,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """``verify``: model check one complete protocol."""
     if args.replicas < 1:
         raise CliError(f"--caches/--procs must be >= 1, got {args.replicas}")
+    try:
+        limits = ExplorationLimits(max_states=args.max_states)
+    except ModelError as exc:
+        raise CliError(f"--max-states: {exc}") from None
     system = PROTOCOLS[args.protocol](
         args.replicas, evictions=args.evictions, symmetry=not args.no_symmetry
     )
-    limits = ExplorationLimits(max_states=args.max_states)
     tele = _build_telemetry(args)
     kernel = ExplorationKernel(system, limits=limits, telemetry=tele)
     if tele is not None:
@@ -317,8 +296,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     tele = _build_telemetry(args)
     config = SynthesisConfig(
         pruning=not args.naive,
-        generalise_conflicts=not args.no_generalise,
-        prefix_reuse=not args.no_prefix_reuse,
         solution_limit=args.solution_limit,
         max_evaluations=args.max_evaluations,
         compute_fingerprints=args.groups,
@@ -329,23 +306,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         progress=_progress_requested(args),
     )
-    # Accelerations silently stand down in bad combinations (the engine's
-    # single stand-down table); a user who *typed the flag* gets told.
-    explicit = {
-        "store": args.store is not None,
-    }
-    for status in config.resolved_accelerations():
-        if status.active or not status.requested:
-            continue
-        mapping = _ACCELERATION_FLAGS.get(status.name)
-        if mapping is None or not explicit.get(status.name):
-            continue
-        flag, consequence = mapping
-        reason = f" ({status.reason})" if status.reason else ""
-        print(
-            f"repro: {flag} is inactive{reason}; {consequence}",
-            file=sys.stderr,
-        )
     root = (
         tele.span("synth", skeleton=args.skeleton, replicas=args.replicas,
                   backend=args.backend)

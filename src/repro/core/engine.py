@@ -30,7 +30,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.action import Action
 from repro.core.candidate import WILDCARD, CandidateVector
@@ -45,11 +45,7 @@ from repro.core.pruning import (
 )
 from repro.core.report import Solution, SynthesisReport
 from repro.errors import SynthesisError
-from repro.mc.kernel import (
-    ExplorationCheckpoint,
-    ExplorationKernel,
-    ExplorationLimits,
-)
+from repro.mc.kernel import ExplorationCheckpoint, ExplorationKernel
 from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -147,24 +143,6 @@ class SynthesisConfig:
     Attributes:
         pruning: enable the paper's candidate pruning (wildcard defaults,
             failure patterns); False reproduces the naive baseline.
-        generalise_conflicts: on every failure, record only the minimal
-            hole conflict the failure executes as the pruning pattern,
-            instead of the full candidate width
-            (:func:`repro.core.pruning.generalise_failure`).  Candidate
-            runs and prefix builds then track each state's hole path in
-            the exploration kernel, and the conflict is read off the
-            failing run.  Sound, strictly more general, and on by
-            default; ``--no-generalise`` on the CLI restores the paper's
-            full-width patterns.  Like prefix reuse, automatically
-            disabled when pruning is off or exploration ``limits`` are
-            set (see :attr:`generalise_active`).
-        prefix_reuse: cache the exploration of shared assignment prefixes
-            (:class:`PrefixCache`) so sibling candidates resume from the
-            cached frontier instead of re-exploring from the initial
-            states.  Verdict-exact; automatically disabled when pruning is
-            off or exploration ``limits`` are set (a truncated exploration
-            depends on visit order, which resumption changes).
-        limits: per-run exploration caps (safety net).
         solution_limit: stop after this many solutions (None = exhaustive).
         max_evaluations: stop after this many model-checker runs.
         max_passes: cap on enumeration passes.
@@ -185,19 +163,17 @@ class SynthesisConfig:
         store_path: directory of a durable cross-run verdict store
             (:mod:`repro.store`).  Every wildcard-free candidate
             evaluation consults the store before model checking and
-            records its outcome after; repeated runs, overlapping
-            ablation runs, and warm benchmark passes replay verdicts
-            instead of re-exploring.  ``None`` (default) disables the store.  Like
-            the other accelerations, the store stands down under
-            exploration ``limits`` (see :attr:`store_active`): truncated
-            verdicts depend on the limit values, which the store key
-            does not encode.
+            records its outcome after; repeated runs and warm benchmark
+            passes replay verdicts instead of re-exploring.  ``None``
+            (default) disables the store.
+
+    Under ``pruning`` every run also records minimal-conflict failure
+    patterns (:func:`repro.core.pruning.generalise_failure`, read off the
+    kernel's hole paths) and resumes candidates from cached shared-prefix
+    explorations (:class:`PrefixCache`); neither has a switch.
     """
 
     pruning: bool = True
-    generalise_conflicts: bool = True
-    prefix_reuse: bool = True
-    limits: Optional[ExplorationLimits] = None
     solution_limit: Optional[int] = None
     max_evaluations: Optional[int] = None
     max_passes: Optional[int] = None
@@ -247,118 +223,6 @@ class SynthesisConfig:
         decision off this property, not the raw flag.
         """
         return self.telemetry or self.trace_path is not None or self.progress
-
-    @property
-    def _limits_unset(self) -> bool:
-        limits = self.limits
-        return limits is None or (
-            limits.max_states is None and limits.max_depth is None
-        )
-
-    @property
-    def prefix_reuse_active(self) -> bool:
-        """Whether candidate evaluations may use the prefix cache.
-
-        Reuse requires pruning-mode (wildcard) semantics, and exploration
-        limits disable it: a truncated exploration's verdict depends on
-        visit order, which resumption changes.
-        """
-        return self.pruning and self.prefix_reuse and self._limits_unset
-
-    @property
-    def generalise_active(self) -> bool:
-        """Whether failure patterns are conflict-generalised.
-
-        This also decides whether candidate runs and prefix builds track
-        hole paths in the kernel.  Without pruning no pattern is recorded,
-        so there is nothing to generalise and nothing to track.
-        Exploration limits disable generalisation for the same reason they
-        disable prefix reuse: a sibling matching the generalised conflict
-        is guaranteed to *contain* the counterexample, but a truncated
-        exploration is not guaranteed to reach it within budget, so its
-        own verdict could have been UNKNOWN.  Full-width patterns keep
-        that exposure to cross-pass extensions only (the paper's original
-        caveat); generalisation would widen it to same-pass siblings.
-        """
-        return self.pruning and self.generalise_conflicts and self._limits_unset
-
-    @property
-    def store_active(self) -> bool:
-        """Whether candidate evaluations may consult the verdict store.
-
-        A truncated exploration's verdict depends on the limit values,
-        which the store key does not encode, so exploration limits stand
-        the store down like every other acceleration.
-        """
-        return self.store_path is not None and self._limits_unset
-
-    def resolved_accelerations(self) -> Tuple["AccelerationStatus", ...]:
-        """The requested-vs-active resolution of every acceleration knob.
-
-        This is the single stand-down table; the individual ``*_active``
-        properties are its per-knob accessors and the CLI's warning text
-        reads from the ``reason`` column here.
-
-        ========================  ==============================================
-        acceleration              stands down when
-        ========================  ==============================================
-        ``generalise_conflicts``  pruning is off (no patterns are recorded),
-                                  or exploration limits are set (a
-                                  truncated sibling exploration is not
-                                  guaranteed to reach the generalised
-                                  counterexample)
-        ``prefix_reuse``          pruning is off (no wildcard semantics), or
-                                  exploration limits are set (truncated
-                                  verdicts depend on visit order)
-        ``store_path``            exploration limits are set (truncated
-                                  verdicts depend on the limit values, which
-                                  the store key does not encode)
-        ========================  ==============================================
-        """
-        limited = not self._limits_unset
-        limits_reason = "exploration limits are set"
-        statuses = []
-
-        def add(name: str, requested: bool, active: bool, reason: str) -> None:
-            statuses.append(
-                AccelerationStatus(
-                    name=name,
-                    requested=requested,
-                    active=active,
-                    reason="" if active or not requested else reason,
-                )
-            )
-
-        off_reason = limits_reason if limited else "pruning is off"
-        add(
-            "generalise_conflicts",
-            self.generalise_conflicts,
-            self.generalise_active,
-            off_reason,
-        )
-        add(
-            "prefix_reuse",
-            self.prefix_reuse,
-            self.prefix_reuse_active,
-            off_reason,
-        )
-        add(
-            "store",
-            self.store_path is not None,
-            self.store_active,
-            limits_reason,
-        )
-        return tuple(statuses)
-
-
-class AccelerationStatus(NamedTuple):
-    """One row of :meth:`SynthesisConfig.resolved_accelerations`."""
-
-    name: str
-    requested: bool
-    active: bool
-    #: why a requested acceleration is inactive ("" when active/unrequested)
-    reason: str
 
 
 class SynthesisObserver:
@@ -516,7 +380,9 @@ class SynthesisCore:
         self.registry = registry if registry is not None else HoleRegistry()
         self.fail_table = PruningTable()
         self.success_table = PruningTable()
-        if not config.prefix_reuse_active:
+        if not config.pruning:
+            # Without wildcard semantics a prefix run cannot stand in for
+            # its extensions.
             self.prefix_cache: Optional[PrefixCache] = None
         elif prefix_cache is not None:
             # A caller-owned cache outliving this core (the process-backend
@@ -531,7 +397,7 @@ class SynthesisCore:
         self._owns_store = False
         if store is not None:
             self.store: Optional[VerdictStore] = store
-        elif config.store_active:
+        elif config.store_path is not None:
             self.store = VerdictStore(config.store_path)
             self._owns_store = True
         else:
@@ -616,8 +482,6 @@ class SynthesisCore:
         explorer = ExplorationKernel(
             self.system,
             resolver=self.make_resolver(vector),
-            limits=self.config.limits,
-            track_hole_paths=self.config.generalise_active,
             resume_from=resume,
             collect_checkpoint=collect,
             telemetry=self.telemetry if self.telemetry.enabled else None,
@@ -786,8 +650,6 @@ class SynthesisCore:
             explorer = ExplorationKernel(
                 self.system,
                 resolver=self.make_resolver(CandidateVector.from_digits(prefix)),
-                limits=self.config.limits,
-                track_hole_paths=self.config.generalise_active,
                 resume_from=resume,
                 collect_checkpoint=True,
                 telemetry=tele if tele.enabled else None,
@@ -959,13 +821,9 @@ class SynthesisCore:
             # Precomputed — replayed from the verdict store, or computed
             # once while recording to it; never generalise twice.
             return PruningPattern(result.stored_pattern)
-        if self.config.generalise_active:
-            # Called through this module's binding, which instrumentation
-            # may wrap.
-            pattern = generalise_failure(self.registry, digits, result)
-            if pattern is not None:
-                return pattern
-        return PruningPattern.from_candidate(CandidateVector.from_digits(digits))
+        # Called through this module's binding, which instrumentation may
+        # wrap.
+        return generalise_failure(self.registry, digits, result)
 
     def check_evaluation_budget(self) -> None:
         """Stop the synthesis once the evaluation cap is reached."""

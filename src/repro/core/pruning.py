@@ -40,9 +40,8 @@ Conflict generalisation (:func:`generalise_failure`) strengthens the
 recorded failure patterns beyond the paper: instead of constraining every
 assigned position of the failed candidate, the pattern constrains only the
 holes the failure executes — the minimal conflict.  The exploration kernel
-tracks, per state, the holes executed on its discovery path
-(``track_hole_paths``), so the conflict is read off the failing run
-rather than recomputed.  Because the pattern's highest constrained
+tracks, per state, the holes executed on its discovery path, so the
+conflict is read off the failing run rather than recomputed.  Because the pattern's highest constrained
 position bounds the shortest assignment prefix that already forces the
 counterexample, the subtree-skipping enumerator can discard the entire
 subtree below that prefix, which is exponentially larger than what the
@@ -52,7 +51,7 @@ full-width pattern could cut.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.candidate import CandidateVector
 from repro.errors import SynthesisError
@@ -283,7 +282,7 @@ def generalise_failure(
     registry,
     digits: Sequence[int],
     result: VerificationResult,
-) -> Optional[PruningPattern]:
+) -> PruningPattern:
     """Minimal-conflict pattern for a failed candidate.
 
     The pattern constrains exactly the positions of
@@ -305,15 +304,11 @@ def generalise_failure(
     other position becomes a wildcard, including assigned positions the
     failure never touched.
 
-    Returns ``None`` — callers fall back to the full-width pattern — when
-    the run did not track hole paths.  An *empty* pattern is a genuine
-    result: the failure executed no holes at all, so the skeleton fails
-    identically under every assignment (the engine reports an inherent
-    failure).
+    An *empty* pattern is a genuine result: the failure executed no holes
+    at all, so the skeleton fails identically under every assignment (the
+    engine reports an inherent failure).
     """
     mask = result.failure_mask
-    if mask is None:
-        return None
     if mask >> len(digits):
         position = mask.bit_length() - 1
         raise SynthesisError(

@@ -126,17 +126,13 @@ class PassStart:
 class BatchTask:
     """One contiguous slice of the pass's candidate index space.
 
-    ``fail_delta``/``success_delta`` are the patterns the coordinator
-    accepted since it last wrote to this worker — the cross-worker pruning
-    exchange.  ``eval_budget`` caps model-checker runs within the batch
-    (global ``max_evaluations`` minus runs already merged).
+    ``eval_budget`` caps model-checker runs within the batch (global
+    ``max_evaluations`` minus runs already merged).
     """
 
     batch_id: int
     start: int
     end: int
-    fail_delta: Tuple[Constraints, ...] = ()
-    success_delta: Tuple[Constraints, ...] = ()
     eval_budget: Optional[int] = None
     #: which pass this task belongs to.  Tasks ride the shared queue, so a
     #: worker may steal one before reading its own PassStart; it blocks on

@@ -133,17 +133,11 @@ class BatchRunner:
         #: coordinator aggregates metrics from the per-batch deltas)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._config = replace(config, solution_limit=None, max_evaluations=None)
-        # Whether the verdict store participates is decided by the
-        # *original* config (the coordinator resolves the same property on
-        # its side), not the limit-stripped worker copy — otherwise a
-        # limits-capped run would record on workers while the coordinator
-        # stood its store down.  One store handle outlives passes; each
-        # pass-local core borrows it rather than owning it.
+        # One store handle outlives passes; each pass-local core borrows
+        # it rather than owning it.
         self._store: Optional[VerdictStore] = (
-            VerdictStore(config.store_path) if config.store_active else None
+            None if config.store_path is None else VerdictStore(config.store_path)
         )
-        if self._store is None:
-            self._config = replace(self._config, store_path=None)
         self.core: Optional[SynthesisCore] = None
         #: index of the pass the runner is currently configured for; used
         #: to pair stolen tasks with their PassStart and to drop stale
@@ -156,7 +150,7 @@ class BatchRunner:
         # canonical hole order only appends and the rebuilt system — hole
         # objects included — is owned by this process throughout.
         self._prefix_cache: Optional[PrefixCache] = (
-            PrefixCache() if self._config.prefix_reuse_active else None
+            PrefixCache() if config.pruning else None
         )
 
     def start_pass(self, msg: PassStart) -> None:
@@ -197,11 +191,6 @@ class BatchRunner:
         core = self.core
         if core is None:
             raise SynthesisError("BatchTask received before PassStart")
-        for constraints in task.fail_delta:
-            core.fail_table.add(PruningPattern(constraints))
-        for constraints in task.success_delta:
-            core.success_table.add(PruningPattern(constraints))
-
         fail_seen = core.fail_table.version
         success_seen = core.success_table.version
         holes_seen = len(core.registry)

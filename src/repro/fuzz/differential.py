@@ -1,8 +1,9 @@
 """The differential oracle: one spec against the configuration lattice.
 
 Every generated protocol is pushed through a lattice of configurations —
-{symmetry, prefix reuse, generalise} x {sequential, processes}, plus a
-``wholestate`` run with the spec's codec removed — and the runs are
+symmetry on/off, sequential and processes backends, verdict-store
+recording and replay, plus a ``wholestate`` run with the spec's codec
+removed — and the runs are
 compared against each other under the *promises each mode actually
 makes*:
 
@@ -19,8 +20,8 @@ makes*:
   groups sharing a state space — symmetry-off legitimately changes the
   visited set;
 * **evaluated counts** are compared only where enumeration order and
-  pruning-pattern content are promised identical (the ``wholestate`` and
-  prefix-reuse toggles).
+  pruning-pattern content are promised identical (sequential symmetric
+  configs, ``wholestate`` included).
 
 The ``wholestate`` configs are the lattice's independent canonicaliser:
 with the codec removed, the kernel runs on the whole-state codec derived
@@ -92,24 +93,16 @@ class SynthLatticeConfig:
     #: processes rebuild the system from the spec)
     wholestate: bool = False
     symmetry: bool = True
-    prefix_reuse: bool = True
-    generalise: bool = True
     store: str = ""
 
     @property
     def evaluated_exact(self) -> bool:
         """Whether ``report.evaluated`` must equal the reference's.
 
-        Only the ``wholestate`` and prefix-reuse toggles promise this: a
-        different backend changes hole-discovery and pattern-arrival
-        order, and disabling generalisation changes the patterns
-        themselves.
+        Only sequential symmetric configs promise this: a different
+        backend changes hole-discovery and pattern-arrival order.
         """
-        return (
-            self.backend == "sequential"
-            and self.symmetry
-            and self.generalise
-        )
+        return self.backend == "sequential" and self.symmetry
 
     @property
     def fingerprint_group(self) -> bool:
@@ -156,8 +149,6 @@ def ablation_lattice() -> Lattice:
             SynthLatticeConfig("wholestate", wholestate=True),
             SynthLatticeConfig("processes", backend="processes"),
             SynthLatticeConfig("nosym", symmetry=False),
-            SynthLatticeConfig("noreuse", prefix_reuse=False),
-            SynthLatticeConfig("nogen", generalise=False),
             # The verdict store: a cold recording run must behave
             # exactly like the reference, and the same-tag run after it
             # replays warm — still pinned against every promise above.
@@ -185,7 +176,6 @@ def tier1_lattice() -> Lattice:
         synth=(
             SynthLatticeConfig("ref"),
             SynthLatticeConfig("wholestate", wholestate=True),
-            SynthLatticeConfig("noreuse", prefix_reuse=False),
         ),
     )
 
@@ -670,8 +660,6 @@ class DifferentialRunner:
         self, spec: ProtocolSpec, sc: SynthLatticeConfig, store_root: str
     ):
         config = SynthesisConfig(
-            prefix_reuse=sc.prefix_reuse,
-            generalise_conflicts=sc.generalise,
             compute_fingerprints=True,
             max_evaluations=self.max_evaluations,
             store_path=(

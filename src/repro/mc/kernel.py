@@ -5,7 +5,7 @@ search over a FIFO frontier, with rules tried at each state in declaration
 order.  It owns state interning and canonicalisation on the system's
 :class:`~repro.mc.packed.PackedRuntime`, invariant and coverage
 evaluation, the parent/trace store, wildcard bookkeeping, deadlock
-classification, optional hole-path tracking, and
+classification, hole-path tracking, and
 :class:`~repro.mc.result.RunStats`.
 
 Breadth-first order is what makes counterexample traces *minimal*
@@ -99,6 +99,12 @@ class ExplorationLimits:
     max_states: Optional[int] = None
     max_depth: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_states", "max_depth"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ModelError(f"{name} must be non-negative, got {value}")
+
 
 @dataclass(frozen=True)
 class ExplorationCheckpoint:
@@ -123,8 +129,7 @@ class ExplorationCheckpoint:
             (the only rules a resumed run re-fires); ``produced`` says
             whether a non-cut firing there produced a successor; and
             ``dead_end_holes`` is the position mask of the holes its
-            successor-less non-cut firings executed (0 unless the run
-            tracked hole paths).
+            successor-less non-cut firings executed.
         pending_coverage: names of coverage properties no visited state
             satisfied yet.
         states_visited / transitions / attempts / max_depth: counter
@@ -132,9 +137,7 @@ class ExplorationCheckpoint:
         executed_holes: position mask of the holes resolved during the
             prefix run (a subset of the prefix; seeds the resumed run's
             executed mask).
-        hole_paths: per-sid discovery-path position masks when the
-            producing run tracked them (``track_hole_paths``), else
-            ``None``.
+        hole_paths: per-sid discovery-path position masks.
 
     Slab ids are only meaningful against the same in-process
     :class:`~repro.mc.packed.PackedRuntime`, and the masks against the
@@ -155,7 +158,7 @@ class ExplorationCheckpoint:
     attempts: int
     max_depth: int
     executed_holes: int
-    hole_paths: Optional[Tuple[int, ...]] = None
+    hole_paths: Tuple[int, ...]
 
 
 class ExplorationKernel:
@@ -166,18 +169,17 @@ class ExplorationKernel:
         resolver: hole resolver handed to the execution context; ``None``
             means the system must be hole-free.
         limits: optional exploration caps.
-        track_hole_paths: additionally record, per state, the mask of
-            holes executed on its discovery path, and report a failure's
-            conflict holes in ``VerificationResult.failure_mask`` (and its
-            ``failure_holes`` view); the synthesis engine's conflict
-            generalisation reads the mask (an extension over the paper;
-            see :mod:`repro.core.pruning`).
         resume_from: an :class:`ExplorationCheckpoint` from a run whose
             assignment this run's resolver extends; inherited states are
             not re-explored (see the module docstring).  The caller is
-            responsible for the extension relationship, for matching
-            ``track_hole_paths`` and for a resolver
+            responsible for the extension relationship and for a resolver
             that numbers the prefix holes as the producer's did.
+
+    Every run records, per state, the mask of holes executed on its
+    discovery path, and reports a failure's conflict holes in
+    ``VerificationResult.failure_mask`` (and its ``failure_holes`` view);
+    the synthesis engine's conflict generalisation reads the mask (an
+    extension over the paper; see :mod:`repro.core.pruning`).
         collect_checkpoint: capture :attr:`checkpoint` when the frontier
             drains without truncation and without an invariant/deadlock
             failure; it stays ``None`` otherwise.  A COVERAGE failure —
@@ -194,7 +196,6 @@ class ExplorationKernel:
         system: TransitionSystem,
         resolver: Any = None,
         limits: Optional[ExplorationLimits] = None,
-        track_hole_paths: bool = False,
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
         telemetry: Any = None,
@@ -204,16 +205,6 @@ class ExplorationKernel:
         self.packed_runtime = system.packed_runtime()
         self.ctx = ExecutionContext(resolver)
         self.limits = limits or ExplorationLimits()
-        self.track_hole_paths = track_hole_paths
-        if (
-            resume_from is not None
-            and track_hole_paths
-            and resume_from.hole_paths is None
-        ):
-            raise ModelError(
-                "cannot resume a hole-path-tracking run from a checkpoint "
-                "recorded without track_hole_paths"
-            )
         self.resume_from = resume_from
         self.collect_checkpoint = collect_checkpoint
         #: populated by :meth:`run` when ``collect_checkpoint`` was set and
@@ -235,7 +226,6 @@ class ExplorationKernel:
         limits = self.limits
         visited = self.visited_states
         rt = self.packed_runtime
-        track = self.track_hole_paths
         all_rules = tuple(system.rules)
         tele = self.telemetry
         instrumented = tele is not None and tele.enabled
@@ -268,8 +258,7 @@ class ExplorationKernel:
             visited.update(resume.visited)
             originals.extend(resume.originals)
             parents.extend(resume.parents)
-            if track:
-                hole_paths.extend(resume.hole_paths)
+            hole_paths.extend(resume.hole_paths)
             pending = set(resume.pending_coverage)
             pending_coverage = [p for p in pending_coverage if p.name in pending]
             states_visited = resume.states_visited
@@ -309,8 +298,7 @@ class ExplorationKernel:
             visited[canon] = sid
             originals.append(rid)
             parents.append(parent)
-            if track:
-                hole_paths.append(path_holes)
+            hole_paths.append(path_holes)
             states_visited += 1
             if pending_coverage:
                 satisfied = rt.coverage_names(rid)
@@ -403,7 +391,7 @@ class ExplorationKernel:
                     extra_holes: int = 0) -> VerificationResult:
             return outcome(
                 Verdict.FAILURE,
-                failure_mask=(hole_paths[sid] | extra_holes) if track else None,
+                failure_mask=hole_paths[sid] | extra_holes,
                 failure_kind=kind,
                 message=message,
                 trace=build_trace(sid),
@@ -453,7 +441,7 @@ class ExplorationKernel:
             if limits.max_depth is not None and depth >= limits.max_depth:
                 truncated = True
                 continue
-            path_holes = hole_paths[sid] if track else 0
+            path_holes = hole_paths[sid]
             if seam and sid in seam:
                 enabled, produced_successor, holes_at_state = seam.pop(sid)
             else:
@@ -473,17 +461,13 @@ class ExplorationKernel:
                 if successors is None:
                     cut_rules += (index,)
                     continue
-                firing_holes = path_holes
-                if track:
-                    executed = ctx.firing_executed
-                    if not successors:
-                        # Only successor-less firings matter for a
-                        # deadlock here.
-                        holes_at_state |= executed
-                    else:
-                        firing_holes = path_holes | executed
-                if successors:
-                    produced_successor = True
+                if not successors:
+                    # Only successor-less firings matter for a deadlock
+                    # here.
+                    holes_at_state |= ctx.firing_executed
+                    continue
+                produced_successor = True
+                firing_holes = path_holes | ctx.firing_executed
                 rule_name = all_rules[index].name
                 for successor in successors:
                     transitions += 1
@@ -532,7 +516,7 @@ class ExplorationKernel:
                 attempts=attempts,
                 max_depth=max_depth,
                 executed_holes=ctx.run_executed,
-                hole_paths=tuple(hole_paths) if track else None,
+                hole_paths=tuple(hole_paths),
             )
             if instrumented:
                 checkpoint_acc[0] += clock() - checkpoint_begin
@@ -541,7 +525,7 @@ class ExplorationKernel:
         if unmet and not ctx.run_wildcard_encountered and not truncated:
             return outcome(
                 Verdict.FAILURE,
-                failure_mask=ctx.run_executed if track else None,
+                failure_mask=ctx.run_executed,
                 failure_kind=FailureKind.COVERAGE,
                 message=f"coverage not met: {', '.join(unmet)}",
                 unmet_coverage=unmet,

@@ -80,8 +80,9 @@ class VerificationResult:
         failure_holes: holes relevant to the failure — for INVARIANT and
             DEADLOCK, those executed on the minimal error path (plus, for
             deadlocks, during firings attempted at the final state); for
-            COVERAGE, every hole executed in the run.  Only populated when
-            the explorer was asked to track hole paths.
+            COVERAGE, every hole executed in the run.  Populated on every
+            kernel FAILURE (a verdict-store replay carries its
+            ``stored_pattern`` instead).
         failure_mask: the same holes as a position mask; conflict
             generalisation reads it.
         unmet_coverage: names of coverage properties never satisfied.

@@ -98,10 +98,10 @@ def system_signature(system: Any) -> str:
 def flags_signature(config: Any) -> str:
     """Hash of every configuration knob that can change a stored verdict."""
 
-    payload = {
-        "pruning": bool(getattr(config, "pruning", True)),
-        "generalise": bool(getattr(config, "generalise_active", False)),
-    }
+    pruning = bool(getattr(config, "pruning", True))
+    # "generalise" is no longer a knob (pruning always generalises); it
+    # stays in the payload, equal to "pruning", so store keys do not move.
+    payload = {"pruning": pruning, "generalise": pruning}
     return _digest(payload)
 
 

@@ -1,5 +1,7 @@
 """SynthesisConfig rejects nonsense knobs instead of silently misbehaving."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import SynthesisConfig
@@ -27,21 +29,27 @@ class TestConfigValidation:
 
     # Partial-order reduction, family synthesis, flat matching, pattern
     # subsumption, the two single-value knobs, the frontier-strategy
-    # choice, the trace switch and the success-memoisation switch were
-    # removed; their knobs must not be silently accepted.  The first is spelled indirectly so a search for
-    # the removed name finds no live use.
+    # choice, the trace switch, the success-memoisation switch, the
+    # generalisation and prefix-reuse toggles and the exploration limits
+    # were removed; their knobs must not be silently accepted.  The first
+    # is spelled indirectly so a search for the removed name finds no
+    # live use.
     @pytest.mark.parametrize("removed", [
         "_".join(("partial", "order")), "family", "naive_match",
         "subsumption", "default_action_index", "prefix_cache_capacity",
         "explorer", "record_traces", "success_patterns",
+        "generalise_conflicts", "prefix_reuse", "limits",
     ])
     def test_removed_knobs_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):
             SynthesisConfig(**{removed: True})
 
-    def test_accelerations_with_a_stand_down_row(self):
-        names = [row.name for row in SynthesisConfig().resolved_accelerations()]
-        assert names == ["generalise_conflicts", "prefix_reuse", "store"]
+    def test_fields(self):
+        assert [field.name for field in dataclasses.fields(SynthesisConfig)] == [
+            "pruning", "solution_limit", "max_evaluations", "max_passes",
+            "compute_fingerprints", "telemetry", "trace_path", "progress",
+            "progress_interval", "store_path",
+        ]
 
 
 class TestTelemetryConfigValidation:

@@ -1,9 +1,8 @@
-"""Unit tests for the prefix-exploration cache and its config gating."""
+"""Unit tests for the prefix-exploration cache and when a core builds one."""
 
 import pytest
 
 from repro.core.engine import PrefixCache, SynthesisConfig, SynthesisCore
-from repro.mc.kernel import ExplorationLimits
 from repro.protocols.toy import build_figure2_skeleton
 
 
@@ -37,58 +36,13 @@ class TestPrefixCache:
 
 
 class TestConfigGating:
-    def test_active_by_default(self):
-        assert SynthesisConfig().prefix_reuse_active
-
-    def test_inactive_without_pruning(self):
-        assert not SynthesisConfig(pruning=False).prefix_reuse_active
-
-    def test_inactive_when_disabled(self):
-        assert not SynthesisConfig(prefix_reuse=False).prefix_reuse_active
-
-    def test_inactive_under_exploration_limits(self):
-        # A truncated exploration's verdict depends on visit order, which
-        # resumption changes — the cache must stand down.
-        config = SynthesisConfig(limits=ExplorationLimits(max_states=100))
-        assert not config.prefix_reuse_active
-        config = SynthesisConfig(limits=ExplorationLimits(max_depth=3))
-        assert not config.prefix_reuse_active
-
-    def test_empty_limits_keep_cache_active(self):
-        assert SynthesisConfig(limits=ExplorationLimits()).prefix_reuse_active
-
-    def test_generalisation_gated_like_the_cache(self):
-        # A generalised pattern promises the sibling *contains* the
-        # counterexample, not that a truncated run reaches it in budget —
-        # so exploration limits stand generalisation down too.
-        assert SynthesisConfig().generalise_active
-        assert not SynthesisConfig(generalise_conflicts=False).generalise_active
-        assert not SynthesisConfig(
-            limits=ExplorationLimits(max_states=10)
-        ).generalise_active
-        assert SynthesisConfig(limits=ExplorationLimits()).generalise_active
-
-    def test_generalisation_needs_pruning(self):
-        # Without pruning no pattern is recorded, so generalising (and the
-        # kernel's hole-path tracking that feeds it) would be dead work.
-        config = SynthesisConfig(pruning=False)
-        assert not config.generalise_active
-        status = {s.name: s for s in config.resolved_accelerations()}
-        generalise = status["generalise_conflicts"]
-        assert generalise.requested and not generalise.active
-        assert generalise.reason == "pruning is off"
-        assert status["prefix_reuse"].reason == "pruning is off"
-        limited = SynthesisConfig(
-            pruning=False, limits=ExplorationLimits(max_states=10)
-        )
-        reasons = {s.name: s.reason for s in limited.resolved_accelerations()}
-        assert reasons["generalise_conflicts"] == "exploration limits are set"
-
-    def test_core_builds_cache_only_when_active(self):
+    def test_core_builds_cache_only_under_pruning(self):
+        # Without wildcard semantics a prefix run cannot stand in for its
+        # extensions, so the naive baseline explores every candidate cold.
         system = build_figure2_skeleton()
         assert SynthesisCore(system, SynthesisConfig()).prefix_cache is not None
         assert (
-            SynthesisCore(system, SynthesisConfig(prefix_reuse=False)).prefix_cache
+            SynthesisCore(system, SynthesisConfig(pruning=False)).prefix_cache
             is None
         )
 
@@ -97,8 +51,8 @@ class TestConfigGating:
         shared = PrefixCache()
         core = SynthesisCore(system, SynthesisConfig(), prefix_cache=shared)
         assert core.prefix_cache is shared
-        # ... but never against the config's wishes.
+        # ... but never without pruning.
         core = SynthesisCore(
-            system, SynthesisConfig(prefix_reuse=False), prefix_cache=shared
+            system, SynthesisConfig(pruning=False), prefix_cache=shared
         )
         assert core.prefix_cache is None

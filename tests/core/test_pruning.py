@@ -323,9 +323,7 @@ class TestGeneraliseFailure:
         from repro.mc.kernel import ExplorationKernel
 
         resolver = CandidateResolver(registry, CandidateVector.from_digits(digits))
-        result = ExplorationKernel(
-            system, resolver=resolver, track_hole_paths=True
-        ).run()
+        result = ExplorationKernel(system, resolver=resolver).run()
         assert result.is_failure
         return result
 
@@ -435,10 +433,10 @@ class TestGeneraliseFailure:
             rules=[Rule("bad", guard=lambda s: s == 0, apply=lambda s, ctx: [-1])],
             invariants=[Invariant("no-err", lambda s: s != -1)],
         )
-        result = ExplorationKernel(system, track_hole_paths=True).run()
+        result = ExplorationKernel(system).run()
         assert result.is_failure
         pattern = generalise_failure(HoleRegistry(), (), result)
-        assert pattern is not None and pattern.is_empty
+        assert pattern.is_empty
 
     def test_missing_trace_still_generalises(self):
         # A failure replayed from the verdict store carries no trace; the
@@ -454,18 +452,6 @@ class TestGeneraliseFailure:
         assert replay_conflict(system, registry, digits, result) is None
         pattern = generalise_failure(registry, digits, result)
         assert pattern.constraints == ((0, 0), (1, 0))
-
-    def test_untracked_run_is_not_generalised(self):
-        from repro.core.candidate import CandidateVector
-        from repro.core.discovery import CandidateResolver
-        from repro.core.pruning import generalise_failure
-        from repro.mc.kernel import ExplorationKernel
-
-        system, registry = self._fork_setup()
-        resolver = CandidateResolver(registry, CandidateVector.from_digits((0, 0, 0)))
-        result = ExplorationKernel(system, resolver=resolver).run()
-        assert result.is_failure and result.failure_holes is None
-        assert generalise_failure(registry, (0, 0, 0), result) is None
 
 
 # -- differential property test: subtree skipping == flat matching ----------

@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.hole import Hole
 from repro.core.action import Action
 from repro.dist.coordinator import plan_batches, plan_shard_batches
-from repro.dist.messages import BatchTask, HoleSpec, PassStart, SystemSpec
+from repro.dist.messages import (
+    BatchTask,
+    HoleSpec,
+    PassStart,
+    PatternUpdate,
+    SystemSpec,
+)
 from repro.mc.system import TransitionSystem
 from repro.protocols.catalog import (
     SKELETON_CATALOG,
@@ -60,8 +66,9 @@ class TestHoleSpec:
     def test_messages_are_picklable(self):
         spec = HoleSpec("h", ("a", "b"))
         start = PassStart(1, 0, (spec,), (((0, 1),),), ())
-        task = BatchTask(0, 0, 10, fail_delta=(((0, 0),),))
-        for message in (spec, start, task):
+        task = BatchTask(0, 0, 10, eval_budget=3)
+        update = PatternUpdate(1, fail_delta=(((0, 0),),))
+        for message in (spec, start, task, update):
             assert pickle.loads(pickle.dumps(message)) == message
 
 

@@ -6,7 +6,7 @@ from repro.core import SynthesisConfig
 from repro.core.engine import SynthesisCore
 from repro.core.hole import Hole
 from repro.core.action import Action
-from repro.dist.messages import BatchTask, HoleSpec, PassStart
+from repro.dist.messages import BatchTask, HoleSpec, PassStart, PatternUpdate
 from repro.dist.worker import BatchRunner, WorkerHoleRegistry
 from repro.errors import SynthesisError
 from repro.protocols.catalog import build_skeleton
@@ -129,7 +129,7 @@ class TestBatchRunner:
         assert result.evaluated == 1
 
     def test_pattern_delta_prunes_immediately(self):
-        """A delta arriving with the task must prune before evaluation."""
+        """A broadcast delta must prune the next batch before evaluation."""
         _system, _core, start = start_message()
         total = product_size([spec.arity for spec in start.hole_specs])
 
@@ -141,7 +141,8 @@ class TestBatchRunner:
         runner.start_pass(start)
         # Fabricate a pattern matching the whole first digit subtree.
         delta = (((0, 0),),)
-        pruned = runner.run_batch(BatchTask(0, 0, total, fail_delta=delta))
+        runner.apply_patterns(PatternUpdate(start.pass_index, fail_delta=delta))
+        pruned = runner.run_batch(BatchTask(0, 0, total))
         assert pruned.evaluated < unpruned.evaluated
 
     def test_global_stop_conditions_are_stripped(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.grouping import group_solutions
 from repro.analysis.stats import compare_reports
 from repro.core import SynthesisConfig, SynthesisEngine
-from repro.mc.kernel import ExplorationLimits
 from repro.protocols.catalog import build_skeleton
 from repro.protocols.msi import msi_tiny
 from repro.protocols.vi import build_vi_skeleton
@@ -51,20 +50,6 @@ class TestEnginesAgree:
         make = systems[key]
         naive = SynthesisEngine(make(), SynthesisConfig(pruning=False)).run()
         assert naive.evaluated == naive.naive_candidate_space
-
-
-class TestLimitsIntegration:
-    def test_exploration_limits_keep_soundness(self):
-        # Harsh per-run state caps may make runs UNKNOWN but never lose or
-        # fabricate solutions on this skeleton (its spaces are tiny).
-        capped = SynthesisEngine(
-            msi_tiny(n_caches=2).system,
-            SynthesisConfig(limits=ExplorationLimits(max_states=10_000)),
-        ).run()
-        base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        assert {s.digits for s in capped.solutions} == {
-            s.digits for s in base.solutions
-        }
 
 
 class TestAnalysisIntegration:

@@ -18,6 +18,9 @@ break this.
 import pytest
 
 from repro.core import SynthesisConfig, SynthesisEngine
+from repro.core import engine as engine_module
+from repro.core.candidate import CandidateVector
+from repro.core.pruning import PruningPattern
 from repro.fuzz import build_skeleton_from_spec, generate_spec
 from repro.protocols.catalog import build_skeleton
 
@@ -68,12 +71,17 @@ def test_catalog_subtree_walk_matches_flat_scan(name, monkeypatch):
     _check_against_oracle(lambda: build_skeleton(name), monkeypatch)
 
 
+def _full_width_pattern(_registry, digits, _result):
+    """The paper's pattern: the failing candidate at its full width."""
+    return PruningPattern.from_candidate(CandidateVector.from_digits(digits))
+
+
 @pytest.mark.parametrize("name", ["figure2", "msi-tiny", "vi"])
 def test_full_width_patterns_match_flat_scan(name, monkeypatch):
-    _check_against_oracle(
-        lambda: build_skeleton(name), monkeypatch,
-        SynthesisConfig(generalise_conflicts=False),
-    )
+    # Full-width patterns are denser than generalised ones; record them
+    # in place of the conflict so the walker meets them too.
+    monkeypatch.setattr(engine_module, "generalise_failure", _full_width_pattern)
+    _check_against_oracle(lambda: build_skeleton(name), monkeypatch)
 
 
 def test_fuzz_subtree_walk_matches_flat_scan(monkeypatch):

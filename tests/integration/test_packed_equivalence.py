@@ -185,12 +185,11 @@ def test_synthesis_backends_match(name):
 
 
 @pytest.mark.parametrize("flags", [
-    dict(generalise_conflicts=False),
-    dict(prefix_reuse=False),
+    dict(),
     dict(pruning=False),
-])
+], ids=["pruning", "naive"])
 def test_synthesis_flag_combinations_match(flags):
-    """Codec on/off agree under every other acceleration toggle too."""
+    """Codec on/off agree with pruning on and off."""
     on = SynthesisEngine(
         build_skeleton("msi-tiny"), SynthesisConfig(**flags)
     ).run()

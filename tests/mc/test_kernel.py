@@ -69,7 +69,18 @@ class TestTruncation:
         result = ExplorationKernel(counter_system(), limits=limits).run()
         assert result.stats.truncated is False
 
-    @pytest.mark.parametrize("max_states", [1, 10])
+    @pytest.mark.parametrize("field", ["max_states", "max_depth"])
+    def test_negative_limit_rejected(self, field):
+        with pytest.raises(ModelError, match=f"{field} must be non-negative"):
+            ExplorationLimits(**{field: -1})
+
+    def test_api_verify_rejects_negative_max_states(self):
+        from repro import api
+
+        with pytest.raises(ModelError, match="max_states"):
+            api.verify("msi", max_states=-5)
+
+    @pytest.mark.parametrize("max_states", [0, 1, 10])
     def test_max_states_truncation(self, max_states):
         limits = ExplorationLimits(max_states=max_states)
         result = ExplorationKernel(branching_system(), limits=limits).run()
@@ -110,10 +121,16 @@ class TestKernelFeatures:
         result = ExplorationKernel(
             system,
             resolver=FixedResolver({hole: hole.domain[0]}),
-            track_hole_paths=True,
         ).run()
         assert result.is_failure
         assert result.failure_holes == frozenset({hole})
+
+    def test_hole_free_failure_has_an_empty_conflict(self):
+        system = counter_system(invariants=[Invariant("lt2", lambda s: s < 2)])
+        result = ExplorationKernel(system).run()
+        assert result.is_failure
+        assert result.failure_mask == 0
+        assert result.failure_holes == frozenset()
 
     def test_codecless_system_shares_one_derived_runtime(self):
         from repro.mc.packed import WholeStateCodec
@@ -194,16 +211,10 @@ class TestCheckpointResume:
         assert result.stats.truncated
         assert explorer.checkpoint is None
 
-    def test_hole_path_mismatch_rejected(self):
-        system, prefix_res, full_res = self._setup((1,), (1, 0))
+    def test_checkpoint_carries_one_hole_path_per_state(self):
+        system, prefix_res, _ = self._setup((1,), (1, 0))
         checkpoint = self._prefix_checkpoint(system, prefix_res)
-        with pytest.raises(ModelError):
-            ExplorationKernel(
-                system,
-                resolver=full_res,
-                resume_from=checkpoint,
-                track_hole_paths=True,
-            )
+        assert len(checkpoint.hole_paths) == checkpoint.states_visited
 
     def test_exhaustive_prefix_resumes_to_immediate_verdict(self):
         # A prefix that never hits a wildcard explores the full space; the
@@ -383,7 +394,6 @@ class TestSeamExactness:
                 fresh = ExplorationKernel(
                     core.system,
                     resolver=core.make_resolver(vector),
-                    track_hole_paths=core.config.generalise_active,
                 ).run()
                 pairs.append((result, fresh))
             return result, explorer
@@ -416,7 +426,6 @@ class TestSeamExactness:
             system,
             resolver=CandidateResolver(HoleRegistry(), CandidateVector.empty()),
             collect_checkpoint=True,
-            track_hole_paths=True,
         )
         explorer.run()
         checkpoint = explorer.checkpoint
@@ -439,7 +448,6 @@ class TestWarmMemoMatchesCold:
         return ExplorationKernel(
             system,
             resolver=CandidateResolver(registry, CandidateVector(digits)),
-            track_hole_paths=True,
             **kwargs,
         ).run()
 

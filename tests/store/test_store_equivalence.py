@@ -12,7 +12,6 @@ from repro import api
 from repro.core import SynthesisConfig, SynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.errors import SynthesisError
-from repro.mc.kernel import ExplorationLimits
 from repro.protocols.catalog import build_skeleton
 
 
@@ -68,23 +67,10 @@ class TestWarmEqualsCold:
         assert solution_view(warm) == solution_view(baseline)
 
 
-class TestStandDown:
-    def test_exploration_limits_stand_the_store_down(self, tmp_path):
-        config = SynthesisConfig(
-            store_path=str(tmp_path),
-            limits=ExplorationLimits(max_states=100_000),
-        )
-        assert not config.store_active
-        report = SynthesisEngine(build_skeleton("figure2"), config).run()
-        assert not report.store_enabled
-        assert report.store_hits == 0 and report.store_writes == 0
-        status = {s.name: s for s in config.resolved_accelerations()}
-        assert status["store"].requested and not status["store"].active
-        assert "limits" in status["store"].reason
-
+class TestFlagSeparation:
     def test_different_flags_never_share_verdicts(self, tmp_path):
-        run_sequential(str(tmp_path))  # generalised verdicts
-        other = run_sequential(str(tmp_path), generalise_conflicts=False)
+        run_sequential(str(tmp_path))  # pruning-mode verdicts
+        other = run_sequential(str(tmp_path), pruning=False)
         assert other.store_hits == 0
         assert other.store_writes == other.evaluated
 

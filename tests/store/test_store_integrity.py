@@ -353,9 +353,7 @@ class TestKeys:
     def test_flags_signature_separates_verdict_affecting_knobs(self):
         base = flags_signature(SynthesisConfig())
         assert flags_signature(SynthesisConfig(pruning=False)) != base
-        assert flags_signature(SynthesisConfig(generalise_conflicts=False)) != base
         # Performance-only knobs share verdicts.
-        assert flags_signature(SynthesisConfig(prefix_reuse=False)) == base
         assert flags_signature(SynthesisConfig(compute_fingerprints=True)) == base
 
     def test_flags_signature_covers_exactly_the_verdict_knobs(self):
@@ -366,6 +364,18 @@ class TestKeys:
             "generalise": True,
         }
         assert flags_signature(SynthesisConfig()) == _digest(expected)
+        naive = {"pruning": False, "generalise": False}
+        assert flags_signature(SynthesisConfig(pruning=False)) == _digest(naive)
+
+    def test_flags_signature_values_are_pinned(self):
+        # The digests stores were keyed with while "generalise" was a
+        # separate knob; pruning now implies it, and keys must not move.
+        assert flags_signature(SynthesisConfig()) == (
+            "c2ec016c89e639c864ac3e25ebb9baf8731ce8679f6f4a1f7966ce62f0c67e4a"
+        )
+        assert flags_signature(SynthesisConfig(pruning=False)) == (
+            "8c1b9086ca6eb93250b91acf1a981841a8d2a279ed91eec614837c69dd41f028"
+        )
 
     def test_candidate_key_format_is_pinned(self):
         # Changing a key byte orphans every existing store; this value was
@@ -399,12 +409,10 @@ class TestKeys:
     def test_mismatched_flags_are_never_consulted(self, tmp_path):
         store = VerdictStore(str(tmp_path))
         default_flags = flags_signature(SynthesisConfig())
-        full_width_flags = flags_signature(
-            SynthesisConfig(generalise_conflicts=False)
-        )
+        naive_flags = flags_signature(SynthesisConfig(pruning=False))
         store.record(candidate_key(SYS, default_flags, (("h", 0),)), stored())
         assert (
-            store.lookup(candidate_key(SYS, full_width_flags, (("h", 0),)))
+            store.lookup(candidate_key(SYS, naive_flags, (("h", 0),)))
             is None
         )
         store.close()

@@ -26,8 +26,9 @@ class TestVerify:
     def test_verify_no_symmetry(self, capsys):
         assert main(["verify", "mutex", "--procs", "2", "--no-symmetry"]) == 0
 
-    def test_verify_truncated_is_nonzero(self, capsys):
-        assert main(["verify", "msi", "--max-states", "5"]) == 1
+    @pytest.mark.parametrize("cap", ["0", "5"])
+    def test_verify_truncated_is_nonzero(self, cap, capsys):
+        assert main(["verify", "msi", "--max-states", cap]) == 1
         assert "unknown" in capsys.readouterr().out
 
     @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
@@ -106,14 +107,8 @@ class TestSynth:
         assert main(["synth", "msi-tiny", "--solution-limit", "1"]) == 0
         assert "solutions:         1" in capsys.readouterr().out
 
-    def test_synth_no_generalise(self, capsys):
-        # The escape hatch restores the paper's full-width patterns; on
-        # figure2 the two modes coincide, so the headline must match.
-        assert main(["synth", "figure2", "--no-generalise"]) == 0
-        assert "evaluated:         10" in capsys.readouterr().out
-
-    def test_synth_no_prefix_reuse(self, capsys):
-        assert main(["synth", "msi-tiny", "--no-prefix-reuse"]) == 0
+    def test_synth_naive_has_no_prefix_cache(self, capsys):
+        assert main(["synth", "msi-tiny", "--naive"]) == 0
         out = capsys.readouterr().out
         assert "prefix cache" not in out
 

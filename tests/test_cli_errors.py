@@ -73,6 +73,15 @@ class TestBadWorkerCounts:
         )
 
 
+class TestExplorationLimits:
+    def test_negative_max_states(self, capsys):
+        run_expect_usage_error(
+            capsys,
+            ["verify", "msi", "--max-states", "-1"],
+            "max_states must be non-negative, got -1",
+        )
+
+
 class TestConflictingFlags:
     @pytest.mark.parametrize("argv", [
         ["verify", "moesi", "--por"],
@@ -83,9 +92,12 @@ class TestConflictingFlags:
         ["synth", "msi-tiny", "--refined"],
         ["synth", "mutex", "--explorer", "dfs"],
         ["verify", "vi", "--dfs"],
+        ["synth", "figure2", "--no-generalise"],
+        ["synth", "msi-tiny", "--no-prefix-reuse"],
+        ["synth", "msi-tiny", "--no-store"],
     ], ids=["por", "family", "no-family", "verify-no-packed",
             "synth-packed", "refined", "synth-explorer",
-            "verify-dfs"])
+            "verify-dfs", "no-generalise", "no-prefix-reuse", "no-store"])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
