@@ -4,9 +4,12 @@ import itertools
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.action import Action
+from repro.core.candidate import CandidateVector
 from repro.core.engine import SynthesisConfig, SynthesisEngine, SynthesisObserver
 from repro.core.hole import Hole
+from repro.core.pruning import PruningPattern
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.mc.context import FixedResolver
 from repro.mc.kernel import ExplorationKernel
@@ -137,6 +140,24 @@ class TestNaiveMatchMode:
 
 
 class TestGeneralisedPatterns:
+    def test_generalised_patterns_never_evaluate_more(self, monkeypatch):
+        report = SynthesisEngine(build_figure2_skeleton()).run()
+        assert len(report.solutions) == 1
+        # Against the paper's full-width pattern: the failing candidate
+        # itself, recorded in place of the conflict.
+        monkeypatch.setattr(
+            engine_module,
+            "generalise_failure",
+            lambda _registry, digits, _result: PruningPattern.from_candidate(
+                CandidateVector.from_digits(digits)
+            ),
+        )
+        full = SynthesisEngine(build_figure2_skeleton()).run()
+        assert report.evaluated <= full.evaluated
+        assert [s.digits for s in full.solutions] == [
+            s.digits for s in report.solutions
+        ]
+
     def test_generalised_patterns_lie_inside_the_failing_candidate(self):
         # A generalised pattern constrains only holes on the failing run's
         # path, a subset of the full-width candidate, so it never prunes

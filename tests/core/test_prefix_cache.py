@@ -36,11 +36,14 @@ class TestPrefixCache:
 
 
 class TestConfigGating:
-    def test_core_builds_cache_only_under_pruning(self):
+    def test_active_by_default(self):
+        system = build_figure2_skeleton()
+        assert SynthesisCore(system, SynthesisConfig()).prefix_cache is not None
+
+    def test_inactive_without_pruning(self):
         # Without wildcard semantics a prefix run cannot stand in for its
         # extensions, so the naive baseline explores every candidate cold.
         system = build_figure2_skeleton()
-        assert SynthesisCore(system, SynthesisConfig()).prefix_cache is not None
         assert (
             SynthesisCore(system, SynthesisConfig(pruning=False)).prefix_cache
             is None

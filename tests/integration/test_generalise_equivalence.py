@@ -13,6 +13,10 @@ prefix cache) every skeleton must yield:
   configurations whose pruning-mode verdict is definite (no wildcard left
   it UNKNOWN) received the same verdict from the naive run.
 
+Sequentially, the default run also evaluates no more candidates than
+the same run recording the paper's full-width patterns (the failing
+candidate itself) in place of generalised ones.
+
 Every skeleton here has at most 108 candidates, so the naive runs stay
 cheap.
 """
@@ -21,7 +25,10 @@ import pytest
 
 from repro.api import BACKENDS
 from repro.core import SynthesisConfig, SynthesisEngine
+from repro.core import engine as engine_module
+from repro.core.candidate import CandidateVector
 from repro.core.engine import SynthesisObserver
+from repro.core.pruning import PruningPattern
 from repro.dist import DistributedSynthesisEngine, SystemSpec
 from repro.protocols.catalog import build_skeleton
 
@@ -55,6 +62,11 @@ def registry_view(report):
         (hole.name, tuple(action.name for action in hole.domain))
         for hole in report.holes
     ]
+
+
+def full_width_pattern(_registry, digits, _result):
+    """The paper's pattern: the failing candidate at its full width."""
+    return PruningPattern.from_candidate(CandidateVector.from_digits(digits))
 
 
 class VerdictRecorder(SynthesisObserver):
@@ -91,6 +103,40 @@ class TestGeneralisationEquivalence:
                 # resolved that hole to its default action instead.
                 continue
             assert base_obs.verdicts[digits] == gen_obs.verdicts[digits], digits
+
+    def test_generalisation_never_evaluates_more(self, name, monkeypatch):
+        # A generalised pattern is a subset of the paper's full-width
+        # pattern for the same failure, so it never prunes less.  Compared
+        # sequentially: parallel counts drift with pattern timing, as the
+        # paper's own Table I shows.
+        generalised = run_backend("sequential", name, SynthesisConfig())
+        monkeypatch.setattr(
+            engine_module, "generalise_failure", full_width_pattern
+        )
+        full = run_backend("sequential", name, SynthesisConfig())
+        assert generalised.evaluated <= full.evaluated
+        assert solution_view(full) == solution_view(generalised)
+
+
+@pytest.mark.parametrize("name", ["mutex", "msi-tiny"])
+class TestFeatureIndependence:
+    """Pruning and the verdict store each preserve the solution set."""
+
+    def test_each_flag_combination_agrees(self, name, tmp_path):
+        reference = None
+        for pruning in (False, True):
+            store_path = str(tmp_path / f"store-{pruning}")
+            # No store, a recording run, then a run replaying that record.
+            for store in (None, store_path, store_path):
+                report = run_backend(
+                    "sequential",
+                    name,
+                    SynthesisConfig(pruning=pruning, store_path=store),
+                )
+                view = (solution_view(report), registry_view(report))
+                if reference is None:
+                    reference = view
+                assert view == reference, (pruning, store)
 
 
 class TestPrefixCacheReporting:
